@@ -47,7 +47,9 @@ class SimplicialComplex:
 
     simplices[k] is an (m_k, k+1) array of sorted vertex indices;
     filtration[k] the matching radii; faces_of[k] maps each k-simplex to
-    the ids of its (k-1)-faces. Top-simplex volumes are precomputed.
+    the ids of its (k-1)-faces. Top-simplex volumes are precomputed. Row i
+    of simplices[dim] is row i of tri.simplices sorted, so a find_simplex
+    result indexes the top level directly.
     """
 
     points: np.ndarray
@@ -225,25 +227,12 @@ class AlphaShape:
             return False
         support = lam > 1e-9
         if support.all():
-            mapped = self._top_row(top)
-            return bool(self.included[c.dim][mapped])
+            return bool(self.included[c.dim][top])
         carrier = tuple(sorted(int(v) for v in verts[support]))
         fid = c.face_id(carrier)
         if fid is None:
             return False
         return bool(self.included[len(carrier) - 1][fid])
-
-    _top_rows: np.ndarray | None = None
-
-    def _top_row(self, tri_row: int) -> int:
-        """Map a triangulation simplex row to its row in simplices[dim]."""
-        if self._top_rows is None:
-            c = self.complex
-            order = {tuple(row): i for i, row in enumerate(c.simplices[c.dim])}
-            self._top_rows = np.array(
-                [order[tuple(sorted(r))] for r in c.tri.simplices], dtype=np.int64
-            )
-        return int(self._top_rows[tri_row])
 
     def contains(self, q) -> bool:
         """Closed-set membership of one point, with relative tolerance."""
@@ -271,9 +260,7 @@ class AlphaShape:
         located = c.tri.find_simplex(qs, tol=1e-12)
         pending = np.nonzero(~out & (located >= 0))[0]
         if pending.size:
-            dim_inc = self.included[c.dim]
-            rows = np.array([self._top_row(int(located[i])) for i in pending])
-            strict = dim_inc[rows]
+            strict = self.included[c.dim][located[pending]]
             out[pending] = strict
             # an excluded landing simplex can still touch the point on an
             # included face; resolve those through the carrier
@@ -289,10 +276,7 @@ class AlphaShape:
         out = np.zeros(len(qs), dtype=bool)
         hit = located >= 0
         if hit.any():
-            if self._top_rows is None:
-                self._top_row(0)
-            rows = self._top_rows[located[hit]]
-            out[hit] = self.included[c.dim][rows]
+            out[hit] = self.included[c.dim][located[hit]]
         return out
 
     def included_counts(self) -> dict[int, int]:

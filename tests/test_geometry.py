@@ -177,6 +177,12 @@ class TestDelaunay:
             faces = c.filtration[k - 1][c.faces_of[k]]
             assert (faces <= c.filtration[k][:, None]).all()
 
+    @pytest.mark.parametrize("n", [40, 600])  # unjoggled and joggled qhull
+    def test_top_rows_align_with_triangulation(self, n):
+        # membership indexes included[dim] by the find_simplex row directly
+        c = delaunay(np.random.default_rng(n).random((n, 3)))
+        assert np.array_equal(c.simplices[c.dim], np.sort(c.tri.simplices, axis=1))
+
     def test_duplicates_dropped(self):
         pts = np.vstack([SQUARE, SQUARE[:2]])
         c = delaunay(pts)
