@@ -13,188 +13,9 @@ near-invariance certificate:
    coverage plus classical baselines.
 6. :mod:`safeset.pipeline` / :mod:`safeset.report` / :mod:`safeset.cli`
    orchestrate runs and emit deterministic artifacts.
+
+The package root re-exports nothing: import each name from its submodule,
+e.g. ``from safeset.pipeline import AnalysisConfig, run_analysis``.
 """
 
-from .errors import (
-    CollisionsPresent,
-    DegenerateInput,
-    DimensionMismatch,
-    DimensionTooHigh,
-    EmptySpace,
-    ExclusionViolated,
-    FrameMisalignment,
-    InfeasibleAtHi,
-    InvalidBeta,
-    InvalidCounts,
-    MalformedRow,
-    MissingColumn,
-    NonMonotoneTime,
-    NonPositiveGap,
-    SafesetError,
-    SpecKindMismatch,
-    TooLarge,
-)
-from .geometry import (
-    AlphaShape,
-    AlphaSearchResult,
-    ConvexHullShape,
-    McVolume,
-    ShapeUnion,
-    SimplicialComplex,
-    alpha_complex,
-    check_exclusion,
-    delaunay,
-    hierarchical_cluster,
-    mc_volume,
-    search_optimal_alpha,
-)
-from .ingest import (
-    Dataset,
-    RawSample,
-    Track,
-    label_collisions,
-    parse_trajectory_csv,
-    read_collision_csv,
-    write_collision_csv,
-    write_trajectory_csv,
-)
-from .metrics import (
-    CoverageResult,
-    EpsilonResult,
-    TtcStats,
-    algorithm3_epsilon_bar,
-    certify,
-    count_trailing_safe,
-    coverage,
-    epsilon_bar_bruteforce,
-    epsilon_bar_exact,
-    epsilon_from_count,
-    fatality_rate_bound,
-    trailing_run_pmf,
-    ttc_stats,
-)
-from .oss import (
-    PRESETS,
-    OssSpec,
-    OssState,
-    StateTrajectory,
-    TransitionSet,
-    classify_trajectories,
-    combine_domains,
-    export_states_csv,
-    extract_lead_following,
-    extract_multi_vehicle,
-    extract_states,
-    extract_vehicle_pedestrian,
-    transitions,
-)
-from .pipeline import AnalysisConfig, AnalysisReport, run_analysis
-from .report import emit_report, render_slice, slice_plans
-from .safegraph import (
-    SafeExtraction,
-    SafeGraph,
-    build_safe_graph,
-    extract_safe_states,
-    partition_transitions,
-    reachable,
-)
-from .simgen import (
-    IDM_0,
-    IDM_1,
-    IDM_PRESETS,
-    IdmParams,
-    ScenarioSpec,
-    idm_accel,
-    ncap_battery,
-    simulate_battery,
-    simulate_follow,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlphaSearchResult",
-    "AlphaShape",
-    "AnalysisConfig",
-    "AnalysisReport",
-    "CollisionsPresent",
-    "ConvexHullShape",
-    "CoverageResult",
-    "Dataset",
-    "DegenerateInput",
-    "DimensionMismatch",
-    "DimensionTooHigh",
-    "EmptySpace",
-    "EpsilonResult",
-    "ExclusionViolated",
-    "FrameMisalignment",
-    "IDM_0",
-    "IDM_1",
-    "IDM_PRESETS",
-    "IdmParams",
-    "InfeasibleAtHi",
-    "InvalidBeta",
-    "InvalidCounts",
-    "MalformedRow",
-    "McVolume",
-    "MissingColumn",
-    "NonMonotoneTime",
-    "NonPositiveGap",
-    "OssSpec",
-    "OssState",
-    "PRESETS",
-    "RawSample",
-    "SafeExtraction",
-    "SafeGraph",
-    "SafesetError",
-    "ScenarioSpec",
-    "ShapeUnion",
-    "SimplicialComplex",
-    "SpecKindMismatch",
-    "StateTrajectory",
-    "TooLarge",
-    "Track",
-    "TransitionSet",
-    "TtcStats",
-    "algorithm3_epsilon_bar",
-    "alpha_complex",
-    "build_safe_graph",
-    "certify",
-    "check_exclusion",
-    "classify_trajectories",
-    "combine_domains",
-    "count_trailing_safe",
-    "coverage",
-    "delaunay",
-    "emit_report",
-    "epsilon_bar_bruteforce",
-    "epsilon_bar_exact",
-    "epsilon_from_count",
-    "export_states_csv",
-    "extract_lead_following",
-    "extract_multi_vehicle",
-    "extract_safe_states",
-    "extract_states",
-    "extract_vehicle_pedestrian",
-    "fatality_rate_bound",
-    "hierarchical_cluster",
-    "idm_accel",
-    "label_collisions",
-    "mc_volume",
-    "ncap_battery",
-    "parse_trajectory_csv",
-    "partition_transitions",
-    "read_collision_csv",
-    "reachable",
-    "render_slice",
-    "run_analysis",
-    "search_optimal_alpha",
-    "simulate_battery",
-    "simulate_follow",
-    "slice_plans",
-    "trailing_run_pmf",
-    "transitions",
-    "ttc_stats",
-    "write_collision_csv",
-    "write_trajectory_csv",
-]

@@ -1,9 +1,10 @@
-"""Monte-Carlo volume of an arbitrary membership region inside a box.
+"""Monte-Carlo integration over a box, and the volume of a membership region.
 
 Samples are drawn uniformly in the box in fixed-size batches, each batch
-from its own spawned generator stream. Batch results combine by summation,
-so the estimate is bit-identical whether batches run serially or on a
-thread pool (size capped by the SAFESET_THREADS environment variable).
+from its own spawned generator stream. Batch results combine by summation
+in batch order, so every estimate is bit-identical whether batches run
+serially or on a thread pool (size capped by the SAFESET_THREADS
+environment variable).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from ..errors import EmptySpace
 
 MIN_SAMPLES = 1000
-DEFAULT_BATCH = 8192
+BATCH_SIZE = 8192
 
 
 def thread_budget() -> int:
@@ -38,12 +39,45 @@ class McVolume:
     box_volume: float
 
 
+def sample_sums(
+    integrand: Callable[[np.ndarray], tuple],
+    bounds: np.ndarray,
+    n_samples: int,
+    seed: int,
+    threads: int | None = None,
+) -> list:
+    """Sum ``integrand`` over ``n_samples`` uniform draws in the box.
+
+    Draws come in ``BATCH_SIZE`` batches, batch k from the k-th stream of
+    ``SeedSequence(seed).spawn``. ``integrand`` maps an (m, n) sample block
+    to a tuple of per-batch sums; each tuple position is added up in batch
+    order, whatever the thread count.
+    """
+    widths = bounds[:, 1] - bounds[:, 0]
+    counts = [BATCH_SIZE] * (n_samples // BATCH_SIZE)
+    if n_samples % BATCH_SIZE:
+        counts.append(n_samples % BATCH_SIZE)
+    seeds = np.random.SeedSequence(seed).spawn(len(counts))
+
+    def run_batch(args: tuple[int, np.random.SeedSequence]) -> tuple:
+        m, ss = args
+        rng = np.random.default_rng(ss)
+        return integrand(bounds[:, 0] + rng.random((m, bounds.shape[0])) * widths)
+
+    workers = thread_budget() if threads is None else max(1, threads)
+    if workers == 1:
+        sums = [run_batch(a) for a in zip(counts, seeds)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            sums = list(pool.map(run_batch, zip(counts, seeds)))
+    return [sum(column) for column in zip(*sums)]
+
+
 def mc_volume(
     membership: Callable[[np.ndarray], np.ndarray],
     bounds: np.ndarray,
     n_samples: int = 100_000,
     seed: int = 0,
-    batch_size: int = DEFAULT_BATCH,
     threads: int | None = None,
 ) -> McVolume:
     """Estimate the volume of {x in box : membership(x)}.
@@ -62,24 +96,13 @@ def mc_volume(
         raise ValueError(f"n_samples must be at least {MIN_SAMPLES}")
     box_volume = float(np.prod(widths))
 
-    counts = [batch_size] * (n_samples // batch_size)
-    if n_samples % batch_size:
-        counts.append(n_samples % batch_size)
-    seeds = np.random.SeedSequence(seed).spawn(len(counts))
-
-    def run_batch(args: tuple[int, np.random.SeedSequence]) -> int:
-        m, ss = args
-        rng = np.random.default_rng(ss)
-        pts = bounds[:, 0] + rng.random((m, bounds.shape[0])) * widths
-        return int(np.count_nonzero(membership(pts)))
-
-    workers = thread_budget() if threads is None else max(1, threads)
-    if workers == 1:
-        hits = sum(run_batch(a) for a in zip(counts, seeds))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(run_batch, zip(counts, seeds)))
-
+    (hits,) = sample_sums(
+        lambda pts: (int(np.count_nonzero(membership(pts))),),
+        bounds,
+        n_samples,
+        seed,
+        threads,
+    )
     p = hits / n_samples
     half = 1.96 * box_volume * float(np.sqrt(p * (1.0 - p) / n_samples))
     return McVolume(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -36,7 +35,6 @@ def search_optimal_alpha(
     lo: float = 0.01,
     hi: float = 100.0,
     threshold: float = 0.1,
-    feasible: Callable[[AlphaShape], bool] = shape_is_feasible,
     max_exact_dim: int | None = None,
 ) -> AlphaSearchResult:
     """Find the smallest alpha (within ``threshold``) whose shape is feasible.
@@ -47,6 +45,8 @@ def search_optimal_alpha(
     is returned together with its shape. Feasibility monotonicity is
     asserted over the probe history.
     """
+    if not all(math.isfinite(x) for x in (lo, hi, threshold)):
+        raise ValueError("lo, hi and threshold must be finite")
     if not (0.0 < lo < hi):
         raise ValueError("need 0 < lo < hi")
     if threshold <= 0.0:
@@ -61,7 +61,7 @@ def search_optimal_alpha(
 
     def probe(a: float) -> tuple[AlphaShape, bool]:
         shape = alpha_complex(c, a)
-        ok = feasible(shape)
+        ok = shape_is_feasible(shape)
         probes.append((a, ok))
         return shape, ok
 

@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import DimensionMismatch
+from .montecarlo import sample_sums
 
 
 @dataclass(frozen=True)
@@ -75,16 +76,6 @@ class ShapeUnion:
             out[todo] = s.contains_batch(qs[todo])
         return out
 
-    def contains_batch_fast(self, qs: np.ndarray) -> np.ndarray:
-        qs = np.asarray(qs, dtype=float)
-        out = np.zeros(len(qs), dtype=bool)
-        for s in self.shapes:
-            todo = ~out
-            if not todo.any():
-                break
-            out[todo] = s.contains_batch_fast(qs[todo])
-        return out
-
     def _multiplicity(self, qs: np.ndarray) -> np.ndarray:
         counts = np.zeros(len(qs), dtype=np.int64)
         for s in self.shapes:
@@ -125,19 +116,12 @@ class ShapeUnion:
         self, box: np.ndarray, widths: np.ndarray, seed: int, n_samples: int
     ) -> tuple[float, float]:
         """Monte-Carlo integral of max(multiplicity - 1, 0) over the box."""
-        batch = 8192
-        counts = [batch] * (n_samples // batch)
-        if n_samples % batch:
-            counts.append(n_samples % batch)
-        seeds = np.random.SeedSequence(seed).spawn(len(counts))
-        total = 0.0
-        total_sq = 0.0
-        for m, ss in zip(counts, seeds):
-            rng = np.random.default_rng(ss)
-            pts = box[:, 0] + rng.random((m, box.shape[0])) * widths
+
+        def excess(pts: np.ndarray) -> tuple[float, float]:
             w = np.maximum(self._multiplicity(pts) - 1, 0).astype(float)
-            total += float(w.sum())
-            total_sq += float((w * w).sum())
+            return float(w.sum()), float((w * w).sum())
+
+        total, total_sq = sample_sums(excess, box, n_samples, seed)
         box_volume = float(np.prod(widths))
         mean = total / n_samples
         var = max(total_sq / n_samples - mean * mean, 0.0)

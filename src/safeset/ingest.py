@@ -14,14 +14,14 @@ the union of both, selected by the labelling rule.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import MalformedRow, MissingColumn, NonMonotoneTime
-from .kinematics import boxes_overlap, headings, to_local
+from .kinematics import boxes_overlap, sv_frame_offsets
 
 AGENT_TYPES = ("car", "truck", "pedestrian", "other")
 VEHICLE_TYPES = ("car", "truck", "other")
@@ -97,13 +97,6 @@ class Track:
     length: np.ndarray
     width: np.ndarray
     lane_id: tuple[int | None, ...]
-    row_of: dict[int, int] = field(repr=False)
-    _headings: np.ndarray | None = field(default=None, repr=False)
-
-    def heading_at(self, row: int) -> float:
-        if self._headings is None:
-            self._headings = headings(self.vx, self.vy)
-        return float(self._headings[row])
 
     def speeds(self) -> np.ndarray:
         return np.hypot(self.vx, self.vy)
@@ -116,13 +109,12 @@ class Track:
 
 def _build_track(samples: Sequence[RawSample]) -> Track:
     first = samples[0]
-    frames = np.array([s.frame for s in samples], dtype=np.int64)
     return Track(
         trajectory_id=first.trajectory_id,
         agent_id=first.agent_id,
         agent_type=first.agent_type,
         sv_flag=first.sv_flag,
-        frames=frames,
+        frames=np.array([s.frame for s in samples], dtype=np.int64),
         times=np.array([s.time for s in samples]),
         x=np.array([s.x for s in samples]),
         y=np.array([s.y for s in samples]),
@@ -131,7 +123,6 @@ def _build_track(samples: Sequence[RawSample]) -> Track:
         length=np.array([s.length for s in samples]),
         width=np.array([s.width for s in samples]),
         lane_id=tuple(s.lane_id for s in samples),
-        row_of={int(f): i for i, f in enumerate(frames)},
     )
 
 
@@ -422,21 +413,8 @@ def _geometric_events(d: Dataset) -> set[tuple[str, int]]:
     found: set[tuple[str, int]] = set()
     for traj in d.trajectory_ids:
         sv = d.sv_track(traj)
-        sv_theta = headings(sv.vx, sv.vy)
-        for other in d.trajectory_tracks(traj):
-            if other.agent_id == sv.agent_id:
-                continue
-            common, sv_rows, ot_rows = np.intersect1d(
-                sv.frames, other.frames, return_indices=True
-            )
-            if common.size == 0:
-                continue
-            dx = other.x[ot_rows] - sv.x[sv_rows]
-            dy = other.y[ot_rows] - sv.y[sv_rows]
-            theta = sv_theta[sv_rows]
-            c, s = np.cos(theta), np.sin(theta)
-            dlong = c * dx + s * dy
-            dlat = -s * dx + c * dy
+        others = [t for t in d.trajectory_tracks(traj) if t.agent_id != sv.agent_id]
+        for other, common, sv_rows, ot_rows, dlong, dlat in sv_frame_offsets(sv, others):
             hit = boxes_overlap(
                 dlong,
                 dlat,

@@ -8,6 +8,8 @@ stopped vehicle does not spin with velocity noise.
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
 import numpy as np
 
 SPEED_EPS = 0.01
@@ -36,14 +38,40 @@ def headings(vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
     return theta[last_moving]
 
 
-def to_local(theta: float, dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate world-frame offsets into the frame of a vehicle heading ``theta``.
+def to_local(
+    theta: float | np.ndarray, dx: np.ndarray, dy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rotate world-frame offsets into the frame of a vehicle heading ``theta``
+    (a scalar, or one heading per offset).
 
     Returns (longitudinal, lateral) components; lateral is positive to the
     vehicle's left.
     """
     c, s = np.cos(theta), np.sin(theta)
     return c * dx + s * dy, -s * dx + c * dy
+
+
+def sv_frame_offsets(sv, others: Iterable) -> Iterator[tuple]:
+    """Offsets of other tracks from the subject vehicle, in the SV frame.
+
+    For each track in ``others`` that shares frames with the track ``sv``,
+    yields (other, common frames, SV rows, other rows, dlong, dlat), the
+    offsets being center-to-center at the common frames, rotated by the
+    SV heading (:func:`headings`) through :func:`to_local`.
+    """
+    theta = headings(sv.vx, sv.vy)
+    for other in others:
+        common, sv_rows, ot_rows = np.intersect1d(
+            sv.frames, other.frames, return_indices=True
+        )
+        if common.size == 0:
+            continue
+        dlong, dlat = to_local(
+            theta[sv_rows],
+            other.x[ot_rows] - sv.x[sv_rows],
+            other.y[ot_rows] - sv.y[sv_rows],
+        )
+        yield other, common, sv_rows, ot_rows, dlong, dlat
 
 
 def boxes_overlap(

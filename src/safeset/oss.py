@@ -21,7 +21,7 @@ classification can tell safe from unsafe trajectories.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import FrameMisalignment, SpecKindMismatch
 from .ingest import Dataset, Track, VEHICLE_TYPES
-from .kinematics import headings
+from .kinematics import sv_frame_offsets
 
 OSS_KINDS = ("lead_following", "multi_vehicle", "vehicle_pedestrian", "combined")
 
@@ -228,61 +228,46 @@ def _in_bounds(values: Sequence[float], bounds: np.ndarray) -> bool:
 class _Candidate:
     """Another agent seen from the SV at one frame, in the SV's local frame."""
 
-    track: Track
-    row: int
     dlong: float
     dlat: float
     speed: float
     length: float
-    width: float
     lane_id: int | None
 
 
 def _candidates_by_frame(
     d: Dataset, traj: str, agent_types: tuple[str, ...]
-) -> tuple[Track, np.ndarray, dict[int, list[_Candidate]]]:
+) -> tuple[Track, dict[int, list[_Candidate]]]:
     """Index every agent of the given types by frame, in SV-local coordinates."""
     sv = d.sv_track(traj)
-    sv_theta = headings(sv.vx, sv.vy)
     by_frame: dict[int, list[_Candidate]] = {int(f): [] for f in sv.frames}
-    for other in d.trajectory_tracks(traj):
-        if other.agent_id == sv.agent_id or other.agent_type not in agent_types:
-            continue
-        common, sv_rows, ot_rows = np.intersect1d(
-            sv.frames, other.frames, return_indices=True
-        )
-        if common.size == 0:
-            continue
-        dx = other.x[ot_rows] - sv.x[sv_rows]
-        dy = other.y[ot_rows] - sv.y[sv_rows]
-        theta = sv_theta[sv_rows]
-        c, s = np.cos(theta), np.sin(theta)
-        dlong = c * dx + s * dy
-        dlat = -s * dx + c * dy
+    others = [
+        t
+        for t in d.trajectory_tracks(traj)
+        if t.agent_id != sv.agent_id and t.agent_type in agent_types
+    ]
+    for other, common, _, ot_rows, dlong, dlat in sv_frame_offsets(sv, others):
         speed = np.hypot(other.vx[ot_rows], other.vy[ot_rows])
         for k, f in enumerate(common):
             by_frame[int(f)].append(
                 _Candidate(
-                    track=other,
-                    row=int(ot_rows[k]),
                     dlong=float(dlong[k]),
                     dlat=float(dlat[k]),
                     speed=float(speed[k]),
                     length=float(other.length[ot_rows[k]]),
-                    width=float(other.width[ot_rows[k]]),
                     lane_id=other.lane_id[ot_rows[k]],
                 )
             )
-    return sv, sv_theta, by_frame
+    return sv, by_frame
 
 
 def _assemble_segments(
-    d: Dataset,
     traj: str,
-    entries: list[tuple[int, float, tuple[float, ...]]],
+    entries: list[tuple[int, float, tuple[float, ...], bool]],
+    event_frames: Iterable[int],
 ) -> list[StateTrajectory]:
-    """Split (frame, time, values) entries into consecutive-frame segments and
-    attribute the trajectory's collision events to segments.
+    """Split (frame, time, values, unsafe) entries into consecutive-frame
+    segments and attribute the trajectory's collision events to segments.
 
     An event lands in the segment whose frame span contains it; otherwise in
     the nearest preceding segment (the motion that led to the collision);
@@ -290,8 +275,7 @@ def _assemble_segments(
     """
     if not entries:
         return []
-    event_frames = set(d.events_for(traj))
-    runs: list[list[tuple[int, float, tuple[float, ...]]]] = [[entries[0]]]
+    runs: list[list[tuple[int, float, tuple[float, ...], bool]]] = [[entries[0]]]
     for prev, cur in zip(entries, entries[1:]):
         if cur[0] == prev[0] + 1:
             runs[-1].append(cur)
@@ -311,27 +295,17 @@ def _assemble_segments(
             target = preceding[-1] if preceding else 0
         attached[target].append(e)
 
-    segments = []
-    for i, run in enumerate(runs):
-        states = tuple(
-            OssState(
-                values=vals,
-                time=t,
-                trajectory_id=traj,
-                frame=f,
-                unsafe=f in event_frames,
-            )
-            for f, t, vals in run
+    return [
+        StateTrajectory(
+            trajectory_id=traj,
+            segment_index=i,
+            states=tuple(
+                OssState(vals, t, traj, f, unsafe) for f, t, vals, unsafe in run
+            ),
+            collision_frames=tuple(attached[i]),
         )
-        segments.append(
-            StateTrajectory(
-                trajectory_id=traj,
-                segment_index=i,
-                states=states,
-                collision_frames=tuple(attached[i]),
-            )
-        )
-    return segments
+        for i, run in enumerate(runs)
+    ]
 
 
 def _same_lane(sv_lane: int | None, cand: _Candidate, lane_width: float) -> bool:
@@ -357,8 +331,9 @@ def extract_lead_following(d: Dataset, spec: OssSpec) -> list[StateTrajectory]:
     bounds = spec.bounds()
     out: list[StateTrajectory] = []
     for traj in d.trajectory_ids:
-        sv, _, by_frame = _candidates_by_frame(d, traj, VEHICLE_TYPES)
+        sv, by_frame = _candidates_by_frame(d, traj, VEHICLE_TYPES)
         sv_speed = sv.speeds()
+        events = set(d.events_for(traj))
         entries = []
         for row, frame in enumerate(sv.frames):
             frame = int(frame)
@@ -373,8 +348,8 @@ def extract_lead_following(d: Dataset, spec: OssSpec) -> list[StateTrajectory]:
             p = lead.dlong - (sv.length[row] + lead.length) / 2.0
             values = (float(sv_speed[row]), lead.speed, float(p))
             if _in_bounds(values, bounds):
-                entries.append((frame, float(sv.times[row]), values))
-        out.extend(_assemble_segments(d, traj, entries))
+                entries.append((frame, float(sv.times[row]), values, frame in events))
+        out.extend(_assemble_segments(traj, entries, events))
     return out
 
 
@@ -406,8 +381,9 @@ def extract_multi_vehicle(d: Dataset, spec: OssSpec) -> list[StateTrajectory]:
     full_bounds = np.array([v_bounds] + [p_bounds, v_bounds] * len(SUBREGIONS))
     out: list[StateTrajectory] = []
     for traj in d.trajectory_ids:
-        sv, _, by_frame = _candidates_by_frame(d, traj, VEHICLE_TYPES)
+        sv, by_frame = _candidates_by_frame(d, traj, VEHICLE_TYPES)
         sv_speed = sv.speeds()
+        events = set(d.events_for(traj))
         entries = []
         for row, frame in enumerate(sv.frames):
             frame = int(frame)
@@ -443,8 +419,8 @@ def extract_multi_vehicle(d: Dataset, spec: OssSpec) -> list[StateTrajectory]:
                 continue
             vals = tuple(float(v) for v in values)
             if _in_bounds(vals, full_bounds):
-                entries.append((frame, float(sv.times[row]), vals))
-        out.extend(_assemble_segments(d, traj, entries))
+                entries.append((frame, float(sv.times[row]), vals, frame in events))
+        out.extend(_assemble_segments(traj, entries, events))
     return out
 
 
@@ -462,8 +438,9 @@ def extract_vehicle_pedestrian(d: Dataset, spec: OssSpec) -> list[StateTrajector
     v_bounds = (spec.v_min, spec.v_max)
     out: list[StateTrajectory] = []
     for traj in d.trajectory_ids:
-        sv, _, by_frame = _candidates_by_frame(d, traj, ("pedestrian",))
+        sv, by_frame = _candidates_by_frame(d, traj, ("pedestrian",))
         sv_speed = sv.speeds()
+        events = set(d.events_for(traj))
         entries = []
         for row, frame in enumerate(sv.frames):
             frame = int(frame)
@@ -491,8 +468,8 @@ def extract_vehicle_pedestrian(d: Dataset, spec: OssSpec) -> list[StateTrajector
                     values.extend([spec.ped_p_max, spec.q_max])
             if occupied == 0:
                 continue
-            entries.append((frame, float(sv.times[row]), tuple(values)))
-        out.extend(_assemble_segments(d, traj, entries))
+            entries.append((frame, float(sv.times[row]), tuple(values), frame in events))
+        out.extend(_assemble_segments(traj, entries, events))
     return out
 
 
@@ -505,73 +482,32 @@ def combine_domains(
     re-split into consecutive-frame segments. The two components must agree
     on v0 and time at every shared frame.
     """
-    multi_by: dict[tuple[str, int], OssState] = {}
+    multi_by: dict[str, dict[int, OssState]] = {}
+    ped_by: dict[str, dict[int, OssState]] = {}
     coll_by: dict[str, set[int]] = {}
-    for t in multi:
-        if t.states and len(t.states[0].values) != len(MULTI_NAMES):
-            raise SpecKindMismatch("first argument must hold 13-D states")
-        coll_by.setdefault(t.trajectory_id, set()).update(t.collision_frames)
-        for s in t.states:
-            multi_by[(s.trajectory_id, s.frame)] = s
-    ped_by: dict[tuple[str, int], OssState] = {}
-    traj_order: dict[str, None] = {}
-    for t in ped:
-        if t.states and len(t.states[0].values) != len(PED_NAMES):
-            raise SpecKindMismatch("second argument must hold 5-D states")
-        coll_by.setdefault(t.trajectory_id, set()).update(t.collision_frames)
-        for s in t.states:
-            ped_by[(s.trajectory_id, s.frame)] = s
-            traj_order.setdefault(s.trajectory_id)
-    for t in multi:
-        traj_order.setdefault(t.trajectory_id)
+    for trajs, by, n_values, which in (
+        (multi, multi_by, len(MULTI_NAMES), "first argument must hold 13-D states"),
+        (ped, ped_by, len(PED_NAMES), "second argument must hold 5-D states"),
+    ):
+        for t in trajs:
+            if t.states and len(t.states[0].values) != n_values:
+                raise SpecKindMismatch(which)
+            coll_by.setdefault(t.trajectory_id, set()).update(t.collision_frames)
+            for s in t.states:
+                by.setdefault(s.trajectory_id, {})[s.frame] = s
 
     out: list[StateTrajectory] = []
-    for traj in traj_order:
-        keys = sorted(
-            f for (tj, f) in multi_by if tj == traj and (tj, f) in ped_by
-        )
+    for traj, ped_frames in ped_by.items():
+        multi_frames = multi_by.get(traj, {})
         entries = []
-        for f in keys:
-            a, b = multi_by[(traj, f)], ped_by[(traj, f)]
+        for f in sorted(multi_frames.keys() & ped_frames.keys()):
+            a, b = multi_frames[f], ped_frames[f]
             if a.values[0] != b.values[0] or a.time != b.time:
                 raise FrameMisalignment(
                     f"components disagree at trajectory {traj!r} frame {f}"
                 )
-            entries.append(
-                (f, a.time, a.values + b.values[1:], a.unsafe or b.unsafe)
-            )
-        if not entries:
-            continue
-        runs: list[list] = [[entries[0]]]
-        for prev, cur in zip(entries, entries[1:]):
-            if cur[0] == prev[0] + 1:
-                runs[-1].append(cur)
-            else:
-                runs.append([cur])
-        spans = [(run[0][0], run[-1][0]) for run in runs]
-        attached: list[list[int]] = [[] for _ in runs]
-        for e in sorted(coll_by.get(traj, ())):
-            target = None
-            for i, (lo, hi) in enumerate(spans):
-                if lo <= e <= hi:
-                    target = i
-                    break
-            if target is None:
-                preceding = [i for i, (lo, _) in enumerate(spans) if lo <= e]
-                target = preceding[-1] if preceding else 0
-            attached[target].append(e)
-        for i, run in enumerate(runs):
-            out.append(
-                StateTrajectory(
-                    trajectory_id=traj,
-                    segment_index=i,
-                    states=tuple(
-                        OssState(vals, t, traj, f, unsafe)
-                        for f, t, vals, unsafe in run
-                    ),
-                    collision_frames=tuple(attached[i]),
-                )
-            )
+            entries.append((f, a.time, a.values + b.values[1:], a.unsafe or b.unsafe))
+        out.extend(_assemble_segments(traj, entries, coll_by.get(traj, ())))
     return out
 
 

@@ -15,6 +15,7 @@ directly interpretable as occupancy.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -71,12 +72,15 @@ class AnalysisConfig:
             raise SafesetError(f"unknown collision rule {self.collision_rule!r}")
         if self.reach_mode not in REACH_MODES:
             raise SafesetError(f"unknown reachability mode {self.reach_mode!r}")
+        alpha = (self.alpha_lo, self.alpha_hi, self.alpha_threshold)
+        if not all(math.isfinite(x) for x in alpha):
+            raise SafesetError("alpha_lo, alpha_hi and alpha_threshold must be finite")
         if not (0.0 < self.alpha_lo < self.alpha_hi):
             raise SafesetError("need 0 < alpha_lo < alpha_hi")
         if self.alpha_threshold <= 0.0:
             raise SafesetError("alpha_threshold must be positive")
-        if self.match_radius < 0.0:
-            raise SafesetError("match_radius must be non-negative")
+        if not (math.isfinite(self.match_radius) and self.match_radius >= 0.0):
+            raise SafesetError("match_radius must be finite and non-negative")
         if self.mc_samples < 1000:
             raise SafesetError("mc_samples must be at least 1000")
         if self.slice_cells < 2:
@@ -150,6 +154,26 @@ def _build_low_dim_shape(points: np.ndarray, cfg: AnalysisConfig, info: dict):
     return result.shape
 
 
+def _wrap_member(
+    points: np.ndarray, cfg: AnalysisConfig, dim: int, seed: int, info: dict
+):
+    """Tuned alpha shape when the dimension allows one; otherwise, or when
+    the points are degenerate, a convex wrap measured with ``seed``."""
+    if dim <= cfg.max_exact_dim:
+        try:
+            shape = _build_low_dim_shape(points, cfg, info)
+            info["kind"] = "alpha_shape"
+            info["measure"] = shape.measure
+            return shape
+        except DegenerateInput:
+            info["degenerate_fallback"] = True
+    hull = geometry.ConvexHullShape(points)
+    hull.estimate_measure(seed, cfg.mc_samples)
+    info["kind"] = "convex_hull"
+    info["measure"] = hull.measure
+    return hull
+
+
 def _wrap_points(
     points: np.ndarray, cfg: AnalysisConfig, dim: int
 ) -> tuple[object | None, dict]:
@@ -158,44 +182,16 @@ def _wrap_points(
     if len(points) == 0:
         return None, info
     cluster_max = cfg.effective_cluster_max(dim)
-    needs_cluster = dim > cfg.max_exact_dim or len(points) > cluster_max
-
-    if not needs_cluster:
-        try:
-            shape = _build_low_dim_shape(points, cfg, info)
-            info["kind"] = "alpha_shape"
-            info["measure"] = shape.measure
-            return shape, info
-        except DegenerateInput:
-            hull = geometry.ConvexHullShape(points)
-            hull.estimate_measure(_seed_ints(cfg.seed, 1)[0], cfg.mc_samples)
-            info["kind"] = "convex_hull"
-            info["degenerate_fallback"] = True
-            info["measure"] = hull.measure
-            return hull, info
+    if dim <= cfg.max_exact_dim and len(points) <= cluster_max:
+        return _wrap_member(points, cfg, dim, _seed_ints(cfg.seed, 1)[0], info), info
 
     leaves = geometry.hierarchical_cluster(points, cluster_max, seed=cfg.seed)
     seeds = _seed_ints(cfg.seed, len(leaves) + 1)
     members = []
     member_info = []
     for i, idx in enumerate(leaves):
-        leaf_pts = points[idx]
         detail: dict = {"n_points": int(len(idx))}
-        if dim <= cfg.max_exact_dim:
-            try:
-                member = _build_low_dim_shape(leaf_pts, cfg, detail)
-                detail["kind"] = "alpha_shape"
-            except DegenerateInput:
-                member = geometry.ConvexHullShape(leaf_pts)
-                member.estimate_measure(seeds[i], cfg.mc_samples)
-                detail["kind"] = "convex_hull"
-                detail["degenerate_fallback"] = True
-        else:
-            member = geometry.ConvexHullShape(leaf_pts)
-            member.estimate_measure(seeds[i], cfg.mc_samples)
-            detail["kind"] = "convex_hull"
-        detail["measure"] = member.measure
-        members.append(member)
+        members.append(_wrap_member(points[idx], cfg, dim, seeds[i], detail))
         member_info.append(detail)
     union = geometry.ShapeUnion(
         members,
@@ -257,32 +253,22 @@ def run_analysis(cfg: AnalysisConfig, dataset: Dataset | None = None) -> Analysi
 
     shape, shape_info = _wrap_points(ds_norm, cfg, spec.dim)
 
-    membership: dict[tuple[float, ...], bool] = {}
     exclusion_ok = True
-    offender: tuple[float, ...] | None = None
-    offender_count = 0
-    if shape is not None:
-        for v in ds_values_set:
-            membership[v] = True
-        if excluded_values:
-            excl_norm = spec.normalize(np.array(excluded_values, dtype=float))
-            inside = shape.contains_batch(excl_norm)
-            for v, flag in zip(excluded_values, inside):
-                membership[v] = bool(flag)
-            offender_count = int(inside.sum())
-            if offender_count:
-                exclusion_ok = False
-                offender = excluded_values[int(np.nonzero(inside)[0][0])]
-    else:
-        for v in all_values:
-            membership[v] = False
+    if shape is not None and excluded_values:
+        exclusion_ok, inside = geometry.check_exclusion(
+            shape, spec.normalize(np.array(excluded_values, dtype=float))
+        )
+        if not exclusion_ok:
+            raise ExclusionViolated(
+                int(inside.sum()), excluded_values[int(np.nonzero(inside)[0][0])]
+            )
 
-    if not exclusion_ok:
-        raise ExclusionViolated(offender_count, offender)
-
+    # An excluded state inside the shape has raised above, and the shape is
+    # None only when nothing was retained, so membership in the shape equals
+    # membership in the retained set for every observed state.
     eps: EpsilonResult = certify(
         td.pairs,
-        lambda v: membership.get(v, False),
+        extraction.safe_values.__contains__,
         s_count,
         c_count,
         cfg.beta,

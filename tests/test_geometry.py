@@ -369,6 +369,11 @@ class TestAlphaSearch:
         with pytest.raises(ValueError):
             search_optimal_alpha(SQUARE, 0.01, 100.0, 0.0)
 
+    @pytest.mark.parametrize("lo,threshold", [(math.nan, 0.1), (0.01, math.nan)])
+    def test_non_finite_parameters_rejected(self, lo, threshold):
+        with pytest.raises(ValueError):
+            search_optimal_alpha(SQUARE, lo, 100.0, threshold)
+
 
 class TestClustering:
     def test_partition_covers_and_respects_bound(self):
@@ -549,6 +554,34 @@ class TestShapeUnion:
         assert detail.member_sum == pytest.approx(2.0)
         assert detail.overlap == pytest.approx(0.5, abs=0.03)
         assert detail.total == pytest.approx(1.5, abs=0.03)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_overlap_matches_reference_scheme_bit_for_bit(self, threads, monkeypatch):
+        # 8192-sample batches from SeedSequence(seed).spawn, uniform on the
+        # union box, summing w and w*w with w = max(multiplicity - 1, 0)
+        monkeypatch.setenv("SAFESET_THREADS", threads)
+        seed, n = 5, 20_000
+        detail = ShapeUnion([square_shape(0.0), square_shape(0.5)]).compute_measure(
+            seed=seed, n_samples=n
+        )
+        lo, widths = np.array([0.0, 0.0]), np.array([1.5, 1.0])
+        counts = [8192, 8192, n - 2 * 8192]
+        total = total_sq = 0.0
+        for m, ss in zip(counts, np.random.SeedSequence(seed).spawn(len(counts))):
+            pts = lo + np.random.default_rng(ss).random((m, 2)) * widths
+            mult = sum(
+                ((pts[:, 0] >= x0) & (pts[:, 0] <= x0 + 1.0)).astype(np.int64)
+                for x0 in (0.0, 0.5)
+            )
+            w = np.maximum(mult - 1, 0).astype(float)
+            total += float(w.sum())
+            total_sq += float((w * w).sum())
+        box_volume = 1.5
+        mean = total / n
+        var = max(total_sq / n - mean * mean, 0.0)
+        assert detail.overlap == box_volume * mean
+        assert detail.overlap_half_width_95 == 1.96 * box_volume * float(np.sqrt(var / n))
+        assert detail.total == max(detail.member_sum - box_volume * mean, 0.0)
 
     def test_membership_is_disjunction(self):
         union = ShapeUnion([square_shape(0.0), square_shape(10.0)])

@@ -340,6 +340,25 @@ class TestCombined:
         trajs = extract_states(d, COMBINED)
         assert [s.frame for t in trajs for s in t.states] == [0, 1]
 
+    def test_gap_in_shared_frames_splits_and_attributes_events(self):
+        # vehicle missing at frames 2-3, walker throughout; one event in the
+        # gap, one inside the second shared run
+        agents = {
+            "ego": {"x0": 0.0, "vx": 20.0, "sv": True},
+            "fc": {"x0": 20.0, "y0": 0.0, "vx": 19.0, "frames": [0, 1, 4, 5, 6]},
+            "walker": {"x0": 30.0, "y0": 4.0, "vx": 0.0, "agent_type": "pedestrian",
+                       "length": 0.5, "width": 0.5},
+        }
+        d = scene_dataset(agents, 7, events=[("t0", 2), ("t0", 5)])
+        trajs = extract_states(d, COMBINED)
+        assert [t.segment_index for t in trajs] == [0, 1]
+        assert [[s.frame for s in t.states] for t in trajs] == [[0, 1], [4, 5, 6]]
+        assert [t.collision_frames for t in trajs] == [(2,), (5,)]
+        assert [[s.unsafe for s in t.states] for t in trajs] == [
+            [False, False],
+            [False, True, False],
+        ]
+
     def test_disagreeing_components_raise(self):
         mk = lambda vals, f: OssState(vals, 0.1 * f, "t0", f)
         m = StateTrajectory("t0", 0, tuple(mk((21.0,) + (50.0, 21.0) * 6, f) for f in range(2)))

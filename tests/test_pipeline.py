@@ -12,7 +12,7 @@ from builders import scene_dataset
 from safeset.cli import EXIT_EXCLUSION, EXIT_INVALID, EXIT_OK, _labels_sidecar, main
 from safeset.errors import ExclusionViolated, InvalidBeta, SafesetError
 from safeset.ingest import Dataset, write_collision_csv, write_trajectory_csv
-from safeset.oss import PRESETS, OssSpec
+from safeset.oss import PRESETS, OssSpec, extract_states
 from safeset.pipeline import (
     CLUSTER_MAX_HIGH_DIM,
     CLUSTER_MAX_LOW_DIM,
@@ -54,6 +54,13 @@ class TestAnalysisConfig:
             ({"alpha_lo": 5.0, "alpha_hi": 5.0}, SafesetError),
             ({"alpha_threshold": 0.0}, SafesetError),
             ({"match_radius": -1.0}, SafesetError),
+            ({"match_radius": math.nan}, SafesetError),
+            ({"match_radius": math.inf}, SafesetError),
+            ({"alpha_lo": math.nan}, SafesetError),
+            ({"alpha_hi": math.inf}, SafesetError),
+            ({"alpha_hi": math.nan}, SafesetError),
+            ({"alpha_threshold": math.nan}, SafesetError),
+            ({"alpha_threshold": math.inf}, SafesetError),
             ({"mc_samples": 999}, SafesetError),
             ({"slice_cells": 1}, SafesetError),
             ({"preset": "nonexistent"}, SafesetError),
@@ -210,7 +217,16 @@ class TestRunAnalysis:
         cfg = trap_config()
         with pytest.raises(ExclusionViolated) as exc:
             run_analysis(cfg, dataset=dataset)
-        assert exc.value.count >= 1
+        # the only removed states are the trap run's, all inside the cloud;
+        # the reported example is the smallest of them
+        trap = sorted(
+            s.values
+            for t in extract_states(dataset, cfg.resolve_spec())
+            if t.trajectory_id == "trap"
+            for s in t.states
+        )
+        assert exc.value.count == len(trap) == 4
+        assert exc.value.example == trap[0]
 
 
 def exclusion_trap_dataset():
