@@ -12,6 +12,7 @@ simplices of equal dimension.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Callable
 
 import numpy as np
 
@@ -56,8 +57,17 @@ def circumballs(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return centers, radii
 
 
-def meb_radii(pts: np.ndarray) -> np.ndarray:
-    """Minimum enclosing ball radius per simplex, pts shaped (m, j, n)."""
+def meb_radii(
+    pts: np.ndarray,
+    subset_ball: Callable[[tuple[int, ...]], tuple[np.ndarray, np.ndarray]]
+    | None = None,
+) -> np.ndarray:
+    """Minimum enclosing ball radius per simplex, pts shaped (m, j, n).
+
+    ``subset_ball(idx)``, if given, supplies the circumballs of vertex
+    subset ``idx`` for every item in place of solving them here, so a
+    face shared by many simplices can be solved once.
+    """
     pts = np.asarray(pts, dtype=float)
     m, j, _ = pts.shape
     if j == 1:
@@ -65,9 +75,18 @@ def meb_radii(pts: np.ndarray) -> np.ndarray:
     best = np.full(m, np.inf)
     for size in range(2, j + 1):
         for idx in combinations(range(j), size):
-            centers, radii = circumballs(pts[:, idx, :])
-            dist = np.linalg.norm(pts - centers[:, None, :], axis=2).max(axis=1)
-            ok = dist <= radii * (1.0 + COVER_REL_TOL) + 1e-12
-            better = ok & (radii < best)
-            best[better] = radii[better]
+            if subset_ball is None:
+                centers, radii = circumballs(pts[:, idx, :])
+            else:
+                centers, radii = subset_ball(idx)
+            # only a ball smaller than the best cover so far can win
+            live = np.flatnonzero(radii < best)
+            # the largest vertex distance, as np.linalg.norm(..., axis=2)
+            # .max(axis=1) gives it bit for bit: sqrt is correctly rounded,
+            # hence monotone, so it can be taken once after the max
+            sq = pts[live] - centers[live, None, :]
+            sq *= sq
+            dist = np.sqrt(sq.sum(axis=2).max(axis=1))
+            ok = dist <= radii[live] * (1.0 + COVER_REL_TOL) + 1e-12
+            best[live[ok]] = radii[live[ok]]
     return best

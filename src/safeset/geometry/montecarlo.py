@@ -23,11 +23,16 @@ BATCH_SIZE = 8192
 
 
 def thread_budget() -> int:
-    raw = os.environ.get("SAFESET_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
+    """Pool size from SAFESET_THREADS: 1 when unset, else a positive integer."""
+    raw = os.environ.get("SAFESET_THREADS")
+    if raw is None:
         return 1
+    try:
+        if int(raw) >= 1:
+            return int(raw)
+    except ValueError:
+        pass
+    raise ValueError(f"SAFESET_THREADS must be a positive integer, got {raw!r}")
 
 
 @dataclass(frozen=True)
@@ -51,8 +56,11 @@ def sample_sums(
     Draws come in ``BATCH_SIZE`` batches, batch k from the k-th stream of
     ``SeedSequence(seed).spawn``. ``integrand`` maps an (m, n) sample block
     to a tuple of per-batch sums; each tuple position is added up in batch
-    order, whatever the thread count.
+    order, whatever the thread count. Fewer than MIN_SAMPLES draws are
+    refused.
     """
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"n_samples must be at least {MIN_SAMPLES}")
     widths = bounds[:, 1] - bounds[:, 0]
     counts = [BATCH_SIZE] * (n_samples // BATCH_SIZE)
     if n_samples % BATCH_SIZE:
@@ -64,7 +72,9 @@ def sample_sums(
         rng = np.random.default_rng(ss)
         return integrand(bounds[:, 0] + rng.random((m, bounds.shape[0])) * widths)
 
-    workers = thread_budget() if threads is None else max(1, threads)
+    workers = thread_budget() if threads is None else threads
+    if workers < 1:
+        raise ValueError(f"threads must be at least 1, got {workers}")
     if workers == 1:
         sums = [run_batch(a) for a in zip(counts, seeds)]
     else:
@@ -92,8 +102,6 @@ def mc_volume(
     widths = bounds[:, 1] - bounds[:, 0]
     if not (widths > 0).all():
         raise EmptySpace("sampling box must have positive extent in every dimension")
-    if n_samples < MIN_SAMPLES:
-        raise ValueError(f"n_samples must be at least {MIN_SAMPLES}")
     box_volume = float(np.prod(widths))
 
     (hits,) = sample_sums(

@@ -20,19 +20,30 @@ clamp enforces that bitwise). Two consequences used throughout:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
 from math import factorial
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import Delaunay, QhullError, cKDTree
+from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
 
 from ..errors import DegenerateInput, DimensionMismatch, DimensionTooHigh
-from .minball import meb_radii
+from .minball import circumballs, meb_radii
 
 DEFAULT_MAX_EXACT_DIM = 6
 REL_TOL = 1e-9
+# Probes more than HULL_MARGIN x (bounding-box diagonal, at least 1)
+# outside the convex hull are refused before point location. They are
+# members on no path: find_simplex(tol=1e-12) accepts a point at most its
+# broad barycentric tolerance sqrt(1e-12) = 1e-6 outside a simplex, which
+# puts it within 1e-6 x diameter of the hull, and the vertex snap reaches
+# REL_TOL x scale.
+HULL_MARGIN = 1e-5
+HULL_BLOCK = 1 << 20  # probe x facet products per half-space block
+MEB_BLOCK = 32_768  # simplices per filtration block
 
 
 def _dedupe_rows(points: np.ndarray) -> np.ndarray:
@@ -41,15 +52,88 @@ def _dedupe_rows(points: np.ndarray) -> np.ndarray:
     return points[np.sort(first)]
 
 
+def _unique_rows(rows: np.ndarray, radix: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a non-negative int array with two or more columns,
+    as np.unique(axis=0).
+
+    Returns the lexicographically sorted distinct rows and the index of
+    each input row among them. Columns pack one at a time into an int64
+    key in radix ``radix`` (above every entry), and the key is replaced by
+    its dense rank after each column: ranks keep the order and stay below
+    len(rows), so no key exceeds max(radix, len(rows)) * radix, however
+    wide the rows. Vertex ids come from scipy's int32 triangulation, so
+    radix < 2**31, and the keys fit int64 for fewer than 2**32 rows.
+    """
+    keys = rows[:, 0].astype(np.int64)
+    for col in rows.T[1:]:
+        keys = keys * radix + col
+        _, first, keys = np.unique(keys, return_index=True, return_inverse=True)
+    return rows[first], keys
+
+
+def _subset_ball(
+    balls: dict[int, tuple[np.ndarray, np.ndarray]],
+    faces_of: dict[int, np.ndarray],
+    k: int,
+    rows: slice,
+    block: np.ndarray,
+    idx: tuple[int, ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Circumballs of vertex subset ``idx`` of the k-simplices ``rows``.
+
+    The full vertex set is solved here and stored in ``balls[k]`` for the
+    level above. A proper subset is a face already solved at a lower
+    level: dropping the other columns highest first, one face level at a
+    time, keeps the remaining columns in place and ends at its face id.
+    """
+    if len(idx) == k + 1:
+        centers, radii = circumballs(block)
+        balls[k][0][rows], balls[k][1][rows] = centers, radii
+        return centers, radii
+    fid, level = rows, k
+    for col in range(k, -1, -1):
+        if col not in idx:
+            fid = faces_of[level][fid, col]
+            level -= 1
+    return balls[level][0][fid], balls[level][1][fid]
+
+
+def _filtration(
+    points: np.ndarray, simplices: dict[int, np.ndarray], faces_of: dict[int, np.ndarray]
+) -> dict[int, np.ndarray]:
+    """Minimum-enclosing-ball radius of every simplex, level by level.
+
+    Each simplex's circumball is solved once, so meb_radii reads the balls
+    of a simplex's proper faces by face id instead of solving them again
+    for every cofacet. Levels run in blocks of MEB_BLOCK simplices, which
+    bounds the temporaries.
+    """
+    dim = points.shape[1]
+    filtration = {0: np.zeros(points.shape[0])}
+    balls: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for k in range(1, dim + 1):
+        m = simplices[k].shape[0]
+        balls[k] = (np.empty((m, dim)), np.empty(m))
+        filtration[k] = np.empty(m)
+        for lo in range(0, m, MEB_BLOCK):
+            rows = slice(lo, lo + MEB_BLOCK)
+            block = points[simplices[k][rows]]
+            filtration[k][rows] = meb_radii(
+                block, partial(_subset_ball, balls, faces_of, k, rows, block)
+            )
+    return filtration
+
+
 @dataclass(eq=False)
 class SimplicialComplex:
     """Full Delaunay complex with per-simplex filtration values.
 
-    simplices[k] is an (m_k, k+1) array of sorted vertex indices;
-    filtration[k] the matching radii; faces_of[k] maps each k-simplex to
-    the ids of its (k-1)-faces. Top-simplex volumes are precomputed. Row i
-    of simplices[dim] is row i of tri.simplices sorted, so a find_simplex
-    result indexes the top level directly.
+    simplices[k] is an (m_k, k+1) array of sorted vertex indices, its rows
+    in lexicographic order for every k < dim; filtration[k] the matching
+    radii; faces_of[k] maps each k-simplex to the ids of its (k-1)-faces.
+    Top-simplex volumes are precomputed. Row i of simplices[dim] is row i
+    of tri.simplices sorted, so a find_simplex result indexes the top
+    level directly.
     """
 
     points: np.ndarray
@@ -78,20 +162,48 @@ class SimplicialComplex:
             self._kdtree = cKDTree(self.points)
         return self._kdtree
 
-    _face_lookup: dict[int, dict[tuple[int, ...], int]] | None = field(
-        default=None, repr=False
-    )
+    _hull_equations: np.ndarray | None = field(default=None, repr=False)
+
+    def near_hull(self, qs: np.ndarray) -> np.ndarray:
+        """Mask of the probes within the HULL_MARGIN band of the convex hull.
+
+        Probes outside it are members of no filtered shape. The hull is
+        built once; if qhull refuses it, every probe is kept.
+        """
+        if self._hull_equations is None:
+            try:
+                self._hull_equations = ConvexHull(self.points).equations
+            except QhullError:
+                self._hull_equations = np.empty((0, self.dim + 1))
+        eq = self._hull_equations
+        keep = np.ones(len(qs), dtype=bool)
+        if not len(eq):
+            return keep
+        extent = self.points.max(axis=0) - self.points.min(axis=0)
+        margin = HULL_MARGIN * max(float(np.linalg.norm(extent)), 1.0)
+        normals, offsets = eq[:, :-1].T, eq[:, -1]
+        step = max(1, HULL_BLOCK // len(eq))
+        for lo in range(0, len(qs), step):
+            height = qs[lo : lo + step] @ normals
+            height += offsets
+            keep[lo : lo + step] = height.max(axis=1) <= margin
+        return keep
 
     def face_id(self, vertex_ids: tuple[int, ...]) -> int | None:
-        """Id of the simplex with exactly these (sorted) vertices, if any."""
-        if self._face_lookup is None:
-            self._face_lookup = {}
+        """Id of the proper face with exactly these vertices, if any.
+
+        Levels below the top hold their rows in lexicographic order (as
+        delaunay deduplicated them), so the lookup is a binary search.
+        """
         k = len(vertex_ids) - 1
-        if k not in self._face_lookup:
-            self._face_lookup[k] = {
-                tuple(row): i for i, row in enumerate(self.simplices[k])
-            }
-        return self._face_lookup[k].get(tuple(sorted(vertex_ids)))
+        if k >= self.dim:
+            raise ValueError("face_id looks up proper faces only")
+        rows = self.simplices[k]
+        key = tuple(sorted(int(v) for v in vertex_ids))
+        i = bisect_left(rows, key, key=lambda row: tuple(row.tolist()))
+        if i < len(rows) and tuple(rows[i].tolist()) == key:
+            return i
+        return None
 
 
 def delaunay(
@@ -159,14 +271,10 @@ def delaunay(
             face_ids = stacked[:, 0]
             simplices[0] = np.arange(points.shape[0], dtype=np.int64)[:, None]
         else:
-            uniq, inverse = np.unique(stacked, axis=0, return_inverse=True)
-            simplices[k - 1] = uniq
-            face_ids = inverse
+            simplices[k - 1], face_ids = _unique_rows(stacked, n_pts)
         faces_of[k] = face_ids.reshape(m, k + 1)
 
-    filtration: dict[int, np.ndarray] = {0: np.zeros(points.shape[0])}
-    for k in range(1, dim + 1):
-        filtration[k] = meb_radii(points[simplices[k]])
+    filtration = _filtration(points, simplices, faces_of)
     # clamp any floating-point leak so faces never outrank their cofacets
     for k in range(dim, 1, -1):
         np.minimum.at(
@@ -251,32 +359,38 @@ class AlphaShape:
                 f"queries must have shape (m, {self.dim}), got {qs.shape}"
             )
         c = self.complex
-        tol = self._tol()
         out = np.zeros(len(qs), dtype=bool)
+        near = np.flatnonzero(c.near_hull(qs))
+        if not near.size:
+            return out
+        qs = qs[near]
 
         dist, _ = c.kdtree().query(qs)
-        out |= dist <= tol
+        hit = dist <= self._tol()
 
         located = c.tri.find_simplex(qs, tol=1e-12)
-        pending = np.nonzero(~out & (located >= 0))[0]
+        pending = np.nonzero(~hit & (located >= 0))[0]
         if pending.size:
             strict = self.included[c.dim][located[pending]]
-            out[pending] = strict
+            hit[pending] = strict
             # an excluded landing simplex can still touch the point on an
             # included face; resolve those through the carrier
             for i in pending[~strict]:
-                out[i] = self._carrier_included(qs[i], int(located[i]))
+                hit[i] = self._carrier_included(qs[i], int(located[i]))
+        out[near] = hit
         return out
 
     def contains_batch_fast(self, qs: np.ndarray) -> np.ndarray:
         """Membership for sampling: boundary carriers ignored (measure zero)."""
         qs = np.asarray(qs, dtype=float)
         c = self.complex
-        located = c.tri.find_simplex(qs)
         out = np.zeros(len(qs), dtype=bool)
+        near = np.flatnonzero(c.near_hull(qs))
+        if not near.size:
+            return out
+        located = c.tri.find_simplex(qs[near])
         hit = located >= 0
-        if hit.any():
-            out[hit] = self.included[c.dim][located[hit]]
+        out[near[hit]] = self.included[c.dim][located[hit]]
         return out
 
     def included_counts(self) -> dict[int, int]:

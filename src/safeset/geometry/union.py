@@ -90,7 +90,8 @@ class ShapeUnion:
         estimated on the union bounding box with spawned per-batch seeds.
         Every member must already carry a measure (alpha shapes always do;
         convex wraps after estimate_measure). Disjoint member boxes make
-        the overlap exactly zero with no sampling.
+        the overlap exactly zero with no sampling; otherwise ``n_samples``
+        must be at least MIN_SAMPLES, as for mc_volume.
         """
         member_sum = 0.0
         for s in self.shapes:

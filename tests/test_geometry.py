@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, cKDTree
 
 from safeset.errors import (
     DegenerateInput,
@@ -29,7 +29,9 @@ from safeset.geometry import (
     meb_radii,
     search_optimal_alpha,
     shape_is_feasible,
+    thread_budget,
 )
+from safeset.geometry.simplicial import _unique_rows
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
@@ -77,6 +79,61 @@ def brute_meb_radius_2d(tri):
         _, r = circumcircle_2d(*pts)
         best = min(best, r)
     return best
+
+
+def reference_meb(pts):
+    """Enumerated minimum enclosing radii: every subset's circumball, with
+    the cover test on np.linalg.norm distances."""
+    m, j, _ = pts.shape
+    best = np.full(m, np.inf) if j > 1 else np.zeros(m)
+    for size in range(2, j + 1):
+        for idx in combinations(range(j), size):
+            centers, radii = circumballs(pts[:, idx, :])
+            dist = np.linalg.norm(pts - centers[:, None, :], axis=2).max(axis=1)
+            better = (dist <= radii * (1.0 + 1e-9) + 1e-12) & (radii < best)
+            best[better] = radii[better]
+    return best
+
+
+def reference_complex(c):
+    """Faces, face ids and filtration of c's triangulation, built level by
+    level with np.unique(axis=0) and reference_meb."""
+    points, dim = c.points, c.dim
+    simplices = {dim: np.sort(c.tri.simplices, axis=1).astype(np.int64)}
+    faces_of = {}
+    for k in range(dim, 0, -1):
+        cur = simplices[k]
+        stacked = np.stack([np.delete(cur, i, axis=1) for i in range(k + 1)], axis=1)
+        stacked = stacked.reshape(-1, k)
+        if k == 1:
+            simplices[0] = np.arange(len(points), dtype=np.int64)[:, None]
+            ids = stacked[:, 0]
+        else:
+            simplices[k - 1], ids = np.unique(stacked, axis=0, return_inverse=True)
+        faces_of[k] = ids.reshape(len(cur), k + 1)
+    filtration = {0: np.zeros(len(points))}
+    for k in range(1, dim + 1):
+        filtration[k] = reference_meb(points[simplices[k]])
+    for k in range(dim, 1, -1):
+        np.minimum.at(
+            filtration[k - 1], faces_of[k].ravel(), np.repeat(filtration[k], k + 1)
+        )
+    return simplices, faces_of, filtration
+
+
+def reference_membership(shape, qs):
+    """Exact and fast membership with find_simplex run on every probe."""
+    c = shape.complex
+    dist, _ = cKDTree(c.points).query(qs)
+    exact = dist <= 1e-9 * max(c.scale(), 1.0)
+    located = c.tri.find_simplex(qs, tol=1e-12)
+    for i in np.flatnonzero(~exact & (located >= 0)):
+        top = int(located[i])
+        exact[i] = shape.included[c.dim][top] or shape._carrier_included(qs[i], top)
+    fast = np.zeros(len(qs), dtype=bool)
+    hit = c.tri.find_simplex(qs)
+    fast[hit >= 0] = shape.included[c.dim][hit[hit >= 0]]
+    return exact, fast
 
 
 class TestCircumballs:
@@ -128,6 +185,13 @@ class TestMebRadii:
 
     def test_single_point_zero(self):
         assert meb_radii(np.zeros((3, 1, 2))).tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("j,n", [(2, 3), (3, 2), (3, 3), (4, 3), (5, 4)])
+    def test_matches_norm_reference_bit_for_bit(self, j, n):
+        rng = np.random.default_rng(10 * j + n)
+        pts = rng.random((400, j, n))
+        pts[:40, -1] = pts[:40, 0] + 1e-7 * rng.random((40, n))  # near-degenerate
+        assert np.array_equal(meb_radii(pts), reference_meb(pts))
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -182,6 +246,39 @@ class TestDelaunay:
         # membership indexes included[dim] by the find_simplex row directly
         c = delaunay(np.random.default_rng(n).random((n, 3)))
         assert np.array_equal(c.simplices[c.dim], np.sort(c.tri.simplices, axis=1))
+
+    @pytest.mark.parametrize(
+        "dim,n", [(2, 40), (3, 600), (4, 80)]  # 600 points take the joggled path
+    )
+    def test_faces_and_filtration_match_reference(self, dim, n):
+        c = delaunay(np.random.default_rng(dim * 1000 + n).random((n, dim)))
+        simplices, faces_of, filtration = reference_complex(c)
+        for k in range(dim + 1):
+            assert np.array_equal(c.simplices[k], simplices[k])
+            assert np.array_equal(c.filtration[k], filtration[k])
+        for k in range(1, dim + 1):
+            assert np.array_equal(c.faces_of[k], faces_of[k])
+
+    @pytest.mark.parametrize("radix,k", [(7, 3), (2**21, 4), (2**31 - 1, 4)])
+    def test_unique_rows_matches_numpy(self, radix, k):
+        # radix**k beyond 2**63 must not overflow the packed keys
+        rng = np.random.default_rng(k)
+        pool = rng.integers(0, radix, (60, k))
+        pool[:20, 0] = pool[20:40, 0]  # shared leading columns
+        rows = pool[rng.integers(0, 60, 3000)]
+        uniq, inverse = _unique_rows(rows, radix)
+        ref_uniq, ref_inverse = np.unique(rows, axis=0, return_inverse=True)
+        assert np.array_equal(uniq, ref_uniq)
+        assert np.array_equal(inverse, ref_inverse.ravel())
+
+    def test_face_id_finds_every_proper_face(self):
+        c = delaunay(np.random.default_rng(4).random((60, 3)))
+        for k in range(c.dim):
+            for i, row in enumerate(c.simplices[k]):
+                assert c.face_id(tuple(row[::-1])) == i
+        assert c.face_id((0, 0)) is None
+        with pytest.raises(ValueError):
+            c.face_id(tuple(c.simplices[3][0]))
 
     def test_duplicates_dropped(self):
         pts = np.vstack([SQUARE, SQUARE[:2]])
@@ -285,6 +382,27 @@ class TestAlphaComplex:
         disagree = exact != fast
         assert disagree.mean() < 0.02  # only boundary-carrier queries differ
         assert not (fast & ~exact).any()  # fast never claims more than exact
+
+    @pytest.mark.parametrize("cloud", ["random", "lattice"])
+    def test_membership_matches_find_simplex_reference(self, cloud):
+        rng = np.random.default_rng(600)
+        if cloud == "random":
+            pts = rng.random((600, 3))
+        else:  # 100 points on each hull facet: delaunay joggles, the hull not
+            pts = np.stack(np.meshgrid(*[np.linspace(0, 1, 10)] * 3), -1).reshape(-1, 3)
+        c = delaunay(pts)
+        shape = alpha_complex(c, float(np.median(c.filtration[3])))
+        margin = 1e-5 * float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+        hull = ConvexHull(c.points)
+        centroids = c.points[hull.simplices].mean(axis=1)
+        normals = hull.equations[:, :-1]
+        pushed = [centroids + t * margin * normals for t in (0.0, 0.5, 2.0, 10.0)]
+        box = rng.random((3000, 3)) * 1.4 - 0.2
+        qs = np.vstack([box, c.points[:50] + 1e-3, *pushed])
+        exact, fast = reference_membership(shape, qs)
+        assert exact.any() and not exact.all()
+        assert np.array_equal(shape.contains_batch(qs), exact)
+        assert np.array_equal(shape.contains_batch_fast(qs), fast)
 
     def test_component_count_matches_union_find_over_simplices(self):
         rng = np.random.default_rng(9)
@@ -456,6 +574,20 @@ class TestMcVolume:
             mc_volume(member, np.array([[1.0, 1.0]]), n_samples=1000)
         with pytest.raises(ValueError):
             mc_volume(member, np.zeros((2, 3)), n_samples=1000)
+        with pytest.raises(ValueError, match="threads"):
+            mc_volume(member, good, n_samples=1000, threads=0)
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+    def test_unusable_thread_setting_refused(self, raw, monkeypatch):
+        monkeypatch.setenv("SAFESET_THREADS", raw)
+        with pytest.raises(ValueError, match=f"SAFESET_THREADS.*'{raw}'"):
+            thread_budget()
+
+    def test_thread_setting(self, monkeypatch):
+        monkeypatch.delenv("SAFESET_THREADS", raising=False)
+        assert thread_budget() == 1
+        monkeypatch.setenv("SAFESET_THREADS", "2")
+        assert thread_budget() == 2
 
 
 class TestConvexHullShape:
@@ -604,6 +736,15 @@ class TestShapeUnion:
         union = ShapeUnion([hull])
         with pytest.raises(ValueError):
             union.compute_measure()
+
+    @pytest.mark.parametrize("n_samples", [10, 0])
+    def test_sample_count_below_minimum_refused(self, n_samples):
+        union = ShapeUnion([square_shape(0.0), square_shape(0.5)])
+        with pytest.raises(ValueError, match="at least 1000"):
+            union.compute_measure(seed=0, n_samples=n_samples)
+        assert union.measure_detail is None
+        disjoint = ShapeUnion([square_shape(0.0), square_shape(10.0)])
+        assert disjoint.compute_measure(seed=0, n_samples=n_samples).overlap == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
