@@ -113,11 +113,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_extract(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args)
     spec = PRESETS[args.preset]
-    trajs = extract_states(dataset, spec)
-    export_states_csv(trajs, spec, args.out)
-    n_states = sum(len(t.states) for t in trajs)
+    table = extract_states(dataset, spec)
+    export_states_csv(table, spec, args.out)
     print(
-        f"projected {n_states} states in {len(trajs)} gap-free segments "
+        f"projected {len(table)} states in {table.n_segments} gap-free segments "
         f"({spec.kind}, dim {spec.dim}) -> {args.out}"
     )
     return EXIT_OK

@@ -31,19 +31,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln
 
 from .errors import (
     CollisionsPresent,
+    DimensionMismatch,
     EmptySpace,
     InvalidBeta,
     InvalidCounts,
     TooLarge,
 )
-from .oss import OssState, StateTrajectory, TransitionSet
 
 KM_PER_MILE = 1.609344
 TTC_CLIP_S = 9.0
@@ -68,22 +68,12 @@ def epsilon_from_count(n: int, beta: float) -> float:
     return -math.expm1(math.log(beta) / n)
 
 
-def count_trailing_safe(
-    pairs: Sequence[tuple[OssState, OssState]],
-    member: Callable[[tuple[float, ...]], bool],
-) -> int:
-    """Length of the trailing run of pairs whose endpoints are both members.
-
-    Replays the pairs in the given order; any pair with an endpoint outside
-    the set resets the counter.
-    """
-    n = 0
-    for a, b in pairs:
-        if member(a.values) and member(b.values):
-            n += 1
-        else:
-            n = 0
-    return n
+def count_trailing_safe(inside: np.ndarray) -> int:
+    """Length of the trailing run of True in the per-transition labels
+    (True = both endpoints inside the set), replayed in the given order."""
+    inside = np.asarray(inside, dtype=bool)
+    outside = np.flatnonzero(~inside)
+    return len(inside) - (int(outside[-1]) + 1 if len(outside) else 0)
 
 
 def trailing_run_pmf(s: int, c: int) -> np.ndarray:
@@ -187,18 +177,14 @@ class EpsilonResult:
         return 1.0 - self.beta
 
 
-def certify(
-    pairs: Sequence[tuple[OssState, OssState]],
-    member: Callable[[tuple[float, ...]], bool],
-    s: int,
-    c: int,
-    beta: float,
-) -> EpsilonResult:
-    """Assemble the full epsilon report for an ordered transition set."""
+def certify(inside: np.ndarray, beta: float) -> EpsilonResult:
+    """Assemble the full epsilon report for an ordered transition set, given
+    per transition whether both endpoints are inside the set."""
     _check_beta(beta)
-    if s < 0 or c < 0:
-        raise InvalidCounts(f"negative transition counts s={s}, c={c}")
-    n = count_trailing_safe(pairs, member)
+    inside = np.asarray(inside, dtype=bool)
+    s = int(inside.sum())
+    c = len(inside) - s
+    n = count_trailing_safe(inside)
     return EpsilonResult(
         beta=beta,
         s_count=s,
@@ -249,15 +235,17 @@ class TtcStats:
     n_states: int
 
 
-def ttc_stats(trajs: Iterable[StateTrajectory]) -> TtcStats:
-    """Time-to-collision statistics over lead-following states.
+def ttc_stats(values: np.ndarray) -> TtcStats:
+    """Time-to-collision statistics over (n, 3) lead-following states.
 
     TTC = p / (v0 - v1), valid only while closing (v0 > v1) with positive
     gap, clipped at 9 s. The rate is valid states over all states.
     """
-    values = np.array(
-        [s.values for t in trajs for s in t.states], dtype=float
-    ).reshape(-1, 3)
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[1] != 3:
+        raise DimensionMismatch(
+            f"TTC needs (n, 3) lead-following states, got shape {values.shape}"
+        )
     n_states = len(values)
     if n_states == 0:
         return TtcStats(None, None, 0.0, 0, 0)
@@ -292,9 +280,3 @@ def fatality_rate_bound(
     miles = safe_distance_km / KM_PER_MILE
     return -math.expm1(math.log(beta) / miles)
 
-
-def transition_labels(
-    td: TransitionSet, member: Callable[[tuple[float, ...]], bool]
-) -> list[bool]:
-    """Boolean retained-labels for each pair, in order."""
-    return [bool(member(a.values) and member(b.values)) for a, b in td.pairs]

@@ -12,10 +12,14 @@ describing the subject vehicle (SV) and its immediate neighbourhood:
 * combined (17-D): the two previous vectors merged on their shared SV speed.
 
 Frames that fail the validity rules of a space (no relevant neighbour, or
-any coordinate outside the configured box) are skipped; the surviving
-frames form gap-free state trajectories, split wherever frames stop being
-consecutive. Collision events are carried over so that downstream
-classification can tell safe from unsafe trajectories.
+any coordinate outside the configured box) are skipped. The surviving
+states of every trajectory land in one :class:`StateTable`: an (n, d)
+value array with frame, time and unsafe columns, cut into gap-free
+segments wherever frames stop being consecutive. Each segment records its
+trajectory, its index within it and the collision events attributed to
+it, so downstream pruning can tell safe from unsafe segments. Every later
+step works on row indices and masks of this table; no per-state object is
+built.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import FrameMisalignment, SpecKindMismatch
+from .errors import DimensionMismatch, FrameMisalignment, SpecKindMismatch
 from .ingest import Dataset, Track, VEHICLE_TYPES
 from .kinematics import sv_frame_offsets
 
@@ -137,91 +141,90 @@ PRESETS: dict[str, OssSpec] = {
 }
 
 
-@dataclass(frozen=True)
-class OssState:
-    """One projected state. Identity for graph purposes is ``values``."""
+@dataclass(frozen=True, eq=False)
+class StateTable:
+    """Projected states as columns, grouped into gap-free segments.
 
-    values: tuple[float, ...]
-    time: float
-    trajectory_id: str
-    frame: int
-    unsafe: bool = False
+    Row k is one state: ``values[k]`` (an (n, d) float64 array), its
+    ``frame``, ``time`` and whether a collision event falls on that frame
+    (``unsafe``). Rows run in trajectory order. Segment j holds rows
+    ``offsets[j]:offsets[j + 1]``; it is segment ``segment_index[j]`` of
+    trajectory ``trajectory_ids[j]`` and carries the collision events
+    ``collision_frames[j]`` attributed to it.
+    """
 
-
-@dataclass(frozen=True)
-class StateTrajectory:
-    """A maximal run of states with consecutive frames from one recording
-    trajectory, plus the collision events attributed to it."""
-
-    trajectory_id: str
-    segment_index: int
-    states: tuple[OssState, ...]
-    collision_frames: tuple[int, ...] = ()
-
-    @property
-    def first_frame(self) -> int:
-        return self.states[0].frame
-
-    @property
-    def last_frame(self) -> int:
-        return self.states[-1].frame
-
-    def gap_free(self) -> tuple[bool, ...]:
-        """One flag per consecutive state pair: frames differ by exactly 1."""
-        return tuple(
-            b.frame == a.frame + 1 for a, b in zip(self.states, self.states[1:])
-        )
-
-    def pairs(self) -> list[tuple[OssState, OssState]]:
-        flags = self.gap_free()
-        return [
-            (a, b)
-            for (a, b), ok in zip(zip(self.states, self.states[1:]), flags)
-            if ok
-        ]
-
-
-@dataclass(frozen=True)
-class TransitionSet:
-    """Ordered observed transitions (state, next state)."""
-
-    pairs: tuple[tuple[OssState, OssState], ...]
+    values: np.ndarray
+    frame: np.ndarray
+    time: np.ndarray
+    unsafe: np.ndarray
+    offsets: np.ndarray
+    trajectory_ids: tuple[str, ...]
+    segment_index: np.ndarray
+    collision_frames: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.frame)
+
+    @property
+    def dim(self) -> int:
+        return self.values.shape[1]
+
+    @property
+    def n_segments(self) -> int:
+        return len(self.trajectory_ids)
+
+    def segment_ids(self) -> np.ndarray:
+        """The segment of every state."""
+        return np.repeat(np.arange(self.n_segments), np.diff(self.offsets))
+
+    def unsafe_segments(self) -> np.ndarray:
+        """Per segment: a collision event was attributed to it or one of its
+        states is unsafe."""
+        out = np.array([bool(c) for c in self.collision_frames], dtype=bool)
+        out[self.segment_ids()[self.unsafe]] = True
+        return out
+
+    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct state values in lexicographic order, and each state's row
+        among them. States match when their values are equal as floats
+        (0.0 equals -0.0); each row is its value's first occurrence."""
+        # return_index selects a stable sort, which keeps first occurrences
+        vertices, _, ids = np.unique(
+            self.values, axis=0, return_index=True, return_inverse=True
+        )
+        return vertices, ids.reshape(-1)
+
+    @classmethod
+    def concat(cls, tables: Sequence["StateTable"], dim: int) -> "StateTable":
+        """Stack tables of ``dim``-D states, segments in the given order."""
+        for t in tables:
+            if t.dim != dim:
+                raise DimensionMismatch(f"states of dimension {t.dim}, expected {dim}")
+        lengths = [np.diff(t.offsets) for t in tables]
+        return cls(
+            values=np.concatenate([np.empty((0, dim))] + [t.values for t in tables]),
+            frame=np.concatenate([np.empty(0, np.int64)] + [t.frame for t in tables]),
+            time=np.concatenate([np.empty(0)] + [t.time for t in tables]),
+            unsafe=np.concatenate([np.empty(0, bool)] + [t.unsafe for t in tables]),
+            offsets=np.cumsum(np.concatenate([[0]] + lengths)).astype(np.intp),
+            trajectory_ids=tuple(i for t in tables for i in t.trajectory_ids),
+            segment_index=np.concatenate(
+                [np.empty(0, np.intp)] + [t.segment_index for t in tables]
+            ),
+            collision_frames=tuple(c for t in tables for c in t.collision_frames),
+        )
 
 
-def classify_trajectories(
-    trajs: Sequence[StateTrajectory],
-) -> tuple[list[StateTrajectory], list[StateTrajectory]]:
-    """Split into (safe, unsafe). A trajectory is unsafe when any of its
-    states carries a collision flag or a collision event was attributed to
-    its frame span."""
-    safe, unsafe = [], []
-    for t in trajs:
-        if t.collision_frames or any(s.unsafe for s in t.states):
-            unsafe.append(t)
-        else:
-            safe.append(t)
-    return safe, unsafe
-
-
-def transitions(trajs: Sequence[StateTrajectory]) -> TransitionSet:
-    """All gap-free consecutive state pairs, in trajectory order."""
-    out: list[tuple[OssState, OssState]] = []
-    for t in trajs:
-        out.extend(t.pairs())
-    return TransitionSet(tuple(out))
+def transitions(table: StateTable) -> np.ndarray:
+    """Tail rows of the observed transitions: state k steps to state k + 1
+    when both lie in one segment at consecutive frames."""
+    seg = table.segment_ids()
+    return np.flatnonzero((np.diff(table.frame) == 1) & (seg[1:] == seg[:-1]))
 
 
 # ---------------------------------------------------------------------------
 # shared extraction machinery
 # ---------------------------------------------------------------------------
-
-
-def _in_bounds(values: Sequence[float], bounds: np.ndarray) -> bool:
-    arr = np.asarray(values, dtype=float)
-    return bool((arr >= bounds[:, 0]).all() and (arr <= bounds[:, 1]).all())
 
 
 @dataclass(eq=False)
@@ -263,49 +266,58 @@ def _candidates_by_frame(
 
 def _assemble_segments(
     traj: str,
-    entries: list[tuple[int, float, tuple[float, ...], bool]],
+    frame: np.ndarray,
+    time: np.ndarray,
+    values: np.ndarray,
+    unsafe: np.ndarray,
     event_frames: Iterable[int],
-) -> list[StateTrajectory]:
-    """Split (frame, time, values, unsafe) entries into consecutive-frame
-    segments and attribute the trajectory's collision events to segments.
+) -> StateTable:
+    """Split one trajectory's states (frames ascending) into consecutive-frame
+    segments and attribute its collision events to segments.
 
     An event lands in the segment whose frame span contains it; otherwise in
     the nearest preceding segment (the motion that led to the collision);
-    otherwise in the first segment.
+    otherwise in the first segment. Spans are disjoint and ascending, so
+    both cases are the last segment starting at or before the event.
     """
-    if not entries:
-        return []
-    runs: list[list[tuple[int, float, tuple[float, ...], bool]]] = [[entries[0]]]
-    for prev, cur in zip(entries, entries[1:]):
-        if cur[0] == prev[0] + 1:
-            runs[-1].append(cur)
-        else:
-            runs.append([cur])
+    frame = np.asarray(frame, dtype=np.int64)
+    n = len(frame)
+    offsets = np.concatenate(([0], np.flatnonzero(np.diff(frame) != 1) + 1, [n]))
+    if n == 0:
+        offsets = offsets[:1]
+    first = frame[offsets[:-1]]
+    attached: list[list[int]] = [[] for _ in first]
+    if attached:
+        for e in sorted(event_frames):
+            seg = int(np.searchsorted(first, e, side="right")) - 1
+            attached[max(seg, 0)].append(int(e))
+    return StateTable(
+        values=values,
+        frame=frame,
+        time=time,
+        unsafe=unsafe,
+        offsets=offsets.astype(np.intp),
+        trajectory_ids=(traj,) * len(first),
+        segment_index=np.arange(len(first)),
+        collision_frames=tuple(map(tuple, attached)),
+    )
 
-    spans = [(run[0][0], run[-1][0]) for run in runs]
-    attached: list[list[int]] = [[] for _ in runs]
-    for e in sorted(event_frames):
-        target = None
-        for i, (lo, hi) in enumerate(spans):
-            if lo <= e <= hi:
-                target = i
-                break
-        if target is None:
-            preceding = [i for i, (lo, _) in enumerate(spans) if lo <= e]
-            target = preceding[-1] if preceding else 0
-        attached[target].append(e)
 
-    return [
-        StateTrajectory(
-            trajectory_id=traj,
-            segment_index=i,
-            states=tuple(
-                OssState(vals, t, traj, f, unsafe) for f, t, vals, unsafe in run
-            ),
-            collision_frames=tuple(attached[i]),
-        )
-        for i, run in enumerate(runs)
-    ]
+def _trajectory_table(
+    d: Dataset, traj: str, sv: Track, rows: Sequence[int], values, dim: int
+) -> StateTable:
+    """Segments of the ``dim``-D states found at SV rows ``rows``."""
+    rows_arr = np.asarray(rows, dtype=np.intp)
+    frame = sv.frames[rows_arr]
+    events = d.events_for(traj)
+    return _assemble_segments(
+        traj,
+        frame,
+        sv.times[rows_arr],
+        np.asarray(values, dtype=float).reshape(len(rows_arr), dim),
+        np.isin(frame, events),
+        events,
+    )
 
 
 def _same_lane(sv_lane: int | None, cand: _Candidate, lane_width: float) -> bool:
@@ -319,7 +331,7 @@ def _same_lane(sv_lane: int | None, cand: _Candidate, lane_width: float) -> bool
 # ---------------------------------------------------------------------------
 
 
-def extract_lead_following(d: Dataset, spec: OssSpec) -> list[StateTrajectory]:
+def extract_lead_following(d: Dataset, spec: OssSpec) -> StateTable:
     """Project onto (v0, v1, p): SV speed, leader speed, bumper gap.
 
     The leader is the nearest vehicle ahead of the SV in its own lane. A
@@ -329,28 +341,28 @@ def extract_lead_following(d: Dataset, spec: OssSpec) -> list[StateTrajectory]:
     if spec.kind != "lead_following":
         raise SpecKindMismatch(f"expected lead_following spec, got {spec.kind!r}")
     bounds = spec.bounds()
-    out: list[StateTrajectory] = []
+    out: list[StateTable] = []
     for traj in d.trajectory_ids:
         sv, by_frame = _candidates_by_frame(d, traj, VEHICLE_TYPES)
         sv_speed = sv.speeds()
-        events = set(d.events_for(traj))
-        entries = []
+        rows, values = [], []
         for row, frame in enumerate(sv.frames):
-            frame = int(frame)
             ahead = [
                 c
-                for c in by_frame[frame]
+                for c in by_frame[int(frame)]
                 if c.dlong > 0 and _same_lane(sv.lane_id[row], c, spec.lane_width)
             ]
             if not ahead:
                 continue
             lead = min(ahead, key=lambda c: c.dlong)
             p = lead.dlong - (sv.length[row] + lead.length) / 2.0
-            values = (float(sv_speed[row]), lead.speed, float(p))
-            if _in_bounds(values, bounds):
-                entries.append((frame, float(sv.times[row]), values, frame in events))
-        out.extend(_assemble_segments(traj, entries, events))
-    return out
+            rows.append(row)
+            values.append((sv_speed[row], lead.speed, p))
+        vals = np.asarray(values, dtype=float).reshape(len(rows), 3)
+        ok = ((vals >= bounds[:, 0]) & (vals <= bounds[:, 1])).all(axis=1)
+        rows_ok = np.asarray(rows, dtype=np.intp)[ok]
+        out.append(_trajectory_table(d, traj, sv, rows_ok, vals[ok], 3))
+    return StateTable.concat(out, 3)
 
 
 def _band(dlat: float, spec: OssSpec) -> str | None:
@@ -364,7 +376,7 @@ def _band(dlat: float, spec: OssSpec) -> str | None:
     return None
 
 
-def extract_multi_vehicle(d: Dataset, spec: OssSpec) -> list[StateTrajectory]:
+def extract_multi_vehicle(d: Dataset, spec: OssSpec) -> StateTable:
     """Project onto the 13-D neighbourhood vector.
 
     Each of the six subregions keeps its nearest vehicle (center distance),
@@ -372,26 +384,24 @@ def extract_multi_vehicle(d: Dataset, spec: OssSpec) -> list[StateTrajectory]:
     zero on longitudinal overlap) and its speed. Unoccupied or out-of-bounds
     subregions take maximal-clearance fills: (p_max, v0) in front, (p_min,
     v0) behind. A frame is valid when at least one subregion holds a real
-    vehicle and v0 is in bounds.
+    vehicle and v0 is in bounds; every coordinate is then inside the box.
     """
     if spec.kind not in ("multi_vehicle", "combined"):
         raise SpecKindMismatch(f"expected multi_vehicle spec, got {spec.kind!r}")
     v_bounds = (spec.v_min, spec.v_max)
     p_bounds = (spec.p_min, spec.p_max)
-    full_bounds = np.array([v_bounds] + [p_bounds, v_bounds] * len(SUBREGIONS))
-    out: list[StateTrajectory] = []
+    dim = len(MULTI_NAMES)
+    out: list[StateTable] = []
     for traj in d.trajectory_ids:
         sv, by_frame = _candidates_by_frame(d, traj, VEHICLE_TYPES)
         sv_speed = sv.speeds()
-        events = set(d.events_for(traj))
-        entries = []
+        rows, states = [], []
         for row, frame in enumerate(sv.frames):
-            frame = int(frame)
             v0 = float(sv_speed[row])
             if not (v_bounds[0] <= v0 <= v_bounds[1]):
                 continue
             best: dict[str, tuple[float, float, float]] = {}
-            for c in by_frame[frame]:
+            for c in by_frame[int(frame)]:
                 band = _band(c.dlat, spec)
                 if band is None:
                     continue
@@ -415,16 +425,14 @@ def extract_multi_vehicle(d: Dataset, spec: OssSpec) -> list[StateTrajectory]:
                         occupied += 1
                         continue
                 values.extend([fill_p, v0])
-            if occupied == 0:
-                continue
-            vals = tuple(float(v) for v in values)
-            if _in_bounds(vals, full_bounds):
-                entries.append((frame, float(sv.times[row]), vals, frame in events))
-        out.extend(_assemble_segments(traj, entries, events))
-    return out
+            if occupied:
+                rows.append(row)
+                states.append(values)
+        out.append(_trajectory_table(d, traj, sv, rows, states, dim))
+    return StateTable.concat(out, dim)
 
 
-def extract_vehicle_pedestrian(d: Dataset, spec: OssSpec) -> list[StateTrajectory]:
+def extract_vehicle_pedestrian(d: Dataset, spec: OssSpec) -> StateTable:
     """Project onto (v0, p_left, q_left, p_right, q_right).
 
     For each front bumper corner, the nearest pedestrian at or ahead of the
@@ -436,14 +444,13 @@ def extract_vehicle_pedestrian(d: Dataset, spec: OssSpec) -> list[StateTrajector
     if spec.kind not in ("vehicle_pedestrian", "combined"):
         raise SpecKindMismatch(f"expected vehicle_pedestrian spec, got {spec.kind!r}")
     v_bounds = (spec.v_min, spec.v_max)
-    out: list[StateTrajectory] = []
+    dim = len(PED_NAMES)
+    out: list[StateTable] = []
     for traj in d.trajectory_ids:
         sv, by_frame = _candidates_by_frame(d, traj, ("pedestrian",))
         sv_speed = sv.speeds()
-        events = set(d.events_for(traj))
-        entries = []
+        rows, states = [], []
         for row, frame in enumerate(sv.frames):
-            frame = int(frame)
             v0 = float(sv_speed[row])
             if not (v_bounds[0] <= v0 <= v_bounds[1]):
                 continue
@@ -453,7 +460,7 @@ def extract_vehicle_pedestrian(d: Dataset, spec: OssSpec) -> list[StateTrajector
             occupied = 0
             for side_sign in (1.0, -1.0):
                 best: tuple[float, float, float] | None = None
-                for c in by_frame[frame]:
+                for c in by_frame[int(frame)]:
                     along = c.dlong - half_len
                     if along < 0:
                         continue
@@ -466,52 +473,61 @@ def extract_vehicle_pedestrian(d: Dataset, spec: OssSpec) -> list[StateTrajector
                     occupied += 1
                 else:
                     values.extend([spec.ped_p_max, spec.q_max])
-            if occupied == 0:
-                continue
-            entries.append((frame, float(sv.times[row]), tuple(values), frame in events))
-        out.extend(_assemble_segments(traj, entries, events))
-    return out
+            if occupied:
+                rows.append(row)
+                states.append(values)
+        out.append(_trajectory_table(d, traj, sv, rows, states, dim))
+    return StateTable.concat(out, dim)
 
 
-def combine_domains(
-    multi: Sequence[StateTrajectory], ped: Sequence[StateTrajectory]
-) -> list[StateTrajectory]:
-    """Merge 13-D and 5-D trajectories on their shared SV speed into 17-D.
+def combine_domains(multi: StateTable, ped: StateTable) -> StateTable:
+    """Merge 13-D and 5-D tables on their shared SV speed into 17-D.
 
-    Only frames valid in both component spaces survive; the result is
-    re-split into consecutive-frame segments. The two components must agree
-    on v0 and time at every shared frame.
+    States are joined on (trajectory, frame): only frames valid in both
+    component spaces survive, and each trajectory is re-split into
+    consecutive-frame segments carrying the collision events of both
+    components. The two components must agree on v0 and time at every
+    shared frame.
     """
-    multi_by: dict[str, dict[int, OssState]] = {}
-    ped_by: dict[str, dict[int, OssState]] = {}
-    coll_by: dict[str, set[int]] = {}
-    for trajs, by, n_values, which in (
-        (multi, multi_by, len(MULTI_NAMES), "first argument must hold 13-D states"),
-        (ped, ped_by, len(PED_NAMES), "second argument must hold 5-D states"),
+    for table, n_values, which in (
+        (multi, len(MULTI_NAMES), "first argument must hold 13-D states"),
+        (ped, len(PED_NAMES), "second argument must hold 5-D states"),
     ):
-        for t in trajs:
-            if t.states and len(t.states[0].values) != n_values:
-                raise SpecKindMismatch(which)
-            coll_by.setdefault(t.trajectory_id, set()).update(t.collision_frames)
-            for s in t.states:
-                by.setdefault(s.trajectory_id, {})[s.frame] = s
+        if table.dim != n_values:
+            raise SpecKindMismatch(which)
+    coll_by: dict[str, set[int]] = {}
+    for table in (multi, ped):
+        for traj, frames in zip(table.trajectory_ids, table.collision_frames):
+            coll_by.setdefault(traj, set()).update(frames)
+    multi_traj = np.array(multi.trajectory_ids, dtype=object)[multi.segment_ids()]
+    ped_traj = np.array(ped.trajectory_ids, dtype=object)[ped.segment_ids()]
 
-    out: list[StateTrajectory] = []
-    for traj, ped_frames in ped_by.items():
-        multi_frames = multi_by.get(traj, {})
-        entries = []
-        for f in sorted(multi_frames.keys() & ped_frames.keys()):
-            a, b = multi_frames[f], ped_frames[f]
-            if a.values[0] != b.values[0] or a.time != b.time:
-                raise FrameMisalignment(
-                    f"components disagree at trajectory {traj!r} frame {f}"
-                )
-            entries.append((f, a.time, a.values + b.values[1:], a.unsafe or b.unsafe))
-        out.extend(_assemble_segments(traj, entries, coll_by.get(traj, ())))
-    return out
+    out: list[StateTable] = []
+    for traj in dict.fromkeys(ped.trajectory_ids):
+        mi, pi = np.flatnonzero(multi_traj == traj), np.flatnonzero(ped_traj == traj)
+        frames, a, b = np.intersect1d(
+            multi.frame[mi], ped.frame[pi], return_indices=True
+        )
+        a, b = mi[a], pi[b]
+        bad = (multi.values[a, 0] != ped.values[b, 0]) | (multi.time[a] != ped.time[b])
+        if bad.any():
+            raise FrameMisalignment(
+                f"components disagree at trajectory {traj!r} frame {frames[bad][0]}"
+            )
+        out.append(
+            _assemble_segments(
+                traj,
+                frames,
+                multi.time[a],
+                np.hstack([multi.values[a], ped.values[b, 1:]]),
+                multi.unsafe[a] | ped.unsafe[b],
+                coll_by[traj],
+            )
+        )
+    return StateTable.concat(out, len(MULTI_NAMES) + len(PED_NAMES) - 1)
 
 
-def extract_states(d: Dataset, spec: OssSpec) -> list[StateTrajectory]:
+def extract_states(d: Dataset, spec: OssSpec) -> StateTable:
     """Dispatch to the extractor matching ``spec.kind``."""
     if spec.kind == "lead_following":
         return extract_lead_following(d, spec)
@@ -524,24 +540,28 @@ def extract_states(d: Dataset, spec: OssSpec) -> list[StateTrajectory]:
     )
 
 
-def export_states_csv(
-    trajs: Sequence[StateTrajectory], spec: OssSpec, path: str | Path
-) -> None:
+def export_states_csv(table: StateTable, spec: OssSpec, path: str | Path) -> None:
     """Write projected states as CSV, one row per state."""
+    segment_index = table.segment_index.tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["trajectory_id", "segment", "frame", "time", "unsafe", *spec.names]
         )
-        for t in trajs:
-            for s in t.states:
-                writer.writerow(
-                    [
-                        t.trajectory_id,
-                        t.segment_index,
-                        s.frame,
-                        repr(float(s.time)),
-                        int(s.unsafe),
-                        *[repr(float(v)) for v in s.values],
-                    ]
-                )
+        for seg, frame, time, unsafe, values in zip(
+            table.segment_ids().tolist(),
+            table.frame.tolist(),
+            table.time.tolist(),
+            table.unsafe.tolist(),
+            table.values.tolist(),
+        ):
+            writer.writerow(
+                [
+                    table.trajectory_ids[seg],
+                    segment_index[seg],
+                    frame,
+                    repr(time),
+                    int(unsafe),
+                    *map(repr, values),
+                ]
+            )

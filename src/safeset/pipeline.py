@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Sequence
-
 import numpy as np
 
 from . import geometry
@@ -34,13 +33,17 @@ from .metrics import (
     fatality_rate_bound,
     ttc_stats,
 )
-from .oss import PRESETS, OssSpec, StateTrajectory, TransitionSet, extract_states, transitions
+from .oss import PRESETS, OssSpec, extract_states, transitions
 from .safegraph import REACH_MODES, extract_safe_states, partition_transitions
 
 SCHEMA_VERSION = 1
 
 CLUSTER_MAX_LOW_DIM = 100_000
 CLUSTER_MAX_HIGH_DIM = 1_000
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass
@@ -81,10 +84,16 @@ class AnalysisConfig:
             raise SafesetError("alpha_threshold must be positive")
         if not (math.isfinite(self.match_radius) and self.match_radius >= 0.0):
             raise SafesetError("match_radius must be finite and non-negative")
-        if self.mc_samples < 1000:
-            raise SafesetError("mc_samples must be at least 1000")
-        if self.slice_cells < 2:
-            raise SafesetError("slice_cells must be at least 2")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise SafesetError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if self.cluster_max is not None and not (
+            _is_int(self.cluster_max) and self.cluster_max >= 2
+        ):
+            raise SafesetError("cluster_max must be an integer of at least 2")
+        if not (_is_int(self.mc_samples) and self.mc_samples >= 1000):
+            raise SafesetError("mc_samples must be an integer of at least 1000")
+        if not (_is_int(self.slice_cells) and self.slice_cells >= 2):
+            raise SafesetError("slice_cells must be an integer of at least 2")
         self.resolve_spec()
 
     def resolve_spec(self) -> OssSpec:
@@ -129,7 +138,6 @@ class AnalysisReport:
     spec: OssSpec
     config: AnalysisConfig
     ds_values: np.ndarray
-    trajectories: tuple[StateTrajectory, ...]
 
     def to_json(self) -> str:
         return json.dumps(self.data, sort_keys=True, indent=2) + "\n"
@@ -210,12 +218,6 @@ def _wrap_points(
     return union, info
 
 
-def _deterministic_rows(values: Sequence[tuple[float, ...]], dim: int) -> np.ndarray:
-    if not values:
-        return np.empty((0, dim), dtype=float)
-    return np.array(sorted(values), dtype=float)
-
-
 def run_analysis(cfg: AnalysisConfig, dataset: Dataset | None = None) -> AnalysisReport:
     """Run the full chain and assemble the report.
 
@@ -235,47 +237,35 @@ def run_analysis(cfg: AnalysisConfig, dataset: Dataset | None = None) -> Analysi
         )
         dataset = label_collisions(dataset, cfg.collision_rule)
 
-    trajs = extract_states(dataset, spec)
-    td = transitions(trajs)
+    table = extract_states(dataset, spec)
+    tails = transitions(table)
     extraction = extract_safe_states(
-        trajs, mode=cfg.reach_mode, match_radius=cfg.match_radius
+        table, mode=cfg.reach_mode, match_radius=cfg.match_radius
     )
-    td_s, rest = partition_transitions(td, extraction.safe_values)
-    s_count, c_count = len(td_s), len(rest)
+    inside = partition_transitions(tails, extraction.ids, extraction.retained)
 
-    all_values = {st.values for t in trajs for st in t.states}
-    ds_values_set = extraction.safe_values
-    excluded_values = sorted(all_values - ds_values_set)
-
-    ds_phys = _deterministic_rows(list(ds_values_set), spec.dim)
+    # distinct values in lexicographic order, so the rows are deterministic
+    ds_phys = extraction.vertices[extraction.retained]
+    excluded = extraction.vertices[~extraction.retained]
     bounds = spec.bounds()
     ds_norm = spec.normalize(ds_phys) if len(ds_phys) else ds_phys
 
     shape, shape_info = _wrap_points(ds_norm, cfg, spec.dim)
 
     exclusion_ok = True
-    if shape is not None and excluded_values:
-        exclusion_ok, inside = geometry.check_exclusion(
-            shape, spec.normalize(np.array(excluded_values, dtype=float))
-        )
+    if shape is not None and len(excluded):
+        exclusion_ok, hit = geometry.check_exclusion(shape, spec.normalize(excluded))
         if not exclusion_ok:
-            raise ExclusionViolated(
-                int(inside.sum()), excluded_values[int(np.nonzero(inside)[0][0])]
-            )
+            first = int(np.nonzero(hit)[0][0])
+            raise ExclusionViolated(int(hit.sum()), tuple(excluded[first].tolist()))
 
     # An excluded state inside the shape has raised above, and the shape is
     # None only when nothing was retained, so membership in the shape equals
     # membership in the retained set for every observed state.
-    eps: EpsilonResult = certify(
-        td.pairs,
-        extraction.safe_values.__contains__,
-        s_count,
-        c_count,
-        cfg.beta,
-    )
+    eps: EpsilonResult = certify(inside, cfg.beta)
 
     shape_measure = 0.0 if shape is None else float(shape_info.get("measure") or 0.0)
-    cov: CoverageResult = coverage(len(ds_values_set), shape_measure, 1.0)
+    cov: CoverageResult = coverage(len(ds_phys), shape_measure, 1.0)
 
     collision_count = len(dataset.collision_events)
     distance_km = dataset.sv_distance_m() / 1000.0
@@ -284,7 +274,7 @@ def run_analysis(cfg: AnalysisConfig, dataset: Dataset | None = None) -> Analysi
         fatality = fatality_rate_bound(distance_km, cfg.beta, collision_count)
     ttc: TtcStats | None = None
     if spec.kind == "lead_following":
-        ttc = ttc_stats(trajs)
+        ttc = ttc_stats(table.values)
 
     warnings = [
         "Certified levels assume transitions sample a memoryless process;"
@@ -313,21 +303,21 @@ def run_analysis(cfg: AnalysisConfig, dataset: Dataset | None = None) -> Analysi
             "names": list(spec.names),
             "bounds": bounds.tolist(),
             "physical_box_volume": spec.box_volume(),
-            "n_state_trajectories": len(trajs),
-            "n_states": sum(len(t.states) for t in trajs),
-            "n_unique_states": len(all_values),
+            "n_state_trajectories": table.n_segments,
+            "n_states": len(table),
+            "n_unique_states": len(extraction.vertices),
         },
         "transitions": {
-            "total": len(td),
-            "safe": s_count,
-            "complement": c_count,
+            "total": len(tails),
+            "safe": eps.s_count,
+            "complement": eps.c_count,
         },
         "safe_set": {
-            "unique_count": len(ds_values_set),
-            "removed_count": len(extraction.removed),
-            "excluded_unique_count": len(excluded_values),
-            "safe_trajectories": len(extraction.safe_trajectories),
-            "unsafe_trajectories": len(extraction.unsafe_trajectories),
+            "unique_count": len(ds_phys),
+            "removed_count": int(extraction.removed.sum()),
+            "excluded_unique_count": len(excluded),
+            "safe_trajectories": extraction.n_safe_segments,
+            "unsafe_trajectories": extraction.n_unsafe_segments,
             "unsafe_seeds_matched": extraction.seeds_matched,
             "exclusion_ok": exclusion_ok,
         },
@@ -366,5 +356,4 @@ def run_analysis(cfg: AnalysisConfig, dataset: Dataset | None = None) -> Analysi
         spec=spec,
         config=cfg,
         ds_values=ds_phys,
-        trajectories=tuple(trajs),
     )

@@ -1,22 +1,26 @@
 """Potentially-safe state extraction on the observed transition graph.
 
-Safe trajectories contribute their states as vertices and their gap-free
-consecutive pairs as directed edges. Every state of every unsafe trajectory
-then seeds a reachability query, and everything reached is pruned; the
-surviving vertices form the potentially-safe set.
+The vertices are the distinct state values of a :class:`oss.StateTable`;
+segments without a collision contribute their gap-free consecutive pairs
+as directed edges. Every state of every unsafe segment then seeds a
+reachability query, and everything reached is pruned; the surviving
+safe-segment vertices form the potentially-safe set.
 
 Vertex identity is the exact state value vector, so two states match only
-when their coordinates are equal as floats. ``match_radius`` relaxes
-seeding: a seed grabs every vertex within that Chebyshev (max-norm)
-distance. Radius 0 is the exact match.
+when their coordinates are equal as floats (0.0 equals -0.0). One
+``np.unique`` over all states gives every state its vertex id.
+``match_radius`` relaxes seeding: a seed grabs every safe-segment vertex
+within that Chebyshev (max-norm) distance. Radius 0 is the exact match.
 
-The graph is held in arrays: the distinct state values as an (n, d) array
-whose row index is the vertex id, and the transitions as an (n, n) CSR
-adjacency matrix. Seeds for all unsafe states come from one pair of KD-tree
-nearest-neighbour queries, and the pruned set from one breadth-first search
-out of a virtual source joined to every seed: over the transposed matrix
-for ancestors, the matrix itself for descendants, and the symmetrized
-matrix for undirected components.
+The graph is held in arrays: the distinct values as an (n, d) array whose
+row index is the vertex id, and the safe transitions as an (n, n) CSR
+adjacency matrix. Seeds for all distinct unsafe values come from one pair
+of KD-tree nearest-neighbour queries, and the pruned set from one
+breadth-first search out of a virtual source joined to every seed: over
+the transposed matrix for ancestors, the matrix itself for descendants,
+and the symmetrized matrix for undirected components. The result is a
+pair of vertex masks, retained and removed, and a transition's label is
+whether both of its ends are retained.
 
 Removal is computed as one union of closures over the frozen graph rather
 than sequentially. The two are equivalent: ancestor sets, descendant sets,
@@ -29,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -37,22 +40,24 @@ from scipy.sparse import csgraph
 from scipy.spatial import cKDTree
 
 from .errors import DimensionMismatch
-from .oss import OssState, StateTrajectory, TransitionSet, classify_trajectories
+from .oss import StateTable, transitions
 
 REACH_MODES = ("undirected", "ancestors", "descendants")
-
-Vertex = tuple[float, ...]
 
 
 @dataclass(frozen=True, eq=False)
 class SafeGraph:
-    """Directed graph of safe-trajectory transitions over distinct states.
+    """Safe-segment transitions over the distinct states of a table.
 
-    ``vertices[i]`` holds the state values of vertex ``i``; ``adjacency``
-    stores entry (i, j) when some safe trajectory steps from i to j.
+    ``vertices[i]`` holds the values of vertex i (every distinct state
+    value, lexicographic order) and ``ids[k]`` is the vertex of state k.
+    ``safe`` marks the vertices some safe segment visits; ``adjacency``
+    stores entry (i, j) when a safe segment steps from i to j.
     """
 
     vertices: np.ndarray
+    ids: np.ndarray
+    safe: np.ndarray
     adjacency: sparse.csr_array
 
     def __len__(self) -> int:
@@ -61,46 +66,21 @@ class SafeGraph:
     def edge_count(self) -> int:
         return self.adjacency.nnz
 
-    def values(self, mask: np.ndarray | None = None) -> frozenset[Vertex]:
-        """Value tuples of all vertices, or of those selected by ``mask``."""
-        rows = self.vertices if mask is None else self.vertices[mask]
-        return frozenset(map(tuple, rows.tolist()))
 
-    def without(self, removed: np.ndarray) -> "SafeGraph":
-        """Copy with the masked vertices (and their incident edges) deleted."""
-        keep = ~np.asarray(removed, dtype=bool)
-        return SafeGraph(self.vertices[keep], self.adjacency[keep][:, keep])
-
-
-def _rows(values: Sequence[Vertex], dim: int) -> np.ndarray:
-    """Stack value tuples into an (m, d) array, rejecting ragged input."""
-    if not values:
-        return np.empty((0, dim))
-    try:
-        return np.array(values, dtype=float).reshape(len(values), -1)
-    except ValueError:
-        raise DimensionMismatch("states have differing dimensions") from None
-
-
-def build_safe_graph(safe: Sequence[StateTrajectory]) -> SafeGraph:
-    """Vertices are deduplicated state values; edges are gap-free pairs."""
-    states = [s.values for t in safe for s in t.states]
-    # return_index selects a stable sort, so each vertex row is the first
-    # occurrence of its value, as a dict keyed by value tuples would keep
-    vertices, _, ids = np.unique(
-        _rows(states, 0), axis=0, return_index=True, return_inverse=True
-    )
-    ids = ids.reshape(-1)
-    tails, offset = [np.empty(0, dtype=np.intp)], 0
-    for t in safe:
-        tails.append(np.flatnonzero(t.gap_free()) + offset)
-        offset += len(t.states)
-    tail = np.concatenate(tails)
+def build_safe_graph(table: StateTable) -> SafeGraph:
+    """Vertices are the distinct state values; edges the transitions of
+    segments without a collision."""
+    vertices, ids = table.distinct()
+    in_safe = ~table.unsafe_segments()[table.segment_ids()]
+    tail = transitions(table)
+    tail = tail[in_safe[tail]]
     n = len(vertices)
+    safe = np.zeros(n, dtype=bool)
+    safe[ids[in_safe]] = True
     adjacency = sparse.csr_array(
         (np.ones(len(tail), dtype=bool), (ids[tail], ids[tail + 1])), shape=(n, n)
     )
-    return SafeGraph(vertices, adjacency)
+    return SafeGraph(vertices, ids, safe, adjacency)
 
 
 def _closure(g: SafeGraph, seeds: np.ndarray, mode: str) -> np.ndarray:
@@ -130,104 +110,101 @@ def _check_query(mode: str, match_radius: float) -> None:
 
 
 def _reach(
-    g: SafeGraph, queries: Sequence[Vertex], mode: str, match_radius: float
-) -> tuple[np.ndarray, int]:
-    """Union of the closures seeded by ``queries``.
+    g: SafeGraph, queries: np.ndarray, mode: str, match_radius: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Union of the closures seeded by the (m, d) ``queries``.
 
-    Returns the mask of reached vertices and the number of queries that
-    matched at least one vertex.
+    Seeds are safe vertices within ``match_radius`` of a query. Returns the
+    mask of reached vertices and, per query, whether it matched a safe
+    vertex.
     """
-    dim = g.vertices.shape[1]
-    q = _rows(queries, dim)
-    if len(g) == 0 or len(q) == 0:
-        return np.zeros(len(g), dtype=bool), 0
-    if q.shape[1] != dim:
-        raise DimensionMismatch(
-            f"unsafe states have dimension {q.shape[1]}, the safe graph {dim}"
-        )
-    # nearest-neighbour distances in both directions: per vertex to decide
-    # whether it is a seed, per query to count the queries that matched.
+    safe = np.flatnonzero(g.safe)
+    if len(safe) == 0 or len(queries) == 0:
+        return np.zeros(len(g), dtype=bool), np.zeros(len(queries), dtype=bool)
+    points = g.vertices[safe]
+    # nearest-neighbour distances in both directions: per safe vertex to
+    # decide whether it is a seed, per query to tell whether it matched.
     # Both return one distance per point, where a ball query's index lists
     # grow with the number of (query, vertex) pairs within the radius.
-    seeds = cKDTree(q).query(g.vertices, p=np.inf)[0] <= match_radius
-    matched = cKDTree(g.vertices).query(q, p=np.inf)[0] <= match_radius
-    return _closure(g, np.flatnonzero(seeds), mode), int(matched.sum())
+    seeds = safe[cKDTree(queries).query(points, p=np.inf)[0] <= match_radius]
+    matched = cKDTree(points).query(queries, p=np.inf)[0] <= match_radius
+    return _closure(g, seeds, mode), matched
 
 
 def reachable(
-    state: OssState | Vertex,
-    g: SafeGraph,
-    mode: str = "undirected",
-    match_radius: float = 0.0,
-) -> set[Vertex]:
-    """Closure of the graph vertices matching ``state``.
+    values, g: SafeGraph, mode: str = "undirected", match_radius: float = 0.0
+) -> np.ndarray:
+    """Mask of the graph vertices in the closure of the safe vertices that
+    match the state ``values``.
 
     mode selects edge traversal: ancestors walks edges backwards,
     descendants forwards, undirected both ways (connected component).
-    A state matching no vertex yields the empty set. An unknown mode or a
-    negative or non-finite radius raises ValueError, and a state of
+    A state matching no safe vertex yields the empty mask. An unknown mode
+    or a negative or non-finite radius raises ValueError, and a state of
     another dimension than the graph raises DimensionMismatch.
     """
     _check_query(mode, match_radius)
-    values = state.values if isinstance(state, OssState) else tuple(state)
-    reached, _ = _reach(g, [values], mode, match_radius)
-    return set(g.values(reached))
+    q = np.asarray(values, dtype=float).reshape(1, -1)
+    if q.shape[1] != g.vertices.shape[1]:
+        raise DimensionMismatch(
+            f"state has dimension {q.shape[1]}, the safe graph {g.vertices.shape[1]}"
+        )
+    return _reach(g, q, mode, match_radius)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SafeExtraction:
-    """Result of the pruning pass."""
+    """Result of the pruning pass, as masks over the distinct states.
 
-    safe_values: frozenset[Vertex]
-    graph: SafeGraph
-    removed: frozenset[Vertex]
-    safe_trajectories: tuple[StateTrajectory, ...]
-    unsafe_trajectories: tuple[StateTrajectory, ...]
+    ``vertices`` and ``ids`` are those of :class:`SafeGraph`. ``retained``
+    marks the potentially-safe vertices, ``removed`` the safe-segment
+    vertices pruned; every other vertex occurs only in unsafe segments.
+    """
+
+    vertices: np.ndarray
+    ids: np.ndarray
+    retained: np.ndarray
+    removed: np.ndarray
+    n_safe_segments: int
+    n_unsafe_segments: int
     seeds_matched: int
 
 
 def extract_safe_states(
-    trajs: Sequence[StateTrajectory],
-    mode: str = "undirected",
-    match_radius: float = 0.0,
+    table: StateTable, mode: str = "undirected", match_radius: float = 0.0
 ) -> SafeExtraction:
-    """Classify trajectories, build the safe graph, prune everything
-    reachable from any state of any unsafe trajectory.
+    """Build the safe graph and prune everything reachable from any state
+    of any unsafe segment.
 
     Removals are unioned over the frozen graph (see module docstring for
     why that equals sequential removal), making the result independent of
     unsafe-state order. ``seeds_matched`` counts the unsafe states, with
-    multiplicity, that matched at least one vertex.
+    multiplicity, that matched at least one safe vertex.
     """
     _check_query(mode, match_radius)
-    safe, unsafe = classify_trajectories(trajs)
-    g = build_safe_graph(safe)
-    removed, seeds_matched = _reach(
-        g, [s.values for t in unsafe for s in t.states], mode, match_radius
+    g = build_safe_graph(table)
+    unsafe = table.unsafe_segments()
+    queries, weight = np.unique(
+        g.ids[unsafe[table.segment_ids()]], return_counts=True
     )
+    removed, matched = _reach(g, g.vertices[queries], mode, match_radius)
     return SafeExtraction(
-        safe_values=g.values(~removed),
-        graph=g.without(removed),
-        removed=g.values(removed),
-        safe_trajectories=tuple(safe),
-        unsafe_trajectories=tuple(unsafe),
-        seeds_matched=seeds_matched,
+        vertices=g.vertices,
+        ids=g.ids,
+        retained=g.safe & ~removed,
+        removed=removed,
+        n_safe_segments=int((~unsafe).sum()),
+        n_unsafe_segments=int(unsafe.sum()),
+        seeds_matched=int(weight[matched].sum()),
     )
 
 
 def partition_transitions(
-    td: TransitionSet, safe_values: Iterable[Vertex] | Mapping | frozenset
-) -> tuple[TransitionSet, TransitionSet]:
-    """Split transitions into (both endpoints retained, the rest).
+    tails: np.ndarray, ids: np.ndarray, retained: np.ndarray
+) -> np.ndarray:
+    """Per transition (tail rows from :func:`oss.transitions`): both
+    endpoints are retained vertices.
 
-    The first component's size is the safe count s, the second's the
-    complement count c, with s + c = len(td).
+    Its count is the safe count s, the rest the complement count c.
     """
-    keep = set(safe_values)
-    ins, outs = [], []
-    for a, b in td.pairs:
-        if a.values in keep and b.values in keep:
-            ins.append((a, b))
-        else:
-            outs.append((a, b))
-    return TransitionSet(tuple(ins)), TransitionSet(tuple(outs))
+    return retained[ids[tails]] & retained[ids[tails + 1]]

@@ -3,6 +3,7 @@
 import numpy as np
 
 from safeset.ingest import Dataset, RawSample
+from safeset.oss import StateTable
 
 
 def sample(**kw):
@@ -89,3 +90,44 @@ def rigid_motion(d, theta, tx, ty):
             )
         )
     return Dataset(moved, dt=d.dt, collision_events=d.collision_events)
+
+
+def segment(values, tid="t0", index=0, collisions=(), frames=None, unsafe=()):
+    """A one-segment StateTable holding ``values``, one state per row.
+
+    Frames default to 0, 1, 2, ... and times are 0.1 s per frame.
+    ``unsafe`` lists the positions of states flagged unsafe and
+    ``collisions`` the collision frames attributed to the segment.
+    """
+    vals = np.asarray(values, dtype=float).reshape(len(values), -1)
+    n = len(vals)
+    frame = np.arange(n) if frames is None else np.asarray(frames)
+    flags = np.zeros(n, dtype=bool)
+    flags[list(unsafe)] = True
+    return StateTable(
+        values=vals,
+        frame=frame.astype(np.int64),
+        time=0.1 * frame,
+        unsafe=flags,
+        offsets=np.array([0, n], dtype=np.intp),
+        trajectory_ids=(tid,),
+        segment_index=np.array([index]),
+        collision_frames=(tuple(collisions),),
+    )
+
+
+def table(*segments, dim=None):
+    """Stack one-segment tables (see :func:`segment`) in order."""
+    if dim is None:
+        dim = segments[0].dim if segments else 0
+    return StateTable.concat(segments, dim)
+
+
+def segment_values(t, j):
+    """The value tuples of segment ``j`` of table ``t``."""
+    lo, hi = t.offsets[j], t.offsets[j + 1]
+    return [tuple(v) for v in t.values[lo:hi].tolist()]
+
+
+def segment_frames(t, j):
+    return t.frame[t.offsets[j] : t.offsets[j + 1]].tolist()

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+from builders import segment, table
 from safeset.geometry import alpha_complex, delaunay, mc_volume, search_optimal_alpha
 from safeset.ingest import Dataset, RawSample
 from safeset.metrics import (
@@ -22,7 +23,6 @@ from safeset.metrics import (
     fatality_rate_bound,
     trailing_run_pmf,
 )
-from safeset.oss import OssState, StateTrajectory
 from safeset.pipeline import AnalysisConfig, run_analysis
 from safeset.safegraph import extract_safe_states
 from safeset.simgen import IDM_0, IDM_1, ncap_battery, simulate_battery
@@ -184,27 +184,25 @@ def test_monte_carlo_interval_calibration(verdict):
 # --------------------------------------------------------------------------
 
 
-def _chain(values, tid="t0", collisions=()):
-    states = tuple(
-        OssState(tuple(map(float, v)), 0.1 * i, tid, i) for i, v in enumerate(values)
-    )
-    return StateTrajectory(tid, 0, states, tuple(collisions))
+def _retained(extraction):
+    kept = extraction.vertices[extraction.retained]
+    return frozenset(tuple(v) for v in kept.tolist())
 
 
 def test_safe_state_extraction_hand_traces(verdict):
     with criterion(verdict, 6, "safe-state extraction hand traces"):
         s1, s2, s3 = (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)
-        safe = _chain([s1, s2, s3])
-        crash = _chain([s2], tid="crash", collisions=(0,))
+        safe = segment([s1, s2, s3])
+        crash = segment([s2], tid="crash", collisions=(0,))
 
-        undirected = extract_safe_states([safe, crash], mode="undirected")
-        assert undirected.safe_values == frozenset()
+        undirected = extract_safe_states(table(safe, crash), mode="undirected")
+        assert _retained(undirected) == frozenset()
 
-        ancestors = extract_safe_states([safe, crash], mode="ancestors")
-        assert ancestors.safe_values == frozenset({s3})
+        ancestors = extract_safe_states(table(safe, crash), mode="ancestors")
+        assert _retained(ancestors) == frozenset({s3})
 
-        untouched = extract_safe_states([safe])
-        assert untouched.safe_values == frozenset({s1, s2, s3})
+        untouched = extract_safe_states(table(safe))
+        assert _retained(untouched) == frozenset({s1, s2, s3})
 
 
 # --------------------------------------------------------------------------

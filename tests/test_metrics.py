@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from safeset.errors import (
     CollisionsPresent,
+    DimensionMismatch,
     EmptySpace,
     InvalidBeta,
     InvalidCounts,
@@ -26,11 +27,9 @@ from safeset.metrics import (
     epsilon_bar_exact,
     epsilon_from_count,
     fatality_rate_bound,
-    transition_labels,
     trailing_run_pmf,
     ttc_stats,
 )
-from safeset.oss import OssState, StateTrajectory, TransitionSet
 
 
 def exact_pmf_fraction(s, c):
@@ -197,31 +196,17 @@ class TestPublishedVariant:
             algorithm3_epsilon_bar(0, 0, 0.5)
 
 
-def pair_seq(labels):
-    """Transition pairs whose endpoint membership follows the labels."""
-    inside = (0.0,)
-    outside = (9.0,)
-    pairs = []
-    for i, ok in enumerate(labels):
-        a = OssState(inside if ok else outside, 0.1 * i, "t0", i)
-        b = OssState(inside, 0.1 * i, "t0", i + 1)
-        pairs.append((a, b))
-    return pairs
-
-
 class TestCertify:
     def test_trailing_count(self):
-        member = lambda v: v == (0.0,)
-        assert count_trailing_safe(pair_seq([True, True, True]), member) == 3
-        assert count_trailing_safe(pair_seq([True, False, True]), member) == 1
-        assert count_trailing_safe(pair_seq([True, True, False]), member) == 0
-        assert count_trailing_safe([], member) == 0
+        assert count_trailing_safe(np.array([True, True, True])) == 3
+        assert count_trailing_safe(np.array([True, False, True])) == 1
+        assert count_trailing_safe(np.array([True, True, False])) == 0
+        assert count_trailing_safe(np.zeros(0, dtype=bool)) == 0
 
     def test_full_result(self):
-        member = lambda v: v == (0.0,)
-        pairs = pair_seq([False, True, True])
-        res = certify(pairs, member, s=2, c=1, beta=0.001)
+        res = certify(np.array([False, True, True]), beta=0.001)
         assert isinstance(res, EpsilonResult)
+        assert (res.s_count, res.c_count) == (2, 1)
         assert res.n_trailing == 2
         assert res.epsilon_single == pytest.approx(epsilon_from_count(2, 0.001))
         assert res.epsilon_bar_exact == pytest.approx(epsilon_bar_exact(2, 1, 0.001))
@@ -231,16 +216,15 @@ class TestCertify:
         assert res.confidence == pytest.approx(0.999)
 
     def test_empty_transition_set(self):
-        res = certify([], lambda v: True, s=0, c=0, beta=0.001)
+        res = certify(np.zeros(0, dtype=bool), beta=0.001)
         assert res.n_trailing == 0
         assert res.epsilon_single == 1.0
         assert res.epsilon_bar_exact == 1.0
         assert res.epsilon_bar_paper == 0.0
 
-    def test_transition_labels(self):
-        member = lambda v: v == (0.0,)
-        td = TransitionSet(tuple(pair_seq([True, False, True])))
-        assert transition_labels(td, member) == [True, False, True]
+    def test_invalid_beta(self):
+        with pytest.raises(InvalidBeta):
+            certify(np.array([True]), beta=1.0)
 
 
 class TestCoverage:
@@ -263,17 +247,10 @@ class TestCoverage:
             coverage(1, -0.5, 1.0)
 
 
-def lead_traj(rows):
-    states = tuple(
-        OssState(tuple(map(float, r)), 0.1 * i, "t0", i) for i, r in enumerate(rows)
-    )
-    return StateTrajectory("t0", 0, states)
-
-
 class TestTtc:
     def test_hand_values(self):
-        t = lead_traj([(10.0, 8.0, 6.0), (10.0, 12.0, 6.0), (10.0, 8.0, 30.0)])
-        res = ttc_stats([t])
+        states = np.array([(10.0, 8.0, 6.0), (10.0, 12.0, 6.0), (10.0, 8.0, 30.0)])
+        res = ttc_stats(states)
         # valid: rows 1 and 3; ttc = 3.0 and min(15, 9) = 9.0
         assert res.n_valid == 2 and res.n_states == 3
         assert res.valid_rate == pytest.approx(2 / 3)
@@ -281,18 +258,22 @@ class TestTtc:
         assert res.std == pytest.approx(3.0)  # population std, not sample
 
     def test_clipping(self):
-        t = lead_traj([(10.0, 9.99, 50.0)])
-        assert ttc_stats([t]).mean == pytest.approx(9.0)
+        assert ttc_stats(np.array([(10.0, 9.99, 50.0)])).mean == pytest.approx(9.0)
 
     def test_no_valid_states(self):
-        t = lead_traj([(5.0, 8.0, 10.0)])
-        res = ttc_stats([t])
+        res = ttc_stats(np.array([(5.0, 8.0, 10.0)]))
         assert res.mean is None and res.std is None
         assert res.valid_rate == 0.0 and res.n_states == 1
 
     def test_empty(self):
-        res = ttc_stats([])
+        res = ttc_stats(np.empty((0, 3)))
         assert res.n_states == 0 and res.mean is None
+
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 2), (3,), (0, 5)])
+    def test_other_dimensions_refused(self, shape):
+        # three 5-D states used to be read as five 3-D rows
+        with pytest.raises(DimensionMismatch):
+            ttc_stats(np.ones(shape))
 
 
 class TestFatalityBound:

@@ -5,14 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from builders import scene_dataset, rigid_motion
-from safeset.errors import FrameMisalignment, SpecKindMismatch
+from builders import (
+    rigid_motion,
+    scene_dataset,
+    segment,
+    segment_frames,
+    segment_values,
+    table,
+)
+from safeset.errors import DimensionMismatch, FrameMisalignment, SpecKindMismatch
 from safeset.oss import (
     PRESETS,
     OssSpec,
-    OssState,
-    StateTrajectory,
-    classify_trajectories,
     combine_domains,
     export_states_csv,
     extract_lead_following,
@@ -88,13 +92,11 @@ def two_car(gap_center=20.0, sv_v=10.0, lead_v=8.0, n=5, **lead_kw):
 class TestLeadFollowing:
     def test_hand_values(self):
         d = two_car()
-        trajs = extract_lead_following(d, LEAD)
-        assert len(trajs) == 1
-        s0 = trajs[0].states[0]
+        t = extract_lead_following(d, LEAD)
+        assert t.n_segments == 1
         # p = center distance minus the two half-lengths
-        assert s0.values == (10.0, 8.0, 16.0)
-        s1 = trajs[0].states[1]
-        assert s1.values[2] == pytest.approx(16.0 - 0.2)
+        assert segment_values(t, 0)[0] == (10.0, 8.0, 16.0)
+        assert t.values[1, 2] == pytest.approx(16.0 - 0.2)
 
     def test_kind_guard(self):
         with pytest.raises(SpecKindMismatch):
@@ -108,13 +110,14 @@ class TestLeadFollowing:
             "behind": {"x0": -10.0, "vx": 11.0},
         }
         d = scene_dataset(agents, 2)
-        trajs = extract_lead_following(d, LEAD)
-        assert trajs[0].states[0].values[1] == 7.0
+        t = extract_lead_following(d, LEAD)
+        assert t.values[0, 1] == 7.0
 
     def test_gap_beyond_pmax_emits_nothing(self):
         spec = PRESETS["highd-lead"]  # p_max = 50
         d = two_car(gap_center=64.0, sv_v=25.0, lead_v=25.0)  # p = 60
-        assert extract_lead_following(d, spec) == []
+        t = extract_lead_following(d, spec)
+        assert len(t) == 0 and t.n_segments == 0
 
     def test_lane_id_restricts_leader(self):
         agents = {
@@ -123,8 +126,8 @@ class TestLeadFollowing:
             "same_lane": {"x0": 20.0, "vx": 6.0, "lane_id": 1, "y0": 0.0},
         }
         d = scene_dataset(agents, 2)
-        trajs = extract_lead_following(d, LEAD)
-        assert trajs[0].states[0].values[1] == 6.0
+        t = extract_lead_following(d, LEAD)
+        assert t.values[0, 1] == 6.0
 
     def test_pedestrians_ignored(self):
         agents = {
@@ -133,8 +136,8 @@ class TestLeadFollowing:
             "lead": {"x0": 20.0, "vx": 6.0},
         }
         d = scene_dataset(agents, 2)
-        trajs = extract_lead_following(d, LEAD)
-        assert trajs[0].states[0].values[1] == 6.0
+        t = extract_lead_following(d, LEAD)
+        assert t.values[0, 1] == 6.0
 
     def test_segment_split_and_transition_pairs(self):
         # leader present at frames 0-2 and 4-5 only: segments [0,1,2], [4,5]
@@ -143,12 +146,12 @@ class TestLeadFollowing:
             "lead": {"x0": 20.0, "vx": 10.0, "frames": [0, 1, 2, 4, 5]},
         }
         d = scene_dataset(agents, 6)
-        trajs = extract_lead_following(d, LEAD)
-        assert [t.segment_index for t in trajs] == [0, 1]
-        assert [t.first_frame for t in trajs] == [0, 4]
-        td = transitions(trajs)
+        t = extract_lead_following(d, LEAD)
+        assert t.segment_index.tolist() == [0, 1]
+        assert t.frame[t.offsets[:-1]].tolist() == [0, 4]
+        td = transitions(t)
         assert len(td) == 3
-        assert [(a.frame, b.frame) for a, b in td.pairs] == [(0, 1), (1, 2), (4, 5)]
+        assert [(t.frame[k], t.frame[k + 1]) for k in td] == [(0, 1), (1, 2), (4, 5)]
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -161,10 +164,8 @@ class TestLeadFollowing:
         moved = rigid_motion(d, theta, tx, ty)
         a = extract_lead_following(d, LEAD)
         b = extract_lead_following(moved, LEAD)
-        assert len(a) == len(b) == 1
-        va = np.array([s.values for s in a[0].states])
-        vb = np.array([s.values for s in b[0].states])
-        assert np.allclose(va, vb, atol=1e-6)
+        assert a.n_segments == b.n_segments == 1
+        assert np.allclose(a.values, b.values, atol=1e-6)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -175,10 +176,8 @@ class TestLeadFollowing:
     def test_states_always_in_bounds(self, gap, sv_v, lead_v):
         d = two_car(gap_center=gap, sv_v=sv_v, lead_v=lead_v, n=3)
         b = LEAD.bounds()
-        for t in extract_lead_following(d, LEAD):
-            for s in t.states:
-                arr = np.asarray(s.values)
-                assert (arr >= b[:, 0]).all() and (arr <= b[:, 1]).all()
+        for arr in extract_lead_following(d, LEAD).values:
+            assert (arr >= b[:, 0]).all() and (arr <= b[:, 1]).all()
 
 
 def multi_scene(n=2, extra=None):
@@ -195,8 +194,7 @@ def multi_scene(n=2, extra=None):
 
 class TestMultiVehicle:
     def test_hand_values_with_fills(self):
-        trajs = extract_multi_vehicle(multi_scene(), MULTI)
-        v = trajs[0].states[0].values
+        v = segment_values(extract_multi_vehicle(multi_scene(), MULTI), 0)[0]
         assert v[0] == 25.0
         assert v[1:3] == (11.0, 26.0)     # fl: |15| - 4 bumper gap
         assert v[3:5] == (16.0, 24.0)     # fc
@@ -207,18 +205,18 @@ class TestMultiVehicle:
 
     def test_nearest_per_subregion(self):
         d = multi_scene(extra={"fc2": {"x0": 30.0, "y0": 0.0, "vx": 20.0}})
-        v = extract_multi_vehicle(d, MULTI)[0].states[0].values
+        v = segment_values(extract_multi_vehicle(d, MULTI), 0)[0]
         assert v[3:5] == (16.0, 24.0)
 
     def test_longitudinal_overlap_gives_zero_gap(self):
         d = multi_scene(extra={"beside": {"x0": 2.0, "y0": 3.75, "vx": 25.0}})
-        v = extract_multi_vehicle(d, MULTI)[0].states[0].values
+        v = segment_values(extract_multi_vehicle(d, MULTI), 0)[0]
         # |2| - 4 < 0: vehicles overlap longitudinally, gap clamps to 0
         assert v[1:3] == (0.0, 25.0)
 
     def test_outside_side_band_ignored(self):
         d = multi_scene(extra={"farside": {"x0": 10.0, "y0": 7.0, "vx": 21.0}})
-        v = extract_multi_vehicle(d, MULTI)[0].states[0].values
+        v = segment_values(extract_multi_vehicle(d, MULTI), 0)[0]
         assert v[1:3] == (11.0, 26.0)  # fl neighbour unchanged
 
     def test_out_of_bounds_neighbour_becomes_fill(self):
@@ -228,13 +226,13 @@ class TestMultiVehicle:
             "fl": {"x0": 15.0, "y0": 3.75, "vx": 26.0},
         }
         d = scene_dataset(agents, 2)
-        v = extract_multi_vehicle(d, MULTI)[0].states[0].values
+        v = segment_values(extract_multi_vehicle(d, MULTI), 0)[0]
         assert v[3:5] == (50.0, 25.0)
 
     def test_all_empty_frame_dropped(self):
         agents = {"ego": {"x0": 0.0, "vx": 25.0, "sv": True}}
         d = scene_dataset(agents, 3)
-        assert extract_multi_vehicle(d, MULTI) == []
+        assert len(extract_multi_vehicle(d, MULTI)) == 0
 
     def test_v0_out_of_bounds_dropped(self):
         agents = {
@@ -242,7 +240,7 @@ class TestMultiVehicle:
             "fc": {"x0": 20.0, "y0": 0.0, "vx": 24.0},
         }
         d = scene_dataset(agents, 2)
-        assert extract_multi_vehicle(d, MULTI) == []
+        assert len(extract_multi_vehicle(d, MULTI)) == 0
 
     def test_kind_guard(self):
         with pytest.raises(SpecKindMismatch):
@@ -258,10 +256,8 @@ class TestMultiVehicle:
         d = multi_scene()
         a = extract_multi_vehicle(d, MULTI)
         b = extract_multi_vehicle(rigid_motion(d, theta, tx, ty), MULTI)
-        va = np.array([s.values for t in a for s in t.states])
-        vb = np.array([s.values for t in b for s in t.states])
-        assert va.shape == vb.shape
-        assert np.allclose(va, vb, atol=1e-6)
+        assert a.values.shape == b.values.shape
+        assert np.allclose(a.values, b.values, atol=1e-6)
 
 
 def ped_scene(extra=None):
@@ -277,15 +273,14 @@ def ped_scene(extra=None):
 
 class TestVehiclePedestrian:
     def test_hand_values(self):
-        trajs = extract_vehicle_pedestrian(ped_scene(), PED)
-        v = trajs[0].states[0].values
+        v = segment_values(extract_vehicle_pedestrian(ped_scene(), PED), 0)[0]
         # along = 10 - half_len 2 = 8; left corner lat = 3 - 1, right = 3 + 1
         assert v == (10.0, 8.0, 2.0, 8.0, 4.0)
 
     def test_behind_bumper_ignored(self):
         d = ped_scene({"walker": {"x0": 1.0, "y0": 1.0, "agent_type": "pedestrian",
                                   "length": 0.5, "width": 0.5}})
-        assert extract_vehicle_pedestrian(d, PED) == []
+        assert len(extract_vehicle_pedestrian(d, PED)) == 0
 
     def test_far_lateral_becomes_fill(self):
         d = ped_scene(
@@ -294,12 +289,12 @@ class TestVehiclePedestrian:
                             "length": 0.5, "width": 0.5}
             }
         )
-        v = extract_vehicle_pedestrian(d, PED)[0].states[0].values
+        v = segment_values(extract_vehicle_pedestrian(d, PED), 0)[0]
         assert v == (10.0, 8.0, 2.0, 8.0, 4.0)  # far walker never wins a corner
 
     def test_vehicles_ignored(self):
         d = ped_scene(extra={"car2": {"x0": 12.0, "y0": 0.5, "vx": 5.0}})
-        v = extract_vehicle_pedestrian(d, PED)[0].states[0].values
+        v = segment_values(extract_vehicle_pedestrian(d, PED), 0)[0]
         assert v == (10.0, 8.0, 2.0, 8.0, 4.0)
 
     def test_kind_guard(self):
@@ -319,12 +314,12 @@ class TestCombined:
 
     def test_merged_layout(self):
         d = self.combined_scene()
-        trajs = extract_states(d, COMBINED)
-        assert len(trajs) == 1
-        v = trajs[0].states[0].values
+        t = extract_states(d, COMBINED)
+        assert t.n_segments == 1
+        v = segment_values(t, 0)[0]
         assert len(v) == 17
-        m = extract_multi_vehicle(d, COMBINED)[0].states[0].values
-        p = extract_vehicle_pedestrian(d, COMBINED)[0].states[0].values
+        m = segment_values(extract_multi_vehicle(d, COMBINED), 0)[0]
+        p = segment_values(extract_vehicle_pedestrian(d, COMBINED), 0)[0]
         assert v == m + p[1:]
         assert v[0] == m[0] == p[0]
 
@@ -337,8 +332,7 @@ class TestCombined:
                        "length": 0.5, "width": 0.5},
         }
         d = scene_dataset(agents, 4)
-        trajs = extract_states(d, COMBINED)
-        assert [s.frame for t in trajs for s in t.states] == [0, 1]
+        assert extract_states(d, COMBINED).frame.tolist() == [0, 1]
 
     def test_gap_in_shared_frames_splits_and_attributes_events(self):
         # vehicle missing at frames 2-3, walker throughout; one event in the
@@ -350,38 +344,33 @@ class TestCombined:
                        "length": 0.5, "width": 0.5},
         }
         d = scene_dataset(agents, 7, events=[("t0", 2), ("t0", 5)])
-        trajs = extract_states(d, COMBINED)
-        assert [t.segment_index for t in trajs] == [0, 1]
-        assert [[s.frame for s in t.states] for t in trajs] == [[0, 1], [4, 5, 6]]
-        assert [t.collision_frames for t in trajs] == [(2,), (5,)]
-        assert [[s.unsafe for s in t.states] for t in trajs] == [
-            [False, False],
-            [False, True, False],
-        ]
+        t = extract_states(d, COMBINED)
+        assert t.segment_index.tolist() == [0, 1]
+        assert [segment_frames(t, j) for j in range(2)] == [[0, 1], [4, 5, 6]]
+        assert list(t.collision_frames) == [(2,), (5,)]
+        unsafe = [t.unsafe[t.offsets[j] : t.offsets[j + 1]].tolist() for j in range(2)]
+        assert unsafe == [[False, False], [False, True, False]]
 
     def test_disagreeing_components_raise(self):
-        mk = lambda vals, f: OssState(vals, 0.1 * f, "t0", f)
-        m = StateTrajectory("t0", 0, tuple(mk((21.0,) + (50.0, 21.0) * 6, f) for f in range(2)))
-        p = StateTrajectory("t0", 0, tuple(mk((22.0, 50.0, 10.0, 50.0, 10.0), f) for f in range(2)))
+        m = segment([(21.0,) + (50.0, 21.0) * 6] * 2)
+        p = segment([(22.0, 50.0, 10.0, 50.0, 10.0)] * 2)
         with pytest.raises(FrameMisalignment):
-            combine_domains([m], [p])
+            combine_domains(m, p)
 
     def test_wrong_dimensions_raise(self):
-        mk = lambda vals, f: OssState(vals, 0.1 * f, "t0", f)
-        bad = StateTrajectory("t0", 0, (mk((1.0, 2.0, 3.0), 0),))
-        ped = StateTrajectory("t0", 0, (mk((1.0, 50.0, 10.0, 50.0, 10.0), 0),))
+        bad = segment([(1.0, 2.0, 3.0)])
+        ped = segment([(1.0, 50.0, 10.0, 50.0, 10.0)])
         with pytest.raises(SpecKindMismatch):
-            combine_domains([bad], [ped])
+            combine_domains(bad, ped)
         with pytest.raises(SpecKindMismatch):
-            combine_domains([ped], [ped])
+            combine_domains(ped, ped)
 
 
 class TestClassification:
     def test_collision_frames_make_unsafe(self):
         d = two_car(gap_center=20.0)
-        trajs = extract_lead_following(d, LEAD)
-        safe, unsafe = classify_trajectories(trajs)
-        assert len(safe) == 1 and unsafe == []
+        t = extract_lead_following(d, LEAD)
+        assert t.unsafe_segments().tolist() == [False]
 
         d2 = scene_dataset(
             {
@@ -391,11 +380,10 @@ class TestClassification:
             5,
             events=[("t0", 2)],
         )
-        trajs2 = extract_lead_following(d2, LEAD)
-        safe2, unsafe2 = classify_trajectories(trajs2)
-        assert safe2 == [] and len(unsafe2) == 1
-        assert unsafe2[0].collision_frames == (2,)
-        assert [s.unsafe for s in unsafe2[0].states] == [
+        t2 = extract_lead_following(d2, LEAD)
+        assert t2.unsafe_segments().tolist() == [True]
+        assert t2.collision_frames == ((2,),)
+        assert t2.unsafe.tolist() == [
             False, False, True, False, False,
         ]
 
@@ -405,19 +393,68 @@ class TestClassification:
             "lead": {"x0": 20.0, "vx": 10.0, "frames": [0, 1, 4, 5]},
         }
         d = scene_dataset(agents, 6, events=[("t0", 2)])
-        trajs = extract_lead_following(d, LEAD)
-        assert trajs[0].collision_frames == (2,)
-        assert trajs[1].collision_frames == ()
+        t = extract_lead_following(d, LEAD)
+        assert t.collision_frames == ((2,), ())
 
 
 class TestExport:
     def test_export_round_trip_floats(self, tmp_path):
         d = two_car()
-        trajs = extract_lead_following(d, LEAD)
+        t = extract_lead_following(d, LEAD)
         out = tmp_path / "states.csv"
-        export_states_csv(trajs, LEAD, out)
+        export_states_csv(t, LEAD, out)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "trajectory_id,segment,frame,time,unsafe,v0,v1,p"
-        assert len(lines) == 1 + sum(len(t.states) for t in trajs)
+        assert len(lines) == 1 + len(t)
         first = lines[1].split(",")
         assert float(first[5]) == 10.0 and float(first[7]) == 16.0
+
+
+class TestStateTable:
+    def test_transitions_stay_inside_segments(self):
+        # frames 0-2 in t0, then t1 starting at frame 3 (consecutive across
+        # the boundary), then a gap inside t2's segment
+        t = table(
+            segment([(0.0,), (1.0,), (2.0,)]),
+            segment([(3.0,), (4.0,)], tid="t1", frames=[3, 4]),
+            segment([(5.0,), (6.0,), (7.0,)], tid="t2", frames=[0, 2, 3]),
+        )
+        assert transitions(t).tolist() == [0, 1, 3, 6]
+        assert t.segment_ids().tolist() == [0, 0, 0, 1, 1, 2, 2, 2]
+
+    def test_unsafe_segments(self):
+        t = table(
+            segment([(0.0,), (1.0,)]),
+            segment([(1.0,)], tid="t1", collisions=(7,)),
+            segment([(2.0,), (3.0,)], tid="t2", unsafe=[1]),
+        )
+        assert t.unsafe_segments().tolist() == [False, True, True]
+
+    def test_distinct_keeps_first_occurrence(self):
+        t = table(segment([(1.0, -0.0), (0.5, 2.0), (1.0, 0.0), (0.5, 2.0)]))
+        vertices, ids = t.distinct()
+        assert repr(vertices.tolist()) == repr([[0.5, 2.0], [1.0, -0.0]])
+        assert ids.tolist() == [1, 0, 1, 0]
+
+    def test_concat_refuses_mixed_dimensions(self):
+        with pytest.raises(DimensionMismatch):
+            table(segment([(1.0, 2.0)]), segment([(1.0, 2.0, 3.0)]))
+
+    def test_empty_extraction_keeps_dimension(self):
+        alone = scene_dataset({"ego": {"x0": 0.0, "vx": 25.0, "sv": True}}, 2)
+        t = extract_multi_vehicle(alone, MULTI)
+        assert t.values.shape == (0, 13) and t.n_segments == 0
+        assert transitions(t).tolist() == []
+
+    def test_events_attach_to_containing_preceding_or_first_segment(self):
+        # segments span frames 2-3 and 6-7; events before, inside, between
+        # and after them
+        agents = {
+            "ego": {"x0": 0.0, "vx": 10.0, "sv": True},
+            "lead": {"x0": 20.0, "vx": 10.0, "frames": [2, 3, 6, 7]},
+        }
+        events = [("t0", 0), ("t0", 3), ("t0", 4), ("t0", 9)]
+        d = scene_dataset(agents, 10, events=events)
+        t = extract_lead_following(d, LEAD)
+        assert t.collision_frames == ((0, 3, 4), (9,))
+        assert t.unsafe.tolist() == [False, True, False, False]

@@ -65,6 +65,14 @@ class TestAnalysisConfig:
             ({"slice_cells": 1}, SafesetError),
             ({"preset": "nonexistent"}, SafesetError),
             ({"preset": None}, SafesetError),  # no preset and no oss block
+            ({"seed": -1}, SafesetError),
+            ({"seed": 1.5}, SafesetError),
+            ({"seed": True}, SafesetError),
+            ({"cluster_max": 1}, SafesetError),
+            ({"cluster_max": 2.5}, SafesetError),
+            ({"mc_samples": 20000.5}, SafesetError),
+            ({"mc_samples": 20000.0}, SafesetError),
+            ({"slice_cells": 50.5}, SafesetError),
         ],
     )
     def test_validation_rejects(self, patch, exc):
@@ -219,12 +227,9 @@ class TestRunAnalysis:
             run_analysis(cfg, dataset=dataset)
         # the only removed states are the trap run's, all inside the cloud;
         # the reported example is the smallest of them
-        trap = sorted(
-            s.values
-            for t in extract_states(dataset, cfg.resolve_spec())
-            if t.trajectory_id == "trap"
-            for s in t.states
-        )
+        states = extract_states(dataset, cfg.resolve_spec())
+        in_trap = np.array(states.trajectory_ids)[states.segment_ids()] == "trap"
+        trap = sorted(tuple(v) for v in states.values[in_trap].tolist())
         assert exc.value.count == len(trap) == 4
         assert exc.value.example == trap[0]
 
@@ -441,6 +446,17 @@ class TestCli:
             "--beta", "2.0", "--out-dir", tmp_path / "x",
         )
         assert code == EXIT_INVALID
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_unusable_seed_in_config_exits_2(self, tmp_path, battery_csv, seed):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"preset": "sumo-lead", "seed": seed}))
+        code = run_cli(
+            "analyze", "--config", cfg_path, "--input", battery_csv,
+            "--out-dir", tmp_path / "x",
+        )
+        assert code == EXIT_INVALID
+        assert not (tmp_path / "x").exists()
 
     def test_missing_input_exits_2(self, tmp_path):
         code = run_cli(

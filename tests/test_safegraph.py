@@ -8,8 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from builders import segment, table
 from safeset.errors import DimensionMismatch
-from safeset.oss import OssState, StateTrajectory, transitions
+from safeset.metrics import certify
+from safeset.oss import transitions
 from safeset.safegraph import (
     REACH_MODES,
     build_safe_graph,
@@ -21,73 +23,86 @@ from safeset.safegraph import (
 S1, S2, S3 = (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)
 
 
-def traj(values, tid="t0", seg=0, collisions=(), start=0):
-    states = tuple(
-        OssState(tuple(map(float, v)), 0.1 * (start + i), tid, start + i)
-        for i, v in enumerate(values)
-    )
-    return StateTrajectory(tid, seg, states, tuple(collisions))
+def rows(vertices, mask=None):
+    """Value tuples of the vertices, or of those selected by ``mask``."""
+    picked = vertices if mask is None else vertices[mask]
+    return {tuple(v) for v in picked.tolist()}
+
+
+def crash(values, tid="crash"):
+    return segment(values, tid=tid, collisions=(0,))
 
 
 def chain_graph():
-    return build_safe_graph([traj([S1, S2, S3])])
+    return build_safe_graph(table(segment([S1, S2, S3])))
 
 
 def edge_set(g):
-    rows = [tuple(v) for v in g.vertices.tolist()]
+    vals = [tuple(v) for v in g.vertices.tolist()]
     tail, head = g.adjacency.nonzero()
-    return {(rows[i], rows[j]) for i, j in zip(tail, head)}
+    return {(vals[i], vals[j]) for i, j in zip(tail, head)}
 
 
-def vertex_mask(g, values):
-    return np.array([tuple(v) in values for v in g.vertices.tolist()])
+def vertex_mask(vertices, values):
+    return np.array([tuple(v) in values for v in vertices.tolist()], dtype=bool)
+
+
+def reach(query, g, mode="undirected", match_radius=0.0):
+    return rows(g.vertices, reachable(query, g, mode, match_radius))
+
+
+def retained(ex):
+    return rows(ex.vertices, ex.retained)
+
+
+def removed(ex):
+    return rows(ex.vertices, ex.removed)
 
 
 class TestGraphBuild:
     def test_vertices_and_edges(self):
         g = chain_graph()
-        assert g.values() == {S1, S2, S3}
+        assert rows(g.vertices) == {S1, S2, S3} and g.safe.all()
         assert edge_set(g) == {(S1, S2), (S2, S3)}
         assert g.edge_count() == 2
 
     def test_single_transition_registers_both_vertices(self):
-        g = build_safe_graph([traj([S1, S2])])
-        assert g.values() == {S1, S2} and len(g) == 2
+        g = build_safe_graph(table(segment([S1, S2])))
+        assert rows(g.vertices) == {S1, S2} and len(g) == 2
         assert edge_set(g) == {(S1, S2)}
 
     def test_duplicate_states_collapse(self):
-        g = build_safe_graph([traj([S1, S2]), traj([S1, S2], tid="t1")])
+        g = build_safe_graph(table(segment([S1, S2]), segment([S1, S2], tid="t1")))
         assert len(g) == 2 and g.edge_count() == 1
+        assert g.ids.tolist() == [0, 1, 0, 1]
 
     def test_frame_gaps_break_edges(self):
-        a = OssState(S1, 0.0, "t0", 0)
-        b = OssState(S2, 0.5, "t0", 5)
-        g = build_safe_graph([StateTrajectory("t0", 0, (a, b))])
-        assert g.values() == {S1, S2}
+        g = build_safe_graph(table(segment([S1, S2], frames=[0, 5])))
+        assert rows(g.vertices) == {S1, S2}
         assert g.edge_count() == 0
 
-    def test_without_removes_incident_edges(self):
-        g = chain_graph()
-        g = g.without(vertex_mask(g, {S2}))
-        assert g.values() == {S1, S3}
-        assert g.edge_count() == 0
+    def test_unsafe_segments_add_vertices_but_no_edges(self):
+        g = build_safe_graph(table(segment([S1, S2]), crash([S2, S3])))
+        assert rows(g.vertices) == {S1, S2, S3}
+        assert rows(g.vertices, g.safe) == {S1, S2}
+        assert edge_set(g) == {(S1, S2)}
 
 
 class TestReachable:
     def test_modes_on_chain(self):
         g = chain_graph()
-        assert reachable(S2, g, "ancestors") == {S1, S2}
-        assert reachable(S2, g, "descendants") == {S2, S3}
-        assert reachable(S2, g, "undirected") == {S1, S2, S3}
+        assert reach(S2, g, "ancestors") == {S1, S2}
+        assert reach(S2, g, "descendants") == {S2, S3}
+        assert reach(S2, g, "undirected") == {S1, S2, S3}
 
     def test_unmatched_query_is_empty(self):
         g = chain_graph()
-        assert reachable((9.0, 9.0), g) == set()
+        assert reach((9.0, 9.0), g) == set()
 
-    def test_accepts_state_objects(self):
-        g = chain_graph()
-        s = OssState(S2, 0.0, "x", 0)
-        assert reachable(s, g, "ancestors") == {S1, S2}
+    def test_accepts_table_rows(self):
+        t = table(segment([S1, S2, S3]))
+        g = build_safe_graph(t)
+        assert reach(t.values[1], g, "ancestors") == {S1, S2}
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -95,172 +110,169 @@ class TestReachable:
 
     def test_match_radius_grabs_near_vertices(self):
         g = chain_graph()
-        assert reachable((2.05, 0.0), g, "descendants", match_radius=0.1) == {S2, S3}
-        assert reachable((2.05, 0.0), g, "descendants", match_radius=0.01) == set()
+        assert reach((2.05, 0.0), g, "descendants", match_radius=0.1) == {S2, S3}
+        assert reach((2.05, 0.0), g, "descendants", match_radius=0.01) == set()
 
     def test_match_radius_is_chebyshev(self):
         g = chain_graph()
         # Euclidean distance ~0.113 > 0.1, max-norm distance 0.08 <= 0.1
-        assert reachable((2.08, 0.08), g, "descendants", match_radius=0.1) == {S2, S3}
+        assert reach((2.08, 0.08), g, "descendants", match_radius=0.1) == {S2, S3}
 
     def test_match_radius_can_seed_several(self):
         g = chain_graph()
-        hit = reachable((2.5, 0.0), g, "descendants", match_radius=0.6)
+        hit = reach((2.5, 0.0), g, "descendants", match_radius=0.6)
         assert hit == {S2, S3}  # seeds S2 and S3 both
 
 
 class TestExtraction:
     def test_no_unsafe_keeps_everything(self):
-        ex = extract_safe_states([traj([S1, S2, S3])])
-        assert ex.safe_values == frozenset({S1, S2, S3})
-        assert ex.removed == frozenset()
+        ex = extract_safe_states(table(segment([S1, S2, S3])))
+        assert retained(ex) == {S1, S2, S3}
+        assert removed(ex) == set()
         assert ex.seeds_matched == 0
 
     def test_undirected_prune_clears_component(self):
-        trajs = [traj([S1, S2, S3]), traj([S2], tid="crash", collisions=(0,))]
-        ex = extract_safe_states(trajs, mode="undirected")
-        assert ex.safe_values == frozenset()
-        assert ex.removed == frozenset({S1, S2, S3})
+        t = table(segment([S1, S2, S3]), crash([S2]))
+        ex = extract_safe_states(t, mode="undirected")
+        assert retained(ex) == set()
+        assert removed(ex) == {S1, S2, S3}
         assert ex.seeds_matched == 1
 
     def test_ancestors_prune_keeps_downstream(self):
-        trajs = [traj([S1, S2, S3]), traj([S2], tid="crash", collisions=(0,))]
-        ex = extract_safe_states(trajs, mode="ancestors")
-        assert ex.safe_values == frozenset({S3})
-        assert ex.removed == frozenset({S1, S2})
+        t = table(segment([S1, S2, S3]), crash([S2]))
+        ex = extract_safe_states(t, mode="ancestors")
+        assert retained(ex) == {S3}
+        assert removed(ex) == {S1, S2}
 
     def test_descendants_prune_keeps_upstream(self):
-        trajs = [traj([S1, S2, S3]), traj([S2], tid="crash", collisions=(0,))]
-        ex = extract_safe_states(trajs, mode="descendants")
-        assert ex.safe_values == frozenset({S1})
+        t = table(segment([S1, S2, S3]), crash([S2]))
+        ex = extract_safe_states(t, mode="descendants")
+        assert retained(ex) == {S1}
 
     def test_unmatched_unsafe_state_prunes_nothing(self):
-        trajs = [traj([S1, S2, S3]), traj([(9.0, 9.0)], tid="crash", collisions=(0,))]
-        ex = extract_safe_states(trajs)
-        assert ex.safe_values == frozenset({S1, S2, S3})
+        t = table(segment([S1, S2, S3]), crash([(9.0, 9.0)]))
+        ex = extract_safe_states(t)
+        assert retained(ex) == {S1, S2, S3}
         assert ex.seeds_matched == 0
 
     def test_unsafe_flag_on_state_classifies_trajectory(self):
-        flagged = StateTrajectory(
-            "t1", 0, (OssState(S2, 0.0, "t1", 0, unsafe=True),)
-        )
-        ex = extract_safe_states([traj([S1, S2, S3]), flagged])
-        assert ex.safe_values == frozenset()
-        assert len(ex.unsafe_trajectories) == 1
+        flagged = segment([S2], tid="t1", unsafe=[0])
+        ex = extract_safe_states(table(segment([S1, S2, S3]), flagged))
+        assert retained(ex) == set()
+        assert ex.n_unsafe_segments == 1 and ex.n_safe_segments == 1
 
     def test_separate_components_survive(self):
         far = ((10.0, 0.0), (11.0, 0.0))
-        trajs = [
-            traj([S1, S2, S3]),
-            traj(far, tid="t1"),
-            traj([S2], tid="crash", collisions=(0,)),
-        ]
-        ex = extract_safe_states(trajs, mode="undirected")
-        assert ex.safe_values == frozenset(far)
-        assert ex.graph.edge_count() == 1
+        t = table(segment([S1, S2, S3]), segment(far, tid="t1"), crash([S2]))
+        ex = extract_safe_states(t, mode="undirected")
+        assert retained(ex) == set(far)
+        # edges left among the retained vertices
+        tail, head = build_safe_graph(t).adjacency.nonzero()
+        assert int((ex.retained[tail] & ex.retained[head]).sum()) == 1
 
     def test_match_radius_seeding(self):
-        trajs = [
-            traj([S1, S2, S3]),
-            traj([(2.05, 0.0)], tid="crash", collisions=(0,)),
-        ]
-        assert extract_safe_states(trajs, match_radius=0.0).safe_values == frozenset(
-            {S1, S2, S3}
-        )
-        assert extract_safe_states(trajs, match_radius=0.1).safe_values == frozenset()
+        t = table(segment([S1, S2, S3]), crash([(2.05, 0.0)]))
+        assert retained(extract_safe_states(t, match_radius=0.0)) == {S1, S2, S3}
+        assert retained(extract_safe_states(t, match_radius=0.1)) == set()
 
     def test_order_independence(self):
         far = ((10.0, 0.0), (11.0, 0.0), (12.0, 0.0))
-        safe = [traj([S1, S2, S3]), traj(far, tid="t1")]
-        crashes = [
-            traj([S2], tid="c0", collisions=(0,)),
-            traj([far[2]], tid="c1", collisions=(0,)),
-            traj([(99.0, 0.0)], tid="c2", collisions=(0,)),
-        ]
+        safe = [segment([S1, S2, S3]), segment(far, tid="t1")]
+        crashes = [crash([S2], "c0"), crash([far[2]], "c1"), crash([(99.0, 0.0)], "c2")]
         results = set()
         for perm in itertools.permutations(crashes):
-            ex = extract_safe_states(safe + list(perm), mode="ancestors")
-            results.add((ex.safe_values, ex.removed))
+            ex = extract_safe_states(table(*safe, *perm), mode="ancestors")
+            results.add((frozenset(retained(ex)), frozenset(removed(ex))))
         assert len(results) == 1
-        ((vals, removed),) = results
+        ((vals, gone),) = results
         assert vals == frozenset({S3})
-        assert removed == frozenset({S1, S2, far[0], far[1], far[2]})
+        assert gone == frozenset({S1, S2, far[0], far[1], far[2]})
 
     def test_extraction_is_idempotent(self):
-        trajs = [traj([S1, S2, S3]), traj([S2], tid="crash", collisions=(0,))]
-        ex1 = extract_safe_states(trajs, mode="ancestors")
-        survivors = [
-            t for t in ex1.safe_trajectories
-        ]  # rerun on safe trajectories alone
-        ex2 = extract_safe_states(survivors, mode="ancestors")
-        assert ex2.safe_values >= ex1.safe_values
-        assert ex2.removed == frozenset()
+        safe = segment([S1, S2, S3])
+        ex1 = extract_safe_states(table(safe, crash([S2])), mode="ancestors")
+        # rerun on the safe segments alone
+        ex2 = extract_safe_states(table(safe), mode="ancestors")
+        assert retained(ex2) >= retained(ex1)
+        assert removed(ex2) == set()
 
 
 class TestPartition:
+    def split(self, values, keep):
+        t = table(segment(values))
+        td = transitions(t)
+        vertices, ids = t.distinct()
+        return t, td, partition_transitions(td, ids, vertex_mask(vertices, keep))
+
     def test_split_counts(self):
-        t = traj([S1, S2, S3])
-        td = transitions([t])
-        ins, outs = partition_transitions(td, {S1, S2})
-        assert len(ins) == 1 and len(outs) == 1
-        assert ins.pairs[0][0].values == S1
-        assert len(ins) + len(outs) == len(td)
+        t, td, ins = self.split([S1, S2, S3], {S1, S2})
+        assert ins.sum() == 1 and (~ins).sum() == 1
+        assert tuple(t.values[td[ins][0]]) == S1
+        assert len(ins) == len(td)
 
     def test_empty_safe_set_puts_all_in_rest(self):
-        td = transitions([traj([S1, S2, S3])])
-        ins, outs = partition_transitions(td, frozenset())
-        assert len(ins) == 0 and len(outs) == 2
+        _, _, ins = self.split([S1, S2, S3], set())
+        assert ins.sum() == 0 and (~ins).sum() == 2
 
     def test_full_safe_set_keeps_all(self):
-        td = transitions([traj([S1, S2, S3])])
-        ins, outs = partition_transitions(td, {S1, S2, S3})
-        assert len(ins) == 2 and len(outs) == 0
+        _, _, ins = self.split([S1, S2, S3], {S1, S2, S3})
+        assert ins.sum() == 2 and (~ins).sum() == 0
 
     def test_both_endpoints_required(self):
-        td = transitions([traj([S1, S2])])
         for keep in ({S1}, {S2}):
-            ins, outs = partition_transitions(td, keep)
-            assert len(ins) == 0 and len(outs) == 1
+            _, _, ins = self.split([S1, S2], keep)
+            assert ins.sum() == 0 and (~ins).sum() == 1
 
 
 class TestQueryValidation:
     def test_extraction_rejects_unknown_mode_without_unsafe_states(self):
         with pytest.raises(ValueError):
-            extract_safe_states([traj([S1, S2, S3])], mode="sideways")
+            extract_safe_states(table(segment([S1, S2, S3])), mode="sideways")
 
     @pytest.mark.parametrize("radius", [-0.5, math.nan, math.inf])
     def test_bad_radius_rejected(self, radius):
-        trajs = [traj([S1, S2, S3]), traj([S2], tid="crash", collisions=(0,))]
+        t = table(segment([S1, S2, S3]), crash([S2]))
         with pytest.raises(ValueError):
-            extract_safe_states(trajs, match_radius=radius)
+            extract_safe_states(t, match_radius=radius)
         with pytest.raises(ValueError):
             reachable(S2, chain_graph(), match_radius=radius)
 
     @pytest.mark.parametrize("radius", [0.0, 0.5])
     def test_unsafe_state_of_other_dimension(self, radius):
-        trajs = [traj([S1, S2, S3]), traj([(2.0, 0.0, 0.0)], tid="crash", collisions=(0,))]
+        # a table cannot mix dimensions, and a query must match the graph's
         with pytest.raises(DimensionMismatch):
-            extract_safe_states(trajs, match_radius=radius)
+            extract_safe_states(
+                table(segment([S1, S2, S3]), crash([(2.0, 0.0, 0.0)])),
+                match_radius=radius,
+            )
+        with pytest.raises(DimensionMismatch):
+            reachable((2.0, 0.0, 0.0), chain_graph(), match_radius=radius)
 
 
 # --------------------------------------------------------------------------
-# oracle: dict-of-sets graph, one Chebyshev scan and one BFS per unsafe state
+# oracle: value-keyed dicts and sets, one Chebyshev scan and one BFS per
+# unsafe state, one replay of the transition pairs
 # --------------------------------------------------------------------------
 
 
-def reference_extraction(trajs, mode, radius):
+def reference_extraction(segs, mode, radius):
+    """segs: (values, frames, unsafe flags, collision frames) per segment.
+
+    Returns (retained, removed, seeds matched); values are compared as
+    Python floats, so 0.0 and -0.0 are one state.
+    """
     succ, pred, unsafe = {}, {}, []
-    for t in trajs:
-        if t.collision_frames or any(s.unsafe for s in t.states):
-            unsafe.extend(s.values for s in t.states)
+    for values, frames, flags, collisions in segs:
+        if collisions or any(flags):
+            unsafe.extend(values)
             continue
-        for s in t.states:
-            succ.setdefault(s.values, set())
-            pred.setdefault(s.values, set())
-        for a, b in zip(t.states, t.states[1:]):
-            if b.frame == a.frame + 1:
-                succ[a.values].add(b.values)
-                pred[b.values].add(a.values)
+        for v in values:
+            succ.setdefault(v, set())
+            pred.setdefault(v, set())
+        for k in range(len(values) - 1):
+            if frames[k + 1] == frames[k] + 1:
+                succ[values[k]].add(values[k + 1])
+                pred[values[k + 1]].add(values[k])
     removed, matched = set(), 0
     for q in unsafe:
         stack = [v for v in succ if max(abs(x - y) for x, y in zip(v, q)) <= radius]
@@ -281,6 +293,55 @@ def reference_extraction(trajs, mode, radius):
     return frozenset(succ) - removed, frozenset(removed), matched
 
 
+def reference_chain(segs, mode, radius):
+    """Everything the certificate reads, from dicts, sets and one replay.
+
+    Rows are reported as each value's first occurrence over all states,
+    sorted, so their signs of zero can be compared.
+    """
+    first = {}
+    for values, _, _, _ in segs:
+        for v in values:
+            first.setdefault(v, v)
+    retained, removed, matched = reference_extraction(segs, mode, radius)
+    labels = [
+        values[k] in retained and values[k + 1] in retained
+        for values, frames, _, _ in segs
+        for k in range(len(values) - 1)
+        if frames[k + 1] == frames[k] + 1
+    ]
+    n_trailing = 0
+    for ok in labels:
+        n_trailing = n_trailing + 1 if ok else 0
+    return {
+        "retained": sorted(first[v] for v in retained),
+        "removed": sorted(first[v] for v in removed),
+        "excluded": sorted(first[v] for v in set(first) - retained),
+        "n_unique": len(first),
+        "s": sum(labels),
+        "c": len(labels) - sum(labels),
+        "n_trailing": n_trailing,
+        "matched": matched,
+    }
+
+
+def as_table(segs, dim=2):
+    return table(
+        *(
+            segment(
+                values,
+                tid=f"t{i}",
+                frames=frames,
+                unsafe=np.flatnonzero(flags),
+                collisions=collisions,
+            )
+            for i, (values, frames, flags, collisions) in enumerate(segs)
+            if values
+        ),
+        dim=dim,
+    )
+
+
 # half-integer coordinates and radii keep Chebyshev distances exact, so
 # seeds at exactly distance r are common; tenths add distances that round
 # to either side of r = 0.3
@@ -292,16 +353,12 @@ _steps = st.lists(st.tuples(_point, st.integers(1, 2)), min_size=1, max_size=6)
 _radius = st.sampled_from([0.0, 0.3, 0.5, 1.0, 1.5])
 
 
-def _random_trajs(safe_runs, unsafe_runs):
+def _random_segments(safe_runs, unsafe_runs):
     out = []
-    for i, (runs, collisions) in enumerate(
-        [(r, ()) for r in safe_runs] + [(r, (0,)) for r in unsafe_runs]
-    ):
+    runs_of = [(r, ()) for r in safe_runs] + [(r, (0,)) for r in unsafe_runs]
+    for runs, collisions in runs_of:
         frames = np.cumsum([step for _, step in runs]).tolist()
-        states = tuple(
-            OssState(v, 0.1 * f, f"t{i}", f) for (v, _), f in zip(runs, frames)
-        )
-        out.append(StateTrajectory(f"t{i}", 0, states, collisions))
+        out.append(([v for v, _ in runs], frames, [False] * len(runs), collisions))
     return out
 
 
@@ -320,12 +377,11 @@ class TestAgainstReference:
         radius=0.5,
     )
     def test_extraction_matches_reference(self, safe_runs, unsafe_runs, mode, radius):
-        trajs = _random_trajs(safe_runs, unsafe_runs)
-        ex = extract_safe_states(trajs, mode=mode, match_radius=radius)
-        assert (ex.safe_values, ex.removed, ex.seeds_matched) == reference_extraction(
-            trajs, mode, radius
+        segs = _random_segments(safe_runs, unsafe_runs)
+        ex = extract_safe_states(as_table(segs), mode=mode, match_radius=radius)
+        assert (retained(ex), removed(ex), ex.seeds_matched) == reference_extraction(
+            segs, mode, radius
         )
-        assert ex.graph.values() == ex.safe_values
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -335,10 +391,10 @@ class TestAgainstReference:
         radius=_radius,
     )
     def test_reachable_matches_reference(self, safe_runs, query, mode, radius):
-        trajs = _random_trajs(safe_runs, [])
-        crash = _random_trajs([], [[(query, 1)]])
-        _, expected, _ = reference_extraction(trajs + crash, mode, radius)
-        assert reachable(query, build_safe_graph(trajs), mode, radius) == expected
+        segs = _random_segments(safe_runs, [])
+        crash_seg = _random_segments([], [[(query, 1)]])
+        _, expected, _ = reference_extraction(segs + crash_seg, mode, radius)
+        assert reach(query, build_safe_graph(as_table(segs)), mode, radius) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -350,14 +406,96 @@ class TestAgainstReference:
     def test_union_of_closures_equals_sequential_removal(
         self, safe_runs, unsafe_runs, mode, radius
     ):
-        trajs = _random_trajs(safe_runs, unsafe_runs)
-        ex = extract_safe_states(trajs, mode=mode, match_radius=radius)
-        g = build_safe_graph(ex.safe_trajectories)
-        removed = set()
-        for t in ex.unsafe_trajectories:
-            for s in t.states:
-                hit = reachable(s, g, mode, radius)
-                removed |= hit
-                g = g.without(vertex_mask(g, hit))
-        assert removed == ex.removed
-        assert g.values() == ex.safe_values
+        segs = _random_segments(safe_runs, unsafe_runs)
+        ex = extract_safe_states(as_table(segs), mode=mode, match_radius=radius)
+        safe_segs = _random_segments(safe_runs, [])
+        gone = set()
+        for values, _, _, _ in _random_segments([], unsafe_runs):
+            for q in values:
+                # deleting a vertex's states deletes its incident edges: the
+                # frames left around the hole are no longer consecutive
+                left = [
+                    (
+                        [v for v in vals if v not in gone],
+                        [f for v, f in zip(vals, frames) if v not in gone],
+                        [],
+                        (),
+                    )
+                    for vals, frames, _, _ in safe_segs
+                ]
+                gone |= reach(q, build_safe_graph(as_table(left)), mode, radius)
+        assert gone == removed(ex)
+        remaining = {v for vals, _, _, _ in safe_segs for v in vals} - gone
+        assert remaining == retained(ex)
+
+
+# signed zeros and half-integers, so equal values recur across segments and
+# 0.0 / -0.0 meet as one state
+_zcoord = st.one_of(
+    st.sampled_from([0.0, -0.0]), st.integers(-4, 4).map(lambda i: i / 2)
+)
+_zpoint = st.tuples(_zcoord, _zcoord)
+_zsegment = st.tuples(
+    st.lists(st.tuples(_zpoint, st.integers(1, 3)), min_size=1, max_size=6),
+    st.booleans(),  # a collision event attributed to the segment
+    st.lists(st.integers(0, 5), max_size=2),  # positions flagged unsafe
+)
+
+
+class TestChainAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        segments=st.lists(_zsegment, min_size=0, max_size=6),
+        shared=_zpoint,
+        mode=st.sampled_from(REACH_MODES),
+        radius=st.sampled_from([0.0, 0.0, 0.5, 1.0]),
+    )
+    # transitions with exactly one retained end: the step out of a pruned
+    # seed (ancestors), and the step into one first seen as -0.0 in an
+    # unsafe segment (descendants)
+    @example(
+        segments=[
+            ([((9.0, 9.0), 1), ((1.0, 0.0), 1)], False, []),
+            ([((9.0, 9.0), 1)], True, []),
+        ],
+        shared=(0.0, 0.0),
+        mode="ancestors",
+        radius=0.0,
+    )
+    @example(
+        segments=[
+            ([((5.0, 5.0), 1)], False, [0]),
+            ([((1.0, 0.0), 1), ((9.0, 9.0), 1)], False, []),
+        ],
+        shared=(-0.0, 0.0),
+        mode="descendants",
+        radius=0.0,
+    )
+    def test_chain_matches_reference(self, segments, shared, mode, radius):
+        segs = []
+        for i, (steps, collided, flagged) in enumerate(segments):
+            values = [v for v, _ in steps]
+            # one value shared by every segment, safe and unsafe alike
+            values[i % len(values)] = shared
+            frames = np.cumsum([gap for _, gap in steps]).tolist()
+            flags = [k in flagged for k in range(len(values))]
+            segs.append((values, frames, flags, (frames[0],) if collided else ()))
+        want = reference_chain(segs, mode, radius)
+
+        t = as_table(segs)
+        tails = transitions(t)
+        ex = extract_safe_states(t, mode=mode, match_radius=radius)
+        inside = partition_transitions(tails, ex.ids, ex.retained)
+        eps = certify(inside, 0.001)
+        got = {
+            "retained": [tuple(v) for v in ex.vertices[ex.retained].tolist()],
+            "removed": [tuple(v) for v in ex.vertices[ex.removed].tolist()],
+            "excluded": [tuple(v) for v in ex.vertices[~ex.retained].tolist()],
+            "n_unique": len(ex.vertices),
+            "s": eps.s_count,
+            "c": eps.c_count,
+            "n_trailing": eps.n_trailing,
+            "matched": ex.seeds_matched,
+        }
+        # repr tells -0.0 from 0.0, which == does not
+        assert repr(got) == repr(want)
