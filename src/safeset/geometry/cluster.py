@@ -30,7 +30,6 @@ def _two_means(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         for side in (0, 1):
             if not (new == side).any():
                 # refill an emptied side with the point farthest from the other
-                other = new != side
                 far = int(np.argmax(((points - (c1 if side == 0 else c0)) ** 2).sum(axis=1)))
                 new[far] = side
         if (new == labels).all():

@@ -1,11 +1,26 @@
 """Convex wrap for point clouds too high-dimensional to triangulate.
 
 The shape is the convex hull of its points, kept implicit: membership asks
-whether the query is a convex combination of the points. A non-negative
-least-squares fit answers the common case fast, and an exact LP feasibility
-check settles everything the fit cannot certify. That costs no exponential
-facet enumeration and works in any dimension, at the price of measures
-being Monte-Carlo estimates.
+whether the query is a convex combination of the points. That costs no
+exponential facet enumeration and works in any dimension.
+
+Membership runs the cheapest rejections first. Each is a necessary
+condition for acceptance, so the verdict is that of the exact test alone:
+
+1. the bounding box, widened by the normal margin (non-finite queries fail
+   here);
+2. the normal residual: the query's largest offset from the affine hull
+   of the points along its normal directions, which one SVD finds at
+   construction;
+3. acceptance within a tiny distance of a hull point (KD-tree);
+4. the exact bounding box and random support-direction cuts;
+5. a non-negative least-squares fit, which answers the common case fast,
+   and an exact LP feasibility check for everything the fit cannot
+   certify.
+
+A wrap whose affine rank is below its dimension has volume exactly 0,
+reported without sampling; a full-rank wrap's volume is a Monte-Carlo
+estimate.
 """
 
 from __future__ import annotations
@@ -20,6 +35,18 @@ from ..errors import DimensionMismatch
 from .montecarlo import McVolume, mc_volume
 
 RESIDUAL_TOL = 1e-8
+
+RANK_TOL = 1e-10
+"""Singular values of the centred points at most RANK_TOL x the largest
+count as zero; their right singular vectors are the hull's normals."""
+
+NORMAL_MARGIN = 1e-5
+"""Cushion of the normal residual test, x (bounding-box diagonal, at least
+1), as ``simplicial.HULL_MARGIN``; it is added to the worst-case slack of
+the accepting tests (see ``_acceptance_slack``)."""
+
+LP_FEASIBILITY_TOL = 1e-7
+"""HiGHS's default primal feasibility tolerance."""
 
 N_CUT_DIRECTIONS = 64
 """Random support directions for the outer-polytope prefilter."""
@@ -66,6 +93,43 @@ class ConvexHullShape:
         )
         self._lp_cost = np.zeros(len(self.points))
 
+        # Affine hull: every point lies within tau = RANK_TOL x sigma_max of
+        # the mean along each normal. The full right basis needs the square
+        # U only when there are fewer points than dimensions.
+        self._mean = self.points.mean(axis=0)
+        n, d = self.points.shape
+        _, sigma, vt = np.linalg.svd(self.points - self._mean, full_matrices=n < d)
+        sigma = np.concatenate([sigma, np.zeros(d - len(sigma))])
+        tau = RANK_TOL * float(sigma.max(initial=0.0))
+        flat = sigma <= tau
+        self.affine_rank = int(d - flat.sum())
+        self._normals = vt[flat].T
+        self._margin = NORMAL_MARGIN * max(float(np.linalg.norm(hi - lo)), 1.0)
+        self._normal_bound = tau + self._margin + self._acceptance_slack(tau)
+
+    def _acceptance_slack(self, tau: float) -> float:
+        """Bound on how far past tau along a normal the accepting tests
+        reach, for queries inside the widened bounding box.
+
+        A query within the KD-tree tolerance of a point is at most that far
+        past it. An NNLS certificate with recomputed residual r has
+        q = P^T x + e, ||e|| <= r, |sum(x) - 1| <= r / scale, so it reaches
+        r (1 + (tau + ||mean||) / scale); r is largest at the box's farthest
+        corner. An LP solution feasible within F per row (x >= -F) reaches
+        F ((2n + 1) tau + ||mean|| + sqrt(d) scale).
+        """
+        n, d = self.points.shape
+        corner = np.maximum(np.abs(self._bbox[:, 0]), np.abs(self._bbox[:, 1]))
+        q_norm = float(np.linalg.norm(corner + self._margin))
+        r = RESIDUAL_TOL * self._scale * math.hypot(q_norm, self._scale)
+        mean_norm = float(np.linalg.norm(self._mean))
+        lp_reach = (2 * n + 1) * tau + mean_norm + math.sqrt(d) * self._scale
+        return max(
+            self._tol(),
+            r * (1.0 + (tau + mean_norm) / self._scale),
+            LP_FEASIBILITY_TOL * lp_reach,
+        )
+
     @property
     def dim(self) -> int:
         return self.points.shape[1]
@@ -90,24 +154,30 @@ class ConvexHullShape:
             raise DimensionMismatch(
                 f"queries must have shape (m, {self.dim}), got {qs.shape}"
             )
-        tol = self._tol()
         out = np.zeros(len(qs), dtype=bool)
-        dist, _ = self._kdtree.query(qs)
-        out |= dist <= tol
-        in_box = (
-            (qs >= self._bbox[:, 0] - tol) & (qs <= self._bbox[:, 1] + tol)
-        ).all(axis=1)
-        candidates = ~out & in_box
-        idx = np.nonzero(candidates)[0]
-        if len(idx):
-            proj = qs[idx] @ self._cut_dirs.T
+        lo, hi = self._bbox[:, 0], self._bbox[:, 1]
+        m = self._margin
+        idx = np.flatnonzero(((qs >= lo - m) & (qs <= hi + m)).all(axis=1))
+        if self._normals.shape[1] and len(idx):
+            offset = np.abs((qs[idx] - self._mean) @ self._normals).max(axis=1)
+            idx = idx[offset <= self._normal_bound]
+        if not len(idx):
+            return out
+        sub = qs[idx]
+        tol = self._tol()
+        dist, _ = self._kdtree.query(sub)
+        near = dist <= tol
+        out[idx[near]] = True
+        rest = np.flatnonzero(
+            ~near & ((sub >= lo - tol) & (sub <= hi + tol)).all(axis=1)
+        )
+        if len(rest):
+            proj = sub[rest] @ self._cut_dirs.T
             in_cuts = (
                 (proj >= self._cut_lo - tol) & (proj <= self._cut_hi + tol)
             ).all(axis=1)
-            candidates[idx[~in_cuts]] = False
-        pending = np.nonzero(candidates)[0]
-        for i in pending:
-            out[i] = self._combination_exists(qs[i])
+            for i in idx[rest[in_cuts]]:
+                out[i] = self._combination_exists(qs[i])
         return out
 
     def _combination_exists(self, q: np.ndarray) -> bool:
@@ -139,11 +209,10 @@ class ConvexHullShape:
     def estimate_measure(self, seed: int, n_samples: int) -> McVolume:
         """Monte-Carlo volume over the shape's own bounding box.
 
-        A bounding box that is flat in any dimension means the hull has
-        zero volume; that is reported exactly without sampling.
+        A hull of affine rank below its dimension (a flat bounding box is
+        one) has zero volume; that is reported exactly without sampling.
         """
-        widths = self._bbox[:, 1] - self._bbox[:, 0]
-        if not (widths > 0).all():
+        if self.affine_rank < self.dim:
             result = McVolume(0.0, 0.0, 0, 0, 0.0)
         else:
             result = mc_volume(

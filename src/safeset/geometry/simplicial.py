@@ -312,6 +312,11 @@ class AlphaShape:
     def points(self) -> np.ndarray:
         return self.complex.points
 
+    @property
+    def affine_rank(self) -> int:
+        """Always the dimension: delaunay refuses affinely dependent points."""
+        return self.complex.dim
+
     def bbox(self) -> np.ndarray:
         pts = self.complex.points
         return np.stack([pts.min(axis=0), pts.max(axis=0)], axis=1)

@@ -3,8 +3,9 @@
 Large point sets are clustered and each cluster wrapped on its own; the
 union of those wraps is the working shape. Membership is the disjunction
 of member tests. The measure sums member measures and subtracts estimated
-overlap: zero exactly when member bounding boxes are pairwise disjoint,
-otherwise Monte-Carlo multiplicity counting on the union bounding box.
+overlap: zero exactly when member bounding boxes are pairwise disjoint or
+at most one member is full-dimensional, otherwise Monte-Carlo multiplicity
+counting on the union bounding box.
 """
 
 from __future__ import annotations
@@ -89,27 +90,27 @@ class ShapeUnion:
         (multiplicity - 1) over the overlap region; that integrand is
         estimated on the union bounding box with spawned per-batch seeds.
         Every member must already carry a measure (alpha shapes always do;
-        convex wraps after estimate_measure). Disjoint member boxes make
-        the overlap exactly zero with no sampling; otherwise ``n_samples``
-        must be at least MIN_SAMPLES, as for mc_volume.
+        convex wraps after estimate_measure). The overlap is exactly zero,
+        with no sampling, when member boxes are pairwise disjoint or fewer
+        than two members have full affine rank (points covered twice then
+        lie in some member's lower-dimensional affine hull); otherwise
+        ``n_samples`` must be at least MIN_SAMPLES, as for mc_volume.
         """
         member_sum = 0.0
         for s in self.shapes:
             if s.measure is None:
                 raise ValueError("estimate member measures before the union measure")
             member_sum += s.measure
-        if len(self.shapes) == 1 or self._member_boxes_disjoint():
+        full_rank = sum(s.affine_rank == self.dim for s in self.shapes)
+        if full_rank < 2 or self._member_boxes_disjoint():
             detail = UnionMeasure(member_sum, member_sum, 0.0, 0.0)
         else:
             box = self.bbox()
             widths = box[:, 1] - box[:, 0]
-            if not (widths > 0).all():
-                detail = UnionMeasure(member_sum, member_sum, 0.0, 0.0)
-            else:
-                overlap, half = self._excess_integral(box, widths, seed, n_samples)
-                detail = UnionMeasure(
-                    max(member_sum - overlap, 0.0), member_sum, overlap, half
-                )
+            overlap, half = self._excess_integral(box, widths, seed, n_samples)
+            detail = UnionMeasure(
+                max(member_sum - overlap, 0.0), member_sum, overlap, half
+            )
         self.measure_detail = detail
         return detail
 

@@ -238,17 +238,24 @@ class _Candidate:
     lane_id: int | None
 
 
+def _other_tracks(
+    d: Dataset, traj: str, sv: Track, agent_types: tuple[str, ...]
+) -> list[Track]:
+    """The trajectory's tracks of the given types other than the SV's."""
+    return [
+        t
+        for t in d.trajectory_tracks(traj)
+        if t.agent_id != sv.agent_id and t.agent_type in agent_types
+    ]
+
+
 def _candidates_by_frame(
     d: Dataset, traj: str, agent_types: tuple[str, ...]
 ) -> tuple[Track, dict[int, list[_Candidate]]]:
     """Index every agent of the given types by frame, in SV-local coordinates."""
     sv = d.sv_track(traj)
     by_frame: dict[int, list[_Candidate]] = {int(f): [] for f in sv.frames}
-    others = [
-        t
-        for t in d.trajectory_tracks(traj)
-        if t.agent_id != sv.agent_id and t.agent_type in agent_types
-    ]
+    others = _other_tracks(d, traj, sv, agent_types)
     for other, common, _, ot_rows, dlong, dlat in sv_frame_offsets(sv, others):
         speed = np.hypot(other.vx[ot_rows], other.vy[ot_rows])
         for k, f in enumerate(common):
@@ -320,10 +327,12 @@ def _trajectory_table(
     )
 
 
-def _same_lane(sv_lane: int | None, cand: _Candidate, lane_width: float) -> bool:
-    if sv_lane is not None and cand.lane_id is not None:
-        return sv_lane == cand.lane_id
-    return abs(cand.dlat) <= lane_width / 2.0
+def _lane_codes(lanes: Sequence[int | None], codes: dict) -> np.ndarray:
+    """Lane ids as integers numbered through the shared ``codes``; None is -1."""
+    return np.array(
+        [-1 if lane is None else codes.setdefault(lane, len(codes)) for lane in lanes],
+        dtype=np.int64,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +343,9 @@ def _same_lane(sv_lane: int | None, cand: _Candidate, lane_width: float) -> bool
 def extract_lead_following(d: Dataset, spec: OssSpec) -> StateTable:
     """Project onto (v0, v1, p): SV speed, leader speed, bumper gap.
 
-    The leader is the nearest vehicle ahead of the SV in its own lane. A
+    The leader is the nearest vehicle ahead of the SV in its own lane: the
+    same lane id when both carry one, else a lateral offset within half a
+    lane width. Of equally near vehicles the first in track order leads. A
     frame without a leader, or with any coordinate outside the box, emits
     no state.
     """
@@ -343,25 +354,37 @@ def extract_lead_following(d: Dataset, spec: OssSpec) -> StateTable:
     bounds = spec.bounds()
     out: list[StateTable] = []
     for traj in d.trajectory_ids:
-        sv, by_frame = _candidates_by_frame(d, traj, VEHICLE_TYPES)
-        sv_speed = sv.speeds()
-        rows, values = [], []
-        for row, frame in enumerate(sv.frames):
-            ahead = [
-                c
-                for c in by_frame[int(frame)]
-                if c.dlong > 0 and _same_lane(sv.lane_id[row], c, spec.lane_width)
-            ]
-            if not ahead:
-                continue
-            lead = min(ahead, key=lambda c: c.dlong)
-            p = lead.dlong - (sv.length[row] + lead.length) / 2.0
-            rows.append(row)
-            values.append((sv_speed[row], lead.speed, p))
-        vals = np.asarray(values, dtype=float).reshape(len(rows), 3)
+        sv = d.sv_track(traj)
+        others = _other_tracks(d, traj, sv, VEHICLE_TYPES)
+        codes: dict = {}
+        sv_lane = _lane_codes(sv.lane_id, codes)
+        # one candidate per (neighbour, shared frame), neighbours in track order
+        empty = (np.empty(0, np.intp),) + (np.empty(0),) * 4 + (np.empty(0, np.int64),)
+        parts = [empty] + [
+            (
+                sv_rows,
+                dlong,
+                dlat,
+                np.hypot(other.vx[ot_rows], other.vy[ot_rows]),
+                other.length[ot_rows],
+                _lane_codes(other.lane_id, codes)[ot_rows],
+            )
+            for other, _, sv_rows, ot_rows, dlong, dlat in sv_frame_offsets(sv, others)
+        ]
+        row, dlong, dlat, speed, length, lane = map(np.concatenate, zip(*parts))
+        known = (sv_lane[row] >= 0) & (lane >= 0)
+        same_lane = np.where(
+            known, sv_lane[row] == lane, np.abs(dlat) <= spec.lane_width / 2.0
+        )
+        ahead = np.flatnonzero((dlong > 0) & same_lane)
+        # lexsort is stable: equal gaps keep the earlier candidate first
+        order = ahead[np.lexsort((dlong[ahead], row[ahead]))]
+        lead = order[np.diff(row[order], prepend=-1) != 0]
+        rows = row[lead]
+        p = dlong[lead] - (sv.length[rows] + length[lead]) / 2.0
+        vals = np.column_stack([sv.speeds()[rows], speed[lead], p])
         ok = ((vals >= bounds[:, 0]) & (vals <= bounds[:, 1])).all(axis=1)
-        rows_ok = np.asarray(rows, dtype=np.intp)[ok]
-        out.append(_trajectory_table(d, traj, sv, rows_ok, vals[ok], 3))
+        out.append(_trajectory_table(d, traj, sv, rows[ok], vals[ok], 3))
     return StateTable.concat(out, 3)
 
 

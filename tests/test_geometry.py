@@ -31,6 +31,8 @@ from safeset.geometry import (
     shape_is_feasible,
     thread_budget,
 )
+from safeset.geometry.hullshape import NORMAL_MARGIN
+from safeset.geometry.montecarlo import McVolume
 from safeset.geometry.simplicial import _unique_rows
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -610,6 +612,25 @@ class TestConvexHullShape:
         res = hull.estimate_measure(seed=0, n_samples=5000)
         assert res.estimate == 0.0 and res.n_samples == 0
 
+    def test_tilted_plane_measures_zero_without_sampling(self):
+        hull = ConvexHullShape(tilted_plane())
+        widths = np.ptp(hull.bbox(), axis=1)
+        assert (widths > 0).all() and hull.affine_rank == 2
+        res = hull.estimate_measure(seed=0, n_samples=5000)
+        assert res == McVolume(0.0, 0.0, 0, 0, 0.0)
+        assert hull.measure == 0.0 and hull.measure_half_width == 0.0
+
+    def test_affine_rank(self):
+        assert ConvexHullShape(SQUARE).affine_rank == 2
+        assert ConvexHullShape(np.array([[1.0, 2.0, 3.0]])).affine_rank == 0
+        assert ConvexHullShape(np.eye(3)).affine_rank == 2
+        # fewer points than dimensions: the normal space is the complement
+        hull = ConvexHullShape(np.eye(6)[:3])
+        assert hull.affine_rank == 2
+        assert hull.contains(np.eye(6)[:3].mean(axis=0))
+        assert not hull.contains(np.eye(6)[:3].mean(axis=0) + 1e-3 * np.eye(6)[5])
+        assert square_shape().affine_rank == 2
+
     def test_high_dim_membership(self):
         rng = np.random.default_rng(2)
         pts = rng.random((60, 9))
@@ -625,27 +646,91 @@ class TestConvexHullShape:
         assert not hull.contains_batch(pushed).any()
 
     def test_matches_plain_lp_feasibility(self):
-        from scipy.optimize import linprog
-
         rng = np.random.default_rng(8)
         pts = rng.random((25, 4))
         hull = ConvexHullShape(pts)
         qs = rng.random((300, 4)) * 1.4 - 0.2
-        got = hull.contains_batch(qs)
+        assert (hull.contains_batch(qs) == plain_lp_membership(hull.points, qs)).all()
 
-        n = len(hull.points)
-        a_eq = np.vstack([hull.points.T, np.ones((1, n))])
-        want = np.zeros(len(qs), dtype=bool)
-        for i, q in enumerate(qs):
-            res = linprog(
-                np.zeros(n),
-                A_eq=a_eq,
-                b_eq=np.concatenate([q, [1.0]]),
-                bounds=(0.0, None),
-                method="highs",
-            )
-            want[i] = res.status == 0
-        assert (got == want).all()
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(1, 6),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        spread=st.floats(0.1, 10.0),
+        shift=st.floats(-5.0, 5.0),
+    )
+    def test_low_rank_clouds_match_plain_lp(self, d, data, seed, spread, shift):
+        # a rank-k cloud lifted into d-D by a random rotation and offset;
+        # probes: points, convex mixes, box samples and mixes pushed along
+        # a normal by 0, 0.5, 2 and 10 x the margin
+        k = data.draw(st.integers(1, d), label="k")
+        rng = np.random.default_rng(seed)
+        flat = np.zeros((k + 3 + int(rng.integers(10)), d))
+        flat[:, :k] = rng.standard_normal((len(flat), k))
+        rotation, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        offset = shift * rng.standard_normal(d)
+        pts = spread * flat @ rotation.T + offset
+        hull = ConvexHullShape(pts)
+        assert hull.affine_rank == k
+
+        weights = rng.dirichlet(np.ones(len(pts)), size=30)
+        mixes = weights @ pts
+        lo, hi = hull.bbox()[:, 0], hull.bbox()[:, 1]
+        box = lo + rng.random((60, d)) * (hi - lo)
+        margin = NORMAL_MARGIN * max(float(np.linalg.norm(hi - lo)), 1.0)
+        normals = rotation[:, k:]
+        pushed = [
+            mixes[:10] + t * margin * normals[:, rng.integers(d - k)]
+            for t in (0.0, 0.5, 2.0, 10.0)
+            if k < d
+        ]
+        qs = np.vstack([pts, mixes, box, *pushed])
+        assert np.array_equal(hull.contains_batch(qs), plain_lp_membership(pts, qs))
+
+    def test_far_off_plane_rejected_without_a_fit(self, monkeypatch):
+        pts = tilted_plane()
+        hull = ConvexHullShape(pts)
+        assert hull.affine_rank == 2
+        normal = np.array([1.0, 1.0, -1.0]) / math.sqrt(3.0)
+        mixes = np.random.default_rng(3).dirichlet(np.ones(len(pts)), 50) @ pts
+        margin = NORMAL_MARGIN * float(np.linalg.norm(np.ptp(pts, axis=0)))
+        assert hull.contains_batch(mixes).all()
+
+        def no_fit(self, q):
+            raise AssertionError("combination fit ran")
+
+        monkeypatch.setattr(ConvexHullShape, "_combination_exists", no_fit)
+        for t in (2.0, -2.0, 10.0):
+            assert not hull.contains_batch(mixes + t * margin * normal).any()
+
+    @pytest.mark.parametrize("shift", [0.0, 1e4, -3e5])
+    def test_normal_residual_test_changes_no_verdict(self, shift):
+        # the same hull without normals runs the old order of checks; far
+        # from the origin the fit accepts points well off the plane, and
+        # the residual bound must still let them through
+        pts = tilted_plane() + shift
+        hull, reference = ConvexHullShape(pts), ConvexHullShape(pts)
+        reference._normals = reference._normals[:, :0]
+        normal = np.array([1.0, 1.0, -1.0]) / math.sqrt(3.0)
+        mixes = np.random.default_rng(3).dirichlet(np.ones(len(pts)), 20) @ pts
+        offsets = [s * 10.0**e for e in range(-12, 2) for s in (1.0, -1.0)]
+        qs = np.vstack([mixes + t * normal for t in offsets])
+        want = reference.contains_batch(qs)
+        assert want.any() and not want.all()
+        assert np.array_equal(hull.contains_batch(qs), want)
+
+    def test_non_finite_queries_are_not_members(self):
+        qs = np.array(
+            [[0.5, 0.5], [np.nan, 0.5], [0.5, np.inf], [-np.inf, 0.0], [0.0, 0.0]]
+        )
+        want = [True, False, False, False, True]
+        hull = ConvexHullShape(SQUARE)
+        assert hull.contains_batch(qs).tolist() == want
+        assert square_shape().contains_batch(qs).tolist() == want
+        union = ShapeUnion([hull, square_shape(10.0)])
+        assert union.contains_batch(qs).tolist() == want
+        assert not hull.contains([np.nan, np.nan])
 
     def test_volume_matches_hull_limit_of_alpha_shape(self):
         rng = np.random.default_rng(4)
@@ -665,6 +750,32 @@ class TestConvexHullShape:
 
 def square_shape(offset_x=0.0):
     return alpha_complex(delaunay(SQUARE + [offset_x, 0.0]), 0.75)
+
+
+def tilted_plane(n=40, seed=1):
+    """Points on the plane z = x + y over the unit square: rank 2 in 3-D,
+    with a bounding box that is not flat."""
+    xy = np.random.default_rng(seed).random((n, 2))
+    return np.column_stack([xy, xy.sum(axis=1)])
+
+
+def plain_lp_membership(points, qs):
+    """Convex-combination feasibility by one unscaled LP per query."""
+    from scipy.optimize import linprog
+
+    n = len(points)
+    a_eq = np.vstack([np.asarray(points).T, np.ones((1, n))])
+    want = np.zeros(len(qs), dtype=bool)
+    for i, q in enumerate(qs):
+        res = linprog(
+            np.zeros(n),
+            A_eq=a_eq,
+            b_eq=np.concatenate([q, [1.0]]),
+            bounds=(0.0, None),
+            method="highs",
+        )
+        want[i] = res.status == 0
+    return want
 
 
 class TestShapeUnion:
@@ -730,6 +841,25 @@ class TestShapeUnion:
         box = union.bbox()
         assert box[:, 0].tolist() == [0.0, 0.0]
         assert box[:, 1].tolist() == [11.0, 1.0]
+
+    def test_rank_deficient_members_overlap_zero_without_sampling(self):
+        # the boxes overlap, but at most one member is full-dimensional;
+        # n_samples below the minimum would raise if anything were sampled
+        planes = [ConvexHullShape(tilted_plane(seed=s)) for s in (1, 2)]
+        solids = [
+            ConvexHullShape(np.vstack([tilted_plane(), [[0.5, 0.5, z]]]))
+            for z in (0.0, 2.0)
+        ]
+        for hull in (*planes, *solids):
+            hull.estimate_measure(seed=0, n_samples=2000)
+        for members in (planes, [planes[0], solids[0]]):
+            union = ShapeUnion(members)
+            assert not union._member_boxes_disjoint()
+            detail = union.compute_measure(seed=0, n_samples=10)
+            assert detail.overlap == 0.0 and detail.overlap_half_width_95 == 0.0
+            assert detail.total == detail.member_sum == sum(m.measure for m in members)
+        with pytest.raises(ValueError, match="at least 1000"):
+            ShapeUnion(solids).compute_measure(seed=0, n_samples=10)
 
     def test_member_measures_required(self):
         hull = ConvexHullShape(SQUARE)  # measure not estimated yet

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from builders import (
     rigid_motion,
+    sample,
     scene_dataset,
     segment,
     segment_frames,
@@ -14,6 +15,8 @@ from builders import (
     table,
 )
 from safeset.errors import DimensionMismatch, FrameMisalignment, SpecKindMismatch
+from safeset.ingest import VEHICLE_TYPES, Dataset
+from safeset.kinematics import sv_frame_offsets
 from safeset.oss import (
     PRESETS,
     OssSpec,
@@ -87,6 +90,79 @@ def two_car(gap_center=20.0, sv_v=10.0, lead_v=8.0, n=5, **lead_kw):
         "lead": {"x0": gap_center, "vx": lead_v, **lead_kw},
     }
     return scene_dataset(agents, n)
+
+
+def reference_lead_states(d, spec):
+    """(trajectory, frame, state) per emitted row, the leader picked from a
+    per-frame candidate list with min(), first candidate on equal gaps."""
+    bounds = spec.bounds()
+    out = []
+    for traj in d.trajectory_ids:
+        sv = d.sv_track(traj)
+        others = [
+            t
+            for t in d.trajectory_tracks(traj)
+            if t.agent_id != sv.agent_id and t.agent_type in VEHICLE_TYPES
+        ]
+        by_frame = {int(f): [] for f in sv.frames}
+        for other, common, _, ot_rows, dlong, dlat in sv_frame_offsets(sv, others):
+            speed = np.hypot(other.vx[ot_rows], other.vy[ot_rows])
+            for k, f in enumerate(common):
+                lane = other.lane_id[ot_rows[k]]
+                by_frame[int(f)].append(
+                    (float(dlong[k]), float(dlat[k]), float(speed[k]),
+                     float(other.length[ot_rows[k]]), lane)
+                )
+        for row, frame in enumerate(sv.frames):
+            sv_lane = sv.lane_id[row]
+
+            def same_lane(c):
+                if sv_lane is not None and c[4] is not None:
+                    return sv_lane == c[4]
+                return abs(c[1]) <= spec.lane_width / 2.0
+
+            ahead = [c for c in by_frame[int(frame)] if c[0] > 0 and same_lane(c)]
+            if not ahead:
+                continue
+            lead = min(ahead, key=lambda c: c[0])
+            state = (
+                float(sv.speeds()[row]),
+                lead[2],
+                float(lead[0] - (sv.length[row] + lead[3]) / 2.0),
+            )
+            if all(lo <= v <= hi for v, (lo, hi) in zip(state, bounds)):
+                out.append((traj, int(frame), state))
+    return out
+
+
+@st.composite
+def lead_scenes(draw):
+    """Small scenes with equal gaps, missing lane ids, lane changes, frame
+    gaps, non-vehicle agents and a second trajectory."""
+    lanes = st.sampled_from([None, 1, 2])
+    samples = []
+    for traj in ("t0", "t1")[: draw(st.integers(1, 2))]:
+        n = draw(st.integers(1, 6))
+        vy = draw(st.sampled_from([0.0, 0.5]))
+        for k in range(n):
+            samples.append(
+                sample(trajectory_id=traj, frame=k, time=0.1 * k, agent_id="ego",
+                       x=1.2 * k, vx=12.0, vy=vy, lane_id=draw(lanes), sv_flag=True)
+            )
+        for j in range(draw(st.integers(0, 5))):
+            x0 = draw(st.sampled_from([-10.0, 0.0, 5.0, 12.0, 30.0]))
+            y0 = draw(st.sampled_from([0.0, 1.0, 1.875, 2.5, -3.75]))
+            vx = draw(st.sampled_from([10.0, 12.0]))
+            kind = draw(st.sampled_from(["car", "truck", "pedestrian"]))
+            length = draw(st.sampled_from([4.0, 5.0]))
+            for k in draw(st.sets(st.integers(0, n - 1), min_size=1)):
+                samples.append(
+                    sample(trajectory_id=traj, frame=k, time=0.1 * k,
+                           agent_id=f"a{j}", agent_type=kind, x=x0 + 0.1 * k * vx,
+                           y=y0, vx=vx, length=length, lane_id=draw(lanes))
+                )
+    samples.sort(key=lambda r: (r.trajectory_id, r.agent_id, r.frame))
+    return Dataset(samples, dt=0.1)
 
 
 class TestLeadFollowing:
@@ -166,6 +242,25 @@ class TestLeadFollowing:
         b = extract_lead_following(moved, LEAD)
         assert a.n_segments == b.n_segments == 1
         assert np.allclose(a.values, b.values, atol=1e-6)
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=lead_scenes())
+    def test_leader_matches_candidate_list_reference(self, d):
+        t = extract_lead_following(d, LEAD)
+        got = [
+            (t.trajectory_ids[s], int(f), tuple(v))
+            for s, f, v in zip(t.segment_ids(), t.frame, t.values.tolist())
+        ]
+        assert repr(got) == repr(reference_lead_states(d, LEAD))
+
+    def test_equal_gaps_keep_the_first_track(self):
+        agents = {
+            "ego": {"x0": 0.0, "vx": 10.0, "sv": True},
+            "a": {"x0": 15.0, "vx": 7.0, "lane_id": 1},
+            "b": {"x0": 15.0, "vx": 8.0},
+        }
+        t = extract_lead_following(scene_dataset(agents, 2), LEAD)
+        assert t.values[:, 1].tolist() == [7.0, 7.0]
 
     @settings(max_examples=30, deadline=None)
     @given(
