@@ -31,7 +31,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
 
 from ..errors import DegenerateInput, DimensionMismatch, DimensionTooHigh
-from .minball import circumballs, meb_radii
+from .minball import Balls, ball_table, columns, meb_radii
 
 DEFAULT_MAX_EXACT_DIM = 6
 REL_TOL = 1e-9
@@ -57,45 +57,66 @@ def _unique_rows(rows: np.ndarray, radix: int) -> tuple[np.ndarray, np.ndarray]:
     as np.unique(axis=0).
 
     Returns the lexicographically sorted distinct rows and the index of
-    each input row among them. Columns pack one at a time into an int64
-    key in radix ``radix`` (above every entry), and the key is replaced by
-    its dense rank after each column: ranks keep the order and stay below
-    len(rows), so no key exceeds max(radix, len(rows)) * radix, however
-    wide the rows. Vertex ids come from scipy's int32 triangulation, so
-    radix < 2**31, and the keys fit int64 for fewer than 2**32 rows.
+    each input row among them. Columns pack into one int64 key in radix
+    ``radix`` (above every entry) for as long as the key fits; only when
+    the next column would overflow is the key replaced by its dense rank,
+    which keeps the order and stays below len(rows). Equal keys are equal
+    rows, so one sort of the final key ranks the rows. Vertex ids come
+    from scipy's int32 triangulation, so radix < 2**31, and the keys fit
+    int64 for fewer than 2**32 rows: a 3-D level packs into one key.
     """
     keys = rows[:, 0].astype(np.int64)
+    bound = radix  # every key is below bound
     for col in rows.T[1:]:
+        if bound * radix > 2**63:
+            keys, first = _rank(keys)
+            bound = len(first)
         keys = keys * radix + col
-        _, first, keys = np.unique(keys, return_index=True, return_inverse=True)
-    return rows[first], keys
+        bound *= radix
+    inverse, first = _rank(keys)
+    return rows[first], inverse
+
+
+def _rank(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense rank of each int64 key, and one index per rank, in rank order."""
+    # the result is allocated ahead of the temporaries, so the heap can
+    # give their space back once they are freed
+    ranks = np.empty(len(keys), dtype=np.int64)
+    order = np.argsort(keys)
+    ordered = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    ranks[order] = np.cumsum(new) - 1
+    return ranks, order[new]
 
 
 def _subset_ball(
-    balls: dict[int, tuple[np.ndarray, np.ndarray]],
+    balls: dict[int, Balls],
     faces_of: dict[int, np.ndarray],
     k: int,
     rows: slice,
-    block: np.ndarray,
+    cols: np.ndarray,
     idx: tuple[int, ...],
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, Balls]:
     """Circumballs of vertex subset ``idx`` of the k-simplices ``rows``.
 
-    The full vertex set is solved here and stored in ``balls[k]`` for the
-    level above. A proper subset is a face already solved at a lower
-    level: dropping the other columns highest first, one face level at a
-    time, keeps the remaining columns in place and ends at its face id.
+    The full vertex set, given as (k + 1, n, m) coordinate columns, is
+    solved here and stored in ``balls[k]`` for the level above. A proper
+    subset is a face already solved at a lower level: dropping the other
+    vertex columns highest first, one face level at a time, keeps the
+    remaining ones in place and ends at its face id.
     """
     if len(idx) == k + 1:
-        centers, radii = circumballs(block)
-        balls[k][0][rows], balls[k][1][rows] = centers, radii
-        return centers, radii
+        for table, solved in zip(balls[k], ball_table(cols)):
+            table[..., rows] = solved
+        return np.arange(rows.start, rows.start + cols.shape[2]), balls[k]
     fid, level = rows, k
     for col in range(k, -1, -1):
         if col not in idx:
             fid = faces_of[level][fid, col]
             level -= 1
-    return balls[level][0][fid], balls[level][1][fid]
+    return fid, balls[level]
 
 
 def _filtration(
@@ -103,23 +124,26 @@ def _filtration(
 ) -> dict[int, np.ndarray]:
     """Minimum-enclosing-ball radius of every simplex, level by level.
 
-    Each simplex's circumball is solved once, so meb_radii reads the balls
-    of a simplex's proper faces by face id instead of solving them again
-    for every cofacet. Levels run in blocks of MEB_BLOCK simplices, which
-    bounds the temporaries.
+    Each simplex's circumball is solved and tested against its own
+    vertices once, so meb_radii reads the balls of a simplex's proper
+    faces by face id instead of solving them again for every cofacet.
+    Levels run in blocks of MEB_BLOCK simplices, which bounds the
+    temporaries.
     """
     dim = points.shape[1]
     filtration = {0: np.zeros(points.shape[0])}
-    balls: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    balls: dict[int, Balls] = {}
     for k in range(1, dim + 1):
         m = simplices[k].shape[0]
-        balls[k] = (np.empty((m, dim)), np.empty(m))
+        balls[k] = (np.empty((dim, m)), np.empty(m))
         filtration[k] = np.empty(m)
         for lo in range(0, m, MEB_BLOCK):
             rows = slice(lo, lo + MEB_BLOCK)
-            block = points[simplices[k][rows]]
+            cols = columns(points[simplices[k][rows]])
+            # an (m, j, n) view whose columns meb_radii takes without a copy
             filtration[k][rows] = meb_radii(
-                block, partial(_subset_ball, balls, faces_of, k, rows, block)
+                cols.transpose(2, 0, 1),
+                partial(_subset_ball, balls, faces_of, k, rows, cols),
             )
     return filtration
 
@@ -167,8 +191,9 @@ class SimplicialComplex:
     def near_hull(self, qs: np.ndarray) -> np.ndarray:
         """Mask of the probes within the HULL_MARGIN band of the convex hull.
 
-        Probes outside it are members of no filtered shape. The hull is
-        built once; if qhull refuses it, every probe is kept.
+        Probes outside it, and NaN or infinite probes, are members of no
+        filtered shape. The hull is built once; if qhull refuses it, every
+        finite probe is kept.
         """
         if self._hull_equations is None:
             try:
@@ -176,17 +201,19 @@ class SimplicialComplex:
             except QhullError:
                 self._hull_equations = np.empty((0, self.dim + 1))
         eq = self._hull_equations
-        keep = np.ones(len(qs), dtype=bool)
+        keep = np.isfinite(qs).all(axis=1)
         if not len(eq):
             return keep
         extent = self.points.max(axis=0) - self.points.min(axis=0)
         margin = HULL_MARGIN * max(float(np.linalg.norm(extent)), 1.0)
         normals, offsets = eq[:, :-1].T, eq[:, -1]
         step = max(1, HULL_BLOCK // len(eq))
-        for lo in range(0, len(qs), step):
-            height = qs[lo : lo + step] @ normals
+        finite = np.flatnonzero(keep)
+        for lo in range(0, len(finite), step):
+            rows = finite[lo : lo + step]
+            height = qs[rows] @ normals
             height += offsets
-            keep[lo : lo + step] = height.max(axis=1) <= margin
+            keep[rows] = height.max(axis=1) <= margin
         return keep
 
     def face_id(self, vertex_ids: tuple[int, ...]) -> int | None:
@@ -263,10 +290,9 @@ def delaunay(
     for k in range(dim, 0, -1):
         cur = simplices[k]
         m = cur.shape[0]
-        drop = np.arange(k + 1)
-        stacked = np.stack(
-            [np.delete(cur, i, axis=1) for i in drop], axis=1
-        ).reshape(m * (k + 1), k)
+        # row i of each simplex's block: its face without vertex column i
+        keep = [[c for c in range(k + 1) if c != i] for i in range(k + 1)]
+        stacked = cur[:, keep].reshape(m * (k + 1), k)
         if k == 1:
             face_ids = stacked[:, 0]
             simplices[0] = np.arange(points.shape[0], dtype=np.int64)[:, None]
@@ -442,8 +468,9 @@ def alpha_complex(c: SimplicialComplex, alpha: float) -> AlphaShape:
     else:
         n_comp = n
 
-    used = np.unique(c.simplices[c.dim][included[c.dim]])
-    covers = used.size == n
+    used = np.zeros(n, dtype=bool)
+    used[c.simplices[c.dim][included[c.dim]]] = True
+    covers = used.all()
 
     return AlphaShape(
         complex=c,

@@ -97,6 +97,29 @@ def reference_meb(pts):
     return best
 
 
+def reference_circumball(item):
+    """Center and radius of one item from its perpendicular-bisector
+    equations 2 (p_a - p_0) . u = |p_a - p_0|^2, solved by lstsq: the
+    minimum-norm u lies in the span of the p_a - p_0, so p_0 + u is the
+    center within the affine hull."""
+    d = item[1:] - item[0]
+    u = np.linalg.lstsq(2.0 * d, (d * d).sum(axis=1), rcond=None)[0]
+    return item[0] + u, float(np.linalg.norm(u))
+
+
+def layered_cloud(seed):
+    """680 points on three parallel planes, each in collinear runs: the
+    joggled triangulation of such a cloud is mostly flat tetrahedra, as
+    on the battery, whose full circumballs do not exist."""
+    rng = np.random.default_rng(seed)
+    runs = [(y, n) for y, lines, n in ((0.0, 4, 80), (0.5, 2, 20), (1.0, 4, 80))
+            for _ in range(lines)]
+    return np.vstack([
+        np.column_stack([np.sort(rng.random(n)), np.full(n, y), np.full(n, rng.random())])
+        for y, n in runs
+    ])
+
+
 def reference_complex(c):
     """Faces, face ids and filtration of c's triangulation, built level by
     level with np.unique(axis=0) and reference_meb."""
@@ -167,6 +190,39 @@ class TestCircumballs:
         assert radii[1] == pytest.approx(1.0)
         assert np.allclose(centers[1], [0.0, 0.0], atol=1e-12)
 
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), j=st.integers(2, 7), data=st.data())
+    def test_matches_bisector_reference(self, seed, j, data):
+        n = data.draw(st.integers(max(j - 1, 1), 6), label="n")
+        rng = np.random.default_rng(seed)
+        # dyadic coordinates, so the dependent items below are exact
+        batch = rng.integers(-64, 65, (16, j, n)) / 8.0
+        dependent = [0]
+        batch[0, -1] = batch[0, 0]  # a repeated point
+        if j >= 3:
+            batch[1, 2] = 2.0 * batch[1, 1] - batch[1, 0]  # a collinear triple
+            dependent.append(1)
+        if j >= 4 and n >= 3:
+            batch[2, 3] = batch[2, 1] + batch[2, 2] - batch[2, 0]  # four coplanar
+            dependent.append(2)
+        centers, radii = circumballs(batch)
+        for i, item in enumerate(batch):
+            one_center, one_radius = circumballs(batch[i : i + 1])
+            assert np.array_equal(one_center[0], centers[i])
+            assert one_radius[0] == radii[i]
+            if i in dependent:
+                assert radii[i] == math.inf
+                continue
+            sv = np.linalg.svd(item[1:] - item[0], compute_uv=False)
+            if sv[-1] <= 1e-3 * sv[0]:
+                continue  # ill-conditioned: only the batch independence above
+            want_center, want_radius = reference_circumball(item)
+            scale = np.abs(item).max() + np.abs(want_center).max()
+            assert np.abs(centers[i] - want_center).max() <= 1e-9 * scale
+            assert radii[i] == pytest.approx(want_radius, rel=1e-9)
+            spread = np.linalg.norm(item - centers[i], axis=1)
+            assert np.allclose(spread, radii[i], rtol=1e-9, atol=0.0)
+
 
 class TestMebRadii:
     def test_hand_values(self):
@@ -194,6 +250,10 @@ class TestMebRadii:
         pts = rng.random((400, j, n))
         pts[:40, -1] = pts[:40, 0] + 1e-7 * rng.random((40, n))  # near-degenerate
         assert np.array_equal(meb_radii(pts), reference_meb(pts))
+        # far from the origin, a rounded center leaves some circumballs
+        # missing their own points, so they must not cover a superset
+        far = pts + 1e7
+        assert np.array_equal(meb_radii(far), reference_meb(far))
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -250,10 +310,16 @@ class TestDelaunay:
         assert np.array_equal(c.simplices[c.dim], np.sort(c.tri.simplices, axis=1))
 
     @pytest.mark.parametrize(
-        "dim,n", [(2, 40), (3, 600), (4, 80)]  # 600 points take the joggled path
+        # 600 points and more take the joggled path
+        "dim,n", [(2, 40), (3, 600), (4, 80), (3, "layered")]
     )
     def test_faces_and_filtration_match_reference(self, dim, n):
-        c = delaunay(np.random.default_rng(dim * 1000 + n).random((n, dim)))
+        if n == "layered":
+            c = delaunay(layered_cloud(0))
+            assert c.n_points >= 600
+            assert (c.top_volumes == 0).mean() > 0.5  # mostly flat tops
+        else:
+            c = delaunay(np.random.default_rng(dim * 1000 + n).random((n, dim)))
         simplices, faces_of, filtration = reference_complex(c)
         for k in range(dim + 1):
             assert np.array_equal(c.simplices[k], simplices[k])
@@ -261,9 +327,12 @@ class TestDelaunay:
         for k in range(1, dim + 1):
             assert np.array_equal(c.faces_of[k], faces_of[k])
 
-    @pytest.mark.parametrize("radix,k", [(7, 3), (2**21, 4), (2**31 - 1, 4)])
+    @pytest.mark.parametrize(
+        "radix,k", [(7, 3), (31_847, 3), (2**21, 4), (2**31 - 1, 4)]
+    )
     def test_unique_rows_matches_numpy(self, radix, k):
-        # radix**k beyond 2**63 must not overflow the packed keys
+        # radix**k below 2**63 packs every column into one key, as a 3-D
+        # level does; beyond it the keys must be re-ranked, not overflow
         rng = np.random.default_rng(k)
         pool = rng.integers(0, radix, (60, k))
         pool[:20, 0] = pool[20:40, 0]  # shared leading columns
@@ -720,6 +789,7 @@ class TestConvexHullShape:
         assert want.any() and not want.all()
         assert np.array_equal(hull.contains_batch(qs), want)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_queries_are_not_members(self):
         qs = np.array(
             [[0.5, 0.5], [np.nan, 0.5], [0.5, np.inf], [-np.inf, 0.0], [0.0, 0.0]]
