@@ -230,5 +230,5 @@ class ConvexHullShape:
             "measure": self.measure,
             "measure_half_width_95": self.measure_half_width,
             "n_points": len(self.points),
-            "points": self.points.tolist(),
+            "points": self.points,
         }

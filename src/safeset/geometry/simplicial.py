@@ -437,11 +437,9 @@ class AlphaShape:
             "component_count": self.component_count,
             "covers_vertices": self.covers_vertices,
             "n_points": c.n_points,
-            "points": c.points.tolist(),
+            "points": c.points,
             "included_counts": {str(k): v for k, v in self.included_counts().items()},
-            "included_top_simplices": c.simplices[c.dim][
-                self.included[c.dim]
-            ].tolist(),
+            "included_top_simplices": c.simplices[c.dim][self.included[c.dim]],
         }
 
 

@@ -6,6 +6,19 @@ vendor exports can be read without rewriting files. A parsed recording is
 held in an immutable :class:`Dataset` together with its inferred sample
 period and a set of collision events.
 
+Samples are held column by column in a :class:`SampleTable`: one array per
+canonical field in file order, string fields as integer codes, and the
+rows of each (trajectory, agent) track located through a stable
+permutation and offsets. The parser reads ``csv.reader`` records in
+batches of ``_CHUNK_ROWS``, checks each batch's row lengths, then converts
+it column by column with Python's own ``float`` and ``int``, so one
+batch's strings are alive at a time and no per-row object is built. When
+any check fails in a batch, the batch is re-read row by row
+(:func:`_diagnose`), which raises the :class:`MalformedRow` naming the
+first bad line. Validation of tracks (monotone frames and times, one
+``sv_flag`` per track, one subject per trajectory, dt, irregular gaps)
+runs as array operations over the track offsets.
+
 Collision events are (trajectory_id, frame) pairs. They come from an
 optional sidecar label file, from geometric box-overlap detection, or from
 the union of both, selected by the labelling rule.
@@ -13,10 +26,13 @@ the union of both, selected by the labelling rule.
 
 from __future__ import annotations
 
+import copy
 import csv
 from dataclasses import dataclass
+from itertools import islice
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -48,6 +64,9 @@ REQUIRED_FIELDS = tuple(
     f for f in CANONICAL_FIELDS if f not in ("recording_id", "lane_id")
 )
 
+STRING_FIELDS = ("recording_id", "trajectory_id", "agent_id", "agent_type")
+FLOAT_FIELDS = ("time", "x", "y", "vx", "vy", "length", "width")
+
 LABEL_RULES = ("labels_only", "geometric_overlap", "either")
 
 _TRUE = {"1", "true", "t", "yes"}
@@ -58,6 +77,9 @@ GAP_REL_TOL = 0.10
 
 GAP_REJECT_FRACTION = 0.01
 """Tracks with more than this fraction of irregular gaps are dropped."""
+
+_CHUNK_ROWS = 4096
+"""CSV records parsed (and written) per batch."""
 
 
 @dataclass(frozen=True)
@@ -107,83 +129,272 @@ class Track:
         return float(np.hypot(np.diff(self.x), np.diff(self.y)).sum())
 
 
-def _build_track(samples: Sequence[RawSample]) -> Track:
-    first = samples[0]
-    return Track(
-        trajectory_id=first.trajectory_id,
-        agent_id=first.agent_id,
-        agent_type=first.agent_type,
-        sv_flag=first.sv_flag,
-        frames=np.array([s.frame for s in samples], dtype=np.int64),
-        times=np.array([s.time for s in samples]),
-        x=np.array([s.x for s in samples]),
-        y=np.array([s.y for s in samples]),
-        vx=np.array([s.vx for s in samples]),
-        vy=np.array([s.vy for s in samples]),
-        length=np.array([s.length for s in samples]),
-        width=np.array([s.width for s in samples]),
-        lane_id=tuple(s.lane_id for s in samples),
-    )
+class _Factorizer:
+    """Integer codes for one field's values, numbered by first appearance of
+    the normalized value over every batch passed to :meth:`codes`.
+
+    ``normalize`` maps a raw value to the stored one and raises
+    ``ValueError`` for a value it refuses; it runs once per distinct raw
+    value.
+    """
+
+    def __init__(self, normalize: Callable | None = None):
+        self.normalize = normalize
+        self.labels: list = []
+        self._code: dict = {}
+        self._raw_code: dict = {}
+
+    def codes(self, values: Sequence) -> np.ndarray:
+        raw_code = self._raw_code
+        for raw in dict.fromkeys(values):
+            if raw not in raw_code:
+                value = raw if self.normalize is None else self.normalize(raw)
+                code = self._code.setdefault(value, len(self.labels))
+                if code == len(self.labels):
+                    self.labels.append(value)
+                raw_code[raw] = code
+        return np.fromiter(map(raw_code.__getitem__, values), np.intp, len(values))
+
+
+def _first_appearance(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Codes numbering the distinct ``values`` by first appearance, and the
+    distinct values in that order."""
+    uniq, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty(len(uniq), dtype=np.intp)
+    rank[by_first] = np.arange(len(uniq))
+    return rank[inverse.reshape(-1)], uniq[by_first]
+
+
+class SampleTable:
+    """Every sample of a recording, one array per canonical field, in file order.
+
+    ``columns[f]`` holds, per row: integer codes into ``labels[f]`` for the
+    string fields (distinct values in first-appearance order, each used),
+    int64 frames and lane ids, float64 numbers and a bool ``sv_flag``.
+    ``has_lane`` is False where a row has no lane; its ``lane_id`` is then
+    0, so "no lane" differs from every integer lane.
+
+    Rows are grouped into (trajectory, agent) tracks numbered by first
+    appearance: track k is rows ``order[offsets[k]:offsets[k + 1]]``, in
+    file order. As a sequence the table yields :class:`RawSample` rows,
+    built on demand.
+    """
+
+    def __init__(
+        self,
+        columns: Mapping[str, np.ndarray],
+        labels: Mapping[str, Sequence[str]],
+        has_lane: np.ndarray,
+    ):
+        self.columns = dict(columns)
+        self.labels = {f: tuple(labels[f]) for f in STRING_FIELDS}
+        self.has_lane = has_lane
+        traj, agent = self.columns["trajectory_id"], self.columns["agent_id"]
+        n_agents = max(len(self.labels["agent_id"]), 1)
+        self.track_id, _ = _first_appearance(traj.astype(np.int64) * n_agents + agent)
+        self.order = np.argsort(self.track_id, kind="stable")
+        counts = np.bincount(self.track_id)
+        self.offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
+        first_rows = self.order[self.offsets[:-1]]
+        self.track_trajectory = traj[first_rows]
+        self.track_agent = agent[first_rows]
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[RawSample]) -> SampleTable:
+        n = len(rows)
+        columns: dict[str, np.ndarray] = {}
+        labels: dict[str, list] = {}
+        for f in STRING_FIELDS:
+            factor = _Factorizer()
+            columns[f] = factor.codes(list(map(attrgetter(f), rows)))
+            labels[f] = factor.labels
+        columns["frame"] = np.fromiter(map(attrgetter("frame"), rows), np.int64, n)
+        for f in FLOAT_FIELDS:
+            columns[f] = np.fromiter(map(attrgetter(f), rows), float, n)
+        lanes = list(map(attrgetter("lane_id"), rows))
+        has_lane = np.fromiter((v is not None for v in lanes), bool, n)
+        columns["lane_id"] = np.fromiter((v or 0 for v in lanes), np.int64, n)
+        columns["sv_flag"] = np.fromiter(map(attrgetter("sv_flag"), rows), bool, n)
+        return cls(columns, labels, has_lane)
+
+    def take(self, mask: np.ndarray) -> SampleTable:
+        """The rows where ``mask`` is True, in file order."""
+        columns = {f: c[mask] for f, c in self.columns.items()}
+        labels = {}
+        for f in STRING_FIELDS:
+            columns[f], used = _first_appearance(columns[f])
+            labels[f] = [self.labels[f][c] for c in used]
+        return SampleTable(columns, labels, self.has_lane[mask])
+
+    @property
+    def n_tracks(self) -> int:
+        return len(self.offsets) - 1
+
+    def track_key(self, k: int) -> tuple[str, str]:
+        return (
+            self.labels["trajectory_id"][self.track_trajectory[k]],
+            self.labels["agent_id"][self.track_agent[k]],
+        )
+
+    def values(self, field: str, rows=slice(None)) -> list:
+        """Field ``field`` at ``rows`` as the Python values a RawSample holds."""
+        col = self.columns[field][rows]
+        if field in self.labels:
+            return np.array(self.labels[field], dtype=object)[col].tolist()
+        if field == "lane_id":
+            return [v if h else None for v, h in zip(col.tolist(), self.has_lane[rows].tolist())]
+        return col.tolist()
+
+    def text(self, field: str, rows=slice(None)) -> list[str]:
+        """Field ``field`` at ``rows`` as written to CSV: floats by ``repr``,
+        flags as 1/0 and an empty cell for no lane."""
+        col = self.columns[field][rows]
+        if field in self.labels:
+            return np.array([str(v) for v in self.labels[field]], dtype=object)[col].tolist()
+        if field == "lane_id":
+            return ["" if v is None else str(v) for v in self.values(field, rows)]
+        if field == "sv_flag":
+            return np.array(["0", "1"], dtype=object)[col.astype(np.intp)].tolist()
+        return list(map(repr if field in FLOAT_FIELDS else str, col.tolist()))
+
+    def __len__(self) -> int:
+        return len(self.has_lane)
+
+    def __getitem__(self, i: int) -> RawSample:
+        i = range(len(self))[i]
+        return RawSample(*(self.values(f, [i])[0] for f in CANONICAL_FIELDS))
+
+    def __iter__(self) -> Iterator[RawSample]:
+        return map(RawSample, *(self.values(f) for f in CANONICAL_FIELDS))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SampleTable):
+            return NotImplemented
+        return (
+            self.labels == other.labels
+            and np.array_equal(self.has_lane, other.has_lane)
+            and all(np.array_equal(self.columns[f], other.columns[f]) for f in CANONICAL_FIELDS)
+        )
+
+    def __hash__(self):
+        # + 0 turns -0.0 into 0.0, which compares equal to it
+        return hash(
+            (tuple(self.labels.values()), self.has_lane.tobytes())
+            + tuple((self.columns[f] + 0).tobytes() for f in CANONICAL_FIELDS)
+        )
+
+
+def _track_columns(table: SampleTable) -> dict[str, np.ndarray]:
+    """The numeric columns gathered into track order (see SampleTable)."""
+    fields = ("frame", "sv_flag") + FLOAT_FIELDS
+    return {f: table.columns[f][table.order] for f in fields}
+
+
+def _inner_pairs(table: SampleTable) -> np.ndarray:
+    """In track order, True at i where rows i and i + 1 share a track."""
+    inner = np.ones(max(len(table) - 1, 0), dtype=bool)
+    inner[table.offsets[1:-1] - 1] = False
+    return inner
+
+
+def _gaps(table: SampleTable) -> np.ndarray:
+    """Time steps between consecutive samples of each track, in track order."""
+    return np.diff(table.columns["time"][table.order])[_inner_pairs(table)]
+
+
+def _validate(table: SampleTable, cols: Mapping[str, np.ndarray]) -> dict[str, str]:
+    """Check every track and trajectory; returns trajectory -> subject agent.
+
+    Of several bad tracks the first in track order raises; frames and times
+    are checked before the subject flag.
+    """
+    frame, time, flag = cols["frame"], cols["time"], cols["sv_flag"]
+    inner = _inner_pairs(table)
+    pair_track = np.repeat(np.arange(table.n_tracks), np.diff(table.offsets))[:-1]
+    backwards = inner & ((frame[1:] <= frame[:-1]) | (time[1:] <= time[:-1]))
+    mixed = inner & (flag[1:] != flag[:-1])
+    bad_order = np.zeros(table.n_tracks, dtype=bool)
+    bad_order[pair_track[backwards]] = True
+    bad_flag = np.zeros(table.n_tracks, dtype=bool)
+    bad_flag[pair_track[mixed]] = True
+    bad = np.flatnonzero(bad_order | bad_flag)
+    if bad.size:
+        k = int(bad[0])
+        if bad_order[k]:
+            raise NonMonotoneTime(*table.track_key(k))
+        raise MalformedRow(None, f"track {table.track_key(k)!r} mixes sv_flag values")
+
+    traj_labels = table.labels["trajectory_id"]
+    sv_tracks = np.flatnonzero(flag[table.offsets[:-1]])
+    sv_traj = table.track_trajectory[sv_tracks]
+    _, first = np.unique(sv_traj, return_index=True)
+    repeat = np.ones(len(sv_tracks), dtype=bool)
+    repeat[first] = False
+    if repeat.any():
+        traj = traj_labels[sv_traj[np.argmax(repeat)]]
+        raise MalformedRow(None, f"trajectory {traj!r} has more than one subject agent")
+    has_sv = np.zeros(len(traj_labels), dtype=bool)
+    has_sv[sv_traj] = True
+    if not has_sv.all():
+        traj = traj_labels[int(np.argmin(has_sv))]
+        raise MalformedRow(None, f"trajectory {traj!r} has no subject agent (sv_flag)")
+    return {traj_labels[t]: table.labels["agent_id"][a]
+            for t, a in zip(sv_traj, table.track_agent[sv_tracks])}
+
+
+def _build_tracks(table: SampleTable, cols: Mapping[str, np.ndarray]) -> dict[tuple[str, str], Track]:
+    """One Track per track, its arrays slices of the track-ordered columns."""
+    lanes = table.values("lane_id", table.order)
+    agent_types = table.values("agent_type", table.order[table.offsets[:-1]])
+    tracks: dict[tuple[str, str], Track] = {}
+    for k in range(table.n_tracks):
+        lo, hi = table.offsets[k], table.offsets[k + 1]
+        traj, agent = table.track_key(k)
+        tracks[(traj, agent)] = Track(
+            trajectory_id=traj,
+            agent_id=agent,
+            agent_type=agent_types[k],
+            sv_flag=bool(cols["sv_flag"][lo]),
+            frames=cols["frame"][lo:hi],
+            times=cols["time"][lo:hi],
+            x=cols["x"][lo:hi],
+            y=cols["y"][lo:hi],
+            vx=cols["vx"][lo:hi],
+            vy=cols["vy"][lo:hi],
+            length=cols["length"][lo:hi],
+            width=cols["width"][lo:hi],
+            lane_id=tuple(lanes[lo:hi]),
+        )
+    return tracks
 
 
 class Dataset:
     """Immutable parsed recording: samples, sample period, collision events.
 
-    Equality covers the samples, dt, and events, so a serialize/parse round
-    trip can be checked for identity. Derived indexes (tracks, per-frame
-    agent lists) are built once at construction and shared.
+    ``samples`` is the :class:`SampleTable`; a sequence of
+    :class:`RawSample` rows passed in is converted to one. Equality covers
+    the samples (column by column), dt, and events, so a serialize/parse
+    round trip can be checked for identity. Derived indexes (tracks,
+    per-trajectory track lists) are built once at construction and shared.
     """
 
     def __init__(
         self,
-        samples: Iterable[RawSample],
+        samples: SampleTable | Iterable[RawSample],
         dt: float | None = None,
         collision_events: Iterable[tuple[str, int]] = (),
     ):
-        self.samples: tuple[RawSample, ...] = tuple(samples)
-        self.collision_events: tuple[tuple[str, int], ...] = tuple(
-            sorted({(str(t), int(f)) for t, f in collision_events})
-        )
+        if not isinstance(samples, SampleTable):
+            samples = SampleTable.from_rows(list(samples))
+        self.samples: SampleTable = samples
         self.rejected_tracks: tuple[tuple[str, str], ...] = ()
+        self.trajectory_ids: tuple[str, ...] = samples.labels["trajectory_id"]
 
-        grouped: dict[tuple[str, str], list[RawSample]] = {}
-        traj_order: dict[str, None] = {}
-        for s in self.samples:
-            grouped.setdefault((s.trajectory_id, s.agent_id), []).append(s)
-            traj_order.setdefault(s.trajectory_id)
-        self.trajectory_ids: tuple[str, ...] = tuple(traj_order)
-
-        self.tracks: dict[tuple[str, str], Track] = {}
-        for key, rows in grouped.items():
-            frames = [r.frame for r in rows]
-            times = [r.time for r in rows]
-            if any(b <= a for a, b in zip(frames, frames[1:])) or any(
-                b <= a for a, b in zip(times, times[1:])
-            ):
-                raise NonMonotoneTime(key[0], key[1])
-            flags = {r.sv_flag for r in rows}
-            if len(flags) != 1:
-                raise MalformedRow(
-                    None, f"track {key!r} mixes sv_flag values"
-                )
-            self.tracks[key] = _build_track(rows)
-
-        self.sv_agent: dict[str, str] = {}
-        for (traj, agent), track in self.tracks.items():
-            if track.sv_flag:
-                if traj in self.sv_agent:
-                    raise MalformedRow(
-                        None, f"trajectory {traj!r} has more than one subject agent"
-                    )
-                self.sv_agent[traj] = agent
-        for traj in self.trajectory_ids:
-            if traj not in self.sv_agent:
-                raise MalformedRow(
-                    None, f"trajectory {traj!r} has no subject agent (sv_flag)"
-                )
-
+        cols = _track_columns(samples)
+        self.sv_agent: dict[str, str] = _validate(samples, cols)
         if dt is None:
-            gaps = self._all_gaps()
+            gaps = _gaps(samples)
             if gaps.size == 0:
                 raise MalformedRow(
                     None, "cannot infer dt: no track has two consecutive samples"
@@ -191,31 +402,40 @@ class Dataset:
             dt = float(np.median(gaps))
         self.dt: float = float(dt)
 
+        self.tracks: dict[tuple[str, str], Track] = _build_tracks(samples, cols)
+        self._tracks_by_traj: dict[str, list[Track]] = {t: [] for t in self.trajectory_ids}
+        for (traj, _), track in self.tracks.items():
+            self._tracks_by_traj[traj].append(track)
+        self._set_events(collision_events)
+
+    def _set_events(self, collision_events: Iterable[tuple[str, int]]) -> None:
+        self.collision_events: tuple[tuple[str, int], ...] = tuple(
+            sorted({(str(t), int(f)) for t, f in collision_events})
+        )
         self._events_by_traj: dict[str, tuple[int, ...]] = {}
         for traj, frame in self.collision_events:
-            self._events_by_traj.setdefault(traj, ())
-            self._events_by_traj[traj] = self._events_by_traj[traj] + (frame,)
+            self._events_by_traj[traj] = self._events_by_traj.get(traj, ()) + (frame,)
 
-    def _all_gaps(self) -> np.ndarray:
-        parts = [np.diff(t.times) for t in self.tracks.values() if len(t.times) > 1]
-        if not parts:
-            return np.empty(0)
-        return np.concatenate(parts)
+    def with_events(self, collision_events: Iterable[tuple[str, int]]) -> Dataset:
+        """This dataset with other collision events; samples and tracks are shared."""
+        out = copy.copy(self)
+        out._set_events(collision_events)
+        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
         return (
-            self.samples == other.samples
-            and self.dt == other.dt
+            self.dt == other.dt
             and self.collision_events == other.collision_events
+            and self.samples == other.samples
         )
 
     def __hash__(self):
         return hash((self.samples, self.dt, self.collision_events))
 
     def trajectory_tracks(self, trajectory_id: str) -> list[Track]:
-        return [t for (traj, _), t in self.tracks.items() if traj == trajectory_id]
+        return list(self._tracks_by_traj.get(trajectory_id, ()))
 
     def sv_track(self, trajectory_id: str) -> Track:
         return self.tracks[(trajectory_id, self.sv_agent[trajectory_id])]
@@ -228,13 +448,29 @@ class Dataset:
         return sum(self.sv_track(t).path_length_m() for t in self.trajectory_ids)
 
 
+def _agent_type(raw: str) -> str:
+    value = raw.strip().lower()
+    if value not in AGENT_TYPES:
+        raise ValueError(raw)
+    return value
+
+
+def _flag(raw: str) -> bool:
+    value = raw.strip().lower()
+    if value not in _TRUE and value not in _FALSE:
+        raise ValueError(raw)
+    return value in _TRUE
+
+
+def _lane(raw: str) -> int | None:
+    return None if raw.strip() == "" else int(raw.strip())
+
+
 def _parse_bool(raw: str, line: int) -> bool:
-    low = raw.strip().lower()
-    if low in _TRUE:
-        return True
-    if low in _FALSE:
-        return False
-    raise MalformedRow(line, f"cannot interpret {raw!r} as a boolean flag")
+    try:
+        return _flag(raw)
+    except ValueError:
+        raise MalformedRow(line, f"cannot interpret {raw!r} as a boolean flag") from None
 
 
 def _parse_float(raw: str, name: str, line: int) -> float:
@@ -252,6 +488,100 @@ def _parse_int(raw: str, name: str, line: int) -> int:
         return int(raw.strip())
     except ValueError:
         raise MalformedRow(line, f"cannot parse {name}={raw!r} as an integer") from None
+
+
+def _diagnose(rows: Sequence[list[str]], first_line: int, index: Mapping[str, int]) -> None:
+    """Check ``rows`` one by one; raise the MalformedRow of the first bad one.
+
+    ``index`` maps each canonical field present in the header to its column.
+    """
+    for line, row in enumerate(rows, start=first_line):
+        def get(f):
+            return row[index[f]] if index[f] < len(row) else None
+
+        if any(get(f) is None for f in REQUIRED_FIELDS):
+            raise MalformedRow(line, "row is shorter than the header")
+        if get("agent_type").strip().lower() not in AGENT_TYPES:
+            raise MalformedRow(
+                line, f"agent_type {get('agent_type')!r} not one of {AGENT_TYPES}"
+            )
+        length = _parse_float(get("length"), "length", line)
+        width = _parse_float(get("width"), "width", line)
+        if length < 0 or width < 0:
+            raise MalformedRow(line, "length/width must be non-negative")
+        lane = get("lane_id") if "lane_id" in index else None
+        if lane is not None and lane.strip() != "":
+            _parse_int(lane, "lane_id", line)
+        _parse_int(get("frame"), "frame", line)
+        for f in ("time", "x", "y", "vx", "vy"):
+            _parse_float(get(f), f, line)
+        _parse_bool(get("sv_flag"), line)
+
+
+class _BadBatch(Exception):
+    """A batch failed a column check; :func:`_diagnose` names the row."""
+
+
+class _ColumnReader:
+    """Converts batches of CSV records into columns, keeping the string
+    codes consistent across batches."""
+
+    def __init__(self, index: Mapping[str, int]):
+        self.index = index
+        self.required_width = 1 + max(index[f] for f in REQUIRED_FIELDS)
+        self.width = 1 + max(index.values())
+        self.factors = {
+            "recording_id": _Factorizer(),
+            "trajectory_id": _Factorizer(str.strip),
+            "agent_id": _Factorizer(str.strip),
+            "agent_type": _Factorizer(_agent_type),
+            "lane_id": _Factorizer(_lane),
+            "sv_flag": _Factorizer(_flag),
+        }
+        self.parts: dict[str, list[np.ndarray]] = {f: [] for f in CANONICAL_FIELDS}
+
+    def add(self, rows: list[list[str]]) -> None:
+        """Convert one batch; raises _BadBatch when any value is malformed."""
+        n = len(rows)
+        shortest = min(map(len, rows))
+        if shortest < self.required_width:
+            raise _BadBatch
+        if shortest < self.width:
+            # only optional columns are missing: they read as empty cells
+            rows = [r + [""] * (self.width - len(r)) for r in rows]
+
+        def cells(f):
+            return map(itemgetter(self.index[f]), rows)
+
+        try:
+            out = {"frame": np.fromiter(map(int, map(str.strip, cells("frame"))), np.int64, n)}
+            for f in FLOAT_FIELDS:
+                out[f] = np.fromiter(map(float, cells(f)), float, n)
+            for f, factor in self.factors.items():
+                if f in self.index:
+                    out[f] = factor.codes(list(cells(f)))
+                else:
+                    out[f] = factor.codes([""] * n)
+        except ValueError:
+            raise _BadBatch from None
+        numbers = np.stack([out[f] for f in FLOAT_FIELDS])
+        if not np.isfinite(numbers).all() or (numbers[-2:] < 0).any():
+            raise _BadBatch
+        for f, col in out.items():
+            self.parts[f].append(col)
+
+    def table(self) -> SampleTable:
+        # each column's batches are released as soon as they are joined
+        columns = {f: np.concatenate(self.parts.pop(f)) for f in CANONICAL_FIELDS}
+        labels = {f: self.factors[f].labels for f in STRING_FIELDS}
+        lanes = self.factors["lane_id"].labels
+        lane_codes = columns["lane_id"]
+        has_lane = np.array([v is not None for v in lanes], dtype=bool)[lane_codes]
+        columns["lane_id"] = np.array([v or 0 for v in lanes], dtype=np.int64)[lane_codes]
+        columns["sv_flag"] = np.array(self.factors["sv_flag"].labels, dtype=bool)[
+            columns["sv_flag"]
+        ]
+        return SampleTable(columns, labels, has_lane)
 
 
 def parse_trajectory_csv(
@@ -272,10 +602,13 @@ def parse_trajectory_csv(
         its events are attached verbatim (see :func:`label_collisions` for
         geometric detection).
 
-    The sample period dt is the median inter-frame time gap over all tracks.
-    Tracks whose gaps deviate from dt by more than 10% in more than 1% of
-    steps are rejected; if the rejected track is a subject vehicle the whole
-    trajectory is dropped. Row order is preserved within each track.
+    Columns resolve as ``csv.DictReader`` resolves them: of duplicate
+    headers the last wins, blank records are skipped, and line numbers in
+    errors count data records from 2. The sample period dt is the median
+    inter-frame time gap over all tracks. Tracks whose gaps deviate from dt
+    by more than 10% in more than 1% of steps are rejected; if the rejected
+    track is a subject vehicle the whole trajectory is dropped. Row order
+    is preserved within each track.
     """
     remap = dict(schema_options or {})
     unknown = set(remap) - set(CANONICAL_FIELDS)
@@ -283,106 +616,71 @@ def parse_trajectory_csv(
         raise MissingColumn(sorted(unknown)[0])
 
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        records = csv.reader(fh)
+        header = next(records, None)
+        if header is None:
             raise MalformedRow(1, "file is empty (no header)")
-        header = set(reader.fieldnames)
+        last = {name: i for i, name in enumerate(header)}
         col = {f: remap.get(f, f) for f in CANONICAL_FIELDS}
         for f in REQUIRED_FIELDS:
-            if col[f] not in header:
+            if col[f] not in last:
                 raise MissingColumn(col[f])
-        has_recording = col["recording_id"] in header
-        has_lane = col["lane_id"] in header
+        index = {f: last[col[f]] for f in CANONICAL_FIELDS if col[f] in last}
 
-        samples: list[RawSample] = []
-        for line, row in enumerate(reader, start=2):
-            get = lambda f: row.get(col[f])
-            if any(get(f) is None for f in REQUIRED_FIELDS):
-                raise MalformedRow(line, "row is shorter than the header")
-            agent_type = str(get("agent_type")).strip().lower()
-            if agent_type not in AGENT_TYPES:
-                raise MalformedRow(
-                    line,
-                    f"agent_type {get('agent_type')!r} not one of {AGENT_TYPES}",
-                )
-            length = _parse_float(get("length"), "length", line)
-            width = _parse_float(get("width"), "width", line)
-            if length < 0 or width < 0:
-                raise MalformedRow(line, "length/width must be non-negative")
-            lane_raw = row.get(col["lane_id"]) if has_lane else None
-            lane_id = (
-                None
-                if lane_raw is None or str(lane_raw).strip() == ""
-                else _parse_int(lane_raw, "lane_id", line)
-            )
-            samples.append(
-                RawSample(
-                    recording_id=str(row.get(col["recording_id"], "") or "")
-                    if has_recording
-                    else "",
-                    trajectory_id=str(get("trajectory_id")).strip(),
-                    frame=_parse_int(get("frame"), "frame", line),
-                    time=_parse_float(get("time"), "time", line),
-                    agent_id=str(get("agent_id")).strip(),
-                    agent_type=agent_type,
-                    x=_parse_float(get("x"), "x", line),
-                    y=_parse_float(get("y"), "y", line),
-                    vx=_parse_float(get("vx"), "vx", line),
-                    vy=_parse_float(get("vy"), "vy", line),
-                    length=length,
-                    width=width,
-                    lane_id=lane_id,
-                    sv_flag=_parse_bool(get("sv_flag"), line),
-                )
-            )
+        reader = _ColumnReader(index)
+        line = 2
+        while batch := list(islice(records, _CHUNK_ROWS)):
+            rows = [r for r in batch if r]
+            if not rows:
+                continue
+            try:
+                reader.add(rows)
+            except _BadBatch:
+                _diagnose(rows, line, index)
+                raise AssertionError(
+                    f"a column check failed on lines {line}-{line + len(rows) - 1}"
+                    " but no row is malformed"
+                ) from None
+            line += len(rows)
 
-    if not samples:
+    if line == 2:
         raise MalformedRow(None, "file contains a header but no rows")
 
     events: list[tuple[str, int]] = []
     if labels_path is not None:
         events = read_collision_csv(labels_path)
 
-    # first pass builds validated tracks and the global dt
-    prelim = Dataset(samples, collision_events=events)
-    kept, rejected = _filter_irregular_tracks(prelim)
-    if not rejected:
+    # first pass validates tracks and infers the global dt
+    prelim = Dataset(reader.table(), collision_events=events)
+    dropped = _filter_irregular_tracks(prelim)
+    if not dropped.any():
         return prelim
-    kept_keys = {(t.trajectory_id, t.agent_id) for t in kept}
-    kept_trajs = {k[0] for k in kept_keys}
-    filtered = [
-        s for s in samples if (s.trajectory_id, s.agent_id) in kept_keys
-    ]
+    table = prelim.samples
+    kept_trajs = {table.labels["trajectory_id"][t] for t in table.track_trajectory[~dropped]}
     final = Dataset(
-        filtered,
+        table.take(~dropped[table.track_id]),
         dt=prelim.dt,
         collision_events=[(t, f) for t, f in prelim.collision_events if t in kept_trajs],
     )
     final.rejected_tracks = tuple(sorted(
-        (t.trajectory_id, t.agent_id) for t in rejected
+        table.track_key(k) for k in np.flatnonzero(dropped)
     ))
     return final
 
 
-def _filter_irregular_tracks(d: Dataset) -> tuple[list[Track], list[Track]]:
-    rejected: list[Track] = []
-    for track in d.tracks.values():
-        if len(track.times) < 2:
-            continue
-        gaps = np.diff(track.times)
-        bad = np.abs(gaps - d.dt) > GAP_REL_TOL * d.dt
-        if bad.mean() > GAP_REJECT_FRACTION:
-            rejected.append(track)
-    dropped_trajs = {t.trajectory_id for t in rejected if t.sv_flag}
-    rejected_keys = {(t.trajectory_id, t.agent_id) for t in rejected}
-    kept = [
-        t
-        for t in d.tracks.values()
-        if (t.trajectory_id, t.agent_id) not in rejected_keys
-        and t.trajectory_id not in dropped_trajs
-    ]
-    dropped = [t for t in d.tracks.values() if t not in kept]
-    return kept, dropped
+def _filter_irregular_tracks(d: Dataset) -> np.ndarray:
+    """Per track, whether it is dropped: its gaps are irregular, or it
+    belongs to a trajectory whose subject vehicle's gaps are."""
+    table = d.samples
+    n_gaps = np.diff(table.offsets) - 1
+    gap_track = np.repeat(np.arange(table.n_tracks), n_gaps)
+    bad = np.abs(_gaps(table) - d.dt) > GAP_REL_TOL * d.dt
+    n_bad = np.bincount(gap_track, weights=bad, minlength=table.n_tracks)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rejected = (n_gaps > 0) & (n_bad / n_gaps > GAP_REJECT_FRACTION)
+    is_sv = table.columns["sv_flag"][table.order[table.offsets[:-1]]]
+    dropped_trajs = table.track_trajectory[rejected & is_sv]
+    return rejected | np.isin(table.track_trajectory, dropped_trajs)
 
 
 def read_collision_csv(path: str | Path) -> list[tuple[str, int]]:
@@ -427,11 +725,12 @@ def _geometric_events(d: Dataset) -> set[tuple[str, int]]:
 
 
 def label_collisions(d: Dataset, rule: str = "either") -> Dataset:
-    """Return a new Dataset with collision events set according to ``rule``.
+    """Return the Dataset with collision events set according to ``rule``.
 
     labels_only keeps the events already attached (sidecar labels),
     geometric_overlap replaces them with box-overlap detections, and either
-    takes the union. All three rules are idempotent.
+    takes the union. All three rules are idempotent. The result shares the
+    samples, tracks and rejected tracks of ``d``.
     """
     if rule not in LABEL_RULES:
         raise ValueError(f"unknown labelling rule {rule!r}; choose from {LABEL_RULES}")
@@ -441,26 +740,18 @@ def label_collisions(d: Dataset, rule: str = "either") -> Dataset:
         events = _geometric_events(d)
     else:
         events = set(d.collision_events) | _geometric_events(d)
-    return Dataset(d.samples, dt=d.dt, collision_events=events)
-
-
-def _format_value(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, float):
-        return repr(float(v))
-    if v is None:
-        return ""
-    return str(v)
+    return d.with_events(events)
 
 
 def write_trajectory_csv(d: Dataset, path: str | Path) -> None:
     """Write the dataset in canonical column order; floats round-trip exactly."""
+    table = d.samples
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CANONICAL_FIELDS)
-        for s in d.samples:
-            writer.writerow([_format_value(getattr(s, f)) for f in CANONICAL_FIELDS])
+        for lo in range(0, len(table), _CHUNK_ROWS):
+            rows = slice(lo, lo + _CHUNK_ROWS)
+            writer.writerows(zip(*(table.text(f, rows) for f in CANONICAL_FIELDS)))
 
 
 def write_collision_csv(events, path: str | Path) -> None:
@@ -468,5 +759,4 @@ def write_collision_csv(events, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["trajectory_id", "frame"])
-        for traj, frame in events:
-            writer.writerow([traj, frame])
+        writer.writerows(events)

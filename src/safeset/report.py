@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -333,11 +334,64 @@ def _write_slice_csv(path: Path, rows: list[dict]) -> None:
 
 
 def _write_ds_csv(path: Path, report: AnalysisReport) -> None:
+    columns = [map(repr, col.tolist()) for col in np.asarray(report.ds_values, float).T]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(report.spec.names)
-        for row in report.ds_values:
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerows(zip(*columns))
+
+
+_ARRAY_MARK = "\x00ndarray:"
+_ARRAY_SLOT = re.compile(r'(?m)^( *)(.*)"\\u0000ndarray:(\d+)"')
+
+
+def _array_json(a: np.ndarray, indent: str) -> str:
+    """``a`` as ``json.dumps(a.tolist(), indent=2)`` writes it on a line
+    indented by ``indent``.
+
+    A 2-D array of integers or finite floats is filled into one
+    %-template (``%r`` is the ``repr`` json uses for floats); anything
+    else goes through ``json``.
+    """
+    rows, cols = a.shape if a.ndim == 2 else (0, 0)
+    fast = rows and cols and (
+        a.dtype.kind in "iu" or (a.dtype.kind == "f" and np.isfinite(a).all())
+    )
+    if not fast:
+        return json.dumps(a.tolist(), indent=2).replace("\n", "\n" + indent)
+    outer, inner = "\n" + indent + "  ", "\n" + indent + "    "
+    cell = "%r" if a.dtype.kind == "f" else "%d"
+    row = "[" + inner + ("," + inner).join([cell] * cols) + outer + "]"
+    template = "[" + outer + ("," + outer).join([row] * rows) + "\n" + indent + "]"
+    return template % tuple(a.ravel().tolist())
+
+
+def dumps_json(doc) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, where ``doc`` may
+    hold numpy arrays, written as their ``tolist()``.
+
+    The arrays are cut out before ``json`` serializes the rest (its indented
+    encoder runs in pure Python) and pasted back in by :func:`_array_json`.
+    """
+    arrays: list[np.ndarray] = []
+
+    def cut(value):
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+            return f"{_ARRAY_MARK}{len(arrays) - 1}"
+        if isinstance(value, dict):
+            return {k: cut(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [cut(v) for v in value]
+        return value
+
+    text = json.dumps(cut(doc), sort_keys=True, indent=2)
+    text, pasted = _ARRAY_SLOT.subn(
+        lambda m: m[1] + m[2] + _array_json(arrays[int(m[3])], m[1]), text
+    )
+    if pasted != len(arrays):
+        raise AssertionError(f"pasted {pasted} of {len(arrays)} arrays")
+    return text + "\n"
 
 
 def _shape_document(report: AnalysisReport) -> dict:
@@ -361,9 +415,7 @@ def emit_report(report: AnalysisReport, out_dir: str | Path) -> dict:
     report_path.write_text(report.to_json())
 
     shape_path = out / "shape.json"
-    shape_path.write_text(
-        json.dumps(_shape_document(report), sort_keys=True, indent=2) + "\n"
-    )
+    shape_path.write_text(dumps_json(_shape_document(report)))
 
     ds_path = out / "ds.csv"
     _write_ds_csv(ds_path, report)

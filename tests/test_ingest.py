@@ -1,14 +1,18 @@
 """Parsing, validation, labelling, and round-trip behaviour of ingest."""
 
 import csv
+import io
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from safeset.errors import MalformedRow, MissingColumn, NonMonotoneTime
+import safeset.ingest as ingest
+from safeset.errors import MalformedRow, MissingColumn, NonMonotoneTime, SafesetError
 from safeset.ingest import (
+    AGENT_TYPES,
     CANONICAL_FIELDS,
     Dataset,
     RawSample,
@@ -88,6 +92,97 @@ def sample(**kw):
     return RawSample(**base)
 
 
+def csv_lines(rows, fields=CANONICAL_FIELDS, extra=None):
+    """The lines of a trajectory CSV; ``extra`` = (header, value) appends one
+    more column holding ``value`` on every row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(fields) + ([extra[0]] if extra else []))
+    for r in rows:
+        writer.writerow([r[k] for k in fields] + ([extra[1]] if extra else []))
+    return buf.getvalue().splitlines(keepends=True)
+
+
+# (patch to the row on line 4, the MalformedRow reason); when several fields
+# are bad, the row-wise checks run in a fixed order and the first one reports
+MALFORMED = [
+    ({"x": "abc"}, "cannot parse x='abc' as a number"),
+    ({"x": "inf"}, "x='inf' is not finite"),
+    ({"vx": "nan"}, "vx='nan' is not finite"),
+    (
+        {"agent_type": "bicycle"},
+        "agent_type 'bicycle' not one of ('car', 'truck', 'pedestrian', 'other')",
+    ),
+    ({"sv_flag": "maybe"}, "cannot interpret 'maybe' as a boolean flag"),
+    ({"frame": "1.5"}, "cannot parse frame='1.5' as an integer"),
+    ({"x": "infinity"}, "x='infinity' is not finite"),
+    ({"x": "1e400"}, "x='1e400' is not finite"),
+    ({"time": " abc "}, "cannot parse time=' abc ' as a number"),
+    ({"width": "-2.0"}, "length/width must be non-negative"),
+    ({"length": "-1e-300"}, "length/width must be non-negative"),
+    ({"lane_id": "a"}, "cannot parse lane_id='a' as an integer"),
+    ({"lane_id": "1.0"}, "cannot parse lane_id='1.0' as an integer"),
+    ({"x": "abc", "width": "-1"}, "length/width must be non-negative"),
+    ({"x": "abc", "agent_type": "bus"}, "agent_type 'bus' not one of ('car', 'truck', 'pedestrian', 'other')"),
+    ({"time": "abc", "frame": "x"}, "cannot parse frame='x' as an integer"),
+    ({"sv_flag": "2", "vy": "nan"}, "vy='nan' is not finite"),
+]
+
+def shorten(lines, i, cells):
+    """``lines`` with the last ``cells`` cells of line ``i`` removed."""
+    return lines[:i] + [lines[i].rsplit(",", cells)[0] + "\n"] + lines[i + 1:]
+
+
+_LINES = csv_lines(two_car_rows())
+_BAD_X = csv_lines([make_row(frame=1, time=0.1, x="abc")])[1]
+# name -> (file lines, reported line, reason). Lines count data records
+# after the header, not physical lines: blank records are skipped
+# uncounted and a quoted field may span lines.
+LAYOUTS = {
+    "short_row": (
+        shorten(_LINES, 3, 3),
+        4,
+        "row is shorter than the header",
+    ),
+    "blank_record_before_bad_row": (
+        _LINES[:3] + ["\n", "\n"] + [_BAD_X] + _LINES[4:],
+        4,
+        "cannot parse x='abc' as a number",
+    ),
+    "quoted_newline_before_bad_row": (
+        [_LINES[0], '"rec\n0"' + _LINES[1][4:]] + _LINES[2:3] + [_BAD_X] + _LINES[4:],
+        4,
+        "cannot parse x='abc' as a number",
+    ),
+    "duplicate_header_last_copy_bad": (
+        csv_lines(two_car_rows(), extra=("x", "abc")),
+        2,
+        "cannot parse x='abc' as a number",
+    ),
+    "short_row_hides_duplicate": (
+        shorten(csv_lines(two_car_rows(), extra=("x", "1.0")), 3, 1),
+        4,
+        "row is shorter than the header",
+    ),
+}
+
+# (patch to the row on line 4, RawSample field, parsed value): Python's own
+# float() and int() decide what spells a number
+ACCEPTED = [
+    ({"x": " 2.5 "}, "x", 2.5),
+    ({"x": "1_0"}, "x", 10.0),
+    ({"x": "-0.0"}, "x", -0.0),
+    ({"frame": " 1 "}, "frame", 1),
+    ({"sv_flag": " True "}, "sv_flag", True),
+    ({"agent_type": " Truck "}, "agent_type", "truck"),
+    ({"lane_id": " "}, "lane_id", None),
+    ({"lane_id": " -3 "}, "lane_id", -3),
+    ({"trajectory_id": " t0 "}, "trajectory_id", "t0"),
+    ({"agent_id": " ego "}, "agent_id", "ego"),
+    ({"recording_id": " r "}, "recording_id", " r "),
+]
+
+
 class TestParsing:
     def test_basic_parse(self, tmp_path):
         path = tmp_path / "a.csv"
@@ -134,17 +229,11 @@ class TestParsing:
             parse_trajectory_csv(path, schema_options={"bogus": "x"})
 
     @pytest.mark.parametrize(
-        "patch",
-        [
-            {"x": "abc"},
-            {"x": "inf"},
-            {"vx": "nan"},
-            {"agent_type": "bicycle"},
-            {"sv_flag": "maybe"},
-            {"frame": "1.5"},
-        ],
+        "patch, reason",
+        MALFORMED,
+        ids=[f"patch{i}" for i in range(len(MALFORMED))],
     )
-    def test_malformed_rows(self, tmp_path, patch):
+    def test_malformed_rows(self, tmp_path, patch, reason):
         path = tmp_path / "a.csv"
         rows = two_car_rows()
         bad = dict(make_row(frame=1, time=0.1))
@@ -153,7 +242,54 @@ class TestParsing:
         write_csv(path, rows)
         with pytest.raises(MalformedRow) as exc:
             parse_trajectory_csv(path)
-        assert exc.value.line is not None
+        assert (exc.value.line, exc.value.reason) == (4, reason)
+
+    def test_first_bad_line_wins(self, tmp_path):
+        path = tmp_path / "a.csv"
+        rows = two_car_rows()
+        rows[2]["vy"] = "oops"
+        rows[4]["x"] = "abc"
+        write_csv(path, rows)
+        with pytest.raises(MalformedRow) as exc:
+            parse_trajectory_csv(path)
+        assert (exc.value.line, exc.value.reason) == (
+            4, "cannot parse vy='oops' as a number"
+        )
+
+    @pytest.mark.parametrize("case", sorted(LAYOUTS))
+    def test_malformed_layouts(self, tmp_path, case):
+        lines, line, reason = LAYOUTS[case]
+        path = tmp_path / "a.csv"
+        path.write_text("".join(lines))
+        with pytest.raises(MalformedRow) as exc:
+            parse_trajectory_csv(path)
+        assert (exc.value.line, exc.value.reason) == (line, reason)
+
+    @pytest.mark.parametrize("patch, field, value", ACCEPTED)
+    def test_accepted_spellings(self, tmp_path, patch, field, value):
+        path = tmp_path / "a.csv"
+        rows = two_car_rows()
+        rows[2].update(patch)
+        write_csv(path, rows)
+        got = getattr(parse_trajectory_csv(path).samples[2], field)
+        assert got == value and type(got) is type(value)
+
+    def test_duplicate_header_last_column_wins(self, tmp_path):
+        rows = two_car_rows()
+        rows[2]["x"] = "abc"
+        lines = csv_lines(rows, extra=("x", "7.5"))
+        path = tmp_path / "a.csv"
+        path.write_text("".join(lines))
+        d = parse_trajectory_csv(path)
+        assert {s.x for s in d.samples} == {7.5}
+
+    def test_short_row_defaults_trailing_optional_column(self, tmp_path):
+        fields = [f for f in CANONICAL_FIELDS if f != "lane_id"] + ["lane_id"]
+        lines = shorten(csv_lines(two_car_rows(), fields=fields), 3, 1)
+        path = tmp_path / "a.csv"
+        path.write_text("".join(lines))
+        d = parse_trajectory_csv(path)
+        assert [s.lane_id for s in d.samples][1:4] == [1, None, 1]
 
     def test_non_monotone_time(self, tmp_path):
         path = tmp_path / "a.csv"
@@ -230,6 +366,13 @@ class TestTrackRejection:
         d = parse_trajectory_csv(path)
         assert d.trajectory_ids == ("t1",)
         assert ("t0", "ego") in d.rejected_tracks
+
+    def test_labelling_keeps_rejected_tracks_and_samples(self, tmp_path):
+        self.test_irregular_companion_track_dropped(tmp_path)
+        d = parse_trajectory_csv(tmp_path / "a.csv")
+        labelled = label_collisions(d, "either")
+        assert labelled.rejected_tracks == d.rejected_tracks == (("t0", "other"),)
+        assert labelled.samples is d.samples and labelled.tracks is d.tracks
 
 
 class TestLabels:
@@ -404,6 +547,288 @@ class TestDatasetValidation:
         d = Dataset(samples)
         assert d.dt == pytest.approx(0.25)
 
+    def test_equality_compares_columns(self):
+        def one(**kw):
+            return Dataset([sample(frame=0, time=0.0, **kw)], dt=0.1)
+
+        assert one(x=0.0) == one(x=-0.0) and hash(one(x=0.0)) == hash(one(x=-0.0))
+        assert one(lane_id=None) != one(lane_id=0)
+        assert one(lane_id=-1) != one(lane_id=1)
+        assert one(recording_id="a") != one(recording_id="b")
+        assert one(agent_type="car") != one(agent_type="truck")
+
     def test_single_sample_needs_explicit_dt(self):
         with pytest.raises(MalformedRow):
             Dataset([sample()])
+
+
+# --- columnar parser against a row-wise reference ---------------------------
+
+
+def _ref_float(raw, name, line):
+    try:
+        value = float(raw)
+    except ValueError:
+        raise MalformedRow(line, f"cannot parse {name}={raw!r} as a number") from None
+    if not np.isfinite(value):
+        raise MalformedRow(line, f"{name}={raw!r} is not finite")
+    return value
+
+
+def _ref_int(raw, name, line):
+    try:
+        return int(raw.strip())
+    except ValueError:
+        raise MalformedRow(line, f"cannot parse {name}={raw!r} as an integer") from None
+
+
+def _ref_bool(raw, line):
+    low = raw.strip().lower()
+    if low in ("1", "true", "t", "yes"):
+        return True
+    if low in ("0", "false", "f", "no"):
+        return False
+    raise MalformedRow(line, f"cannot interpret {raw!r} as a boolean flag")
+
+
+def _ref_dataset(samples, dt=None, events=()):
+    """Validate tracks one at a time, as a loop over grouped rows."""
+    grouped = {}
+    for s in samples:
+        grouped.setdefault((s.trajectory_id, s.agent_id), []).append(s)
+    for key, rows in grouped.items():
+        frames = [r.frame for r in rows]
+        times = [r.time for r in rows]
+        if any(b <= a for a, b in zip(frames, frames[1:])) or any(
+            b <= a for a, b in zip(times, times[1:])
+        ):
+            raise NonMonotoneTime(*key)
+        if len({r.sv_flag for r in rows}) != 1:
+            raise MalformedRow(None, f"track {key!r} mixes sv_flag values")
+    sv = {}
+    for (traj, agent), rows in grouped.items():
+        if rows[0].sv_flag:
+            if traj in sv:
+                raise MalformedRow(None, f"trajectory {traj!r} has more than one subject agent")
+            sv[traj] = agent
+    for traj in dict.fromkeys(s.trajectory_id for s in samples):
+        if traj not in sv:
+            raise MalformedRow(None, f"trajectory {traj!r} has no subject agent (sv_flag)")
+    gaps = [b.time - a.time for rows in grouped.values() for a, b in zip(rows, rows[1:])]
+    if dt is None:
+        if not gaps:
+            raise MalformedRow(None, "cannot infer dt: no track has two consecutive samples")
+        dt = float(np.median(gaps))
+    return grouped, sv, dt
+
+
+def reference_parse(path):
+    """Row-wise parse: one DictReader row, one RawSample at a time."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise MalformedRow(1, "file is empty (no header)")
+        for f in CANONICAL_FIELDS:
+            if f not in ("recording_id", "lane_id") and f not in reader.fieldnames:
+                raise MissingColumn(f)
+        has_recording = "recording_id" in reader.fieldnames
+        has_lane = "lane_id" in reader.fieldnames
+        samples = []
+        for line, row in enumerate(reader, start=2):
+            get = row.get
+            if any(get(f) is None for f in CANONICAL_FIELDS if f not in ("recording_id", "lane_id")):
+                raise MalformedRow(line, "row is shorter than the header")
+            agent_type = get("agent_type").strip().lower()
+            if agent_type not in AGENT_TYPES:
+                raise MalformedRow(line, f"agent_type {get('agent_type')!r} not one of {AGENT_TYPES}")
+            length = _ref_float(get("length"), "length", line)
+            width = _ref_float(get("width"), "width", line)
+            if length < 0 or width < 0:
+                raise MalformedRow(line, "length/width must be non-negative")
+            lane = get("lane_id") if has_lane else None
+            lane = None if lane is None or lane.strip() == "" else _ref_int(lane, "lane_id", line)
+            samples.append(RawSample(
+                recording_id=(get("recording_id") or "") if has_recording else "",
+                trajectory_id=get("trajectory_id").strip(),
+                frame=_ref_int(get("frame"), "frame", line),
+                time=_ref_float(get("time"), "time", line),
+                agent_id=get("agent_id").strip(),
+                agent_type=agent_type,
+                x=_ref_float(get("x"), "x", line),
+                y=_ref_float(get("y"), "y", line),
+                vx=_ref_float(get("vx"), "vx", line),
+                vy=_ref_float(get("vy"), "vy", line),
+                length=length,
+                width=width,
+                lane_id=lane,
+                sv_flag=_ref_bool(get("sv_flag"), line),
+            ))
+    if not samples:
+        raise MalformedRow(None, "file contains a header but no rows")
+    grouped, sv, dt = _ref_dataset(samples)
+    rejected = set()
+    for key, rows in grouped.items():
+        gaps = np.diff([r.time for r in rows])
+        if gaps.size and (np.abs(gaps - dt) > 0.1 * dt).mean() > 0.01:
+            rejected.add(key)
+    dropped_trajs = {traj for traj, agent in rejected if sv[traj] == agent}
+    dropped = {k for k in grouped if k in rejected or k[0] in dropped_trajs}
+    kept = [s for s in samples if (s.trajectory_id, s.agent_id) not in dropped]
+    d = Dataset(kept, dt=dt)
+    d.rejected_tracks = tuple(sorted(dropped))
+    return d
+
+
+def outcome(parse, path):
+    try:
+        d = parse(path)
+    except SafesetError as exc:
+        return type(exc), str(exc)
+    return d, d.rejected_tracks
+
+
+# ids that need CSV quoting; trajectory and agent ids are read stripped
+IDS = st.text(alphabet='ab,"\n\r\' ;', max_size=3).filter(lambda s: s == s.strip())
+RECORDING_IDS = st.text(alphabet='ab,"\n ', max_size=3)
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.1 + 0.2, 1.0 / 3.0, 5e-324, -1.7976931348623157e308]
+)
+SIZES = st.floats(min_value=0.0, allow_infinity=False) | st.just(-0.0)
+LANES = st.none() | st.integers(-(2**63), 2**63 - 1) | st.integers(-3, 3)
+
+
+@st.composite
+def recordings(draw):
+    """A valid Dataset: 1-3 trajectories of 1-3 agents each, one subject per
+    trajectory, rows of different tracks interleaved across trajectories."""
+    traj_ids = draw(st.lists(IDS, min_size=1, max_size=3, unique=True))
+    tracks = []
+    for traj in traj_ids:
+        agents = draw(st.lists(IDS, min_size=1, max_size=3, unique=True))
+        sv = draw(st.sampled_from(agents))
+        for agent in agents:
+            n = draw(st.integers(2 if agent == sv else 1, 4))
+            f0 = draw(st.integers(-3, 3))
+            t0 = draw(st.sampled_from([0.0, -0.0, 0.1 + 0.2, -7.25, 1e3 / 3]))
+            agent_type = draw(st.sampled_from(AGENT_TYPES))
+            tracks.append([
+                RawSample(
+                    recording_id=draw(RECORDING_IDS),
+                    trajectory_id=traj,
+                    frame=f0 + k,
+                    time=t0 if k == 0 else t0 + 0.1 * k,
+                    agent_id=agent,
+                    agent_type=agent_type,
+                    x=draw(FLOATS),
+                    y=draw(FLOATS),
+                    vx=draw(FLOATS),
+                    vy=draw(FLOATS),
+                    length=draw(SIZES),
+                    width=draw(SIZES),
+                    lane_id=draw(LANES),
+                    sv_flag=agent == sv,
+                )
+                for k in range(n)
+            ])
+    turns = draw(st.permutations([i for i, t in enumerate(tracks) for _ in t]))
+    iters = [iter(t) for t in tracks]
+    samples = [next(iters[i]) for i in turns]
+    events = draw(st.lists(st.tuples(st.sampled_from(traj_ids), st.integers(-3, 9)), max_size=3))
+    return samples, events
+
+
+class TestColumnarParser:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rec=recordings(), chunk=st.sampled_from([1, 2, 5, 4096]))
+    def test_write_parse_round_trip(self, tmp_path_factory, rec, chunk):
+        samples, events = rec
+        d = Dataset(samples, collision_events=events)
+        assert list(d.samples) == samples
+        assert d.samples[-1] == samples[-1] and len(d.samples) == len(samples)
+        root = tmp_path_factory.mktemp("rt")
+        write_trajectory_csv(d, root / "a.csv")
+        write_collision_csv(d.collision_events, root / "a_labels.csv")
+        with mock.patch.object(ingest, "_CHUNK_ROWS", chunk):
+            back = parse_trajectory_csv(root / "a.csv", labels_path=root / "a_labels.csv")
+        assert back == d and hash(back) == hash(d)
+        assert back.rejected_tracks == ()
+        assert list(back.samples) == samples
+        for key, track in d.tracks.items():
+            other = back.tracks[key]
+            assert track.lane_id == other.lane_id and track.sv_flag == other.sv_flag
+            for f in ("frames", "times", "x", "y", "vx", "vy", "length", "width"):
+                a, b = getattr(track, f), getattr(other, f)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        write_trajectory_csv(back, root / "b.csv")
+        assert (root / "b.csv").read_bytes() == (root / "a.csv").read_bytes()
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rec=recordings(), data=st.data(), chunk=st.sampled_from([1, 2, 3, 7, 4096]))
+    def test_corrupted_csv_matches_row_wise_reference(self, tmp_path_factory, rec, data, chunk):
+        samples, _ = rec
+        root = tmp_path_factory.mktemp("fuzz")
+        write_trajectory_csv(Dataset(samples, dt=0.1), root / "clean.csv")
+        with open(root / "clean.csv", newline="") as fh:
+            records = list(csv.reader(fh))
+        tokens = st.sampled_from([
+            "", " ", "abc", " 1 ", "1_0", "inf", "-inf", "nan", "infinity", "1e400",
+            "-1", "-0.0", "0.5", "1.5", "3", "True", "no", "maybe", "CAR", " truck ",
+            "bicycle", "\u0663", "0x10", "1e5", "+2", "0.2",
+        ])
+        for _ in range(data.draw(st.integers(1, 3))):
+            r = data.draw(st.integers(1, len(records) - 1))
+            edit = data.draw(st.sampled_from(["cell", "cut", "extend", "blank", "swap", "dup"]))
+            if edit == "cell":
+                c = data.draw(st.integers(0, len(records[r]) - 1)) if records[r] else 0
+                if records[r]:
+                    records[r][c] = data.draw(tokens)
+            elif edit == "cut":
+                records[r] = records[r][: data.draw(st.integers(1, 13))]
+            elif edit == "extend":
+                records[r] = records[r] + [data.draw(tokens)]
+            elif edit == "blank":
+                records.insert(r, [])
+            elif edit == "swap":
+                s = data.draw(st.integers(1, len(records) - 1))
+                records[r], records[s] = records[s], records[r]
+            else:
+                c = data.draw(st.integers(0, len(records[0]) - 1))
+                records = [records[0] + [records[0][c]]] + [
+                    row + [data.draw(tokens) if i == r - 1 else (row[c] if c < len(row) else "")]
+                    for i, row in enumerate(records[1:])
+                ]
+        path = root / "bad.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(records)
+        with mock.patch.object(ingest, "_CHUNK_ROWS", chunk):
+            got = outcome(parse_trajectory_csv, path)
+        assert got == outcome(reference_parse, path)
+
+
+def test_parse_and_label_build_no_row_objects(tmp_path, monkeypatch):
+    rows = []
+    for traj in ("t0", "t1", "t2"):
+        for k in range(8):
+            t = 0.1 * k
+            rows.append(make_row(trajectory_id=traj, frame=k, time=t, x=k, sv_flag=1))
+            rows.append(make_row(trajectory_id=traj, frame=k, time=t, agent_id="lead",
+                                 x=30 + k, sv_flag=0))
+    jittery = [0.0, 0.1, 0.25, 0.3, 0.45, 0.5, 0.65, 0.7]
+    rows += [make_row(trajectory_id="t1", frame=k, time=t, agent_id="other", x=60 + k,
+                      sv_flag=0) for k, t in enumerate(jittery)]
+    write_csv(tmp_path / "a.csv", rows)
+    built = []
+    init = RawSample.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RawSample, "__init__", counting_init)
+    d = label_collisions(parse_trajectory_csv(tmp_path / "a.csv"), "either")
+    assert d.trajectory_ids == ("t0", "t1", "t2")
+    assert d.rejected_tracks == (("t1", "other"),)
+    assert len(built) == 0
+    assert d.samples[0].agent_id == "ego" and len(built) == 1

@@ -20,8 +20,11 @@ from safeset.pipeline import (
     AnalysisConfig,
     run_analysis,
 )
+from safeset.geometry import ConvexHullShape, ShapeUnion, alpha_complex, delaunay
 from safeset.report import (
     REPORT_SCHEMA,
+    _shape_document,
+    dumps_json,
     emit_report,
     render_slice,
     slice_plans,
@@ -351,6 +354,56 @@ class TestReportArtifacts:
             rows = render_slice(safe_report, plan, 25)
             counts.append(sum(r["probe_member"] for r in rows))
         assert any(c > 0 for c in counts)
+
+
+def json_reference(doc):
+    """What shape.json held before: the pure-Python indented encoder on lists."""
+    return json.dumps(doc, sort_keys=True, indent=2, default=lambda a: a.tolist()) + "\n"
+
+
+def awkward_cloud(n, dim, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, dim))
+    pts[0, 0] = 0.1 + 0.2
+    pts[1, :] = [1.0 / 3.0] + [-0.0] * (dim - 1)
+    pts[2, 0] = 5e-324
+    return pts
+
+
+class TestShapeJson:
+    def test_alpha_shape(self):
+        shape = alpha_complex(delaunay(awkward_cloud(60, 3, 0)), 0.4)
+        doc = {"normalization": {"names": ["a", "b", "c"]}, "shape": shape.to_dict()}
+        assert doc["shape"]["included_top_simplices"].size > 0
+        assert dumps_json(doc) == json_reference(doc)
+
+    def test_convex_wrap_and_union(self):
+        hull = ConvexHullShape(awkward_cloud(40, 4, 1))
+        hull.estimate_measure(0, 2000)
+        other = ConvexHullShape(awkward_cloud(30, 4, 2) + 3.0)
+        other.estimate_measure(1, 2000)
+        union = ShapeUnion([hull, other], provenance={"leaf_sizes": [40, 30]})
+        union.compute_measure(seed=0, n_samples=2000)
+        for shape in (hull, union):
+            doc = {"shape": shape.to_dict()}
+            assert dumps_json(doc) == json_reference(doc)
+
+    def test_empty_shape_and_edge_arrays(self):
+        doc = {
+            "shape": {"kind": "empty"},
+            "no_rows": np.zeros((0, 3)),
+            "no_ints": np.zeros((0, 4), dtype=np.int64),
+            "no_columns": np.zeros((2, 0)),
+            "nested": [{"rows": np.array([[1, -2]], dtype=np.int32)}, np.array([[np.nan, 1.5]])],
+            "flags": np.array([[True, False]]),
+            "flat": np.array([0.25, -0.0]),
+        }
+        assert dumps_json(doc) == json_reference(doc)
+
+    def test_emitted_shape_json(self, tmp_path, safe_report):
+        paths = emit_report(safe_report, tmp_path / "out")
+        expected = json_reference(_shape_document(safe_report))
+        assert Path(paths["shape"]).read_text() == expected
 
 
 def run_cli(*argv):
