@@ -11,17 +11,24 @@ Integration is forward Euler (positions advance with the pre-step speed)
 at a fixed step; follower speed is floored at zero. A step that closes the
 bumper gap ends the run: the follower is clamped to exact contact, the
 frame is emitted, and a collision event is recorded at it.
+
+Samples go straight into columns: each Euler step appends its four state
+floats (follower and lead position and speed) to one flat list, and one
+builder turns a battery's list into a :class:`~safeset.ingest.SampleTable`
+whose rows are each frame's follower then its lead, episode after episode.
+No per-row object is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import NonPositiveGap
-from .ingest import Dataset, RawSample
+from .ingest import Dataset, SampleTable
 
 VEHICLE_LENGTH = 4.0
 VEHICLE_WIDTH = 2.0
@@ -66,7 +73,7 @@ def idm_accel(params: IdmParams, v: float, gap: float, dv: float) -> float:
     a = params.a_max * (
         1.0 - (v / params.v_free) ** params.delta - (desired / gap) ** 2
     )
-    return float(np.clip(a, -params.b_max, params.a_max))
+    return min(max(a, -params.b_max), params.a_max)
 
 
 @dataclass(frozen=True)
@@ -82,6 +89,12 @@ class ScenarioSpec:
     dt: float = DEFAULT_DT
 
     def __post_init__(self):
+        numbers = (self.sv_speed0, self.lead_speed0, self.initial_gap,
+                   self.lead_decel, self.duration_s)
+        if not all(map(math.isfinite, numbers)):
+            raise ValueError("speeds, gap, lead deceleration and duration must be finite")
+        if self.duration_s <= 0.0:
+            raise ValueError("duration must be positive")
         if self.initial_gap <= 0.0:
             raise ValueError("initial gap must be positive")
         if not (0.0 < self.dt <= 0.1):
@@ -90,10 +103,9 @@ class ScenarioSpec:
             raise ValueError("initial speeds must be non-negative")
 
 
-def simulate_follow(
-    params: IdmParams, scenario: ScenarioSpec, recording_id: str = "sim"
-) -> tuple[list[RawSample], tuple[str, int] | None]:
-    """Run one episode; returns its samples and the collision event, if any."""
+def _follow(params: IdmParams, scenario: ScenarioSpec, states: list[float]) -> int | None:
+    """Run one episode, appending (sv_x, lead_x, v_sv, v_lead) per frame to
+    ``states``; returns the collision frame, if any."""
     dt = scenario.dt
     half_sum = VEHICLE_LENGTH  # (own + lead) / 2 with equal lengths
     sv_x = 0.0
@@ -101,51 +113,8 @@ def simulate_follow(
     v_sv = scenario.sv_speed0
     v_lead = scenario.lead_speed0
     n_steps = int(round(scenario.duration_s / dt))
-    traj = scenario.name
 
-    rows: list[RawSample] = []
-
-    def emit(frame: int) -> None:
-        t = frame * dt
-        rows.append(
-            RawSample(
-                recording_id=recording_id,
-                trajectory_id=traj,
-                frame=frame,
-                time=t,
-                agent_id="sv",
-                agent_type="car",
-                x=sv_x,
-                y=0.0,
-                vx=v_sv,
-                vy=0.0,
-                length=VEHICLE_LENGTH,
-                width=VEHICLE_WIDTH,
-                lane_id=1,
-                sv_flag=True,
-            )
-        )
-        rows.append(
-            RawSample(
-                recording_id=recording_id,
-                trajectory_id=traj,
-                frame=frame,
-                time=t,
-                agent_id="lead",
-                agent_type="car",
-                x=lead_x,
-                y=0.0,
-                vx=v_lead,
-                vy=0.0,
-                length=VEHICLE_LENGTH,
-                width=VEHICLE_WIDTH,
-                lane_id=1,
-                sv_flag=False,
-            )
-        )
-
-    emit(0)
-    collision: tuple[str, int] | None = None
+    states += (sv_x, lead_x, v_sv, v_lead)
     for k in range(1, n_steps + 1):
         gap = lead_x - sv_x - half_sum
         a = idm_accel(params, v_sv, gap, v_sv - v_lead)
@@ -155,11 +124,66 @@ def simulate_follow(
         v_lead = max(0.0, v_lead - scenario.lead_decel * dt)
         if lead_x - sv_x - half_sum <= 0.0:
             sv_x = lead_x - half_sum  # clamp to exact bumper contact
-            emit(k)
-            collision = (traj, k)
-            break
-        emit(k)
-    return rows, collision
+            states += (sv_x, lead_x, v_sv, v_lead)
+            return k
+        states += (sv_x, lead_x, v_sv, v_lead)
+    return None
+
+
+def _sample_table(
+    scenarios: Sequence[ScenarioSpec],
+    n_frames: Sequence[int],
+    states: list[float],
+    recording_id: str,
+) -> SampleTable:
+    """The samples of episodes run one after another into ``states``.
+
+    Episode i contributed ``n_frames[i]`` frames; each frame gives a row for
+    the follower ("sv") then one for the lead. Trajectory codes number the
+    scenario names by first appearance, so episodes sharing a name share a
+    trajectory.
+    """
+    state = np.array(states).reshape(-1, 4)
+    counts = np.asarray(n_frames)
+    frame = np.arange(len(state)) - np.repeat(np.cumsum(counts) - counts, counts)
+    time = frame * np.repeat([sc.dt for sc in scenarios], counts)
+    names: dict[str, int] = {}
+    codes = [names.setdefault(sc.name, len(names)) for sc in scenarios]
+    n = 2 * len(state)
+    agent = np.tile(np.array([0, 1], dtype=np.intp), len(state))
+    columns = {
+        "recording_id": np.zeros(n, dtype=np.intp),
+        "trajectory_id": np.repeat(np.array(codes, dtype=np.intp), 2 * counts),
+        "frame": np.repeat(frame, 2),
+        "time": np.repeat(time, 2),
+        "agent_id": agent,
+        "agent_type": np.zeros(n, dtype=np.intp),
+        "x": state[:, :2].reshape(-1),
+        "y": np.zeros(n),
+        "vx": state[:, 2:].reshape(-1),
+        "vy": np.zeros(n),
+        "length": np.full(n, VEHICLE_LENGTH),
+        "width": np.full(n, VEHICLE_WIDTH),
+        "lane_id": np.ones(n, dtype=np.int64),
+        "sv_flag": agent == 0,
+    }
+    labels = {
+        "recording_id": [recording_id],
+        "trajectory_id": list(names),
+        "agent_id": ["sv", "lead"],
+        "agent_type": ["car"],
+    }
+    return SampleTable(columns, labels, np.ones(n, dtype=bool))
+
+
+def simulate_follow(
+    params: IdmParams, scenario: ScenarioSpec, recording_id: str = "sim"
+) -> tuple[SampleTable, tuple[str, int] | None]:
+    """Run one episode; returns its samples and the collision event, if any."""
+    states: list[float] = []
+    frame = _follow(params, scenario, states)
+    table = _sample_table([scenario], [len(states) // 4], states, recording_id)
+    return table, None if frame is None else (scenario.name, frame)
 
 
 STATIONARY_SLACK_GAP = 2.0  # x initial speed, low-speed cells
@@ -231,13 +255,16 @@ def simulate_battery(
     params: IdmParams, battery: list[ScenarioSpec], recording_id: str = "aeb"
 ) -> Dataset:
     """Simulate every scenario and assemble one labelled Dataset."""
-    samples: list[RawSample] = []
-    events: list[tuple[str, int]] = []
-    for sc in battery:
-        rows, collision = simulate_follow(params, sc, recording_id=recording_id)
-        samples.extend(rows)
-        if collision is not None:
-            events.append(collision)
     if not battery:
         raise ValueError("battery must contain at least one scenario")
-    return Dataset(samples, dt=battery[0].dt, collision_events=events)
+    states: list[float] = []
+    n_frames: list[int] = []
+    events: list[tuple[str, int]] = []
+    for sc in battery:
+        start = len(states)
+        frame = _follow(params, sc, states)
+        n_frames.append((len(states) - start) // 4)
+        if frame is not None:
+            events.append((sc.name, frame))
+    table = _sample_table(battery, n_frames, states, recording_id)
+    return Dataset(table, dt=battery[0].dt, collision_events=events)
