@@ -7,7 +7,7 @@ import numpy as np
 from .cluster import hierarchical_cluster
 from .hullshape import ConvexHullShape
 from .minball import circumballs, meb_radii
-from .montecarlo import McVolume, mc_volume, thread_budget
+from .montecarlo import McVolume, mc_volume
 from .search import AlphaSearchResult, search_optimal_alpha, shape_is_feasible
 from .simplicial import (
     DEFAULT_MAX_EXACT_DIM,
@@ -49,5 +49,4 @@ __all__ = [
     "meb_radii",
     "search_optimal_alpha",
     "shape_is_feasible",
-    "thread_budget",
 ]

@@ -104,7 +104,12 @@ class RawSample:
 
 @dataclass(eq=False)
 class Track:
-    """Column-oriented view of one agent's samples within one trajectory."""
+    """Column-oriented view of one agent's samples within one trajectory.
+
+    Every per-sample field is an array. ``lane_id`` is int64 and
+    ``has_lane`` is False where a sample has no lane (its ``lane_id`` is
+    then 0), as in :class:`SampleTable`.
+    """
 
     trajectory_id: str
     agent_id: str
@@ -118,7 +123,8 @@ class Track:
     vy: np.ndarray
     length: np.ndarray
     width: np.ndarray
-    lane_id: tuple[int | None, ...]
+    lane_id: np.ndarray
+    has_lane: np.ndarray
 
     def speeds(self) -> np.ndarray:
         return np.hypot(self.vx, self.vy)
@@ -286,9 +292,12 @@ class SampleTable:
 
 
 def _track_columns(table: SampleTable) -> dict[str, np.ndarray]:
-    """The numeric columns gathered into track order (see SampleTable)."""
-    fields = ("frame", "sv_flag") + FLOAT_FIELDS
-    return {f: table.columns[f][table.order] for f in fields}
+    """The numeric columns and the ``has_lane`` mask gathered into track
+    order (see SampleTable)."""
+    fields = ("frame", "lane_id", "sv_flag") + FLOAT_FIELDS
+    cols = {f: table.columns[f][table.order] for f in fields}
+    cols["has_lane"] = table.has_lane[table.order]
+    return cols
 
 
 def _inner_pairs(table: SampleTable) -> np.ndarray:
@@ -345,7 +354,6 @@ def _validate(table: SampleTable, cols: Mapping[str, np.ndarray]) -> dict[str, s
 
 def _build_tracks(table: SampleTable, cols: Mapping[str, np.ndarray]) -> dict[tuple[str, str], Track]:
     """One Track per track, its arrays slices of the track-ordered columns."""
-    lanes = table.values("lane_id", table.order)
     agent_types = table.values("agent_type", table.order[table.offsets[:-1]])
     tracks: dict[tuple[str, str], Track] = {}
     for k in range(table.n_tracks):
@@ -364,7 +372,8 @@ def _build_tracks(table: SampleTable, cols: Mapping[str, np.ndarray]) -> dict[tu
             vy=cols["vy"][lo:hi],
             length=cols["length"][lo:hi],
             width=cols["width"][lo:hi],
-            lane_id=tuple(lanes[lo:hi]),
+            lane_id=cols["lane_id"][lo:hi],
+            has_lane=cols["has_lane"][lo:hi],
         )
     return tracks
 

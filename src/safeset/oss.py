@@ -11,6 +11,8 @@ describing the subject vehicle (SV) and its immediate neighbourhood:
   the nearest pedestrian ahead of each front bumper corner.
 * combined (17-D): the two previous vectors merged on their shared SV speed.
 
+Each extractor picks neighbours with array operations from one candidate
+table per trajectory, a row per (neighbour, frame shared with the SV).
 Frames that fail the validity rules of a space (no relevant neighbour, or
 any coordinate outside the configured box) are skipped. The surviving
 states of every trajectory land in one :class:`StateTable`: an (n, d)
@@ -227,48 +229,43 @@ def transitions(table: StateTable) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class _Candidate:
-    """Another agent seen from the SV at one frame, in the SV's local frame."""
-
-    dlong: float
-    dlat: float
-    speed: float
-    length: float
-    lane_id: int | None
-
-
-def _other_tracks(
+def _candidates(
     d: Dataset, traj: str, sv: Track, agent_types: tuple[str, ...]
-) -> list[Track]:
-    """The trajectory's tracks of the given types other than the SV's."""
-    return [
+) -> tuple[np.ndarray, ...]:
+    """The trajectory's other agents of the given types, seen from the SV.
+
+    One row per (agent, frame shared with the SV), agents in track order:
+    columns SV row, dlong, dlat (SV-local center offsets), speed, length,
+    lane id and has-lane mask.
+    """
+    others = [
         t
         for t in d.trajectory_tracks(traj)
         if t.agent_id != sv.agent_id and t.agent_type in agent_types
     ]
+    empty = (np.empty(0, np.intp),) + (np.empty(0),) * 4
+    empty += (np.empty(0, np.int64), np.empty(0, bool))
+    parts = [empty] + [
+        (
+            sv_rows,
+            dlong,
+            dlat,
+            np.hypot(other.vx[ot_rows], other.vy[ot_rows]),
+            other.length[ot_rows],
+            other.lane_id[ot_rows],
+            other.has_lane[ot_rows],
+        )
+        for other, _, sv_rows, ot_rows, dlong, dlat in sv_frame_offsets(sv, others)
+    ]
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
-def _candidates_by_frame(
-    d: Dataset, traj: str, agent_types: tuple[str, ...]
-) -> tuple[Track, dict[int, list[_Candidate]]]:
-    """Index every agent of the given types by frame, in SV-local coordinates."""
-    sv = d.sv_track(traj)
-    by_frame: dict[int, list[_Candidate]] = {int(f): [] for f in sv.frames}
-    others = _other_tracks(d, traj, sv, agent_types)
-    for other, common, _, ot_rows, dlong, dlat in sv_frame_offsets(sv, others):
-        speed = np.hypot(other.vx[ot_rows], other.vy[ot_rows])
-        for k, f in enumerate(common):
-            by_frame[int(f)].append(
-                _Candidate(
-                    dlong=float(dlong[k]),
-                    dlat=float(dlat[k]),
-                    speed=float(speed[k]),
-                    length=float(other.length[ot_rows[k]]),
-                    lane_id=other.lane_id[ot_rows[k]],
-                )
-            )
-    return sv, by_frame
+def _nearest(group: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Index of the smallest ``dist`` in each group of equal non-negative
+    ``group`` keys, groups ascending. lexsort is stable, so of equally near
+    candidates the first wins."""
+    order = np.lexsort((dist, group))
+    return order[np.diff(group[order], prepend=-1) != 0]
 
 
 def _assemble_segments(
@@ -311,27 +308,13 @@ def _assemble_segments(
 
 
 def _trajectory_table(
-    d: Dataset, traj: str, sv: Track, rows: Sequence[int], values, dim: int
+    d: Dataset, traj: str, sv: Track, rows: np.ndarray, values: np.ndarray
 ) -> StateTable:
-    """Segments of the ``dim``-D states found at SV rows ``rows``."""
-    rows_arr = np.asarray(rows, dtype=np.intp)
-    frame = sv.frames[rows_arr]
+    """Segments of the states ``values`` found at SV rows ``rows``."""
+    frame = sv.frames[rows]
     events = d.events_for(traj)
     return _assemble_segments(
-        traj,
-        frame,
-        sv.times[rows_arr],
-        np.asarray(values, dtype=float).reshape(len(rows_arr), dim),
-        np.isin(frame, events),
-        events,
-    )
-
-
-def _lane_codes(lanes: Sequence[int | None], codes: dict) -> np.ndarray:
-    """Lane ids as integers numbered through the shared ``codes``; None is -1."""
-    return np.array(
-        [-1 if lane is None else codes.setdefault(lane, len(codes)) for lane in lanes],
-        dtype=np.int64,
+        traj, frame, sv.times[rows], values, np.isin(frame, events), events
     )
 
 
@@ -355,103 +338,77 @@ def extract_lead_following(d: Dataset, spec: OssSpec) -> StateTable:
     out: list[StateTable] = []
     for traj in d.trajectory_ids:
         sv = d.sv_track(traj)
-        others = _other_tracks(d, traj, sv, VEHICLE_TYPES)
-        codes: dict = {}
-        sv_lane = _lane_codes(sv.lane_id, codes)
-        # one candidate per (neighbour, shared frame), neighbours in track order
-        empty = (np.empty(0, np.intp),) + (np.empty(0),) * 4 + (np.empty(0, np.int64),)
-        parts = [empty] + [
-            (
-                sv_rows,
-                dlong,
-                dlat,
-                np.hypot(other.vx[ot_rows], other.vy[ot_rows]),
-                other.length[ot_rows],
-                _lane_codes(other.lane_id, codes)[ot_rows],
-            )
-            for other, _, sv_rows, ot_rows, dlong, dlat in sv_frame_offsets(sv, others)
-        ]
-        row, dlong, dlat, speed, length, lane = map(np.concatenate, zip(*parts))
-        known = (sv_lane[row] >= 0) & (lane >= 0)
+        row, dlong, dlat, speed, length, lane, has_lane = _candidates(
+            d, traj, sv, VEHICLE_TYPES
+        )
         same_lane = np.where(
-            known, sv_lane[row] == lane, np.abs(dlat) <= spec.lane_width / 2.0
+            sv.has_lane[row] & has_lane,
+            sv.lane_id[row] == lane,
+            np.abs(dlat) <= spec.lane_width / 2.0,
         )
         ahead = np.flatnonzero((dlong > 0) & same_lane)
-        # lexsort is stable: equal gaps keep the earlier candidate first
-        order = ahead[np.lexsort((dlong[ahead], row[ahead]))]
-        lead = order[np.diff(row[order], prepend=-1) != 0]
+        lead = ahead[_nearest(row[ahead], dlong[ahead])]
         rows = row[lead]
         p = dlong[lead] - (sv.length[rows] + length[lead]) / 2.0
         vals = np.column_stack([sv.speeds()[rows], speed[lead], p])
         ok = ((vals >= bounds[:, 0]) & (vals <= bounds[:, 1])).all(axis=1)
-        out.append(_trajectory_table(d, traj, sv, rows[ok], vals[ok], 3))
+        out.append(_trajectory_table(d, traj, sv, rows[ok], vals[ok]))
     return StateTable.concat(out, 3)
-
-
-def _band(dlat: float, spec: OssSpec) -> str | None:
-    lo, hi = spec.side_band
-    if abs(dlat) <= spec.lane_width / 2.0:
-        return "c"
-    if lo <= dlat <= hi:
-        return "l"
-    if -hi <= dlat <= -lo:
-        return "r"
-    return None
 
 
 def extract_multi_vehicle(d: Dataset, spec: OssSpec) -> StateTable:
     """Project onto the 13-D neighbourhood vector.
 
-    Each of the six subregions keeps its nearest vehicle (center distance),
-    described by the signed bumper gap p (positive ahead, negative behind,
-    zero on longitudinal overlap) and its speed. Unoccupied or out-of-bounds
-    subregions take maximal-clearance fills: (p_max, v0) in front, (p_min,
-    v0) behind. A frame is valid when at least one subregion holds a real
-    vehicle and v0 is in bounds; every coordinate is then inside the box.
+    Each of the six subregions keeps its nearest vehicle (center distance;
+    the first in track order on equal distances), described by the signed
+    bumper gap p (positive ahead, negative behind, zero on longitudinal
+    overlap) and its speed. A vehicle within half a lane width laterally is
+    in the center band, else in the left or right band when its lateral
+    offset lies in ``side_band`` on that side. Unoccupied subregions, and
+    those whose nearest vehicle is out of bounds, take maximal-clearance
+    fills: (p_max, v0) in front, (p_min, v0) behind. A frame is valid when
+    at least one subregion holds a real vehicle and v0 is in bounds; every
+    coordinate is then inside the box.
     """
     if spec.kind not in ("multi_vehicle", "combined"):
         raise SpecKindMismatch(f"expected multi_vehicle spec, got {spec.kind!r}")
-    v_bounds = (spec.v_min, spec.v_max)
-    p_bounds = (spec.p_min, spec.p_max)
+    lo, hi = spec.side_band
     dim = len(MULTI_NAMES)
     out: list[StateTable] = []
     for traj in d.trajectory_ids:
-        sv, by_frame = _candidates_by_frame(d, traj, VEHICLE_TYPES)
-        sv_speed = sv.speeds()
-        rows, states = [], []
-        for row, frame in enumerate(sv.frames):
-            v0 = float(sv_speed[row])
-            if not (v_bounds[0] <= v0 <= v_bounds[1]):
-                continue
-            best: dict[str, tuple[float, float, float]] = {}
-            for c in by_frame[int(frame)]:
-                band = _band(c.dlat, spec)
-                if band is None:
-                    continue
-                sub = ("f" if c.dlong >= 0 else "r") + band
-                gap = abs(c.dlong) - (sv.length[row] + c.length) / 2.0
-                p = float(np.sign(c.dlong) * gap) if gap > 0 else 0.0
-                dist = float(np.hypot(c.dlong, c.dlat))
-                if sub not in best or dist < best[sub][0]:
-                    best[sub] = (dist, p, c.speed)
-            values = [v0]
-            occupied = 0
-            for sub in SUBREGIONS:
-                fill_p = spec.p_max if sub.startswith("f") else spec.p_min
-                if sub in best:
-                    _, p, v1 = best[sub]
-                    if (
-                        p_bounds[0] <= p <= p_bounds[1]
-                        and v_bounds[0] <= v1 <= v_bounds[1]
-                    ):
-                        values.extend([p, v1])
-                        occupied += 1
-                        continue
-                values.extend([fill_p, v0])
-            if occupied:
-                rows.append(row)
-                states.append(values)
-        out.append(_trajectory_table(d, traj, sv, rows, states, dim))
+        sv = d.sv_track(traj)
+        row, dlong, dlat, speed, length, _, _ = _candidates(d, traj, sv, VEHICLE_TYPES)
+        # bands index SUBREGIONS within front (fl, fc, fr) and rear (rl, rc, rr)
+        band = np.select(
+            [
+                np.abs(dlat) <= spec.lane_width / 2.0,
+                (lo <= dlat) & (dlat <= hi),
+                (-hi <= dlat) & (dlat <= -lo),
+            ],
+            [1, 0, 2],
+            -1,
+        )
+        sub = 3 * (dlong < 0) + band
+        seen = np.flatnonzero(band >= 0)
+        dist = np.hypot(dlong[seen], dlat[seen])
+        near = seen[_nearest(len(SUBREGIONS) * row[seen] + sub[seen], dist)]
+        gap = np.abs(dlong[near]) - (sv.length[row[near]] + length[near]) / 2.0
+        p = np.where(gap > 0, np.sign(dlong[near]) * gap, 0.0)
+        v1 = speed[near]
+        ok = (spec.p_min <= p) & (p <= spec.p_max)
+        ok &= (spec.v_min <= v1) & (v1 <= spec.v_max)
+        rows, p_col = row[near][ok], 1 + 2 * sub[near][ok]
+
+        v0 = sv.speeds()
+        values = np.empty((len(v0), dim))
+        values[:, 0] = v0
+        values[:, 1::2] = np.repeat([spec.p_max, spec.p_min], 3)
+        values[:, 2::2] = v0[:, None]
+        values[rows, p_col] = p[ok]
+        values[rows, p_col + 1] = v1[ok]
+        occupied = np.bincount(rows, minlength=len(v0)) > 0
+        keep = np.flatnonzero(occupied & (spec.v_min <= v0) & (v0 <= spec.v_max))
+        out.append(_trajectory_table(d, traj, sv, keep, values[keep]))
     return StateTable.concat(out, dim)
 
 
@@ -459,47 +416,41 @@ def extract_vehicle_pedestrian(d: Dataset, spec: OssSpec) -> StateTable:
     """Project onto (v0, p_left, q_left, p_right, q_right).
 
     For each front bumper corner, the nearest pedestrian at or ahead of the
-    bumper line contributes its longitudinal advance p and absolute lateral
-    offset q, both measured from the corner. Pedestrians strictly behind the
-    bumper line are ignored; empty or out-of-bounds corners take the
-    maximal-clearance fill (ped_p_max, q_max).
+    bumper line (the first in track order on equal distances) contributes
+    its longitudinal advance p and absolute lateral offset q, both measured
+    from the corner. Pedestrians strictly behind the bumper line are
+    ignored; empty corners, and those whose nearest pedestrian is out of
+    bounds, take the maximal-clearance fill (ped_p_max, q_max). A frame is
+    valid when a corner holds a real pedestrian and v0 is in bounds.
     """
     if spec.kind not in ("vehicle_pedestrian", "combined"):
         raise SpecKindMismatch(f"expected vehicle_pedestrian spec, got {spec.kind!r}")
-    v_bounds = (spec.v_min, spec.v_max)
     dim = len(PED_NAMES)
     out: list[StateTable] = []
     for traj in d.trajectory_ids:
-        sv, by_frame = _candidates_by_frame(d, traj, ("pedestrian",))
-        sv_speed = sv.speeds()
-        rows, states = [], []
-        for row, frame in enumerate(sv.frames):
-            v0 = float(sv_speed[row])
-            if not (v_bounds[0] <= v0 <= v_bounds[1]):
-                continue
-            half_len = sv.length[row] / 2.0
-            half_wid = sv.width[row] / 2.0
-            values = [v0]
-            occupied = 0
-            for side_sign in (1.0, -1.0):
-                best: tuple[float, float, float] | None = None
-                for c in by_frame[int(frame)]:
-                    along = c.dlong - half_len
-                    if along < 0:
-                        continue
-                    lat = c.dlat - side_sign * half_wid
-                    dist = float(np.hypot(along, lat))
-                    if best is None or dist < best[0]:
-                        best = (dist, float(along), float(abs(lat)))
-                if best is not None and best[1] <= spec.ped_p_max and best[2] <= spec.q_max:
-                    values.extend([best[1], best[2]])
-                    occupied += 1
-                else:
-                    values.extend([spec.ped_p_max, spec.q_max])
-            if occupied:
-                rows.append(row)
-                states.append(values)
-        out.append(_trajectory_table(d, traj, sv, rows, states, dim))
+        sv = d.sv_track(traj)
+        row, dlong, dlat, *_ = _candidates(d, traj, sv, ("pedestrian",))
+        along = dlong - sv.length[row] / 2.0
+        front = along >= 0
+        row, along, dlat = row[front], along[front], dlat[front]
+
+        v0 = sv.speeds()
+        values = np.empty((len(v0), dim))
+        values[:, 0] = v0
+        values[:, 1::2] = spec.ped_p_max
+        values[:, 2::2] = spec.q_max
+        occupied = np.zeros(len(v0), dtype=bool)
+        for col, side_sign in ((1, 1.0), (3, -1.0)):
+            lat = dlat - side_sign * (sv.width[row] / 2.0)
+            near = _nearest(row, np.hypot(along, lat))
+            p, q = along[near], np.abs(lat[near])
+            ok = (p <= spec.ped_p_max) & (q <= spec.q_max)
+            rows = row[near][ok]
+            values[rows, col] = p[ok]
+            values[rows, col + 1] = q[ok]
+            occupied[rows] = True
+        keep = np.flatnonzero(occupied & (spec.v_min <= v0) & (v0 <= spec.v_max))
+        out.append(_trajectory_table(d, traj, sv, keep, values[keep]))
     return StateTable.concat(out, dim)
 
 

@@ -29,7 +29,6 @@ from safeset.geometry import (
     meb_radii,
     search_optimal_alpha,
     shape_is_feasible,
-    thread_budget,
 )
 from safeset.geometry.hullshape import NORMAL_MARGIN
 from safeset.geometry.montecarlo import McVolume
@@ -624,9 +623,7 @@ class TestMcVolume:
         member = lambda q: q[:, 0] + q[:, 1] <= 2.0
         a = mc_volume(member, bounds, n_samples=30_000, seed=5)
         b = mc_volume(member, bounds, n_samples=30_000, seed=5)
-        c = mc_volume(member, bounds, n_samples=30_000, seed=5, threads=3)
-        assert a.estimate == b.estimate == c.estimate
-        assert a.hits == c.hits
+        assert a.estimate == b.estimate and a.hits == b.hits
         d = mc_volume(member, bounds, n_samples=30_000, seed=6)
         assert d.hits != a.hits
 
@@ -645,20 +642,6 @@ class TestMcVolume:
             mc_volume(member, np.array([[1.0, 1.0]]), n_samples=1000)
         with pytest.raises(ValueError):
             mc_volume(member, np.zeros((2, 3)), n_samples=1000)
-        with pytest.raises(ValueError, match="threads"):
-            mc_volume(member, good, n_samples=1000, threads=0)
-
-    @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
-    def test_unusable_thread_setting_refused(self, raw, monkeypatch):
-        monkeypatch.setenv("SAFESET_THREADS", raw)
-        with pytest.raises(ValueError, match=f"SAFESET_THREADS.*'{raw}'"):
-            thread_budget()
-
-    def test_thread_setting(self, monkeypatch):
-        monkeypatch.delenv("SAFESET_THREADS", raising=False)
-        assert thread_budget() == 1
-        monkeypatch.setenv("SAFESET_THREADS", "2")
-        assert thread_budget() == 2
 
 
 class TestConvexHullShape:
@@ -868,11 +851,9 @@ class TestShapeUnion:
         assert detail.overlap == pytest.approx(0.5, abs=0.03)
         assert detail.total == pytest.approx(1.5, abs=0.03)
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_overlap_matches_reference_scheme_bit_for_bit(self, threads, monkeypatch):
+    def test_overlap_matches_reference_scheme_bit_for_bit(self):
         # 8192-sample batches from SeedSequence(seed).spawn, uniform on the
         # union box, summing w and w*w with w = max(multiplicity - 1, 0)
-        monkeypatch.setenv("SAFESET_THREADS", threads)
         seed, n = 5, 20_000
         detail = ShapeUnion([square_shape(0.0), square_shape(0.5)]).compute_measure(
             seed=seed, n_samples=n

@@ -756,8 +756,9 @@ class TestColumnarParser:
         assert list(back.samples) == samples
         for key, track in d.tracks.items():
             other = back.tracks[key]
-            assert track.lane_id == other.lane_id and track.sv_flag == other.sv_flag
-            for f in ("frames", "times", "x", "y", "vx", "vy", "length", "width"):
+            assert track.sv_flag == other.sv_flag
+            for f in ("frames", "times", "x", "y", "vx", "vy", "length", "width",
+                      "lane_id", "has_lane"):
                 a, b = getattr(track, f), getattr(other, f)
                 assert a.dtype == b.dtype and np.array_equal(a, b)
         write_trajectory_csv(back, root / "b.csv")

@@ -19,6 +19,7 @@ from safeset.ingest import VEHICLE_TYPES, Dataset
 from safeset.kinematics import sv_frame_offsets
 from safeset.oss import (
     PRESETS,
+    SUBREGIONS,
     OssSpec,
     combine_domains,
     export_states_csv,
@@ -92,29 +93,37 @@ def two_car(gap_center=20.0, sv_v=10.0, lead_v=8.0, n=5, **lead_kw):
     return scene_dataset(agents, n)
 
 
+def reference_candidates(d, traj, agent_types):
+    """The SV track and, per SV frame, a list of (dlong, dlat, speed, length,
+    lane) candidates in track order, lane None where a sample has none."""
+    sv = d.sv_track(traj)
+    others = [
+        t
+        for t in d.trajectory_tracks(traj)
+        if t.agent_id != sv.agent_id and t.agent_type in agent_types
+    ]
+    by_frame = {int(f): [] for f in sv.frames}
+    for other, common, _, ot_rows, dlong, dlat in sv_frame_offsets(sv, others):
+        speed = np.hypot(other.vx[ot_rows], other.vy[ot_rows])
+        for k, f in enumerate(common):
+            r = ot_rows[k]
+            lane = int(other.lane_id[r]) if other.has_lane[r] else None
+            by_frame[int(f)].append(
+                (float(dlong[k]), float(dlat[k]), float(speed[k]),
+                 float(other.length[r]), lane)
+            )
+    return sv, by_frame
+
+
 def reference_lead_states(d, spec):
     """(trajectory, frame, state) per emitted row, the leader picked from a
     per-frame candidate list with min(), first candidate on equal gaps."""
     bounds = spec.bounds()
     out = []
     for traj in d.trajectory_ids:
-        sv = d.sv_track(traj)
-        others = [
-            t
-            for t in d.trajectory_tracks(traj)
-            if t.agent_id != sv.agent_id and t.agent_type in VEHICLE_TYPES
-        ]
-        by_frame = {int(f): [] for f in sv.frames}
-        for other, common, _, ot_rows, dlong, dlat in sv_frame_offsets(sv, others):
-            speed = np.hypot(other.vx[ot_rows], other.vy[ot_rows])
-            for k, f in enumerate(common):
-                lane = other.lane_id[ot_rows[k]]
-                by_frame[int(f)].append(
-                    (float(dlong[k]), float(dlat[k]), float(speed[k]),
-                     float(other.length[ot_rows[k]]), lane)
-                )
+        sv, by_frame = reference_candidates(d, traj, VEHICLE_TYPES)
         for row, frame in enumerate(sv.frames):
-            sv_lane = sv.lane_id[row]
+            sv_lane = int(sv.lane_id[row]) if sv.has_lane[row] else None
 
             def same_lane(c):
                 if sv_lane is not None and c[4] is not None:
@@ -133,6 +142,115 @@ def reference_lead_states(d, spec):
             if all(lo <= v <= hi for v, (lo, hi) in zip(state, bounds)):
                 out.append((traj, int(frame), state))
     return out
+
+
+def reference_band(dlat, spec):
+    lo, hi = spec.side_band
+    if abs(dlat) <= spec.lane_width / 2.0:
+        return "c"
+    if lo <= dlat <= hi:
+        return "l"
+    if -hi <= dlat <= -lo:
+        return "r"
+    return None
+
+
+def reference_multi_states(d, spec):
+    """(trajectory, frame, state) per emitted row: per frame and subregion the
+    nearest candidate of a candidate list, the first on equal distances,
+    bounds checked after the pick."""
+    v_bounds = (spec.v_min, spec.v_max)
+    p_bounds = (spec.p_min, spec.p_max)
+    out = []
+    for traj in d.trajectory_ids:
+        sv, by_frame = reference_candidates(d, traj, VEHICLE_TYPES)
+        sv_speed = sv.speeds()
+        for row, frame in enumerate(sv.frames):
+            v0 = float(sv_speed[row])
+            if not (v_bounds[0] <= v0 <= v_bounds[1]):
+                continue
+            best = {}
+            for dlong, dlat, speed, length, _ in by_frame[int(frame)]:
+                band = reference_band(dlat, spec)
+                if band is None:
+                    continue
+                sub = ("f" if dlong >= 0 else "r") + band
+                gap = abs(dlong) - (sv.length[row] + length) / 2.0
+                p = float(np.sign(dlong) * gap) if gap > 0 else 0.0
+                dist = float(np.hypot(dlong, dlat))
+                if sub not in best or dist < best[sub][0]:
+                    best[sub] = (dist, p, speed)
+            values = [v0]
+            occupied = 0
+            for sub in SUBREGIONS:
+                fill_p = spec.p_max if sub.startswith("f") else spec.p_min
+                if sub in best:
+                    _, p, v1 = best[sub]
+                    if (
+                        p_bounds[0] <= p <= p_bounds[1]
+                        and v_bounds[0] <= v1 <= v_bounds[1]
+                    ):
+                        values.extend([p, v1])
+                        occupied += 1
+                        continue
+                values.extend([fill_p, v0])
+            if occupied:
+                out.append((traj, int(frame), tuple(values)))
+    return out
+
+
+def reference_ped_states(d, spec):
+    """(trajectory, frame, state) per emitted row: per frame and front corner
+    the nearest pedestrian at or ahead of the bumper line, the first on equal
+    distances, bounds checked after the pick."""
+    out = []
+    for traj in d.trajectory_ids:
+        sv, by_frame = reference_candidates(d, traj, ("pedestrian",))
+        sv_speed = sv.speeds()
+        for row, frame in enumerate(sv.frames):
+            v0 = float(sv_speed[row])
+            if not (spec.v_min <= v0 <= spec.v_max):
+                continue
+            half_len = sv.length[row] / 2.0
+            half_wid = sv.width[row] / 2.0
+            values = [v0]
+            occupied = 0
+            for side_sign in (1.0, -1.0):
+                best = None
+                for dlong, dlat, *_ in by_frame[int(frame)]:
+                    along = dlong - half_len
+                    if along < 0:
+                        continue
+                    lat = dlat - side_sign * half_wid
+                    dist = float(np.hypot(along, lat))
+                    if best is None or dist < best[0]:
+                        best = (dist, float(along), float(abs(lat)))
+                if best is not None and best[1] <= spec.ped_p_max and best[2] <= spec.q_max:
+                    values.extend([best[1], best[2]])
+                    occupied += 1
+                else:
+                    values.extend([spec.ped_p_max, spec.q_max])
+            if occupied:
+                out.append((traj, int(frame), tuple(values)))
+    return out
+
+
+def reference_combined_states(d, spec):
+    """The reference 13-D and 5-D states joined on (trajectory, frame)."""
+    ped = {(traj, f): v for traj, f, v in reference_ped_states(d, spec)}
+    return [
+        (traj, f, v + ped[traj, f][1:])
+        for traj, f, v in reference_multi_states(d, spec)
+        if (traj, f) in ped
+    ]
+
+
+def emitted(t):
+    """(trajectory, frame, state) per row of a StateTable."""
+    return [
+        (t.trajectory_ids[s], int(f), tuple(v))
+        for s, f, v in zip(t.segment_ids(), t.frame, t.values.tolist())
+    ]
 
 
 @st.composite
@@ -160,6 +278,70 @@ def lead_scenes(draw):
                     sample(trajectory_id=traj, frame=k, time=0.1 * k,
                            agent_id=f"a{j}", agent_type=kind, x=x0 + 0.1 * k * vx,
                            y=y0, vx=vx, length=length, lane_id=draw(lanes))
+                )
+    samples.sort(key=lambda r: (r.trajectory_id, r.agent_id, r.frame))
+    return Dataset(samples, dt=0.1)
+
+
+# longitudinal offsets: behind, overlapping (|dlong| < 4), on the bumper line
+# (2), near, and just either side of p_max = 50 for short and long vehicles
+NEIGHBOUR_DLONG = [-60.0, -10.0, -3.0, 0.0, 2.0, 3.0, 4.0, 10.0, 20.0, 53.5, 54.0]
+# lateral offsets on the half-lane and side-band edges of both MULTI (1.875,
+# 5.625) and COMBINED (2.5, 10), inside them, and beyond q_max = 10
+NEIGHBOUR_DLAT = [0.0, 1.0, -1.0, 1.875, -1.875, 2.5, -2.5, 3.0,
+                  5.625, -5.625, 10.0, -10.0, 12.0]
+
+# pedestrian offsets from the 4 x 2 SV: on the bumper line, just behind it,
+# near a front corner but beyond q_max = 10, beyond ped_p_max = 50, and
+# in bounds nearer and farther ahead
+PEDESTRIAN_OFFSETS = [(2.0, 3.0), (2.0, -1.0), (1.0, 0.0), (3.0, 12.0), (3.0, 10.0),
+                      (3.0, -10.0), (54.0, 0.0), (5.0, 5.0), (10.0, 10.0), (20.0, 0.0)]
+
+
+@st.composite
+def neighbour_scenes(draw):
+    """Small scenes for the multi-vehicle and pedestrian extractors: twin
+    neighbours of one type at equal distances, offsets on band edges and on
+    the bumper line, out-of-bounds speeds and gaps, SV speeds outside either
+    speed range, SV frame gaps, a second trajectory and trajectories without
+    vehicles or pedestrians."""
+    samples = []
+    for traj in ("t0", "t1")[: draw(st.integers(1, 2))]:
+        frames = sorted(draw(st.sets(st.integers(0, 6), min_size=1, max_size=5)))
+        vy = draw(st.sampled_from([0.0, 0.0, 0.5]))
+        for k in frames:
+            samples.append(
+                sample(trajectory_id=traj, frame=k, time=0.1 * k, agent_id="ego",
+                       x=2.0 * k, vx=draw(st.sampled_from([22.0, 26.0, 10.0, 0.5])),
+                       vy=vy, sv_flag=True)
+            )
+        offset = kind = None
+        for j in range(draw(st.integers(0, 6))):
+            if offset is not None and draw(st.booleans()):
+                # a twin of the previous neighbour as far from the SV center
+                # (same, mirrored or swapped offset) or from a front corner
+                # of the 4 x 2 SV ((along, lat) swapped), or one farther
+                # ahead on the SV's center line
+                dlong, dlat = offset
+                offset = draw(st.sampled_from([
+                    (dlong, dlat), (dlong, -dlat), (dlat, dlong),
+                    (dlat + 1.0, dlong - 1.0), (dlat + 3.0, 1.0 - dlong),
+                    (dlong + 17.0, 0.0),
+                ]))
+            else:
+                kind = draw(st.sampled_from(["car", "pedestrian", "truck", "pedestrian"]))
+                if kind == "pedestrian":
+                    offset = draw(st.sampled_from(PEDESTRIAN_OFFSETS))
+                else:
+                    offset = (draw(st.sampled_from(NEIGHBOUR_DLONG)),
+                              draw(st.sampled_from(NEIGHBOUR_DLAT)))
+            vx = draw(st.sampled_from([5.0, 22.0, 26.0, 35.0]))
+            length = draw(st.sampled_from([2.0, 4.0, 12.0]))
+            for k in draw(st.sets(st.sampled_from(frames), min_size=1)):
+                samples.append(
+                    sample(trajectory_id=traj, frame=k, time=0.1 * k,
+                           agent_id=f"a{j}", agent_type=kind, x=2.0 * k + offset[0],
+                           y=offset[1], vx=vx, length=length)
                 )
     samples.sort(key=lambda r: (r.trajectory_id, r.agent_id, r.frame))
     return Dataset(samples, dt=0.1)
@@ -246,11 +428,7 @@ class TestLeadFollowing:
     @settings(max_examples=150, deadline=None)
     @given(d=lead_scenes())
     def test_leader_matches_candidate_list_reference(self, d):
-        t = extract_lead_following(d, LEAD)
-        got = [
-            (t.trajectory_ids[s], int(f), tuple(v))
-            for s, f, v in zip(t.segment_ids(), t.frame, t.values.tolist())
-        ]
+        got = emitted(extract_lead_following(d, LEAD))
         assert repr(got) == repr(reference_lead_states(d, LEAD))
 
     def test_equal_gaps_keep_the_first_track(self):
@@ -341,6 +519,38 @@ class TestMultiVehicle:
         with pytest.raises(SpecKindMismatch):
             extract_multi_vehicle(multi_scene(), LEAD)
 
+    def test_equal_distances_keep_the_first_track(self):
+        d = multi_scene(extra={"fc": {"x0": 20.0, "y0": 1.0, "vx": 23.0},
+                               "fc2": {"x0": 20.0, "y0": -1.0, "vx": 27.0}})
+        v = segment_values(extract_multi_vehicle(d, MULTI), 0)[0]
+        assert v[3:5] == (16.0, 23.0)
+
+    def test_center_band_wins_on_the_half_lane_edge(self):
+        # |dlat| = lane_width / 2 = side_band[0]: center, not an adjacent lane
+        agents = {
+            "ego": {"x0": 0.0, "vx": 25.0, "sv": True},
+            "left_edge": {"x0": 20.0, "y0": 1.875, "vx": 24.0},
+            "right_edge": {"x0": -20.0, "y0": -1.875, "vx": 26.0},
+            "outer_edge": {"x0": 30.0, "y0": -5.625, "vx": 23.0},
+        }
+        v = segment_values(extract_multi_vehicle(scene_dataset(agents, 2), MULTI), 0)[0]
+        assert v[1:3] == (50.0, 25.0) and v[7:9] == (-50.0, 25.0)
+        assert v[3:5] == (16.0, 24.0) and v[9:11] == (-16.0, 26.0)
+        assert v[5:7] == (26.0, 23.0)
+
+    def test_out_of_bounds_nearest_is_not_replaced_by_the_next(self):
+        # the nearest center vehicle ahead is too fast; the next one is not
+        d = multi_scene(extra={"fc": {"x0": 20.0, "y0": 0.0, "vx": 35.0},
+                               "fc2": {"x0": 30.0, "y0": 0.0, "vx": 24.0}})
+        v = segment_values(extract_multi_vehicle(d, MULTI), 0)[0]
+        assert v[3:5] == (50.0, 25.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=neighbour_scenes(), spec=st.sampled_from([MULTI, COMBINED]))
+    def test_matches_candidate_list_reference(self, d, spec):
+        got = emitted(extract_multi_vehicle(d, spec))
+        assert repr(got) == repr(reference_multi_states(d, spec))
+
     @settings(max_examples=25, deadline=None)
     @given(
         theta=st.floats(-np.pi, np.pi),
@@ -396,6 +606,38 @@ class TestVehiclePedestrian:
         with pytest.raises(SpecKindMismatch):
             extract_vehicle_pedestrian(ped_scene(), LEAD)
 
+    def test_bumper_line_counts_as_ahead(self):
+        d = ped_scene({"walker": {"x0": 2.0, "y0": 3.0, "agent_type": "pedestrian",
+                                  "length": 0.5, "width": 0.5}})
+        v = segment_values(extract_vehicle_pedestrian(d, PED), 0)[0]
+        assert v == (10.0, 0.0, 2.0, 0.0, 4.0)
+
+    def test_out_of_bounds_nearest_is_not_replaced_by_the_next(self):
+        # the walker off to the left is nearest to both corners but beyond
+        # q_max; the one ahead would be in bounds
+        d = ped_scene({"walker": {"x0": 3.0, "y0": 12.0, "agent_type": "pedestrian",
+                                  "length": 0.5, "width": 0.5},
+                       "ahead": {"x0": 20.0, "y0": 0.5, "agent_type": "pedestrian",
+                                 "length": 0.5, "width": 0.5}})
+        assert len(extract_vehicle_pedestrian(d, PED)) == 0
+
+    def test_equal_distances_keep_the_first_track(self):
+        # (along, lat) from the left corner: a (3, 4), b (4, 3), both 5 away
+        walkers = {
+            name: {"x0": x, "y0": y, "vx": 0.0, "agent_type": "pedestrian",
+                   "length": 0.5, "width": 0.5}
+            for name, x, y in (("a", 5.0, 5.0), ("b", 6.0, 4.0))
+        }
+        agents = {"ego": {"x0": 0.0, "vx": 10.0, "sv": True}, **walkers}
+        v = segment_values(extract_vehicle_pedestrian(scene_dataset(agents, 2), PED), 0)[0]
+        assert v == (10.0, 3.0, 4.0, 4.0, 5.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=neighbour_scenes(), spec=st.sampled_from([PED, COMBINED]))
+    def test_matches_candidate_list_reference(self, d, spec):
+        got = emitted(extract_vehicle_pedestrian(d, spec))
+        assert repr(got) == repr(reference_ped_states(d, spec))
+
 
 class TestCombined:
     def combined_scene(self, n=3):
@@ -445,6 +687,12 @@ class TestCombined:
         assert list(t.collision_frames) == [(2,), (5,)]
         unsafe = [t.unsafe[t.offsets[j] : t.offsets[j + 1]].tolist() for j in range(2)]
         assert unsafe == [[False, False], [False, True, False]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=neighbour_scenes())
+    def test_matches_candidate_list_reference(self, d):
+        got = emitted(extract_states(d, COMBINED))
+        assert repr(got) == repr(reference_combined_states(d, COMBINED))
 
     def test_disagreeing_components_raise(self):
         m = segment([(21.0,) + (50.0, 21.0) * 6] * 2)
