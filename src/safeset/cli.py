@@ -16,6 +16,7 @@ fitted shape.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -31,6 +32,7 @@ from .ingest import (
 from .oss import PRESETS, export_states_csv, extract_states
 from .pipeline import AnalysisConfig, run_analysis
 from .report import emit_report
+from .safegraph import REACH_MODES
 from .simgen import IDM_PRESETS, ncap_battery, simulate_battery
 
 EXIT_OK = 0
@@ -122,34 +124,17 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_ANALYZE_OVERRIDES = (
-    ("input", "input_csv"),
-    ("labels", "labels_csv"),
-    ("rule", "collision_rule"),
-    ("preset", "preset"),
-    ("beta", "beta"),
-    ("reach_mode", "reach_mode"),
-    ("match_radius", "match_radius"),
-    ("alpha_lo", "alpha_lo"),
-    ("alpha_hi", "alpha_hi"),
-    ("alpha_threshold", "alpha_threshold"),
-    ("max_exact_dim", "max_exact_dim"),
-    ("cluster_max", "cluster_max"),
-    ("mc_samples", "mc_samples"),
-    ("seed", "seed"),
-    ("slice_cells", "slice_cells"),
-)
-
-
 def _build_config(args: argparse.Namespace) -> AnalysisConfig:
+    """The config file's settings, overridden by every analyze flag given;
+    each flag's dest is the name of its config field."""
     base = {}
     if args.config is not None:
         with open(args.config) as fh:
             base = json.load(fh)
-    for arg_name, key in _ANALYZE_OVERRIDES:
-        value = getattr(args, arg_name)
+    for f in dataclasses.fields(AnalysisConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            base[key] = value
+            base[f.name] = value
     return AnalysisConfig.from_dict(base)
 
 
@@ -231,12 +216,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="run the full pipeline and write artifacts")
     p.add_argument("--config", default=None, help="JSON configuration file")
-    p.add_argument("--input", default=None, help="trajectory CSV (overrides config)")
-    p.add_argument("--labels", default=None)
-    p.add_argument("--rule", default=None, choices=sorted(LABEL_RULES))
+    p.add_argument(
+        "--input", dest="input_csv", default=None, help="trajectory CSV (overrides config)"
+    )
+    p.add_argument("--labels", dest="labels_csv", default=None)
+    p.add_argument(
+        "--rule", dest="collision_rule", default=None, choices=sorted(LABEL_RULES)
+    )
     p.add_argument("--preset", default=None, choices=sorted(PRESETS))
     p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--reach-mode", dest="reach_mode", default=None)
+    p.add_argument("--reach-mode", dest="reach_mode", default=None, choices=REACH_MODES)
     p.add_argument("--match-radius", dest="match_radius", type=float, default=None)
     p.add_argument("--alpha-lo", dest="alpha_lo", type=float, default=None)
     p.add_argument("--alpha-hi", dest="alpha_hi", type=float, default=None)

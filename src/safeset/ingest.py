@@ -16,12 +16,15 @@ batch's strings are alive at a time and no per-row object is built. When
 any check fails in a batch, the batch is re-read row by row
 (:func:`_diagnose`), which raises the :class:`MalformedRow` naming the
 first bad line. Validation of tracks (monotone frames and times, one
-``sv_flag`` per track, one subject per trajectory, dt, irregular gaps)
-runs as array operations over the track offsets.
+``sv_flag`` and one ``agent_type`` per track, one subject per trajectory,
+dt, irregular gaps) runs as array operations over the track offsets. The
+table is the only copy of the samples; labelling and projection read it
+through one join to the subject vehicle (:attr:`Dataset.sv_join`).
 
 Collision events are (trajectory_id, frame) pairs. They come from an
-optional sidecar label file, from geometric box-overlap detection, or from
-the union of both, selected by the labelling rule.
+optional sidecar label file, whose events must name trajectories of the
+recording, from geometric box-overlap detection, or from the union of
+both, selected by the labelling rule.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import copy
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -37,7 +41,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import MalformedRow, MissingColumn, NonMonotoneTime
-from .kinematics import boxes_overlap, sv_frame_offsets
+from .kinematics import SvJoin, boxes_overlap, sv_frame_offsets
 
 AGENT_TYPES = ("car", "truck", "pedestrian", "other")
 VEHICLE_TYPES = ("car", "truck", "other")
@@ -100,39 +104,6 @@ class RawSample:
     width: float
     lane_id: int | None
     sv_flag: bool
-
-
-@dataclass(eq=False)
-class Track:
-    """Column-oriented view of one agent's samples within one trajectory.
-
-    Every per-sample field is an array. ``lane_id`` is int64 and
-    ``has_lane`` is False where a sample has no lane (its ``lane_id`` is
-    then 0), as in :class:`SampleTable`.
-    """
-
-    trajectory_id: str
-    agent_id: str
-    agent_type: str
-    sv_flag: bool
-    frames: np.ndarray
-    times: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    vx: np.ndarray
-    vy: np.ndarray
-    length: np.ndarray
-    width: np.ndarray
-    lane_id: np.ndarray
-    has_lane: np.ndarray
-
-    def speeds(self) -> np.ndarray:
-        return np.hypot(self.vx, self.vy)
-
-    def path_length_m(self) -> float:
-        if len(self.x) < 2:
-            return 0.0
-        return float(np.hypot(np.diff(self.x), np.diff(self.y)).sum())
 
 
 class _Factorizer:
@@ -291,15 +262,6 @@ class SampleTable:
         )
 
 
-def _track_columns(table: SampleTable) -> dict[str, np.ndarray]:
-    """The numeric columns and the ``has_lane`` mask gathered into track
-    order (see SampleTable)."""
-    fields = ("frame", "lane_id", "sv_flag") + FLOAT_FIELDS
-    cols = {f: table.columns[f][table.order] for f in fields}
-    cols["has_lane"] = table.has_lane[table.order]
-    return cols
-
-
 def _inner_pairs(table: SampleTable) -> np.ndarray:
     """In track order, True at i where rows i and i + 1 share a track."""
     inner = np.ones(max(len(table) - 1, 0), dtype=bool)
@@ -312,27 +274,33 @@ def _gaps(table: SampleTable) -> np.ndarray:
     return np.diff(table.columns["time"][table.order])[_inner_pairs(table)]
 
 
-def _validate(table: SampleTable, cols: Mapping[str, np.ndarray]) -> dict[str, str]:
-    """Check every track and trajectory; returns trajectory -> subject agent.
+def _validate(table: SampleTable) -> None:
+    """Check every track and trajectory.
 
     Of several bad tracks the first in track order raises; frames and times
-    are checked before the subject flag.
+    are checked before the subject flag, and the flag before the agent type.
     """
-    frame, time, flag = cols["frame"], cols["time"], cols["sv_flag"]
+    frame, time, flag, kind = (
+        table.columns[f][table.order] for f in ("frame", "time", "sv_flag", "agent_type")
+    )
     inner = _inner_pairs(table)
     pair_track = np.repeat(np.arange(table.n_tracks), np.diff(table.offsets))[:-1]
-    backwards = inner & ((frame[1:] <= frame[:-1]) | (time[1:] <= time[:-1]))
-    mixed = inner & (flag[1:] != flag[:-1])
-    bad_order = np.zeros(table.n_tracks, dtype=bool)
-    bad_order[pair_track[backwards]] = True
-    bad_flag = np.zeros(table.n_tracks, dtype=bool)
-    bad_flag[pair_track[mixed]] = True
-    bad = np.flatnonzero(bad_order | bad_flag)
+
+    def tracks_where(step: np.ndarray) -> np.ndarray:
+        out = np.zeros(table.n_tracks, dtype=bool)
+        out[pair_track[inner & step]] = True
+        return out
+
+    bad_order = tracks_where((frame[1:] <= frame[:-1]) | (time[1:] <= time[:-1]))
+    bad_flag = tracks_where(flag[1:] != flag[:-1])
+    bad_kind = tracks_where(kind[1:] != kind[:-1])
+    bad = np.flatnonzero(bad_order | bad_flag | bad_kind)
     if bad.size:
         k = int(bad[0])
         if bad_order[k]:
             raise NonMonotoneTime(*table.track_key(k))
-        raise MalformedRow(None, f"track {table.track_key(k)!r} mixes sv_flag values")
+        field = "sv_flag" if bad_flag[k] else "agent_type"
+        raise MalformedRow(None, f"track {table.track_key(k)!r} mixes {field} values")
 
     traj_labels = table.labels["trajectory_id"]
     sv_tracks = np.flatnonzero(flag[table.offsets[:-1]])
@@ -348,34 +316,6 @@ def _validate(table: SampleTable, cols: Mapping[str, np.ndarray]) -> dict[str, s
     if not has_sv.all():
         traj = traj_labels[int(np.argmin(has_sv))]
         raise MalformedRow(None, f"trajectory {traj!r} has no subject agent (sv_flag)")
-    return {traj_labels[t]: table.labels["agent_id"][a]
-            for t, a in zip(sv_traj, table.track_agent[sv_tracks])}
-
-
-def _build_tracks(table: SampleTable, cols: Mapping[str, np.ndarray]) -> dict[tuple[str, str], Track]:
-    """One Track per track, its arrays slices of the track-ordered columns."""
-    agent_types = table.values("agent_type", table.order[table.offsets[:-1]])
-    tracks: dict[tuple[str, str], Track] = {}
-    for k in range(table.n_tracks):
-        lo, hi = table.offsets[k], table.offsets[k + 1]
-        traj, agent = table.track_key(k)
-        tracks[(traj, agent)] = Track(
-            trajectory_id=traj,
-            agent_id=agent,
-            agent_type=agent_types[k],
-            sv_flag=bool(cols["sv_flag"][lo]),
-            frames=cols["frame"][lo:hi],
-            times=cols["time"][lo:hi],
-            x=cols["x"][lo:hi],
-            y=cols["y"][lo:hi],
-            vx=cols["vx"][lo:hi],
-            vy=cols["vy"][lo:hi],
-            length=cols["length"][lo:hi],
-            width=cols["width"][lo:hi],
-            lane_id=cols["lane_id"][lo:hi],
-            has_lane=cols["has_lane"][lo:hi],
-        )
-    return tracks
 
 
 class Dataset:
@@ -384,8 +324,9 @@ class Dataset:
     ``samples`` is the :class:`SampleTable`; a sequence of
     :class:`RawSample` rows passed in is converted to one. Equality covers
     the samples (column by column), dt, and events, so a serialize/parse
-    round trip can be checked for identity. Derived indexes (tracks,
-    per-trajectory track lists) are built once at construction and shared.
+    round trip can be checked for identity. The subject-vehicle join of the
+    samples (:attr:`sv_join`) is built on first use and shared with every
+    copy that :meth:`with_events` makes.
     """
 
     def __init__(
@@ -400,8 +341,7 @@ class Dataset:
         self.rejected_tracks: tuple[tuple[str, str], ...] = ()
         self.trajectory_ids: tuple[str, ...] = samples.labels["trajectory_id"]
 
-        cols = _track_columns(samples)
-        self.sv_agent: dict[str, str] = _validate(samples, cols)
+        _validate(samples)
         if dt is None:
             gaps = _gaps(samples)
             if gaps.size == 0:
@@ -410,23 +350,16 @@ class Dataset:
                 )
             dt = float(np.median(gaps))
         self.dt: float = float(dt)
-
-        self.tracks: dict[tuple[str, str], Track] = _build_tracks(samples, cols)
-        self._tracks_by_traj: dict[str, list[Track]] = {t: [] for t in self.trajectory_ids}
-        for (traj, _), track in self.tracks.items():
-            self._tracks_by_traj[traj].append(track)
         self._set_events(collision_events)
 
     def _set_events(self, collision_events: Iterable[tuple[str, int]]) -> None:
         self.collision_events: tuple[tuple[str, int], ...] = tuple(
             sorted({(str(t), int(f)) for t, f in collision_events})
         )
-        self._events_by_traj: dict[str, tuple[int, ...]] = {}
-        for traj, frame in self.collision_events:
-            self._events_by_traj[traj] = self._events_by_traj.get(traj, ()) + (frame,)
 
     def with_events(self, collision_events: Iterable[tuple[str, int]]) -> Dataset:
-        """This dataset with other collision events; samples and tracks are shared."""
+        """This dataset with other collision events; the samples, and the SV
+        join once built, are shared."""
         out = copy.copy(self)
         out._set_events(collision_events)
         return out
@@ -443,18 +376,18 @@ class Dataset:
     def __hash__(self):
         return hash((self.samples, self.dt, self.collision_events))
 
-    def trajectory_tracks(self, trajectory_id: str) -> list[Track]:
-        return list(self._tracks_by_traj.get(trajectory_id, ()))
-
-    def sv_track(self, trajectory_id: str) -> Track:
-        return self.tracks[(trajectory_id, self.sv_agent[trajectory_id])]
-
-    def events_for(self, trajectory_id: str) -> tuple[int, ...]:
-        return self._events_by_traj.get(trajectory_id, ())
+    @cached_property
+    def sv_join(self) -> SvJoin:
+        """Every sample seen from the subject vehicle (see sv_frame_offsets)."""
+        return sv_frame_offsets(self.samples)
 
     def sv_distance_m(self) -> float:
-        """Total path length driven by the subject vehicles, in meters."""
-        return sum(self.sv_track(t).path_length_m() for t in self.trajectory_ids)
+        """Total path length driven by the subject vehicles, in meters: each
+        subject's step lengths summed, then added up in trajectory order."""
+        cols, rows = self.samples.columns, self.sv_join.sv_rows
+        cuts = np.flatnonzero(np.diff(cols["trajectory_id"][rows])) + 1
+        x, y = np.split(cols["x"][rows], cuts), np.split(cols["y"][rows], cuts)
+        return sum(float(np.hypot(np.diff(a), np.diff(b)).sum()) for a, b in zip(x, y))
 
 
 def _agent_type(raw: str) -> str:
@@ -655,12 +588,19 @@ def parse_trajectory_csv(
     if line == 2:
         raise MalformedRow(None, "file contains a header but no rows")
 
+    table = reader.table()
     events: list[tuple[str, int]] = []
     if labels_path is not None:
         events = read_collision_csv(labels_path)
+        known = set(table.labels["trajectory_id"])
+        for line, (traj, _) in enumerate(events, start=2):
+            if traj not in known:
+                raise MalformedRow(
+                    line, f"label sidecar names trajectory {traj!r}, which the recording lacks"
+                )
 
     # first pass validates tracks and infers the global dt
-    prelim = Dataset(reader.table(), collision_events=events)
+    prelim = Dataset(table, collision_events=events)
     dropped = _filter_irregular_tracks(prelim)
     if not dropped.any():
         return prelim
@@ -717,20 +657,17 @@ def _geometric_events(d: Dataset) -> set[tuple[str, int]]:
     traffic). An event is recorded at every frame with positive-area overlap
     so that labels stay monotone under box inflation.
     """
-    found: set[tuple[str, int]] = set()
-    for traj in d.trajectory_ids:
-        sv = d.sv_track(traj)
-        others = [t for t in d.trajectory_tracks(traj) if t.agent_id != sv.agent_id]
-        for other, common, sv_rows, ot_rows, dlong, dlat in sv_frame_offsets(sv, others):
-            hit = boxes_overlap(
-                dlong,
-                dlat,
-                (sv.length[sv_rows] + other.length[ot_rows]) / 2.0,
-                (sv.width[sv_rows] + other.width[ot_rows]) / 2.0,
-            )
-            for f in common[hit]:
-                found.add((traj, int(f)))
-    return found
+    join, cols = d.sv_join, d.samples.columns
+    sv = join.sv_rows[join.sv]
+    hit = boxes_overlap(
+        join.dlong,
+        join.dlat,
+        (cols["length"][sv] + cols["length"][join.rows]) / 2.0,
+        (cols["width"][sv] + cols["width"][join.rows]) / 2.0,
+    )
+    rows = sv[hit]
+    names = np.array(d.trajectory_ids, dtype=object)[cols["trajectory_id"][rows]]
+    return set(zip(names.tolist(), cols["frame"][rows].tolist()))
 
 
 def label_collisions(d: Dataset, rule: str = "either") -> Dataset:

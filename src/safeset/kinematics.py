@@ -1,14 +1,18 @@
-"""Planar kinematics helpers shared by collision labelling and projection.
+"""Planar kinematics shared by collision labelling and projection.
 
 All scene geometry is evaluated in a frame attached to the subject vehicle:
 x along its heading, y to its left. Headings come from the velocity vector;
 while a vehicle is (nearly) at rest the last moving heading is kept so a
 stopped vehicle does not spin with velocity noise.
+
+:func:`sv_frame_offsets` joins every sample of a recording to the subject
+vehicle's sample at the same (trajectory, frame), once for the whole
+sample table; labelling and every projection read that one join.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,62 +20,81 @@ SPEED_EPS = 0.01
 """Speed (m/s) below which the velocity direction is considered unreliable."""
 
 
-def headings(vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-    """Heading angle per sample of one track, with memory across slow samples.
+def headings(vx: np.ndarray, vy: np.ndarray, starts=(0,)) -> np.ndarray:
+    """Heading angle per sample, with memory across slow samples.
 
-    Samples faster than ``SPEED_EPS`` use ``atan2(vy, vx)``. Slower samples
-    inherit the previous heading; leading slow samples inherit the first
-    moving heading, and a track that never moves faces +x.
+    The samples form runs, one per track, beginning at the ascending
+    indices ``starts`` (the first is 0). Samples faster than ``SPEED_EPS``
+    use ``atan2(vy, vx)``. Slower samples inherit the previous heading of
+    their run; a run's leading slow samples inherit its first moving
+    heading, and a run that never moves faces +x.
     """
     vx = np.asarray(vx, dtype=float)
     vy = np.asarray(vy, dtype=float)
-    speed = np.hypot(vx, vy)
-    moving = speed > SPEED_EPS
+    n = len(vx)
+    moving = np.hypot(vx, vy) > SPEED_EPS
     theta = np.arctan2(vy, vx)
-    if not moving.any():
-        return np.zeros_like(theta)
-    idx = np.arange(len(theta))
-    last_moving = np.where(moving, idx, -1)
-    np.maximum.accumulate(last_moving, out=last_moving)
-    first = idx[moving][0]
-    last_moving[last_moving < 0] = first
-    return theta[last_moving]
+    bounds = np.append(np.asarray(starts, dtype=np.intp), n)
+    start = np.repeat(bounds[:-1], np.diff(bounds))
+    end = np.repeat(bounds[1:], np.diff(bounds))
+    idx = np.arange(n)
+    last = np.maximum.accumulate(np.where(moving, idx, -1))
+    following = np.minimum.accumulate(np.where(moving, idx, n)[::-1])[::-1]
+    source = np.where(last >= start, last, following)
+    return np.where(source < end, theta[np.minimum(source, n - 1)], 0.0)
 
 
-def to_local(
-    theta: float | np.ndarray, dx: np.ndarray, dy: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate world-frame offsets into the frame of a vehicle heading ``theta``
-    (a scalar, or one heading per offset).
+def frame_keys(traj: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """Integer keys ordered as the (trajectory code, frame) pairs are, equal
+    exactly where the pairs are. Frames are replaced by their ranks, so no
+    key overflows."""
+    frames, rank = np.unique(frame, return_inverse=True)
+    return np.asarray(traj, dtype=np.int64) * len(frames) + rank.reshape(-1)
 
-    Returns (longitudinal, lateral) components; lateral is positive to the
-    vehicle's left.
+
+class SvJoin(NamedTuple):
+    """Every sample of a table seen from the subject vehicle (SV).
+
+    ``sv_rows`` are the SV samples' table rows sorted by (trajectory code,
+    frame); a sample's position in that order is its SV index. ``rows``
+    are the other samples at a (trajectory, frame) the SV was seen at, in
+    track order; ``sv`` holds the SV index of each and ``dlong``/``dlat``
+    its center offset in the SV frame.
     """
-    c, s = np.cos(theta), np.sin(theta)
-    return c * dx + s * dy, -s * dx + c * dy
+
+    sv_rows: np.ndarray
+    rows: np.ndarray
+    sv: np.ndarray
+    dlong: np.ndarray
+    dlat: np.ndarray
 
 
-def sv_frame_offsets(sv, others: Iterable) -> Iterator[tuple]:
-    """Offsets of other tracks from the subject vehicle, in the SV frame.
+def sv_frame_offsets(table) -> SvJoin:
+    """Join every sample of the sample table ``table`` to the SV sample at
+    its (trajectory, frame); see :class:`SvJoin`.
 
-    For each track in ``others`` that shares frames with the track ``sv``,
-    yields (other, common frames, SV rows, other rows, dlong, dlat), the
-    offsets being center-to-center at the common frames, rotated by the
-    SV heading (:func:`headings`) through :func:`to_local`.
+    Offsets are center to center, rotated by the SV heading
+    (:func:`headings`, one run per trajectory): dlong along it, dlat
+    positive to the SV's left.
     """
-    theta = headings(sv.vx, sv.vy)
-    for other in others:
-        common, sv_rows, ot_rows = np.intersect1d(
-            sv.frames, other.frames, return_indices=True
-        )
-        if common.size == 0:
-            continue
-        dlong, dlat = to_local(
-            theta[sv_rows],
-            other.x[ot_rows] - sv.x[sv_rows],
-            other.y[ot_rows] - sv.y[sv_rows],
-        )
-        yield other, common, sv_rows, ot_rows, dlong, dlat
+    cols = table.columns
+    traj, flag = cols["trajectory_id"], cols["sv_flag"]
+    keys = frame_keys(traj, cols["frame"])
+    sv_rows = np.flatnonzero(flag)
+    sv_rows = sv_rows[np.argsort(keys[sv_rows])]
+    sv_keys = keys[sv_rows]
+
+    others = table.order[~flag[table.order]]
+    pos = np.searchsorted(sv_keys, keys[others])
+    found = sv_keys[np.minimum(pos, len(sv_keys) - 1)] == keys[others]
+    rows, sv = others[found], pos[found]
+
+    starts = np.flatnonzero(np.diff(traj[sv_rows], prepend=-1))
+    theta = headings(cols["vx"][sv_rows], cols["vy"][sv_rows], starts)
+    at = sv_rows[sv]
+    dx, dy = cols["x"][rows] - cols["x"][at], cols["y"][rows] - cols["y"][at]
+    c, s = np.cos(theta[sv]), np.sin(theta[sv])
+    return SvJoin(sv_rows, rows, sv, c * dx + s * dy, -s * dx + c * dy)
 
 
 def boxes_overlap(

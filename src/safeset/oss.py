@@ -11,17 +11,18 @@ describing the subject vehicle (SV) and its immediate neighbourhood:
   the nearest pedestrian ahead of each front bumper corner.
 * combined (17-D): the two previous vectors merged on their shared SV speed.
 
-Each extractor picks neighbours with array operations from one candidate
-table per trajectory, a row per (neighbour, frame shared with the SV).
-Frames that fail the validity rules of a space (no relevant neighbour, or
-any coordinate outside the configured box) are skipped. The surviving
-states of every trajectory land in one :class:`StateTable`: an (n, d)
+Each extractor picks neighbours with array operations, over every
+trajectory at once, from the dataset's join to the subject vehicle
+(:attr:`~safeset.ingest.Dataset.sv_join`): a row per (neighbour, frame
+shared with the SV). Frames that fail the validity rules of a space (no
+relevant neighbour, or any coordinate outside the configured box) are
+skipped. The surviving states land in one :class:`StateTable`: an (n, d)
 value array with frame, time and unsafe columns, cut into gap-free
-segments wherever frames stop being consecutive. Each segment records its
-trajectory, its index within it and the collision events attributed to
-it, so downstream pruning can tell safe from unsafe segments. Every later
-step works on row indices and masks of this table; no per-state object is
-built.
+segments wherever the trajectory changes or frames stop being
+consecutive. Each segment records its trajectory, its index within it and
+the collision events attributed to it, so downstream pruning can tell
+safe from unsafe segments. Every later step works on row indices and
+masks of this table; no per-state object is built.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, FrameMisalignment, SpecKindMismatch
-from .ingest import Dataset, Track, VEHICLE_TYPES
-from .kinematics import sv_frame_offsets
+from .ingest import Dataset, VEHICLE_TYPES
+from .kinematics import frame_keys
 
 OSS_KINDS = ("lead_following", "multi_vehicle", "vehicle_pedestrian", "combined")
 
@@ -229,35 +230,16 @@ def transitions(table: StateTable) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _candidates(
-    d: Dataset, traj: str, sv: Track, agent_types: tuple[str, ...]
-) -> tuple[np.ndarray, ...]:
-    """The trajectory's other agents of the given types, seen from the SV.
-
-    One row per (agent, frame shared with the SV), agents in track order:
-    columns SV row, dlong, dlat (SV-local center offsets), speed, length,
-    lane id and has-lane mask.
-    """
-    others = [
-        t
-        for t in d.trajectory_tracks(traj)
-        if t.agent_id != sv.agent_id and t.agent_type in agent_types
-    ]
-    empty = (np.empty(0, np.intp),) + (np.empty(0),) * 4
-    empty += (np.empty(0, np.int64), np.empty(0, bool))
-    parts = [empty] + [
-        (
-            sv_rows,
-            dlong,
-            dlat,
-            np.hypot(other.vx[ot_rows], other.vy[ot_rows]),
-            other.length[ot_rows],
-            other.lane_id[ot_rows],
-            other.has_lane[ot_rows],
-        )
-        for other, _, sv_rows, ot_rows, dlong, dlat in sv_frame_offsets(sv, others)
-    ]
-    return tuple(map(np.concatenate, zip(*parts)))
+def _candidates(d: Dataset, agent_types: tuple[str, ...]) -> tuple[np.ndarray, ...]:
+    """The rows of the SV join (see :class:`~safeset.kinematics.SvJoin`)
+    whose agent has one of the given types, in track order: SV index, the
+    SV's and the neighbour's table rows, dlong and dlat (SV-local center
+    offsets)."""
+    join = d.sv_join
+    wanted = np.array([t in agent_types for t in d.samples.labels["agent_type"]], dtype=bool)
+    keep = wanted[d.samples.columns["agent_type"][join.rows]]
+    sv = join.sv[keep]
+    return sv, join.sv_rows[sv], join.rows[keep], join.dlong[keep], join.dlat[keep]
 
 
 def _nearest(group: np.ndarray, dist: np.ndarray) -> np.ndarray:
@@ -269,53 +251,79 @@ def _nearest(group: np.ndarray, dist: np.ndarray) -> np.ndarray:
 
 
 def _assemble_segments(
-    traj: str,
+    names: Sequence[str],
+    traj: np.ndarray,
     frame: np.ndarray,
     time: np.ndarray,
     values: np.ndarray,
-    unsafe: np.ndarray,
-    event_frames: Iterable[int],
+    unsafe: np.ndarray | None,
+    events: Iterable[tuple[str, int]],
 ) -> StateTable:
-    """Split one trajectory's states (frames ascending) into consecutive-frame
-    segments and attribute its collision events to segments.
+    """Split states ordered by (trajectory code ``traj``, frame) into
+    segments, breaking wherever the trajectory changes or the frame step is
+    not 1, and attribute the collision events to segments.
 
-    An event lands in the segment whose frame span contains it; otherwise in
-    the nearest preceding segment (the motion that led to the collision);
-    otherwise in the first segment. Spans are disjoint and ascending, so
-    both cases are the last segment starting at or before the event.
+    ``names[c]`` names trajectory code c, and ``events`` are (name, frame)
+    pairs. When ``unsafe`` is None, a state is unsafe when an event falls
+    on its trajectory and frame. An event lands in the segment of its
+    trajectory whose frame span contains it; otherwise in the nearest
+    preceding one (the motion that led to the collision); otherwise in the
+    first. Spans are disjoint and ascending, so both cases are the last
+    segment starting at or before the event. Events of trajectories without
+    a segment are dropped.
     """
-    frame = np.asarray(frame, dtype=np.int64)
     n = len(frame)
-    offsets = np.concatenate(([0], np.flatnonzero(np.diff(frame) != 1) + 1, [n]))
-    if n == 0:
-        offsets = offsets[:1]
-    first = frame[offsets[:-1]]
+    breaks = np.flatnonzero((np.diff(frame) != 1) | (np.diff(traj) != 0)) + 1
+    offsets = np.concatenate(([0], breaks, [n] if n else [])).astype(np.intp)
+    first = offsets[:-1]
+    seg_traj = traj[first]
+
+    code = {name: c for c, name in enumerate(names)}
+    pairs = sorted((code[t], f) for t, f in events if t in code)
+    ev_traj, ev_frame = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    keys = frame_keys(np.concatenate([traj, ev_traj]), np.concatenate([frame, ev_frame]))
+    if unsafe is None:
+        unsafe = np.isin(keys[:n], keys[n:])
+    seg = np.maximum(
+        np.searchsorted(keys[first], keys[n:], side="right") - 1,
+        np.searchsorted(seg_traj, ev_traj),
+    )
+    own = seg < len(first)
+    own[own] = seg_traj[seg[own]] == ev_traj[own]
     attached: list[list[int]] = [[] for _ in first]
-    if attached:
-        for e in sorted(event_frames):
-            seg = int(np.searchsorted(first, e, side="right")) - 1
-            attached[max(seg, 0)].append(int(e))
+    for j, e in zip(seg[own].tolist(), ev_frame[own].tolist()):
+        attached[j].append(e)
     return StateTable(
         values=values,
         frame=frame,
         time=time,
         unsafe=unsafe,
-        offsets=offsets.astype(np.intp),
-        trajectory_ids=(traj,) * len(first),
-        segment_index=np.arange(len(first)),
+        offsets=offsets,
+        trajectory_ids=tuple(names[c] for c in seg_traj.tolist()),
+        segment_index=np.arange(len(first)) - np.searchsorted(seg_traj, seg_traj),
         collision_frames=tuple(map(tuple, attached)),
     )
 
 
-def _trajectory_table(
-    d: Dataset, traj: str, sv: Track, rows: np.ndarray, values: np.ndarray
-) -> StateTable:
-    """Segments of the states ``values`` found at SV rows ``rows``."""
-    frame = sv.frames[rows]
-    events = d.events_for(traj)
+def _sv_states(d: Dataset, idx: np.ndarray, values: np.ndarray) -> StateTable:
+    """Segments of the states ``values`` found at the ascending SV indices
+    ``idx``."""
+    rows = d.sv_join.sv_rows[idx]
+    cols = d.samples.columns
     return _assemble_segments(
-        traj, frame, sv.times[rows], values, np.isin(frame, events), events
+        d.trajectory_ids,
+        cols["trajectory_id"][rows],
+        cols["frame"][rows],
+        cols["time"][rows],
+        values,
+        None,
+        d.collision_events,
     )
+
+
+def _speeds(d: Dataset, rows: np.ndarray) -> np.ndarray:
+    cols = d.samples.columns
+    return np.hypot(cols["vx"][rows], cols["vy"][rows])
 
 
 # ---------------------------------------------------------------------------
@@ -335,25 +343,21 @@ def extract_lead_following(d: Dataset, spec: OssSpec) -> StateTable:
     if spec.kind != "lead_following":
         raise SpecKindMismatch(f"expected lead_following spec, got {spec.kind!r}")
     bounds = spec.bounds()
-    out: list[StateTable] = []
-    for traj in d.trajectory_ids:
-        sv = d.sv_track(traj)
-        row, dlong, dlat, speed, length, lane, has_lane = _candidates(
-            d, traj, sv, VEHICLE_TYPES
-        )
-        same_lane = np.where(
-            sv.has_lane[row] & has_lane,
-            sv.lane_id[row] == lane,
-            np.abs(dlat) <= spec.lane_width / 2.0,
-        )
-        ahead = np.flatnonzero((dlong > 0) & same_lane)
-        lead = ahead[_nearest(row[ahead], dlong[ahead])]
-        rows = row[lead]
-        p = dlong[lead] - (sv.length[rows] + length[lead]) / 2.0
-        vals = np.column_stack([sv.speeds()[rows], speed[lead], p])
-        ok = ((vals >= bounds[:, 0]) & (vals <= bounds[:, 1])).all(axis=1)
-        out.append(_trajectory_table(d, traj, sv, rows[ok], vals[ok]))
-    return StateTable.concat(out, 3)
+    sv, at, row, dlong, dlat = _candidates(d, VEHICLE_TYPES)
+    lane, has_lane = d.samples.columns["lane_id"], d.samples.has_lane
+    same_lane = np.where(
+        has_lane[at] & has_lane[row],
+        lane[at] == lane[row],
+        np.abs(dlat) <= spec.lane_width / 2.0,
+    )
+    ahead = np.flatnonzero((dlong > 0) & same_lane)
+    lead = ahead[_nearest(sv[ahead], dlong[ahead])]
+    idx = sv[lead]
+    length = d.samples.columns["length"]
+    p = dlong[lead] - (length[at[lead]] + length[row[lead]]) / 2.0
+    vals = np.column_stack([_speeds(d, at[lead]), _speeds(d, row[lead]), p])
+    ok = ((vals >= bounds[:, 0]) & (vals <= bounds[:, 1])).all(axis=1)
+    return _sv_states(d, idx[ok], vals[ok])
 
 
 def extract_multi_vehicle(d: Dataset, spec: OssSpec) -> StateTable:
@@ -374,42 +378,39 @@ def extract_multi_vehicle(d: Dataset, spec: OssSpec) -> StateTable:
         raise SpecKindMismatch(f"expected multi_vehicle spec, got {spec.kind!r}")
     lo, hi = spec.side_band
     dim = len(MULTI_NAMES)
-    out: list[StateTable] = []
-    for traj in d.trajectory_ids:
-        sv = d.sv_track(traj)
-        row, dlong, dlat, speed, length, _, _ = _candidates(d, traj, sv, VEHICLE_TYPES)
-        # bands index SUBREGIONS within front (fl, fc, fr) and rear (rl, rc, rr)
-        band = np.select(
-            [
-                np.abs(dlat) <= spec.lane_width / 2.0,
-                (lo <= dlat) & (dlat <= hi),
-                (-hi <= dlat) & (dlat <= -lo),
-            ],
-            [1, 0, 2],
-            -1,
-        )
-        sub = 3 * (dlong < 0) + band
-        seen = np.flatnonzero(band >= 0)
-        dist = np.hypot(dlong[seen], dlat[seen])
-        near = seen[_nearest(len(SUBREGIONS) * row[seen] + sub[seen], dist)]
-        gap = np.abs(dlong[near]) - (sv.length[row[near]] + length[near]) / 2.0
-        p = np.where(gap > 0, np.sign(dlong[near]) * gap, 0.0)
-        v1 = speed[near]
-        ok = (spec.p_min <= p) & (p <= spec.p_max)
-        ok &= (spec.v_min <= v1) & (v1 <= spec.v_max)
-        rows, p_col = row[near][ok], 1 + 2 * sub[near][ok]
+    sv, at, row, dlong, dlat = _candidates(d, VEHICLE_TYPES)
+    # bands index SUBREGIONS within front (fl, fc, fr) and rear (rl, rc, rr)
+    band = np.select(
+        [
+            np.abs(dlat) <= spec.lane_width / 2.0,
+            (lo <= dlat) & (dlat <= hi),
+            (-hi <= dlat) & (dlat <= -lo),
+        ],
+        [1, 0, 2],
+        -1,
+    )
+    sub = 3 * (dlong < 0) + band
+    seen = np.flatnonzero(band >= 0)
+    dist = np.hypot(dlong[seen], dlat[seen])
+    near = seen[_nearest(len(SUBREGIONS) * sv[seen] + sub[seen], dist)]
+    length = d.samples.columns["length"]
+    gap = np.abs(dlong[near]) - (length[at[near]] + length[row[near]]) / 2.0
+    p = np.where(gap > 0, np.sign(dlong[near]) * gap, 0.0)
+    v1 = _speeds(d, row[near])
+    ok = (spec.p_min <= p) & (p <= spec.p_max)
+    ok &= (spec.v_min <= v1) & (v1 <= spec.v_max)
+    idx, p_col = sv[near][ok], 1 + 2 * sub[near][ok]
 
-        v0 = sv.speeds()
-        values = np.empty((len(v0), dim))
-        values[:, 0] = v0
-        values[:, 1::2] = np.repeat([spec.p_max, spec.p_min], 3)
-        values[:, 2::2] = v0[:, None]
-        values[rows, p_col] = p[ok]
-        values[rows, p_col + 1] = v1[ok]
-        occupied = np.bincount(rows, minlength=len(v0)) > 0
-        keep = np.flatnonzero(occupied & (spec.v_min <= v0) & (v0 <= spec.v_max))
-        out.append(_trajectory_table(d, traj, sv, keep, values[keep]))
-    return StateTable.concat(out, dim)
+    v0 = _speeds(d, d.sv_join.sv_rows)
+    values = np.empty((len(v0), dim))
+    values[:, 0] = v0
+    values[:, 1::2] = np.repeat([spec.p_max, spec.p_min], 3)
+    values[:, 2::2] = v0[:, None]
+    values[idx, p_col] = p[ok]
+    values[idx, p_col + 1] = v1[ok]
+    occupied = np.bincount(idx, minlength=len(v0)) > 0
+    keep = np.flatnonzero(occupied & (spec.v_min <= v0) & (v0 <= spec.v_max))
+    return _sv_states(d, keep, values[keep])
 
 
 def extract_vehicle_pedestrian(d: Dataset, spec: OssSpec) -> StateTable:
@@ -426,42 +427,39 @@ def extract_vehicle_pedestrian(d: Dataset, spec: OssSpec) -> StateTable:
     if spec.kind not in ("vehicle_pedestrian", "combined"):
         raise SpecKindMismatch(f"expected vehicle_pedestrian spec, got {spec.kind!r}")
     dim = len(PED_NAMES)
-    out: list[StateTable] = []
-    for traj in d.trajectory_ids:
-        sv = d.sv_track(traj)
-        row, dlong, dlat, *_ = _candidates(d, traj, sv, ("pedestrian",))
-        along = dlong - sv.length[row] / 2.0
-        front = along >= 0
-        row, along, dlat = row[front], along[front], dlat[front]
+    sv, at, _, dlong, dlat = _candidates(d, ("pedestrian",))
+    along = dlong - d.samples.columns["length"][at] / 2.0
+    front = along >= 0
+    sv, along, dlat = sv[front], along[front], dlat[front]
+    half_width = d.samples.columns["width"][at[front]] / 2.0
 
-        v0 = sv.speeds()
-        values = np.empty((len(v0), dim))
-        values[:, 0] = v0
-        values[:, 1::2] = spec.ped_p_max
-        values[:, 2::2] = spec.q_max
-        occupied = np.zeros(len(v0), dtype=bool)
-        for col, side_sign in ((1, 1.0), (3, -1.0)):
-            lat = dlat - side_sign * (sv.width[row] / 2.0)
-            near = _nearest(row, np.hypot(along, lat))
-            p, q = along[near], np.abs(lat[near])
-            ok = (p <= spec.ped_p_max) & (q <= spec.q_max)
-            rows = row[near][ok]
-            values[rows, col] = p[ok]
-            values[rows, col + 1] = q[ok]
-            occupied[rows] = True
-        keep = np.flatnonzero(occupied & (spec.v_min <= v0) & (v0 <= spec.v_max))
-        out.append(_trajectory_table(d, traj, sv, keep, values[keep]))
-    return StateTable.concat(out, dim)
+    v0 = _speeds(d, d.sv_join.sv_rows)
+    values = np.empty((len(v0), dim))
+    values[:, 0] = v0
+    values[:, 1::2] = spec.ped_p_max
+    values[:, 2::2] = spec.q_max
+    occupied = np.zeros(len(v0), dtype=bool)
+    for col, side_sign in ((1, 1.0), (3, -1.0)):
+        lat = dlat - side_sign * half_width
+        near = _nearest(sv, np.hypot(along, lat))
+        p, q = along[near], np.abs(lat[near])
+        ok = (p <= spec.ped_p_max) & (q <= spec.q_max)
+        idx = sv[near][ok]
+        values[idx, col] = p[ok]
+        values[idx, col + 1] = q[ok]
+        occupied[idx] = True
+    keep = np.flatnonzero(occupied & (spec.v_min <= v0) & (v0 <= spec.v_max))
+    return _sv_states(d, keep, values[keep])
 
 
 def combine_domains(multi: StateTable, ped: StateTable) -> StateTable:
     """Merge 13-D and 5-D tables on their shared SV speed into 17-D.
 
     States are joined on (trajectory, frame): only frames valid in both
-    component spaces survive, and each trajectory is re-split into
-    consecutive-frame segments carrying the collision events of both
-    components. The two components must agree on v0 and time at every
-    shared frame.
+    component spaces survive, trajectories in the order of ``ped``, and
+    every trajectory is re-split into consecutive-frame segments carrying
+    the collision events of both components. The two components must
+    agree on v0 and time at every shared frame.
     """
     for table, n_values, which in (
         (multi, len(MULTI_NAMES), "first argument must hold 13-D states"),
@@ -469,36 +467,40 @@ def combine_domains(multi: StateTable, ped: StateTable) -> StateTable:
     ):
         if table.dim != n_values:
             raise SpecKindMismatch(which)
-    coll_by: dict[str, set[int]] = {}
-    for table in (multi, ped):
-        for traj, frames in zip(table.trajectory_ids, table.collision_frames):
-            coll_by.setdefault(traj, set()).update(frames)
-    multi_traj = np.array(multi.trajectory_ids, dtype=object)[multi.segment_ids()]
-    ped_traj = np.array(ped.trajectory_ids, dtype=object)[ped.segment_ids()]
-
-    out: list[StateTable] = []
-    for traj in dict.fromkeys(ped.trajectory_ids):
-        mi, pi = np.flatnonzero(multi_traj == traj), np.flatnonzero(ped_traj == traj)
-        frames, a, b = np.intersect1d(
-            multi.frame[mi], ped.frame[pi], return_indices=True
+    names = tuple(dict.fromkeys(ped.trajectory_ids))
+    code = {name: c for c, name in enumerate(names)}
+    # per state, the code of its trajectory; -1 for one that ped lacks
+    traj = [
+        np.repeat(
+            np.array([code.get(t, -1) for t in table.trajectory_ids], dtype=np.intp),
+            np.diff(table.offsets),
         )
-        a, b = mi[a], pi[b]
-        bad = (multi.values[a, 0] != ped.values[b, 0]) | (multi.time[a] != ped.time[b])
-        if bad.any():
-            raise FrameMisalignment(
-                f"components disagree at trajectory {traj!r} frame {frames[bad][0]}"
-            )
-        out.append(
-            _assemble_segments(
-                traj,
-                frames,
-                multi.time[a],
-                np.hstack([multi.values[a], ped.values[b, 1:]]),
-                multi.unsafe[a] | ped.unsafe[b],
-                coll_by[traj],
-            )
+        for table in (multi, ped)
+    ]
+    keys = frame_keys(np.concatenate(traj), np.concatenate([multi.frame, ped.frame]))
+    _, a, b = np.intersect1d(keys[: len(multi)], keys[len(multi) :], return_indices=True)
+    bad = (multi.values[a, 0] != ped.values[b, 0]) | (multi.time[a] != ped.time[b])
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise FrameMisalignment(
+            f"components disagree at trajectory {names[traj[1][b[k]]]!r}"
+            f" frame {multi.frame[a[k]]}"
         )
-    return StateTable.concat(out, len(MULTI_NAMES) + len(PED_NAMES) - 1)
+    events = {
+        (t, f)
+        for table in (multi, ped)
+        for t, frames in zip(table.trajectory_ids, table.collision_frames)
+        for f in frames
+    }
+    return _assemble_segments(
+        names,
+        traj[1][b],
+        multi.frame[a],
+        multi.time[a],
+        np.hstack([multi.values[a], ped.values[b, 1:]]),
+        multi.unsafe[a] | ped.unsafe[b],
+        events,
+    )
 
 
 def extract_states(d: Dataset, spec: OssSpec) -> StateTable:

@@ -46,6 +46,10 @@ def _is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass
 class AnalysisConfig:
     """Everything one analysis run depends on, JSON round-trippable."""
@@ -69,6 +73,9 @@ class AnalysisConfig:
     slice_cells: int = 100
 
     def validate(self) -> None:
+        for name in ("beta", "alpha_lo", "alpha_hi", "alpha_threshold", "match_radius"):
+            if not _is_real(getattr(self, name)):
+                raise SafesetError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not (0.0 < self.beta < 1.0):
             raise InvalidBeta(self.beta)
         if self.collision_rule not in LABEL_RULES:
@@ -94,6 +101,12 @@ class AnalysisConfig:
             raise SafesetError("mc_samples must be an integer of at least 1000")
         if not (_is_int(self.slice_cells) and self.slice_cells >= 2):
             raise SafesetError("slice_cells must be an integer of at least 2")
+        if not (_is_int(self.max_exact_dim) and self.max_exact_dim >= 0):
+            raise SafesetError(
+                f"max_exact_dim must be a non-negative integer, got {self.max_exact_dim!r}"
+            )
+        if not (self.preset is None or isinstance(self.preset, str)):
+            raise SafesetError(f"preset must be a string or null, got {self.preset!r}")
         self.resolve_spec()
 
     def resolve_spec(self) -> OssSpec:
@@ -105,7 +118,16 @@ class AnalysisConfig:
             return PRESETS[self.preset]
         if self.oss is None:
             raise SafesetError("config needs either a preset or an explicit oss block")
-        return OssSpec(**self.oss)
+        if not isinstance(self.oss, dict):
+            raise SafesetError(f"oss must be an object, got {self.oss!r}")
+        for key, value in self.oss.items():
+            parts = value if key == "side_band" and isinstance(value, (list, tuple)) else [value]
+            if key != "kind" and not all(map(_is_real, parts)):
+                raise SafesetError(f"oss key {key!r} has an unusable value {value!r}")
+        try:
+            return OssSpec(**self.oss)
+        except (TypeError, ValueError) as exc:
+            raise SafesetError(f"invalid oss block: {exc}") from None
 
     def effective_cluster_max(self, dim: int) -> int:
         if self.cluster_max is not None:

@@ -1,8 +1,9 @@
 """Shared in-memory fixture builders for the test suite."""
 
 import numpy as np
+from hypothesis import strategies as st
 
-from safeset.ingest import Dataset, RawSample
+from safeset.ingest import AGENT_TYPES, Dataset, RawSample
 from safeset.oss import StateTable
 
 
@@ -131,3 +132,53 @@ def segment_values(t, j):
 
 def segment_frames(t, j):
     return t.frame[t.offsets[j] : t.offsets[j + 1]].tolist()
+
+
+# ids that need CSV quoting; trajectory and agent ids are read stripped
+IDS = st.text(alphabet='ab,"\n\r\' ;', max_size=3).filter(lambda s: s == s.strip())
+RECORDING_IDS = st.text(alphabet='ab,"\n ', max_size=3)
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.1 + 0.2, 1.0 / 3.0, 5e-324, -1.7976931348623157e308]
+)
+SIZES = st.floats(min_value=0.0, allow_infinity=False) | st.just(-0.0)
+LANES = st.none() | st.integers(-(2**63), 2**63 - 1) | st.integers(-3, 3)
+
+
+@st.composite
+def recordings(draw):
+    """A valid Dataset: 1-3 trajectories of 1-3 agents each, one subject per
+    trajectory, rows of different tracks interleaved across trajectories."""
+    traj_ids = draw(st.lists(IDS, min_size=1, max_size=3, unique=True))
+    tracks = []
+    for traj in traj_ids:
+        agents = draw(st.lists(IDS, min_size=1, max_size=3, unique=True))
+        sv = draw(st.sampled_from(agents))
+        for agent in agents:
+            n = draw(st.integers(2 if agent == sv else 1, 4))
+            f0 = draw(st.integers(-3, 3))
+            t0 = draw(st.sampled_from([0.0, -0.0, 0.1 + 0.2, -7.25, 1e3 / 3]))
+            agent_type = draw(st.sampled_from(AGENT_TYPES))
+            tracks.append([
+                RawSample(
+                    recording_id=draw(RECORDING_IDS),
+                    trajectory_id=traj,
+                    frame=f0 + k,
+                    time=t0 if k == 0 else t0 + 0.1 * k,
+                    agent_id=agent,
+                    agent_type=agent_type,
+                    x=draw(FLOATS),
+                    y=draw(FLOATS),
+                    vx=draw(FLOATS),
+                    vy=draw(FLOATS),
+                    length=draw(SIZES),
+                    width=draw(SIZES),
+                    lane_id=draw(LANES),
+                    sv_flag=agent == sv,
+                )
+                for k in range(n)
+            ])
+    turns = draw(st.permutations([i for i, t in enumerate(tracks) for _ in t]))
+    iters = [iter(t) for t in tracks]
+    samples = [next(iters[i]) for i in turns]
+    events = draw(st.lists(st.tuples(st.sampled_from(traj_ids), st.integers(-3, 9)), max_size=3))
+    return samples, events

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import safeset.ingest as ingest
+from builders import recordings
 from safeset.errors import MalformedRow, MissingColumn, NonMonotoneTime, SafesetError
 from safeset.ingest import (
     AGENT_TYPES,
@@ -69,6 +70,11 @@ def two_car_rows(n_frames=6, dt=0.1, lead_x0=20.0, lead_vx=8.0):
             )
         )
     return rows
+
+
+def events_of(d, traj="t0"):
+    """The collision frames of one trajectory, ascending."""
+    return tuple(f for t, f in d.collision_events if t == traj)
 
 
 def sample(**kw):
@@ -191,7 +197,8 @@ class TestParsing:
         assert len(d.samples) == 12
         assert d.trajectory_ids == ("t0",)
         assert d.dt == pytest.approx(0.1)
-        assert d.sv_track("t0").frames.tolist() == [0, 1, 2, 3, 4, 5]
+        sv = d.samples.columns["sv_flag"]
+        assert d.samples.columns["frame"][sv].tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_missing_required_column(self, tmp_path):
         path = tmp_path / "a.csv"
@@ -269,7 +276,9 @@ class TestParsing:
     def test_accepted_spellings(self, tmp_path, patch, field, value):
         path = tmp_path / "a.csv"
         rows = two_car_rows()
-        rows[2].update(patch)
+        # a track has one agent type, so that patch goes to every row of it
+        for row in rows[::2] if field == "agent_type" else rows[2:3]:
+            row.update(patch)
         write_csv(path, rows)
         got = getattr(parse_trajectory_csv(path).samples[2], field)
         assert got == value and type(got) is type(value)
@@ -372,7 +381,7 @@ class TestTrackRejection:
         d = parse_trajectory_csv(tmp_path / "a.csv")
         labelled = label_collisions(d, "either")
         assert labelled.rejected_tracks == d.rejected_tracks == (("t0", "other"),)
-        assert labelled.samples is d.samples and labelled.tracks is d.tracks
+        assert labelled.samples is d.samples and labelled.sv_join is d.sv_join
 
 
 class TestLabels:
@@ -402,13 +411,13 @@ class TestLabels:
         path, labels = self.make_overlapping(tmp_path)
         d = parse_trajectory_csv(path, labels_path=labels)
         d = label_collisions(d, "labels_only")
-        assert d.events_for("t0") == (3,)
+        assert events_of(d) == (3,)
 
     def test_geometric_overlap_replaces(self, tmp_path):
         path, labels = self.make_overlapping(tmp_path)
         d = parse_trajectory_csv(path, labels_path=labels)
         d = label_collisions(d, "geometric_overlap")
-        events = d.events_for("t0")
+        events = events_of(d)
         assert 3 not in events
         assert events == (6, 7, 8, 9)
 
@@ -416,7 +425,7 @@ class TestLabels:
         path, labels = self.make_overlapping(tmp_path)
         d = parse_trajectory_csv(path, labels_path=labels)
         d = label_collisions(d, "either")
-        events = d.events_for("t0")
+        events = events_of(d)
         assert 3 in events and 7 in events
 
     @pytest.mark.parametrize("rule", ["labels_only", "geometric_overlap", "either"])
@@ -432,6 +441,24 @@ class TestLabels:
         d = parse_trajectory_csv(path, labels_path=labels)
         with pytest.raises(ValueError):
             label_collisions(d, "sometimes")
+
+    def test_sidecar_event_of_unknown_trajectory_refused(self, tmp_path):
+        path, labels = self.make_overlapping(tmp_path)
+        with open(labels, "a", newline="") as fh:
+            csv.writer(fh).writerow(["no_such_run", 5])
+        with pytest.raises(MalformedRow) as exc:
+            parse_trajectory_csv(path, labels_path=labels)
+        assert exc.value.line == 3 and "no_such_run" in exc.value.reason
+
+    def test_sidecar_events_of_dropped_trajectories_filtered(self, tmp_path):
+        rows = [make_row(frame=k, time=t, x=float(k))
+                for k, t in enumerate([0.0, 0.1, 0.25, 0.3, 0.45, 0.5])]
+        rows += [make_row(trajectory_id="t1", frame=k, time=0.1 * k, x=float(k))
+                 for k in range(6)]
+        write_csv(tmp_path / "a.csv", rows)
+        write_collision_csv([("t0", 2), ("t1", 3)], tmp_path / "labels.csv")
+        d = parse_trajectory_csv(tmp_path / "a.csv", labels_path=tmp_path / "labels.csv")
+        assert d.trajectory_ids == ("t1",) and d.collision_events == (("t1", 3),)
 
     def test_read_collision_csv(self, tmp_path):
         path = tmp_path / "labels.csv"
@@ -486,12 +513,12 @@ class TestGeometricDetection:
     def test_every_overlapping_frame_reported(self):
         d = straight_line_dataset(gap=3.0, length=4.0)
         d = label_collisions(d, "geometric_overlap")
-        assert d.events_for("t0") == (0, 1, 2, 3, 4)
+        assert events_of(d) == (0, 1, 2, 3, 4)
 
     def test_touching_boxes_do_not_overlap(self):
         d = straight_line_dataset(gap=4.0, length=4.0)
         d = label_collisions(d, "geometric_overlap")
-        assert d.events_for("t0") == ()
+        assert events_of(d) == ()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -517,6 +544,23 @@ class TestDatasetValidation:
         ]
         with pytest.raises(MalformedRow):
             Dataset(samples, dt=0.1)
+
+    def test_requires_constant_agent_type(self):
+        samples = [
+            sample(frame=0, time=0.0),
+            sample(frame=1, time=0.1),
+            sample(frame=0, time=0.0, agent_id="b"),
+            sample(frame=1, time=0.1, agent_id="b", agent_type="truck"),
+        ]
+        with pytest.raises(MalformedRow, match=r"\('t0', 'b'\) mixes agent_type"):
+            Dataset(samples, dt=0.1)
+
+    def test_mixed_agent_type_in_csv_refused(self, tmp_path):
+        rows = two_car_rows()
+        rows[-1]["agent_type"] = "truck"
+        write_csv(tmp_path / "a.csv", rows)
+        with pytest.raises(MalformedRow, match="mixes agent_type"):
+            parse_trajectory_csv(tmp_path / "a.csv")
 
     def test_non_monotone_frames(self):
         samples = [
@@ -605,6 +649,8 @@ def _ref_dataset(samples, dt=None, events=()):
             raise NonMonotoneTime(*key)
         if len({r.sv_flag for r in rows}) != 1:
             raise MalformedRow(None, f"track {key!r} mixes sv_flag values")
+        if len({r.agent_type for r in rows}) != 1:
+            raise MalformedRow(None, f"track {key!r} mixes agent_type values")
     sv = {}
     for (traj, agent), rows in grouped.items():
         if rows[0].sv_flag:
@@ -687,56 +733,6 @@ def outcome(parse, path):
     return d, d.rejected_tracks
 
 
-# ids that need CSV quoting; trajectory and agent ids are read stripped
-IDS = st.text(alphabet='ab,"\n\r\' ;', max_size=3).filter(lambda s: s == s.strip())
-RECORDING_IDS = st.text(alphabet='ab,"\n ', max_size=3)
-FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
-    [-0.0, 0.1 + 0.2, 1.0 / 3.0, 5e-324, -1.7976931348623157e308]
-)
-SIZES = st.floats(min_value=0.0, allow_infinity=False) | st.just(-0.0)
-LANES = st.none() | st.integers(-(2**63), 2**63 - 1) | st.integers(-3, 3)
-
-
-@st.composite
-def recordings(draw):
-    """A valid Dataset: 1-3 trajectories of 1-3 agents each, one subject per
-    trajectory, rows of different tracks interleaved across trajectories."""
-    traj_ids = draw(st.lists(IDS, min_size=1, max_size=3, unique=True))
-    tracks = []
-    for traj in traj_ids:
-        agents = draw(st.lists(IDS, min_size=1, max_size=3, unique=True))
-        sv = draw(st.sampled_from(agents))
-        for agent in agents:
-            n = draw(st.integers(2 if agent == sv else 1, 4))
-            f0 = draw(st.integers(-3, 3))
-            t0 = draw(st.sampled_from([0.0, -0.0, 0.1 + 0.2, -7.25, 1e3 / 3]))
-            agent_type = draw(st.sampled_from(AGENT_TYPES))
-            tracks.append([
-                RawSample(
-                    recording_id=draw(RECORDING_IDS),
-                    trajectory_id=traj,
-                    frame=f0 + k,
-                    time=t0 if k == 0 else t0 + 0.1 * k,
-                    agent_id=agent,
-                    agent_type=agent_type,
-                    x=draw(FLOATS),
-                    y=draw(FLOATS),
-                    vx=draw(FLOATS),
-                    vy=draw(FLOATS),
-                    length=draw(SIZES),
-                    width=draw(SIZES),
-                    lane_id=draw(LANES),
-                    sv_flag=agent == sv,
-                )
-                for k in range(n)
-            ])
-    turns = draw(st.permutations([i for i, t in enumerate(tracks) for _ in t]))
-    iters = [iter(t) for t in tracks]
-    samples = [next(iters[i]) for i in turns]
-    events = draw(st.lists(st.tuples(st.sampled_from(traj_ids), st.integers(-3, 9)), max_size=3))
-    return samples, events
-
-
 class TestColumnarParser:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -754,13 +750,6 @@ class TestColumnarParser:
         assert back == d and hash(back) == hash(d)
         assert back.rejected_tracks == ()
         assert list(back.samples) == samples
-        for key, track in d.tracks.items():
-            other = back.tracks[key]
-            assert track.sv_flag == other.sv_flag
-            for f in ("frames", "times", "x", "y", "vx", "vy", "length", "width",
-                      "lane_id", "has_lane"):
-                a, b = getattr(track, f), getattr(other, f)
-                assert a.dtype == b.dtype and np.array_equal(a, b)
         write_trajectory_csv(back, root / "b.csv")
         assert (root / "b.csv").read_bytes() == (root / "a.csv").read_bytes()
 

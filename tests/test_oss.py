@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from builders import (
+    recordings,
     rigid_motion,
     sample,
     scene_dataset,
@@ -15,8 +16,8 @@ from builders import (
     table,
 )
 from safeset.errors import DimensionMismatch, FrameMisalignment, SpecKindMismatch
-from safeset.ingest import VEHICLE_TYPES, Dataset
-from safeset.kinematics import sv_frame_offsets
+from safeset.ingest import AGENT_TYPES, VEHICLE_TYPES, Dataset, label_collisions
+from safeset.kinematics import SPEED_EPS, headings
 from safeset.oss import (
     PRESETS,
     SUBREGIONS,
@@ -93,26 +94,56 @@ def two_car(gap_center=20.0, sv_v=10.0, lead_v=8.0, n=5, **lead_kw):
     return scene_dataset(agents, n)
 
 
+def reference_headings(vx, vy):
+    """Heading per sample of one track: the velocity direction, kept through
+    slow samples, the first moving heading before the track first moves,
+    +x for a track that never moves."""
+    vx = np.asarray(vx, dtype=float)
+    vy = np.asarray(vy, dtype=float)
+    speed = np.hypot(vx, vy)
+    moving = speed > SPEED_EPS
+    theta = np.arctan2(vy, vx)
+    if not moving.any():
+        return np.zeros_like(theta)
+    idx = np.arange(len(theta))
+    last_moving = np.where(moving, idx, -1)
+    np.maximum.accumulate(last_moving, out=last_moving)
+    first = idx[moving][0]
+    last_moving[last_moving < 0] = first
+    return theta[last_moving]
+
+
 def reference_candidates(d, traj, agent_types):
-    """The SV track and, per SV frame, a list of (dlong, dlat, speed, length,
-    lane) candidates in track order, lane None where a sample has none."""
-    sv = d.sv_track(traj)
-    others = [
-        t
-        for t in d.trajectory_tracks(traj)
-        if t.agent_id != sv.agent_id and t.agent_type in agent_types
-    ]
-    by_frame = {int(f): [] for f in sv.frames}
-    for other, common, _, ot_rows, dlong, dlat in sv_frame_offsets(sv, others):
-        speed = np.hypot(other.vx[ot_rows], other.vy[ot_rows])
-        for k, f in enumerate(common):
-            r = ot_rows[k]
-            lane = int(other.lane_id[r]) if other.has_lane[r] else None
-            by_frame[int(f)].append(
-                (float(dlong[k]), float(dlat[k]), float(speed[k]),
-                 float(other.length[r]), lane)
-            )
-    return sv, by_frame
+    """Built from RawSample rows: the SV samples of trajectory ``traj`` in
+    track order, their speeds, and per SV frame a list of (dlong, dlat,
+    speed, length, lane, width) candidates in track order, lane None where
+    a sample has none."""
+    tracks = {}
+    for s in d.samples:
+        tracks.setdefault((s.trajectory_id, s.agent_id), []).append(s)
+    (sv,) = [rows for (t, _), rows in tracks.items() if t == traj and rows[0].sv_flag]
+    theta = reference_headings([s.vx for s in sv], [s.vy for s in sv])
+    cos, sin = np.cos(theta), np.sin(theta)
+    speeds = np.hypot([s.vx for s in sv], [s.vy for s in sv])
+    at = {s.frame: k for k, s in enumerate(sv)}
+    by_frame = {s.frame: [] for s in sv}
+    for (t, _), rows in tracks.items():
+        if t != traj or rows is sv:
+            continue
+        for o in rows:
+            k = at.get(o.frame)
+            if k is None or o.agent_type not in agent_types:
+                continue
+            dx, dy = o.x - sv[k].x, o.y - sv[k].y
+            by_frame[o.frame].append((
+                float(cos[k] * dx + sin[k] * dy),
+                float(-sin[k] * dx + cos[k] * dy),
+                float(np.hypot(o.vx, o.vy)),
+                o.length,
+                o.lane_id,
+                o.width,
+            ))
+    return sv, speeds, by_frame
 
 
 def reference_lead_states(d, spec):
@@ -121,26 +152,25 @@ def reference_lead_states(d, spec):
     bounds = spec.bounds()
     out = []
     for traj in d.trajectory_ids:
-        sv, by_frame = reference_candidates(d, traj, VEHICLE_TYPES)
-        for row, frame in enumerate(sv.frames):
-            sv_lane = int(sv.lane_id[row]) if sv.has_lane[row] else None
+        sv, speeds, by_frame = reference_candidates(d, traj, VEHICLE_TYPES)
+        for s, v0 in zip(sv, speeds):
 
             def same_lane(c):
-                if sv_lane is not None and c[4] is not None:
-                    return sv_lane == c[4]
+                if s.lane_id is not None and c[4] is not None:
+                    return s.lane_id == c[4]
                 return abs(c[1]) <= spec.lane_width / 2.0
 
-            ahead = [c for c in by_frame[int(frame)] if c[0] > 0 and same_lane(c)]
+            ahead = [c for c in by_frame[s.frame] if c[0] > 0 and same_lane(c)]
             if not ahead:
                 continue
             lead = min(ahead, key=lambda c: c[0])
             state = (
-                float(sv.speeds()[row]),
+                float(v0),
                 lead[2],
-                float(lead[0] - (sv.length[row] + lead[3]) / 2.0),
+                float(lead[0] - (s.length + lead[3]) / 2.0),
             )
             if all(lo <= v <= hi for v, (lo, hi) in zip(state, bounds)):
-                out.append((traj, int(frame), state))
+                out.append((traj, s.frame, state))
     return out
 
 
@@ -163,19 +193,17 @@ def reference_multi_states(d, spec):
     p_bounds = (spec.p_min, spec.p_max)
     out = []
     for traj in d.trajectory_ids:
-        sv, by_frame = reference_candidates(d, traj, VEHICLE_TYPES)
-        sv_speed = sv.speeds()
-        for row, frame in enumerate(sv.frames):
-            v0 = float(sv_speed[row])
+        sv, speeds, by_frame = reference_candidates(d, traj, VEHICLE_TYPES)
+        for s, v0 in zip(sv, speeds.tolist()):
             if not (v_bounds[0] <= v0 <= v_bounds[1]):
                 continue
             best = {}
-            for dlong, dlat, speed, length, _ in by_frame[int(frame)]:
+            for dlong, dlat, speed, length, *_ in by_frame[s.frame]:
                 band = reference_band(dlat, spec)
                 if band is None:
                     continue
                 sub = ("f" if dlong >= 0 else "r") + band
-                gap = abs(dlong) - (sv.length[row] + length) / 2.0
+                gap = abs(dlong) - (s.length + length) / 2.0
                 p = float(np.sign(dlong) * gap) if gap > 0 else 0.0
                 dist = float(np.hypot(dlong, dlat))
                 if sub not in best or dist < best[sub][0]:
@@ -195,7 +223,7 @@ def reference_multi_states(d, spec):
                         continue
                 values.extend([fill_p, v0])
             if occupied:
-                out.append((traj, int(frame), tuple(values)))
+                out.append((traj, s.frame, tuple(values)))
     return out
 
 
@@ -205,19 +233,17 @@ def reference_ped_states(d, spec):
     distances, bounds checked after the pick."""
     out = []
     for traj in d.trajectory_ids:
-        sv, by_frame = reference_candidates(d, traj, ("pedestrian",))
-        sv_speed = sv.speeds()
-        for row, frame in enumerate(sv.frames):
-            v0 = float(sv_speed[row])
+        sv, speeds, by_frame = reference_candidates(d, traj, ("pedestrian",))
+        for s, v0 in zip(sv, speeds.tolist()):
             if not (spec.v_min <= v0 <= spec.v_max):
                 continue
-            half_len = sv.length[row] / 2.0
-            half_wid = sv.width[row] / 2.0
+            half_len = s.length / 2.0
+            half_wid = s.width / 2.0
             values = [v0]
             occupied = 0
             for side_sign in (1.0, -1.0):
                 best = None
-                for dlong, dlat, *_ in by_frame[int(frame)]:
+                for dlong, dlat, *_ in by_frame[s.frame]:
                     along = dlong - half_len
                     if along < 0:
                         continue
@@ -231,7 +257,7 @@ def reference_ped_states(d, spec):
                 else:
                     values.extend([spec.ped_p_max, spec.q_max])
             if occupied:
-                out.append((traj, int(frame), tuple(values)))
+                out.append((traj, s.frame, tuple(values)))
     return out
 
 
@@ -245,12 +271,81 @@ def reference_combined_states(d, spec):
     ]
 
 
+REFERENCE_STATES = {
+    "lead_following": reference_lead_states,
+    "multi_vehicle": reference_multi_states,
+    "vehicle_pedestrian": reference_ped_states,
+    "combined": reference_combined_states,
+}
+
+
+def reference_segments(d, states):
+    """(trajectory, segment index, frames, unsafe flags, collision frames) per
+    segment of the reference ``states``: each trajectory's states split where
+    frames stop being consecutive, a state unsafe when an event falls on its
+    frame, and each event of the trajectory attached to the segment holding
+    its frame, else the nearest preceding one, else the first."""
+    events = set(d.collision_events)
+    out = []
+    for traj in dict.fromkeys(t for t, _, _ in states):
+        segs = []
+        for t, f, _ in states:
+            if t != traj:
+                continue
+            if segs and f == segs[-1][-1] + 1:
+                segs[-1].append(f)
+            else:
+                segs.append([f])
+        attached = [[] for _ in segs]
+        for e in sorted(f for t, f in events if t == traj):
+            j = max([k for k, seg in enumerate(segs) if seg[0] <= e], default=0)
+            attached[j].append(e)
+        for k, seg in enumerate(segs):
+            flags = [(traj, f) in events for f in seg]
+            out.append((traj, k, seg, flags, tuple(attached[k])))
+    return out
+
+
+def reference_geometric_events(d):
+    """Every (trajectory, frame) at which the SV box overlaps another agent's
+    box in the SV frame, from the row-built candidate lists."""
+    out = set()
+    for traj in d.trajectory_ids:
+        sv, _, by_frame = reference_candidates(d, traj, AGENT_TYPES)
+        for s in sv:
+            for dlong, dlat, _, length, _, width in by_frame[s.frame]:
+                if abs(dlong) < (s.length + length) / 2.0 and abs(dlat) < (s.width + width) / 2.0:
+                    out.add((traj, s.frame))
+    return tuple(sorted(out))
+
+
 def emitted(t):
     """(trajectory, frame, state) per row of a StateTable."""
     return [
         (t.trajectory_ids[s], int(f), tuple(v))
         for s, f, v in zip(t.segment_ids(), t.frame, t.values.tolist())
     ]
+
+
+def described(t):
+    """(trajectory, segment index, frames, unsafe flags, collision frames) per
+    segment of a StateTable."""
+    return [
+        (t.trajectory_ids[j], int(t.segment_index[j]), t.frame[lo:hi].tolist(),
+         t.unsafe[lo:hi].tolist(), t.collision_frames[j])
+        for j, (lo, hi) in enumerate(zip(t.offsets[:-1], t.offsets[1:]))
+    ]
+
+
+def assert_matches_row_reference(d, spec):
+    """extract_states against the row-built reference: states, segments,
+    unsafe flags, attributed events and times."""
+    t = extract_states(d, spec)
+    want = REFERENCE_STATES[spec.kind](d, spec)
+    assert repr(emitted(t)) == repr(want)
+    assert described(t) == reference_segments(d, want)
+    sv_time = {(s.trajectory_id, s.frame): s.time for s in d.samples if s.sv_flag}
+    assert t.time.tolist() == [sv_time[traj, f] for traj, f, _ in want]
 
 
 @st.composite
@@ -344,7 +439,11 @@ def neighbour_scenes(draw):
                            y=offset[1], vx=vx, length=length)
                 )
     samples.sort(key=lambda r: (r.trajectory_id, r.agent_id, r.frame))
-    return Dataset(samples, dt=0.1)
+    # events on and between SV frames, before them, and of a trajectory
+    # that is not in the scene
+    events = draw(st.lists(st.tuples(st.sampled_from(["t0", "t1", "t9"]),
+                                     st.integers(-1, 8)), max_size=4))
+    return Dataset(samples, dt=0.1, collision_events=events)
 
 
 class TestLeadFollowing:
@@ -801,3 +900,79 @@ class TestStateTable:
         t = extract_lead_following(d, LEAD)
         assert t.collision_frames == ((0, 3, 4), (9,))
         assert t.unsafe.tolist() == [False, True, False, False]
+
+    def test_events_attach_within_their_own_trajectory(self):
+        # t0 has states at frames 0-3, t1 at frames 2-3 and 6-7; an event
+        # before t1's first segment goes to it, not to t0's last, and one of
+        # a trajectory without states is dropped
+        agents = {
+            "ego": {"x0": 0.0, "vx": 10.0, "sv": True},
+            "lead": {"x0": 20.0, "vx": 10.0, "frames": [2, 3, 6, 7]},
+        }
+        rows = list(scene_dataset(agents, 4).samples)
+        rows += scene_dataset(agents, 10, trajectory_id="t1").samples
+        rows += scene_dataset({"ego": agents["ego"]}, 3, trajectory_id="t2").samples
+        events = [("t0", 9), ("t1", 0), ("t1", 5), ("t2", 1), ("t9", 1)]
+        t = extract_lead_following(Dataset(rows, dt=0.1, collision_events=events), LEAD)
+        assert t.trajectory_ids == ("t0", "t1", "t1")
+        assert t.segment_index.tolist() == [0, 0, 1]
+        assert t.collision_frames == ((9,), (0, 5), ())
+
+
+# slow speeds straddle SPEED_EPS = 0.01
+HEADING_VELOCITIES = st.sampled_from(
+    [0.0, -0.0, 0.005, -0.007, 0.01, 0.0100001, 1.0, -3.0, 12.0]
+) | st.floats(-30.0, 30.0)
+
+
+class TestSvJoin:
+    @settings(max_examples=200, deadline=None)
+    @given(runs=st.lists(
+        st.lists(st.tuples(HEADING_VELOCITIES, HEADING_VELOCITIES), min_size=1, max_size=7),
+        min_size=1, max_size=8,
+    ))
+    def test_run_wise_headings_match_per_run_rule(self, runs):
+        vx = [v for run in runs for v, _ in run]
+        vy = [v for run in runs for _, v in run]
+        starts = np.cumsum([0] + [len(run) for run in runs[:-1]])
+        want = np.concatenate([
+            reference_headings([v for v, _ in run], [v for _, v in run]) for run in runs
+        ])
+        assert headings(vx, vy, starts).tobytes() == want.tobytes()
+
+    def test_slow_samples_keep_their_run_heading(self):
+        # run 0 turns left then stops; run 1 starts slow, then heads -y
+        vx = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        vy = [0.0, 1.0, 0.001, 0.0, 0.001, -2.0]
+        got = headings(vx, vy, [0, 3])
+        half_pi = np.pi / 2
+        assert got.tolist() == [0.0, half_pi, half_pi, -half_pi, -half_pi, -half_pi]
+        assert headings([0.0, 0.001], [0.0, 0.0], [0, 1]).tolist() == [0.0, 0.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=neighbour_scenes(), spec=st.sampled_from([LEAD, MULTI, PED, COMBINED]))
+    def test_states_match_row_reference_on_neighbour_scenes(self, d, spec):
+        assert_matches_row_reference(d, spec)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rec=recordings(), spec=st.sampled_from([LEAD, MULTI, PED, COMBINED]))
+    def test_states_match_row_reference_on_recordings(self, rec, spec):
+        samples, events = rec
+        with np.errstate(all="ignore"):
+            assert_matches_row_reference(Dataset(samples, collision_events=events), spec)
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=neighbour_scenes())
+    def test_geometric_labels_match_row_reference_on_neighbour_scenes(self, d):
+        got = label_collisions(d, "geometric_overlap").collision_events
+        assert got == reference_geometric_events(d)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rec=recordings())
+    def test_geometric_labels_match_row_reference_on_recordings(self, rec):
+        samples, _ = rec
+        d = Dataset(samples)
+        with np.errstate(all="ignore"):
+            assert label_collisions(d, "geometric_overlap").collision_events == (
+                reference_geometric_events(d)
+            )

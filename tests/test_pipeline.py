@@ -1,5 +1,6 @@
 """End-to-end analysis runs, report artifacts, and the command line."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -9,7 +10,15 @@ import numpy as np
 import pytest
 
 from builders import scene_dataset
-from safeset.cli import EXIT_EXCLUSION, EXIT_INVALID, EXIT_OK, _labels_sidecar, main
+from safeset.cli import (
+    EXIT_EXCLUSION,
+    EXIT_INVALID,
+    EXIT_OK,
+    _build_config,
+    _labels_sidecar,
+    build_parser,
+    main,
+)
 from safeset.errors import ExclusionViolated, InvalidBeta, SafesetError
 from safeset.ingest import Dataset, write_collision_csv, write_trajectory_csv
 from safeset.oss import PRESETS, OssSpec, extract_states
@@ -406,6 +415,29 @@ class TestShapeJson:
         assert Path(paths["shape"]).read_text() == expected
 
 
+SUMO_OSS = {"kind": "lead_following", "v_min": 0.0, "v_max": 30.0, "p_min": 0.0,
+            "p_max": 100.0}
+
+# config field -> (analyze flag, a value other than the default)
+ANALYZE_FLAGS = {
+    "preset": ("--preset", "highd-lead"),
+    "input_csv": ("--input", "runs.csv"),
+    "labels_csv": ("--labels", "runs_labels.csv"),
+    "collision_rule": ("--rule", "labels_only"),
+    "beta": ("--beta", 0.05),
+    "reach_mode": ("--reach-mode", "ancestors"),
+    "match_radius": ("--match-radius", 0.5),
+    "alpha_lo": ("--alpha-lo", 0.02),
+    "alpha_hi": ("--alpha-hi", 50.0),
+    "alpha_threshold": ("--alpha-threshold", 0.2),
+    "max_exact_dim": ("--max-exact-dim", 2),
+    "cluster_max": ("--cluster-max", 7),
+    "mc_samples": ("--mc-samples", 3000),
+    "seed": ("--seed", 4),
+    "slice_cells": ("--slice-cells", 9),
+}
+
+
 def run_cli(*argv):
     return main([str(a) for a in argv])
 
@@ -510,6 +542,49 @@ class TestCli:
         )
         assert code == EXIT_INVALID
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "patch, named",
+        [
+            ({"beta": "0.1"}, "beta"),
+            ({"alpha_lo": "0.1"}, "alpha_lo"),
+            ({"alpha_hi": None}, "alpha_hi"),
+            ({"match_radius": None}, "match_radius"),
+            ({"match_radius": True}, "match_radius"),
+            ({"max_exact_dim": "3"}, "max_exact_dim"),
+            ({"max_exact_dim": 2.5}, "max_exact_dim"),
+            ({"max_exact_dim": True}, "max_exact_dim"),
+            ({"max_exact_dim": -1}, "max_exact_dim"),
+            ({"preset": ["sumo-lead"]}, "preset"),
+            ({"preset": None, "oss": [1, 2]}, "oss"),
+            ({"preset": None, "oss": dict(SUMO_OSS, v_top=3.0)}, "v_top"),
+            ({"preset": None, "oss": dict(SUMO_OSS, v_min="0")}, "v_min"),
+            ({"preset": None, "oss": dict(SUMO_OSS, side_band=["a", 1.0])}, "side_band"),
+            ({"preset": None, "oss": {"kind": "lead_following"}}, "v_min"),
+        ],
+    )
+    def test_unusable_config_value_exits_2(self, tmp_path, battery_csv, capsys, patch, named):
+        cfg = {"preset": "sumo-lead", "input_csv": str(battery_csv), **patch}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = run_cli("analyze", "--config", cfg_path, "--out-dir", tmp_path / "x")
+        assert code == EXIT_INVALID
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_every_config_field_has_an_analyze_flag(self):
+        fields = {f.name: f for f in dataclasses.fields(AnalysisConfig)}
+        assert set(ANALYZE_FLAGS) == set(fields) - {"oss", "columns"}
+        argv = ["analyze", "--out-dir", "x"]
+        for flag, value in ANALYZE_FLAGS.values():
+            argv += [flag, str(value)]
+        cfg = _build_config(build_parser().parse_args(argv))
+        defaults = AnalysisConfig()
+        for name, (_, value) in ANALYZE_FLAGS.items():
+            assert getattr(defaults, name) != value, name
+            assert getattr(cfg, name) == value, name
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["analyze", "--out-dir", "x", "--reach-mode", "up"])
 
     def test_missing_input_exits_2(self, tmp_path):
         code = run_cli(
