@@ -127,15 +127,12 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 def _build_config(args: argparse.Namespace) -> AnalysisConfig:
     """The config file's settings, overridden by every analyze flag given;
     each flag's dest is the name of its config field."""
-    base = {}
+    cfg = AnalysisConfig()
     if args.config is not None:
         with open(args.config) as fh:
-            base = json.load(fh)
-    for f in dataclasses.fields(AnalysisConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            base[f.name] = value
-    return AnalysisConfig.from_dict(base)
+            cfg = AnalysisConfig.from_dict(json.load(fh))
+    flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(AnalysisConfig)}
+    return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _summary_lines(data: dict) -> list[str]:

@@ -16,11 +16,14 @@ clamp enforces that bitwise). Two consequences used throughout:
 * a point belongs to the filtered shape iff its carrier, the unique
   minimal simplex of the triangulation containing it, is included, since
   any larger included simplex would force the carrier in as a face.
+
+Membership has one path: a probe located in an excluded top is decided by
+its carrier, whose id is read off faces_of by dropping the top's
+unsupported vertex columns, so no face is searched for.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 from math import factorial
@@ -91,6 +94,17 @@ def _rank(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranks, order[new]
 
 
+def _face_ids(faces_of: dict[int, np.ndarray], k: int, fid, keep) -> tuple[np.ndarray, int]:
+    """Ids and level of the faces on sorted vertex columns ``keep`` of the
+    k-simplices ``fid``. Dropping the other columns highest first, one
+    face level at a time, keeps the remaining ones in place."""
+    for col in range(k, -1, -1):
+        if col not in keep:
+            fid = faces_of[k][fid, col]
+            k -= 1
+    return fid, k
+
+
 def _subset_ball(
     balls: dict[int, Balls],
     faces_of: dict[int, np.ndarray],
@@ -103,20 +117,29 @@ def _subset_ball(
 
     The full vertex set, given as (k + 1, n, m) coordinate columns, is
     solved here and stored in ``balls[k]`` for the level above. A proper
-    subset is a face already solved at a lower level: dropping the other
-    vertex columns highest first, one face level at a time, keeps the
-    remaining ones in place and ends at its face id.
+    subset is a face already solved at a lower level.
     """
     if len(idx) == k + 1:
         for table, solved in zip(balls[k], ball_table(cols)):
             table[..., rows] = solved
         return np.arange(rows.start, rows.start + cols.shape[2]), balls[k]
-    fid, level = rows, k
-    for col in range(k, -1, -1):
-        if col not in idx:
-            fid = faces_of[level][fid, col]
-            level -= 1
+    fid, level = _face_ids(faces_of, k, rows, idx)
     return fid, balls[level]
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solutions x of a[i] x = b[i], each bitwise as a lone np.linalg.solve.
+    A singular system fails the whole stack; the systems with a zero LU
+    pivot (slogdet sign 0) are then solved by least squares."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        x = np.empty(b.shape)
+        regular = np.linalg.slogdet(a)[0] != 0
+        x[regular] = np.linalg.solve(a[regular], b[regular][..., None])[..., 0]
+        singular = zip(a[~regular], b[~regular])
+        x[~regular] = [np.linalg.lstsq(m, v, rcond=None)[0] for m, v in singular]
+        return x
 
 
 def _filtration(
@@ -215,22 +238,6 @@ class SimplicialComplex:
             height += offsets
             keep[rows] = height.max(axis=1) <= margin
         return keep
-
-    def face_id(self, vertex_ids: tuple[int, ...]) -> int | None:
-        """Id of the proper face with exactly these vertices, if any.
-
-        Levels below the top hold their rows in lexicographic order (as
-        delaunay deduplicated them), so the lookup is a binary search.
-        """
-        k = len(vertex_ids) - 1
-        if k >= self.dim:
-            raise ValueError("face_id looks up proper faces only")
-        rows = self.simplices[k]
-        key = tuple(sorted(int(v) for v in vertex_ids))
-        i = bisect_left(rows, key, key=lambda row: tuple(row.tolist()))
-        if i < len(rows) and tuple(rows[i].tolist()) == key:
-            return i
-        return None
 
 
 def delaunay(
@@ -350,29 +357,6 @@ class AlphaShape:
     def _tol(self) -> float:
         return REL_TOL * max(self.complex.scale(), 1.0)
 
-    def _carrier_included(self, q: np.ndarray, top: int) -> bool:
-        """Membership through the minimal containing simplex of one top hit."""
-        c = self.complex
-        verts = c.tri.simplices[top]
-        coords = c.points[verts]
-        # barycentric coordinates of q in this simplex
-        a = (coords[1:] - coords[0]).T
-        try:
-            lam_rest = np.linalg.solve(a, q - coords[0])
-        except np.linalg.LinAlgError:
-            lam_rest = np.linalg.lstsq(a, q - coords[0], rcond=None)[0]
-        lam = np.concatenate([[1.0 - lam_rest.sum()], lam_rest])
-        if (lam < -1e-7).any():
-            return False
-        support = lam > 1e-9
-        if support.all():
-            return bool(self.included[c.dim][top])
-        carrier = tuple(sorted(int(v) for v in verts[support]))
-        fid = c.face_id(carrier)
-        if fid is None:
-            return False
-        return bool(self.included[len(carrier) - 1][fid])
-
     def contains(self, q) -> bool:
         """Closed-set membership of one point, with relative tolerance."""
         q = np.asarray(q, dtype=float).ravel()
@@ -400,28 +384,35 @@ class AlphaShape:
         hit = dist <= self._tol()
 
         located = c.tri.find_simplex(qs, tol=1e-12)
-        pending = np.nonzero(~hit & (located >= 0))[0]
-        if pending.size:
-            strict = self.included[c.dim][located[pending]]
-            hit[pending] = strict
-            # an excluded landing simplex can still touch the point on an
-            # included face; resolve those through the carrier
-            for i in pending[~strict]:
-                hit[i] = self._carrier_included(qs[i], int(located[i]))
+        pending = np.flatnonzero(~hit & (located >= 0))
+        strict = self.included[c.dim][located[pending]]
+        hit[pending] = strict
+        # an excluded landing simplex can still touch the point on an
+        # included face; resolve those through the carrier
+        carried = pending[~strict]
+        hit[carried] = self._carrier_members(qs[carried], located[carried])
         out[near] = hit
         return out
 
-    def contains_batch_fast(self, qs: np.ndarray) -> np.ndarray:
-        """Membership for sampling: boundary carriers ignored (measure zero)."""
-        qs = np.asarray(qs, dtype=float)
+    def _carrier_members(self, qs: np.ndarray, tops: np.ndarray) -> np.ndarray:
+        """Whether each probe's carrier in its landing top is included: the
+        face on the vertices whose barycentric coordinate exceeds 1e-9, none
+        if one is below -1e-7. Probes with one support walk faces_of together."""
         c = self.complex
-        out = np.zeros(len(qs), dtype=bool)
-        near = np.flatnonzero(c.near_hull(qs))
-        if not near.size:
-            return out
-        located = c.tri.find_simplex(qs[near])
-        hit = located >= 0
-        out[near[hit]] = self.included[c.dim][located[hit]]
+        verts = c.tri.simplices[tops]
+        coords = c.points[verts]
+        lam_rest = _solve(
+            (coords[:, 1:] - coords[:, :1]).transpose(0, 2, 1), qs - coords[:, 0]
+        )
+        lam = np.column_stack([1.0 - lam_rest.sum(axis=1), lam_rest])
+        inside = ~(lam < -1e-7).any(axis=1)
+        # columns in sorted vertex order, as simplices[dim] holds the tops
+        support = np.take_along_axis(lam > 1e-9, np.argsort(verts, axis=1), axis=1)
+        out = np.zeros(len(tops), dtype=bool)
+        for keep in np.unique(support[inside], axis=0):
+            rows = inside & (support == keep).all(axis=1)
+            fid, level = _face_ids(c.faces_of, c.dim, tops[rows], np.flatnonzero(keep))
+            out[rows] = self.included[level][fid]
         return out
 
     def included_counts(self) -> dict[int, int]:

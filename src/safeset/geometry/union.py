@@ -80,7 +80,7 @@ class ShapeUnion:
     def _multiplicity(self, qs: np.ndarray) -> np.ndarray:
         counts = np.zeros(len(qs), dtype=np.int64)
         for s in self.shapes:
-            counts += s.contains_batch_fast(qs).astype(np.int64)
+            counts += s.contains_batch(qs).astype(np.int64)
         return counts
 
     def compute_measure(self, seed: int = 0, n_samples: int = 20_000) -> UnionMeasure:

@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, FrameMisalignment, SpecKindMismatch
+from .errors import FrameMisalignment, SpecKindMismatch
 from .ingest import Dataset, VEHICLE_TYPES
 from .kinematics import frame_keys
 
@@ -196,26 +196,6 @@ class StateTable:
             self.values, axis=0, return_index=True, return_inverse=True
         )
         return vertices, ids.reshape(-1)
-
-    @classmethod
-    def concat(cls, tables: Sequence["StateTable"], dim: int) -> "StateTable":
-        """Stack tables of ``dim``-D states, segments in the given order."""
-        for t in tables:
-            if t.dim != dim:
-                raise DimensionMismatch(f"states of dimension {t.dim}, expected {dim}")
-        lengths = [np.diff(t.offsets) for t in tables]
-        return cls(
-            values=np.concatenate([np.empty((0, dim))] + [t.values for t in tables]),
-            frame=np.concatenate([np.empty(0, np.int64)] + [t.frame for t in tables]),
-            time=np.concatenate([np.empty(0)] + [t.time for t in tables]),
-            unsafe=np.concatenate([np.empty(0, bool)] + [t.unsafe for t in tables]),
-            offsets=np.cumsum(np.concatenate([[0]] + lengths)).astype(np.intp),
-            trajectory_ids=tuple(i for t in tables for i in t.trajectory_ids),
-            segment_index=np.concatenate(
-                [np.empty(0, np.intp)] + [t.segment_index for t in tables]
-            ),
-            collision_frames=tuple(c for t in tables for c in t.collision_frames),
-        )
 
 
 def transitions(table: StateTable) -> np.ndarray:

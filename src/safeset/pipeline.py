@@ -105,8 +105,10 @@ class AnalysisConfig:
             raise SafesetError(
                 f"max_exact_dim must be a non-negative integer, got {self.max_exact_dim!r}"
             )
-        if not (self.preset is None or isinstance(self.preset, str)):
-            raise SafesetError(f"preset must be a string or null, got {self.preset!r}")
+        for name in ("preset", "input_csv", "labels_csv"):
+            value = getattr(self, name)
+            if not (value is None or isinstance(value, str)):
+                raise SafesetError(f"{name} must be a string or null, got {value!r}")
         self.resolve_spec()
 
     def resolve_spec(self) -> OssSpec:
@@ -139,6 +141,8 @@ class AnalysisConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AnalysisConfig":
+        if not isinstance(d, dict):
+            raise SafesetError(f"a config must be a JSON object, got {d!r}")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(d) - known
         if extra:

@@ -267,16 +267,17 @@ def _cell_centers(lo: float, hi: float, cells: int) -> tuple[np.ndarray, np.ndar
     return 0.5 * (edges[:-1] + edges[1:]), edges
 
 
-def render_slice(report: AnalysisReport, plan: SlicePlan, cells: int) -> list[dict]:
-    """Raster one plan into row dicts (x, y, probe_member, ds_count, member)."""
+def render_slice(report: AnalysisReport, plan: SlicePlan, cells: int) -> dict[str, np.ndarray]:
+    """Raster one plan into columns x, y, probe_member, ds_count, member,
+    one entry per cell with x varying slowest."""
     spec = report.spec
     b = spec.bounds()
     xc, xe = _cell_centers(float(b[plan.x_index, 0]), float(b[plan.x_index, 1]), cells)
     yc, ye = _cell_centers(float(b[plan.y_index, 0]), float(b[plan.y_index, 1]), cells)
-    gx, gy = np.meshgrid(xc, yc, indexing="ij")
+    x, y = np.repeat(xc, cells), np.tile(yc, cells)
     probes = np.tile(np.array(plan.fills, dtype=float), (cells * cells, 1))
-    probes[:, plan.x_index] = gx.ravel()
-    probes[:, plan.y_index] = gy.ravel()
+    probes[:, plan.x_index] = x
+    probes[:, plan.y_index] = y
     if report.shape is None:
         inside = np.zeros(cells * cells, dtype=bool)
     else:
@@ -290,23 +291,14 @@ def render_slice(report: AnalysisReport, plan: SlicePlan, cells: int) -> list[di
         )
     else:
         counts = np.zeros((cells, cells))
-
-    rows = []
-    inside_grid = inside.reshape(cells, cells)
-    for i in range(cells):
-        for j in range(cells):
-            probe = bool(inside_grid[i, j])
-            count = int(counts[i, j])
-            rows.append(
-                {
-                    "x": float(xc[i]),
-                    "y": float(yc[j]),
-                    "probe_member": probe,
-                    "ds_count": count,
-                    "member": probe or count > 0,
-                }
-            )
-    return rows
+    counts = counts.ravel().astype(np.int64)
+    return {
+        "x": x,
+        "y": y,
+        "probe_member": inside,
+        "ds_count": counts,
+        "member": inside | (counts > 0),
+    }
 
 
 def _slice_filename(spec: OssSpec, plan: SlicePlan) -> str:
@@ -317,20 +309,16 @@ def _slice_filename(spec: OssSpec, plan: SlicePlan) -> str:
     )
 
 
-def _write_slice_csv(path: Path, rows: list[dict]) -> None:
+def _write_slice_csv(path: Path, raster: dict[str, np.ndarray]) -> None:
+    # floats as repr, flags as 0/1
+    columns = [
+        map(repr, (col.astype(np.int64) if col.dtype == bool else col).tolist())
+        for col in raster.values()
+    ]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["x", "y", "probe_member", "ds_count", "member"])
-        for r in rows:
-            writer.writerow(
-                [
-                    repr(r["x"]),
-                    repr(r["y"]),
-                    int(r["probe_member"]),
-                    r["ds_count"],
-                    int(r["member"]),
-                ]
-            )
+        writer.writerow(raster)
+        writer.writerows(zip(*columns))
 
 
 def _write_ds_csv(path: Path, report: AnalysisReport) -> None:
@@ -422,9 +410,9 @@ def emit_report(report: AnalysisReport, out_dir: str | Path) -> dict:
 
     slice_paths = []
     for plan in slice_plans(report.spec):
-        rows = render_slice(report, plan, report.config.slice_cells)
+        raster = render_slice(report, plan, report.config.slice_cells)
         path = slices_dir / _slice_filename(report.spec, plan)
-        _write_slice_csv(path, rows)
+        _write_slice_csv(path, raster)
         slice_paths.append(str(path))
     return {
         "report": str(report_path),

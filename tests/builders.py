@@ -3,6 +3,7 @@
 import numpy as np
 from hypothesis import strategies as st
 
+from safeset.errors import DimensionMismatch
 from safeset.ingest import AGENT_TYPES, Dataset, RawSample
 from safeset.oss import StateTable
 
@@ -118,10 +119,26 @@ def segment(values, tid="t0", index=0, collisions=(), frames=None, unsafe=()):
 
 
 def table(*segments, dim=None):
-    """Stack one-segment tables (see :func:`segment`) in order."""
+    """Stack tables of ``dim``-D states (see :func:`segment`), segments in
+    the given order."""
     if dim is None:
         dim = segments[0].dim if segments else 0
-    return StateTable.concat(segments, dim)
+    for t in segments:
+        if t.dim != dim:
+            raise DimensionMismatch(f"states of dimension {t.dim}, expected {dim}")
+    lengths = [np.diff(t.offsets) for t in segments]
+    return StateTable(
+        values=np.concatenate([np.empty((0, dim))] + [t.values for t in segments]),
+        frame=np.concatenate([np.empty(0, np.int64)] + [t.frame for t in segments]),
+        time=np.concatenate([np.empty(0)] + [t.time for t in segments]),
+        unsafe=np.concatenate([np.empty(0, bool)] + [t.unsafe for t in segments]),
+        offsets=np.cumsum(np.concatenate([[0]] + lengths)).astype(np.intp),
+        trajectory_ids=tuple(i for t in segments for i in t.trajectory_ids),
+        segment_index=np.concatenate(
+            [np.empty(0, np.intp)] + [t.segment_index for t in segments]
+        ),
+        collision_frames=tuple(c for t in segments for c in t.collision_frames),
+    )
 
 
 def segment_values(t, j):

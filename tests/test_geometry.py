@@ -32,7 +32,7 @@ from safeset.geometry import (
 )
 from safeset.geometry.hullshape import NORMAL_MARGIN
 from safeset.geometry.montecarlo import McVolume
-from safeset.geometry.simplicial import _unique_rows
+from safeset.geometry.simplicial import _face_ids, _unique_rows
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
@@ -145,19 +145,59 @@ def reference_complex(c):
     return simplices, faces_of, filtration
 
 
+def reference_carrier_included(shape, q, top):
+    """Membership of one probe through the minimal containing simplex of
+    its landing top: its own solve, and the carrier looked up by value."""
+    c = shape.complex
+    verts = c.tri.simplices[top]
+    coords = c.points[verts]
+    # barycentric coordinates of q in this simplex
+    a = (coords[1:] - coords[0]).T
+    try:
+        lam_rest = np.linalg.solve(a, q - coords[0])
+    except np.linalg.LinAlgError:
+        lam_rest = np.linalg.lstsq(a, q - coords[0], rcond=None)[0]
+    lam = np.concatenate([[1.0 - lam_rest.sum()], lam_rest])
+    if (lam < -1e-7).any():
+        return False
+    support = lam > 1e-9
+    if support.all():
+        return bool(shape.included[c.dim][top])
+    carrier = np.sort(verts[support])
+    k = len(carrier) - 1
+    (fid,) = np.flatnonzero((c.simplices[k] == carrier).all(axis=1))
+    return bool(shape.included[k][fid])
+
+
 def reference_membership(shape, qs):
-    """Exact and fast membership with find_simplex run on every probe."""
+    """Exact membership with find_simplex and the carrier run per probe."""
     c = shape.complex
     dist, _ = cKDTree(c.points).query(qs)
     exact = dist <= 1e-9 * max(c.scale(), 1.0)
     located = c.tri.find_simplex(qs, tol=1e-12)
     for i in np.flatnonzero(~exact & (located >= 0)):
         top = int(located[i])
-        exact[i] = shape.included[c.dim][top] or shape._carrier_included(qs[i], top)
-    fast = np.zeros(len(qs), dtype=bool)
-    hit = c.tri.find_simplex(qs)
-    fast[hit >= 0] = shape.included[c.dim][hit[hit >= 0]]
-    return exact, fast
+        exact[i] = shape.included[c.dim][top] or reference_carrier_included(
+            shape, qs[i], top
+        )
+    return exact
+
+
+def planes_cloud(rng, dim, n):
+    """About n points on 2-4 parallel hyperplanes (last coordinate fixed),
+    each in collinear runs along the first axis, like layered_cloud in
+    any dimension."""
+    levels = rng.random(rng.integers(2, 5))
+    per_run = max(2, n // (len(levels) * (dim + 1)))
+    blocks = []
+    for level in levels:
+        for _ in range(dim + 1):
+            run = np.empty((per_run, dim))
+            run[:, 0] = rng.random(per_run)
+            run[:, 1:-1] = rng.random(dim - 2)
+            run[:, -1] = level
+            blocks.append(run)
+    return np.vstack(blocks)
 
 
 class TestCircumballs:
@@ -341,14 +381,21 @@ class TestDelaunay:
         assert np.array_equal(uniq, ref_uniq)
         assert np.array_equal(inverse, ref_inverse.ravel())
 
-    def test_face_id_finds_every_proper_face(self):
-        c = delaunay(np.random.default_rng(4).random((60, 3)))
-        for k in range(c.dim):
-            for i, row in enumerate(c.simplices[k]):
-                assert c.face_id(tuple(row[::-1])) == i
-        assert c.face_id((0, 0)) is None
-        with pytest.raises(ValueError):
-            c.face_id(tuple(c.simplices[3][0]))
+    @pytest.mark.parametrize("dim,n", [(2, 30), (3, 60), (4, 40), (3, "layered")])
+    def test_faces_of_walk_finds_every_face(self, dim, n):
+        if n == "layered":
+            c = delaunay(layered_cloud(1))
+        else:
+            c = delaunay(np.random.default_rng(4).random((n, dim)))
+        tops = c.simplices[dim]
+        reached = {k: np.zeros(len(c.simplices[k]), dtype=bool) for k in range(dim + 1)}
+        for size in range(1, dim + 2):
+            for keep in combinations(range(dim + 1), size):
+                fid, level = _face_ids(c.faces_of, dim, np.arange(len(tops)), keep)
+                assert level == size - 1
+                assert np.array_equal(c.simplices[level][fid], tops[:, list(keep)])
+                reached[level][fid] = True
+        assert all(r.all() for r in reached.values())
 
     def test_duplicates_dropped(self):
         pts = np.vstack([SQUARE, SQUARE[:2]])
@@ -442,22 +489,13 @@ class TestAlphaComplex:
         # and the corners always are
         assert shape.contains_batch(SQUARE).all()
 
-    def test_membership_modes_agree_off_boundary(self):
-        rng = np.random.default_rng(21)
-        c = delaunay(rng.random((30, 2)))
-        shape = alpha_complex(c, float(np.median(c.filtration[2])))
-        qs = rng.random((500, 2)) * 1.2 - 0.1
-        exact = shape.contains_batch(qs)
-        fast = shape.contains_batch_fast(qs)
-        disagree = exact != fast
-        assert disagree.mean() < 0.02  # only boundary-carrier queries differ
-        assert not (fast & ~exact).any()  # fast never claims more than exact
-
-    @pytest.mark.parametrize("cloud", ["random", "lattice"])
+    @pytest.mark.parametrize("cloud", ["random", "lattice", "layered"])
     def test_membership_matches_find_simplex_reference(self, cloud):
         rng = np.random.default_rng(600)
         if cloud == "random":
             pts = rng.random((600, 3))
+        elif cloud == "layered":  # mostly flat tops, as on the battery
+            pts = layered_cloud(0)
         else:  # 100 points on each hull facet: delaunay joggles, the hull not
             pts = np.stack(np.meshgrid(*[np.linspace(0, 1, 10)] * 3), -1).reshape(-1, 3)
         c = delaunay(pts)
@@ -469,10 +507,37 @@ class TestAlphaComplex:
         pushed = [centroids + t * margin * normals for t in (0.0, 0.5, 2.0, 10.0)]
         box = rng.random((3000, 3)) * 1.4 - 0.2
         qs = np.vstack([box, c.points[:50] + 1e-3, *pushed])
-        exact, fast = reference_membership(shape, qs)
+        exact = reference_membership(shape, qs)
         assert exact.any() and not exact.all()
         assert np.array_equal(shape.contains_batch(qs), exact)
-        assert np.array_equal(shape.contains_batch_fast(qs), fast)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([2, 3, 5]),
+        layered=st.booleans(),
+    )
+    def test_membership_matches_per_probe_carriers(self, seed, dim, layered):
+        rng = np.random.default_rng(seed)
+        n = 30 if dim == 5 else 60
+        pts = planes_cloud(rng, dim, n) if layered else rng.random((n, dim))
+        c = delaunay(pts)
+        top = c.filtration[dim][np.isfinite(c.filtration[dim])]
+        alphas = [float(np.median(c.filtration[1])), float(np.median(top)), float(top.max())]
+
+        def some(rows, m=120):
+            return rows[rng.permutation(len(rows))[:m]]
+
+        qs = np.vstack([
+            c.points,
+            some(c.points[c.simplices[1]].mean(axis=1)),  # edge midpoints
+            some(c.points[c.simplices[2]].mean(axis=1)),  # triangle centroids
+            some(c.points[c.simplices[dim]].mean(axis=1)),  # top centroids
+            rng.random((120, dim)) * 1.2 - 0.1,
+        ])
+        for alpha in alphas:
+            shape = alpha_complex(c, alpha)
+            assert np.array_equal(shape.contains_batch(qs), reference_membership(shape, qs))
 
     def test_component_count_matches_union_find_over_simplices(self):
         rng = np.random.default_rng(9)

@@ -346,22 +346,24 @@ class TestReportArtifacts:
     def test_render_slice_semantics(self, safe_report):
         plan = slice_plans(safe_report.spec)[1]
         cells = 20
-        rows = render_slice(safe_report, plan, cells)
-        assert len(rows) == cells * cells
+        raster = render_slice(safe_report, plan, cells)
+        assert list(raster) == ["x", "y", "probe_member", "ds_count", "member"]
+        assert all(len(col) == cells * cells for col in raster.values())
         b = safe_report.spec.bounds()
-        for r in rows:
-            assert b[1, 0] <= r["x"] <= b[1, 1]
-            assert b[2, 0] <= r["y"] <= b[2, 1]
-            assert r["member"] == (r["probe_member"] or r["ds_count"] > 0)
+        assert ((b[1, 0] <= raster["x"]) & (raster["x"] <= b[1, 1])).all()
+        assert ((b[2, 0] <= raster["y"]) & (raster["y"] <= b[2, 1])).all()
+        assert np.array_equal(
+            raster["member"], raster["probe_member"] | (raster["ds_count"] > 0)
+        )
         ds = safe_report.ds_values
         in_band = (ds[:, 0] >= plan.band[0]) & (ds[:, 0] <= plan.band[1])
-        assert sum(r["ds_count"] for r in rows) == int(in_band.sum())
+        assert raster["ds_count"].sum() == int(in_band.sum())
 
     def test_probe_membership_nonempty_for_native_band(self, safe_report):
         counts = []
         for plan in slice_plans(safe_report.spec):
-            rows = render_slice(safe_report, plan, 25)
-            counts.append(sum(r["probe_member"] for r in rows))
+            raster = render_slice(safe_report, plan, 25)
+            counts.append(int(raster["probe_member"].sum()))
         assert any(c > 0 for c in counts)
 
 
@@ -561,6 +563,8 @@ class TestCli:
             ({"preset": None, "oss": dict(SUMO_OSS, v_min="0")}, "v_min"),
             ({"preset": None, "oss": dict(SUMO_OSS, side_band=["a", 1.0])}, "side_band"),
             ({"preset": None, "oss": {"kind": "lead_following"}}, "v_min"),
+            ({"input_csv": 0}, "input_csv"),
+            ({"labels_csv": 7}, "labels_csv"),
         ],
     )
     def test_unusable_config_value_exits_2(self, tmp_path, battery_csv, capsys, patch, named):
@@ -570,6 +574,18 @@ class TestCli:
         code = run_cli("analyze", "--config", cfg_path, "--out-dir", tmp_path / "x")
         assert code == EXIT_INVALID
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("doc", ["[]", "null"])
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, battery_csv, capsys, doc):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(doc)
+        code = run_cli(
+            "analyze", "--config", cfg_path, "--input", battery_csv,
+            "--out-dir", tmp_path / "x",
+        )
+        assert code == EXIT_INVALID
+        assert "JSON object" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_every_config_field_has_an_analyze_flag(self):
