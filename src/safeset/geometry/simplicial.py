@@ -130,15 +130,15 @@ def _subset_ball(
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solutions x of a[i] x = b[i], each bitwise as a lone np.linalg.solve.
     A singular system fails the whole stack; the systems with a zero LU
-    pivot (slogdet sign 0) are then solved by least squares."""
+    pivot (slogdet sign 0) are then solved by least squares, one by one."""
     try:
         return np.linalg.solve(a, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
         x = np.empty(b.shape)
-        regular = np.linalg.slogdet(a)[0] != 0
-        x[regular] = np.linalg.solve(a[regular], b[regular][..., None])[..., 0]
-        singular = zip(a[~regular], b[~regular])
-        x[~regular] = [np.linalg.lstsq(m, v, rcond=None)[0] for m, v in singular]
+        singular = np.linalg.slogdet(a)[0] == 0
+        x[~singular] = np.linalg.solve(a[~singular], b[~singular][..., None])[..., 0]
+        for i in np.flatnonzero(singular):
+            x[i] = np.linalg.lstsq(a[i], b[i], rcond=None)[0]
         return x
 
 

@@ -32,7 +32,7 @@ from safeset.geometry import (
 )
 from safeset.geometry.hullshape import NORMAL_MARGIN
 from safeset.geometry.montecarlo import McVolume
-from safeset.geometry.simplicial import _face_ids, _unique_rows
+from safeset.geometry.simplicial import _face_ids, _solve, _unique_rows
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
@@ -421,6 +421,48 @@ class TestDelaunay:
         assert c.n_points == 1200
         shape = alpha_complex(c, 1e9)
         assert shape.component_count == 1 and shape.covers_vertices
+
+
+class TestStackedSolve:
+    @staticmethod
+    def _systems(dim, rng):
+        """Ten regular systems and, between them, exactly singular ones: a
+        zero column, a zero row and the zero matrix (an exact zero pivot)."""
+        a = rng.standard_normal((13, dim, dim))
+        a[3][:, 1] = 0.0
+        a[7][dim - 1] = 0.0
+        a[11] = 0.0
+        # the transposed view carrier solves pass
+        return a.transpose(0, 2, 1), rng.standard_normal((13, dim)), [3, 7, 11]
+
+    @staticmethod
+    def _lone(a, b):
+        """One system as reference_carrier_included solves it."""
+        try:
+            return np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            return np.linalg.lstsq(a, b, rcond=None)[0]
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_mixed_stack_matches_lone_solves(self, dim):
+        a, b, singular = self._systems(dim, np.random.default_rng(dim))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(a, b[..., None])
+        for i in singular:
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(a[i], b[i])
+        x = _solve(a, b)
+        for i in range(len(a)):
+            assert x[i].tobytes() == self._lone(a[i], b[i]).tobytes(), i
+
+    @pytest.mark.parametrize("rows", [[0, 1, 2, 4], [3, 7, 11], []])
+    def test_uniform_stacks(self, rows):
+        """All regular (no fallback), all singular and empty stacks."""
+        a, b, _ = self._systems(3, np.random.default_rng(0))
+        x = _solve(a[rows], b[rows])
+        assert x.shape == (len(rows), 3)
+        for got, i in zip(x, rows):
+            assert got.tobytes() == self._lone(a[i], b[i]).tobytes(), i
 
 
 class TestAlphaComplex:
