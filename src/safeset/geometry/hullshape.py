@@ -73,9 +73,13 @@ class ConvexHullShape:
         hi = self.points.max(axis=0)
         self._bbox = np.stack([lo, hi], axis=1)
         self._scale = max(float((hi - lo).max()), 1.0)
-        # stacked system [P^T; 1] lambda = [q; 1] for the combination fit
+        # The combination fits run on coordinates centred at the mean, so
+        # their tolerances do not grow with the hull's distance from the
+        # origin: [(P - mean)^T; scale] lambda = [q - mean; scale].
+        self._mean = self.points.mean(axis=0)
+        centred = self.points - self._mean
         self._system = np.vstack(
-            [self.points.T, np.full((1, len(self.points)), self._scale)]
+            [centred.T, np.full((1, len(self.points)), self._scale)]
         )
         # Outer-polytope prefilter: any member q satisfies, for every
         # direction u, min<P,u> <= <q,u> <= max<P,u>. Violating one cut
@@ -89,16 +93,15 @@ class ConvexHullShape:
         self._cut_lo = proj.min(axis=0)
         self._cut_hi = proj.max(axis=0)
         self._lp_system = np.vstack(
-            [self.points.T / self._scale, np.ones((1, len(self.points)))]
+            [centred.T / self._scale, np.ones((1, len(self.points)))]
         )
         self._lp_cost = np.zeros(len(self.points))
 
         # Affine hull: every point lies within tau = RANK_TOL x sigma_max of
         # the mean along each normal. The full right basis needs the square
         # U only when there are fewer points than dimensions.
-        self._mean = self.points.mean(axis=0)
         n, d = self.points.shape
-        _, sigma, vt = np.linalg.svd(self.points - self._mean, full_matrices=n < d)
+        _, sigma, vt = np.linalg.svd(centred, full_matrices=n < d)
         sigma = np.concatenate([sigma, np.zeros(d - len(sigma))])
         tau = RANK_TOL * float(sigma.max(initial=0.0))
         flat = sigma <= tau
@@ -113,20 +116,19 @@ class ConvexHullShape:
 
         A query within the KD-tree tolerance of a point is at most that far
         past it. An NNLS certificate with recomputed residual r has
-        q = P^T x + e, ||e|| <= r, |sum(x) - 1| <= r / scale, so it reaches
-        r (1 + (tau + ||mean||) / scale); r is largest at the box's farthest
-        corner. An LP solution feasible within F per row (x >= -F) reaches
-        F ((2n + 1) tau + ||mean|| + sqrt(d) scale).
+        q - mean = (P - mean)^T x + e, ||e|| <= r, |sum(x) - 1| <= r / scale,
+        so it reaches r (1 + tau / scale); r is largest at the box corner
+        farthest from the mean. An LP solution feasible within F per row
+        (x >= -F) reaches F ((2n + 1) tau + sqrt(d) scale).
         """
         n, d = self.points.shape
-        corner = np.maximum(np.abs(self._bbox[:, 0]), np.abs(self._bbox[:, 1]))
-        q_norm = float(np.linalg.norm(corner + self._margin))
+        lo, hi = self._bbox[:, 0] - self._mean, self._bbox[:, 1] - self._mean
+        q_norm = float(np.linalg.norm(np.maximum(-lo, hi) + self._margin))
         r = RESIDUAL_TOL * self._scale * math.hypot(q_norm, self._scale)
-        mean_norm = float(np.linalg.norm(self._mean))
-        lp_reach = (2 * n + 1) * tau + mean_norm + math.sqrt(d) * self._scale
+        lp_reach = (2 * n + 1) * tau + math.sqrt(d) * self._scale
         return max(
             self._tol(),
-            r * (1.0 + (tau + mean_norm) / self._scale),
+            r * (1.0 + tau / self._scale),
             LP_FEASIBILITY_TOL * lp_reach,
         )
 
@@ -190,6 +192,7 @@ class ConvexHullShape:
         one proves nothing (the fit may simply have been sloppy), so those
         queries get an exact LP feasibility verdict.
         """
+        q = q - self._mean
         rhs = np.concatenate([q, [self._scale]])
         x, _ = nnls(self._system, rhs)
         resid = float(np.linalg.norm(self._system @ x - rhs))

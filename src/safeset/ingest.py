@@ -20,6 +20,8 @@ first bad line. Validation of tracks (monotone frames and times, one
 dt, irregular gaps) runs as array operations over the track offsets. The
 table is the only copy of the samples; labelling and projection read it
 through one join to the subject vehicle (:attr:`Dataset.sv_join`).
+:func:`write_trajectory_csv` writes the table column by column through
+:mod:`safeset.celltext`, each distinct number and label formatted once.
 
 Collision events are (trajectory_id, frame) pairs. They come from an
 optional sidecar label file, whose events must name trajectories of the
@@ -40,6 +42,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .celltext import label_cells, number_cells, write_rows
 from .errors import MalformedRow, MissingColumn, NonMonotoneTime
 from .kinematics import SvJoin, boxes_overlap, sv_frame_offsets
 
@@ -83,7 +86,7 @@ GAP_REJECT_FRACTION = 0.01
 """Tracks with more than this fraction of irregular gaps are dropped."""
 
 _CHUNK_ROWS = 4096
-"""CSV records parsed (and written) per batch."""
+"""CSV records parsed per batch."""
 
 
 @dataclass(frozen=True)
@@ -222,18 +225,6 @@ class SampleTable:
         if field == "lane_id":
             return [v if h else None for v, h in zip(col.tolist(), self.has_lane[rows].tolist())]
         return col.tolist()
-
-    def text(self, field: str, rows=slice(None)) -> list[str]:
-        """Field ``field`` at ``rows`` as written to CSV: floats by ``repr``,
-        flags as 1/0 and an empty cell for no lane."""
-        col = self.columns[field][rows]
-        if field in self.labels:
-            return np.array([str(v) for v in self.labels[field]], dtype=object)[col].tolist()
-        if field == "lane_id":
-            return ["" if v is None else str(v) for v in self.values(field, rows)]
-        if field == "sv_flag":
-            return np.array(["0", "1"], dtype=object)[col.astype(np.intp)].tolist()
-        return list(map(repr if field in FLOAT_FIELDS else str, col.tolist()))
 
     def __len__(self) -> int:
         return len(self.has_lane)
@@ -690,14 +681,18 @@ def label_collisions(d: Dataset, rule: str = "either") -> Dataset:
 
 
 def write_trajectory_csv(d: Dataset, path: str | Path) -> None:
-    """Write the dataset in canonical column order; floats round-trip exactly."""
+    """Write the dataset in canonical column order; floats round-trip exactly,
+    flags read 1/0 and a row without a lane has an empty ``lane_id``."""
     table = d.samples
+    columns = []
+    for f in CANONICAL_FIELDS:
+        if f in table.labels:
+            columns.append(label_cells(table.labels[f], table.columns[f]))
+        else:
+            present = table.has_lane if f == "lane_id" else None
+            columns.append(number_cells(table.columns[f], present))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CANONICAL_FIELDS)
-        for lo in range(0, len(table), _CHUNK_ROWS):
-            rows = slice(lo, lo + _CHUNK_ROWS)
-            writer.writerows(zip(*(table.text(f, rows) for f in CANONICAL_FIELDS)))
+        write_rows(fh, CANONICAL_FIELDS, columns)
 
 
 def write_collision_csv(events, path: str | Path) -> None:

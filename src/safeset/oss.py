@@ -27,13 +27,13 @@ masks of this table; no per-state object is built.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .celltext import label_cells, number_cells, write_rows
 from .errors import FrameMisalignment, SpecKindMismatch
 from .ingest import Dataset, VEHICLE_TYPES
 from .kinematics import frame_keys
@@ -498,26 +498,15 @@ def extract_states(d: Dataset, spec: OssSpec) -> StateTable:
 
 def export_states_csv(table: StateTable, spec: OssSpec, path: str | Path) -> None:
     """Write projected states as CSV, one row per state."""
-    segment_index = table.segment_index.tolist()
+    seg = table.segment_ids()
+    columns = [
+        label_cells(table.trajectory_ids, seg),
+        number_cells(table.segment_index[seg]),
+        number_cells(table.frame),
+        number_cells(table.time),
+        number_cells(table.unsafe),
+        *map(number_cells, table.values.T),
+    ]
+    header = ["trajectory_id", "segment", "frame", "time", "unsafe", *spec.names]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["trajectory_id", "segment", "frame", "time", "unsafe", *spec.names]
-        )
-        for seg, frame, time, unsafe, values in zip(
-            table.segment_ids().tolist(),
-            table.frame.tolist(),
-            table.time.tolist(),
-            table.unsafe.tolist(),
-            table.values.tolist(),
-        ):
-            writer.writerow(
-                [
-                    table.trajectory_ids[seg],
-                    segment_index[seg],
-                    frame,
-                    repr(time),
-                    int(unsafe),
-                    *map(repr, values),
-                ]
-            )
+        write_rows(fh, header, columns)

@@ -2,8 +2,9 @@
 
 Every artifact is a pure function of the analysis report, so re-running
 the same configuration on the same inputs reproduces each file byte for
-byte. JSON is emitted with sorted keys and no timestamps; CSV floats use
-``repr`` so values round-trip exactly.
+byte. JSON is emitted with sorted keys and no timestamps; numbers are
+written by ``repr`` so values round-trip exactly, each distinct value of a
+CSV column or a ``shape.json`` array formatted once (:mod:`safeset.celltext`).
 
 Slice grids rasterize two chosen state dimensions over a band of ego
 speed, holding every remaining dimension at its neutral fill (absent
@@ -14,7 +15,6 @@ retained states fall in the cell for that band, and the OR of the two.
 
 from __future__ import annotations
 
-import csv
 import json
 import re
 from dataclasses import dataclass
@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .celltext import number_cells, write_rows
 from .oss import SUBREGIONS, OssSpec
 from .pipeline import AnalysisReport
 
@@ -310,23 +311,14 @@ def _slice_filename(spec: OssSpec, plan: SlicePlan) -> str:
 
 
 def _write_slice_csv(path: Path, raster: dict[str, np.ndarray]) -> None:
-    # floats as repr, flags as 0/1
-    columns = [
-        map(repr, (col.astype(np.int64) if col.dtype == bool else col).tolist())
-        for col in raster.values()
-    ]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(raster)
-        writer.writerows(zip(*columns))
+        write_rows(fh, list(raster), [number_cells(col) for col in raster.values()])
 
 
 def _write_ds_csv(path: Path, report: AnalysisReport) -> None:
-    columns = [map(repr, col.tolist()) for col in np.asarray(report.ds_values, float).T]
+    columns = [number_cells(col) for col in np.asarray(report.ds_values, float).T]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(report.spec.names)
-        writer.writerows(zip(*columns))
+        write_rows(fh, report.spec.names, columns)
 
 
 _ARRAY_MARK = "\x00ndarray:"
@@ -338,8 +330,8 @@ def _array_json(a: np.ndarray, indent: str) -> str:
     indented by ``indent``.
 
     A 2-D array of integers or finite floats is filled into one
-    %-template (``%r`` is the ``repr`` json uses for floats); anything
-    else goes through ``json``.
+    %-template from its :func:`~safeset.celltext.number_cells` (json writes
+    numbers by ``repr`` too); anything else goes through ``json``.
     """
     rows, cols = a.shape if a.ndim == 2 else (0, 0)
     fast = rows and cols and (
@@ -348,10 +340,10 @@ def _array_json(a: np.ndarray, indent: str) -> str:
     if not fast:
         return json.dumps(a.tolist(), indent=2).replace("\n", "\n" + indent)
     outer, inner = "\n" + indent + "  ", "\n" + indent + "    "
-    cell = "%r" if a.dtype.kind == "f" else "%d"
-    row = "[" + inner + ("," + inner).join([cell] * cols) + outer + "]"
+    row = "[" + inner + ("," + inner).join(["%s"] * cols) + outer + "]"
     template = "[" + outer + ("," + outer).join([row] * rows) + "\n" + indent + "]"
-    return template % tuple(a.ravel().tolist())
+    texts, index = number_cells(a.ravel())
+    return template % tuple(texts[index])
 
 
 def dumps_json(doc) -> str:

@@ -865,9 +865,8 @@ class TestConvexHullShape:
 
     @pytest.mark.parametrize("shift", [0.0, 1e4, -3e5])
     def test_normal_residual_test_changes_no_verdict(self, shift):
-        # the same hull without normals runs the old order of checks; far
-        # from the origin the fit accepts points well off the plane, and
-        # the residual bound must still let them through
+        # the same hull without normals leaves every off-plane probe to
+        # the combination fit, whose verdicts the residual bound must keep
         pts = tilted_plane() + shift
         hull, reference = ConvexHullShape(pts), ConvexHullShape(pts)
         reference._normals = reference._normals[:, :0]
@@ -878,6 +877,21 @@ class TestConvexHullShape:
         want = reference.contains_batch(qs)
         assert want.any() and not want.all()
         assert np.array_equal(hull.contains_batch(qs), want)
+
+    @pytest.mark.parametrize("shift", [1e4, -1e4])
+    def test_verdicts_do_not_move_with_the_origin(self, shift):
+        # probes inside the plane, and 0.01 or 1 off it: the fit must decide
+        # them as it does at the origin, with or without the normal test
+        pts = tilted_plane()
+        normal = np.array([1.0, 1.0, -1.0]) / math.sqrt(3.0)
+        mixes = np.random.default_rng(5).dirichlet(np.ones(len(pts)), 20) @ pts
+        qs = np.vstack([mixes + t * normal for t in (0.0, 0.01, -0.01, 1.0)])
+        want = np.arange(len(qs)) < len(mixes)
+        for p, q in ((pts, qs), (pts + shift, qs + shift)):
+            hull, fit_only = ConvexHullShape(p), ConvexHullShape(p)
+            fit_only._normals = fit_only._normals[:, :0]
+            assert np.array_equal(hull.contains_batch(q), want)
+            assert np.array_equal(fit_only.contains_batch(q), want)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_queries_are_not_members(self):

@@ -1,5 +1,8 @@
 """State-space specs, projections into them, and transition extraction."""
 
+import csv
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -839,7 +842,43 @@ class TestClassification:
         assert t.collision_frames == ((2,), ())
 
 
+def reference_states_csv(table, spec, path):
+    """What export_states_csv wrote before: one ``csv.writer`` row per
+    state, floats by ``repr``."""
+    segment_index = table.segment_index.tolist()
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["trajectory_id", "segment", "frame", "time", "unsafe", *spec.names])
+        for seg, frame, time, unsafe, values in zip(
+            table.segment_ids().tolist(),
+            table.frame.tolist(),
+            table.time.tolist(),
+            table.unsafe.tolist(),
+            table.values.tolist(),
+        ):
+            writer.writerow(
+                [table.trajectory_ids[seg], segment_index[seg], frame, repr(time),
+                 int(unsafe), *map(repr, values)]
+            )
+
+
 class TestExport:
+    def test_export_matches_row_wise_reference(self, tmp_path):
+        awkward = [(-0.0, 0.0, math.nan), (1e16, 1e-5, 5e-324), (-0.0, -math.inf, 0.1 + 0.2)]
+        cases = [
+            extract_lead_following(two_car(), LEAD),
+            table(
+                segment(awkward, tid='a,"b', unsafe=[1]),
+                segment(awkward[::-1], tid="x\ny", index=1, frames=[-(2**63), 0, 2**63 - 1]),
+                segment(awkward[:1], tid="", index=2),
+            ),
+            table(dim=3),
+        ]
+        for t in cases:
+            export_states_csv(t, LEAD, tmp_path / "got.csv")
+            reference_states_csv(t, LEAD, tmp_path / "want.csv")
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
     def test_export_round_trip_floats(self, tmp_path):
         d = two_car()
         t = extract_lead_following(d, LEAD)

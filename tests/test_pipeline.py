@@ -1,15 +1,20 @@
 """End-to-end analysis runs, report artifacts, and the command line."""
 
+import csv
 import dataclasses
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from builders import scene_dataset
+from builders import LANES, scene_dataset
+from safeset import celltext
 from safeset.cli import (
     EXIT_EXCLUSION,
     EXIT_INVALID,
@@ -20,7 +25,15 @@ from safeset.cli import (
     main,
 )
 from safeset.errors import ExclusionViolated, InvalidBeta, SafesetError
-from safeset.ingest import Dataset, write_collision_csv, write_trajectory_csv
+from safeset.ingest import (
+    CANONICAL_FIELDS,
+    FLOAT_FIELDS,
+    STRING_FIELDS,
+    Dataset,
+    SampleTable,
+    write_collision_csv,
+    write_trajectory_csv,
+)
 from safeset.oss import PRESETS, OssSpec, extract_states
 from safeset.pipeline import (
     CLUSTER_MAX_HIGH_DIM,
@@ -33,6 +46,8 @@ from safeset.geometry import ConvexHullShape, ShapeUnion, alpha_complex, delauna
 from safeset.report import (
     REPORT_SCHEMA,
     _shape_document,
+    _write_ds_csv,
+    _write_slice_csv,
     dumps_json,
     emit_report,
     render_slice,
@@ -372,6 +387,45 @@ def json_reference(doc):
     return json.dumps(doc, sort_keys=True, indent=2, default=lambda a: a.tolist()) + "\n"
 
 
+def reference_trajectory_csv(d, path):
+    """What write_trajectory_csv wrote before: ``csv.writer`` over per-value
+    text, floats by ``repr``, flags as 1/0 and an empty cell for no lane."""
+
+    def text(field):
+        values = d.samples.values(field)
+        if field in FLOAT_FIELDS:
+            return map(repr, values)
+        if field == "sv_flag":
+            return ["1" if v else "0" for v in values]
+        return ["" if v is None else str(v) for v in values]
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CANONICAL_FIELDS)
+        writer.writerows(zip(*(text(f) for f in CANONICAL_FIELDS)))
+
+
+def reference_ds_csv(path, report):
+    """What ds.csv held before: ``csv.writer`` over ``repr`` of each value."""
+    columns = [map(repr, col.tolist()) for col in np.asarray(report.ds_values, float).T]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(report.spec.names)
+        writer.writerows(zip(*columns))
+
+
+def reference_slice_csv(path, raster):
+    """What a slice CSV held before: floats by ``repr``, flags as 0/1."""
+    columns = [
+        map(repr, (col.astype(np.int64) if col.dtype == bool else col).tolist())
+        for col in raster.values()
+    ]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(raster)
+        writer.writerows(zip(*columns))
+
+
 def awkward_cloud(n, dim, seed):
     rng = np.random.default_rng(seed)
     pts = rng.random((n, dim))
@@ -415,6 +469,128 @@ class TestShapeJson:
         paths = emit_report(safe_report, tmp_path / "out")
         expected = json_reference(_shape_document(safe_report))
         assert Path(paths["shape"]).read_text() == expected
+
+
+def bits_of(x):
+    return int(np.array([x]).view(np.uint64)[0])
+
+
+EDGE_FLOATS = [
+    0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+    2.225073858507201e-308, 0.1 + 0.2, 1.7976931348623157e308,
+    # where repr switches between fixed and exponent notation
+    1e16, np.nextafter(1e16, 0.0), np.nextafter(1e16, math.inf),
+    1e-4, np.nextafter(1e-4, 0.0), 1e-5, np.nextafter(1e-5, 1.0), -1e16, -1e-5,
+]
+NAN_BITS = [0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000, 0x7FF4000000000000]
+# raw float64 bit patterns: every NaN payload stays as drawn
+FLOAT_BITS = (
+    st.sampled_from([bits_of(x) for x in EDGE_FLOATS] + NAN_BITS)
+    | st.floats().map(bits_of)
+    | st.integers(0, 2**64 - 1)
+)
+INT64 = st.sampled_from([-(2**63), 2**63 - 1, 0, -1]) | st.integers(-(2**63), 2**63 - 1)
+# header names and labels that need CSV quoting
+NAMES = st.text(alphabet='ab,"\n\r\' ;', max_size=3)
+
+
+@st.composite
+def columns_of(draw, kind, n):
+    """A column of n values drawn from a few distinct ones, so values repeat."""
+    if kind == "bool":
+        return np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    pool = draw(st.lists(FLOAT_BITS if kind == "float" else INT64, min_size=1, max_size=5))
+    values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    if kind == "float":
+        return np.array(values, dtype=np.uint64).view(np.float64)
+    return np.array(values, dtype=np.int64)
+
+
+@st.composite
+def sample_tables(draw):
+    n = draw(st.integers(0, 12))
+    columns, labels = {}, {}
+    for f in STRING_FIELDS:
+        labels[f] = draw(st.lists(NAMES, min_size=1, max_size=3, unique=True))
+        codes = st.integers(0, len(labels[f]) - 1)
+        columns[f] = np.array(draw(st.lists(codes, min_size=n, max_size=n)), dtype=np.intp)
+    columns["frame"] = draw(columns_of("int", n))
+    for f in FLOAT_FIELDS:
+        columns[f] = draw(columns_of("float", n))
+    lanes = draw(st.lists(LANES, min_size=n, max_size=n))
+    columns["lane_id"] = np.array([v or 0 for v in lanes], dtype=np.int64)
+    columns["sv_flag"] = draw(columns_of("bool", n))
+    return SampleTable(columns, labels, np.array([v is not None for v in lanes], dtype=bool))
+
+
+class TestCellText:
+    """Each writer against the per-value writer it replaced, byte for byte."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(table=sample_tables())
+    def test_trajectory_csv(self, tmp_path_factory, table):
+        root = tmp_path_factory.mktemp("traj")
+        d = SimpleNamespace(samples=table)
+        write_trajectory_csv(d, root / "got.csv")
+        reference_trajectory_csv(d, root / "want.csv")
+        assert (root / "got.csv").read_bytes() == (root / "want.csv").read_bytes()
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), n=st.integers(0, 20), dim=st.integers(1, 4))
+    def test_ds_csv(self, tmp_path_factory, data, n, dim):
+        root = tmp_path_factory.mktemp("ds")
+        columns = [data.draw(columns_of("float", n)) for _ in range(dim)]
+        names = data.draw(st.lists(NAMES, min_size=dim, max_size=dim))
+        report = SimpleNamespace(
+            ds_values=np.stack(columns, axis=1), spec=SimpleNamespace(names=names)
+        )
+        _write_ds_csv(root / "got.csv", report)
+        reference_ds_csv(root / "want.csv", report)
+        assert (root / "got.csv").read_bytes() == (root / "want.csv").read_bytes()
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), n=st.integers(0, 20))
+    def test_slice_csv(self, tmp_path_factory, data, n):
+        root = tmp_path_factory.mktemp("slice")
+        names = data.draw(st.lists(NAMES, min_size=5, max_size=5, unique=True))
+        kinds = ("float", "float", "bool", "int", "bool")
+        raster = {k: data.draw(columns_of(kind, n)) for k, kind in zip(names, kinds)}
+        _write_slice_csv(root / "got.csv", raster)
+        reference_slice_csv(root / "want.csv", raster)
+        assert (root / "got.csv").read_bytes() == (root / "want.csv").read_bytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), rows=st.integers(0, 4), cols=st.integers(0, 4),
+           kind=st.sampled_from(["float", "int"]))
+    def test_array_json(self, data, rows, cols, kind):
+        a = data.draw(columns_of(kind, rows * cols)).reshape(rows, cols)
+        doc = {"a": a, "nested": [{"b": a.T}], "flat": a.ravel()}
+        assert dumps_json(doc) == json_reference(doc)
+
+    def test_emitted_csv_files(self, tmp_path, safe_report):
+        paths = emit_report(safe_report, tmp_path / "out")
+        reference_ds_csv(tmp_path / "ds.csv", safe_report)
+        assert Path(paths["ds"]).read_bytes() == (tmp_path / "ds.csv").read_bytes()
+        for plan, path in zip(slice_plans(safe_report.spec), paths["slices"]):
+            raster = render_slice(safe_report, plan, safe_report.config.slice_cells)
+            reference_slice_csv(tmp_path / "slice.csv", raster)
+            assert Path(path).read_bytes() == (tmp_path / "slice.csv").read_bytes()
+
+    def test_each_distinct_value_formatted_once(self, monkeypatch):
+        formatted = []
+
+        def spy(value):
+            formatted.append(value)
+            return repr(value)
+
+        monkeypatch.setattr(celltext, "repr", spy, raising=False)
+        col = np.resize([-0.0, 0.0, 2.5], 10_000)
+        texts, index = celltext.number_cells(col)
+        assert len(formatted) == 3
+        assert texts[index].tolist() == list(map(repr, col.tolist()))
 
 
 SUMO_OSS = {"kind": "lead_following", "v_min": 0.0, "v_max": 30.0, "p_min": 0.0,
