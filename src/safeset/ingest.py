@@ -10,14 +10,14 @@ Samples are held column by column in a :class:`SampleTable`: one array per
 canonical field in file order, string fields as integer codes, and the
 rows of each (trajectory, agent) track located through a stable
 permutation and offsets. The parser reads ``csv.reader`` records in
-batches of ``_CHUNK_ROWS``, checks each batch's row lengths, then converts
-it column by column with Python's own ``float`` and ``int``, so one
-batch's strings are alive at a time and no per-row object is built. When
-any check fails in a batch, the batch is re-read row by row
-(:func:`_diagnose`), which raises the :class:`MalformedRow` naming the
-first bad line. Validation of tracks (monotone frames and times, one
-``sv_flag`` and one ``agent_type`` per track, one subject per trajectory,
-dt, irregular gaps) runs as array operations over the track offsets. The
+batches of ``_CHUNK_ROWS`` and converts each batch column by column with
+Python's own ``float`` and ``int``, so one batch's strings are alive at a
+time and no per-row object is built. The cell rules are written once, in
+``_CELLS``; when they refuse a row of a batch, the same rules name the
+first bad line and its first failing rule. Validation of tracks (monotone
+frames and times, one ``sv_flag`` and one ``agent_type`` per track, one
+subject per trajectory, dt, irregular gaps) runs as array operations over
+the track offsets. The
 table is the only copy of the samples; labelling and projection read it
 through one join to the subject vehicle (:attr:`Dataset.sv_join`).
 :func:`write_trajectory_csv` writes the table column by column through
@@ -34,11 +34,11 @@ from __future__ import annotations
 import copy
 import csv
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import islice
+from functools import cached_property, partial
+from itertools import islice, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -114,8 +114,8 @@ class _Factorizer:
     the normalized value over every batch passed to :meth:`codes`.
 
     ``normalize`` maps a raw value to the stored one and raises
-    ``ValueError`` for a value it refuses; it runs once per distinct raw
-    value.
+    :class:`MalformedRow` for a value it refuses, which gets code -1; it
+    runs once per distinct raw value.
     """
 
     def __init__(self, normalize: Callable | None = None):
@@ -128,7 +128,11 @@ class _Factorizer:
         raw_code = self._raw_code
         for raw in dict.fromkeys(values):
             if raw not in raw_code:
-                value = raw if self.normalize is None else self.normalize(raw)
+                try:
+                    value = raw if self.normalize is None else self.normalize(raw)
+                except MalformedRow:
+                    raw_code[raw] = -1
+                    continue
                 code = self._code.setdefault(value, len(self.labels))
                 if code == len(self.labels):
                     self.labels.append(value)
@@ -399,60 +403,67 @@ def _lane(raw: str) -> int | None:
     return None if raw.strip() == "" else int(raw.strip())
 
 
-def _parse_bool(raw: str, line: int) -> bool:
+class _Cell(NamedTuple):
+    """One field's cell rule: ``convert`` (left to right) raises ValueError
+    for a cell it refuses (``refusal``), ``dtype`` refuses a value it cannot
+    hold (``_RANGE``), and each check maps the converted columns to the rows
+    it refuses. Messages are formatted with the field and the raw cell."""
+
+    field: str
+    convert: tuple[Callable, ...]
+    dtype: type | None
+    refusal: str
+    checks: tuple[tuple[Callable, str], ...] = ()
+
+
+_NUMBER = "cannot parse {field}={raw!r} as a number"
+_INTEGER = "cannot parse {field}={raw!r} as an integer"
+_RANGE = "{field}={raw!r} is outside the int64 range"
+_SHORT = "row is shorter than the header"
+_FINITE = (lambda cols, f: ~np.isfinite(cols[f]), "{field}={raw!r} is not finite")
+_SIZES = (
+    lambda cols, f: (cols["length"] < 0) | (cols["width"] < 0),
+    "length/width must be non-negative",
+)
+
+
+def _number(field: str, *checks) -> _Cell:
+    return _Cell(field, (float,), np.float64, _NUMBER, (_FINITE, *checks))
+
+
+# every cell rule, in the order a row is checked once it holds every
+# required column: a bad row reports the first rule it fails
+_CELLS = (
+    _Cell("agent_type", (_agent_type,), None, f"agent_type {{raw!r}} not one of {AGENT_TYPES}"),
+    _number("length"),
+    _number("width", _SIZES),
+    _Cell("lane_id", (_lane,), np.int64, _INTEGER),
+    _Cell("frame", (str.strip, int), np.int64, _INTEGER),
+    *map(_number, ("time", "x", "y", "vx", "vy")),
+    _Cell("sv_flag", (_flag,), None, "cannot interpret {raw!r} as a boolean flag"),
+)
+
+_RULE = {rule.field: rule for rule in _CELLS}
+
+
+def _chain(convert: Sequence[Callable], cells: Iterable):
+    for fn in convert:
+        cells = map(fn, cells)
+    return cells
+
+
+def _value(rule: _Cell, raw: str, line: int | None = None):
+    """``raw`` converted by ``rule``; raises the MalformedRow refusing it."""
     try:
-        return _flag(raw)
+        (value,) = _chain(rule.convert, [raw])
+        if rule.dtype is not None and value is not None:
+            rule.dtype(value)
+        return value
     except ValueError:
-        raise MalformedRow(line, f"cannot interpret {raw!r} as a boolean flag") from None
-
-
-def _parse_float(raw: str, name: str, line: int) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise MalformedRow(line, f"cannot parse {name}={raw!r} as a number") from None
-    if not np.isfinite(value):
-        raise MalformedRow(line, f"{name}={raw!r} is not finite")
-    return value
-
-
-def _parse_int(raw: str, name: str, line: int) -> int:
-    try:
-        return int(raw.strip())
-    except ValueError:
-        raise MalformedRow(line, f"cannot parse {name}={raw!r} as an integer") from None
-
-
-def _diagnose(rows: Sequence[list[str]], first_line: int, index: Mapping[str, int]) -> None:
-    """Check ``rows`` one by one; raise the MalformedRow of the first bad one.
-
-    ``index`` maps each canonical field present in the header to its column.
-    """
-    for line, row in enumerate(rows, start=first_line):
-        def get(f):
-            return row[index[f]] if index[f] < len(row) else None
-
-        if any(get(f) is None for f in REQUIRED_FIELDS):
-            raise MalformedRow(line, "row is shorter than the header")
-        if get("agent_type").strip().lower() not in AGENT_TYPES:
-            raise MalformedRow(
-                line, f"agent_type {get('agent_type')!r} not one of {AGENT_TYPES}"
-            )
-        length = _parse_float(get("length"), "length", line)
-        width = _parse_float(get("width"), "width", line)
-        if length < 0 or width < 0:
-            raise MalformedRow(line, "length/width must be non-negative")
-        lane = get("lane_id") if "lane_id" in index else None
-        if lane is not None and lane.strip() != "":
-            _parse_int(lane, "lane_id", line)
-        _parse_int(get("frame"), "frame", line)
-        for f in ("time", "x", "y", "vx", "vy"):
-            _parse_float(get(f), f, line)
-        _parse_bool(get("sv_flag"), line)
-
-
-class _BadBatch(Exception):
-    """A batch failed a column check; :func:`_diagnose` names the row."""
+        message = rule.refusal
+    except OverflowError:
+        message = _RANGE
+    raise MalformedRow(line, message.format(field=rule.field, raw=raw))
 
 
 class _ColumnReader:
@@ -467,39 +478,56 @@ class _ColumnReader:
             "recording_id": _Factorizer(),
             "trajectory_id": _Factorizer(str.strip),
             "agent_id": _Factorizer(str.strip),
-            "agent_type": _Factorizer(_agent_type),
-            "lane_id": _Factorizer(_lane),
-            "sv_flag": _Factorizer(_flag),
+            **{f: _Factorizer(partial(_value, _RULE[f]))
+               for f in ("agent_type", "lane_id", "sv_flag")},
         }
         self.parts: dict[str, list[np.ndarray]] = {f: [] for f in CANONICAL_FIELDS}
 
-    def add(self, rows: list[list[str]]) -> None:
-        """Convert one batch; raises _BadBatch when any value is malformed."""
+    def add(self, rows: list[list[str]], line: int) -> None:
+        """Convert one batch whose first record is on ``line``, column by
+        column in bulk; only a column whose bulk conversion raises is
+        converted again cell by cell. When a rule refuses a row, the first
+        such row raises its first refusal."""
         n = len(rows)
-        shortest = min(map(len, rows))
-        if shortest < self.required_width:
-            raise _BadBatch
-        if shortest < self.width:
-            # only optional columns are missing: they read as empty cells
+        lengths = np.fromiter(map(len, rows), np.intp, n)
+        if lengths.min() < self.width:
+            # missing cells read as empty; a row that lacks a required one is refused
             rows = [r + [""] * (self.width - len(r)) for r in rows]
 
         def cells(f):
-            return map(itemgetter(self.index[f]), rows)
+            return map(itemgetter(self.index[f]), rows) if f in self.index else repeat("", n)
 
-        try:
-            out = {"frame": np.fromiter(map(int, map(str.strip, cells("frame"))), np.int64, n)}
-            for f in FLOAT_FIELDS:
-                out[f] = np.fromiter(map(float, cells(f)), float, n)
-            for f, factor in self.factors.items():
-                if f in self.index:
-                    out[f] = factor.codes(list(cells(f)))
-                else:
-                    out[f] = factor.codes([""] * n)
-        except ValueError:
-            raise _BadBatch from None
-        numbers = np.stack([out[f] for f in FLOAT_FIELDS])
-        if not np.isfinite(numbers).all() or (numbers[-2:] < 0).any():
-            raise _BadBatch
+        # number columns before label columns: that order measured faster
+        out, refused = {}, {f: np.zeros(n, dtype=bool) for f in _RULE}
+        for rule in _CELLS:
+            f = rule.field
+            if f in self.factors:
+                continue
+            try:
+                out[f] = np.fromiter(_chain(rule.convert, cells(f)), rule.dtype, n)
+            except (ValueError, OverflowError):
+                out[f] = np.zeros(n, rule.dtype)
+                for i, raw in enumerate(cells(f)):
+                    try:
+                        out[f][i] = _value(rule, raw)
+                    except MalformedRow:
+                        refused[f][i] = True
+        for f, factor in self.factors.items():
+            out[f] = factor.codes(list(cells(f)))
+            refused[f] = out[f] < 0
+        found = [(lengths < self.required_width, None, _SHORT)]
+        for rule in _CELLS:
+            f = rule.field
+            found.append((refused[f], f, None))
+            found += [(check(out, f), f, message) for check, message in rule.checks]
+        bad = np.array([mask for mask, _, _ in found])
+        if bad.any():
+            r, k = divmod(int(np.argmax(bad.T)), len(found))
+            _, f, message = found[k]
+            raw = next(islice(cells(f), r, None))
+            if message is None:
+                _value(_RULE[f], raw, line + r)  # the cell is refused: raises
+            raise MalformedRow(line + r, message.format(field=f, raw=raw))
         for f, col in out.items():
             self.parts[f].append(col)
 
@@ -564,17 +592,9 @@ def parse_trajectory_csv(
         line = 2
         while batch := list(islice(records, _CHUNK_ROWS)):
             rows = [r for r in batch if r]
-            if not rows:
-                continue
-            try:
-                reader.add(rows)
-            except _BadBatch:
-                _diagnose(rows, line, index)
-                raise AssertionError(
-                    f"a column check failed on lines {line}-{line + len(rows) - 1}"
-                    " but no row is malformed"
-                ) from None
-            line += len(rows)
+            if rows:
+                reader.add(rows, line)
+                line += len(rows)
 
     if line == 2:
         raise MalformedRow(None, "file contains a header but no rows")
@@ -634,9 +654,10 @@ def read_collision_csv(path: str | Path) -> list[tuple[str, int]]:
             if field_name not in reader.fieldnames:
                 raise MissingColumn(field_name)
         for line, row in enumerate(reader, start=2):
-            events.append(
-                (str(row["trajectory_id"]).strip(), _parse_int(row["frame"], "frame", line))
-            )
+            traj, frame = row["trajectory_id"], row["frame"]
+            if traj is None or frame is None:
+                raise MalformedRow(line, _SHORT)
+            events.append((traj.strip(), _value(_RULE["frame"], frame, line)))
     return events
 
 

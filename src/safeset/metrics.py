@@ -156,8 +156,7 @@ def algorithm3_epsilon_bar(s: int, td_total: int, beta: float) -> float:
         return 0.0
     i = np.arange(1, s + 1, dtype=float)
     log_w = gammaln(i + 1.0) + gammaln(td_total - i + 1.0) - gammaln(td_total + 1.0)
-    eps = -np.expm1(math.log(beta) / i)
-    return float(np.dot(np.exp(log_w), eps))
+    return float(np.dot(np.exp(log_w), _epsilons(s, beta)[1:]))
 
 
 @dataclass(frozen=True)

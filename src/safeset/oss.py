@@ -27,7 +27,7 @@ masks of this table; no per-state object is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -106,6 +106,21 @@ class OssSpec:
         if not (out[:, 1] > out[:, 0]).all():
             raise ValueError("every state-space interval must have positive width")
         return out
+
+    def clearance(self, v0) -> np.ndarray:
+        """The states at SV speeds ``v0`` (shape ``(*v0.shape, dim)``) with
+        every neighbour slot empty: (p_max, v0) for a front vehicle
+        subregion, (p_min, v0) for a rear one, (ped_p_max, q_max) for a
+        pedestrian corner, and a leader at gap p_max driving at v0."""
+        v0 = np.asarray(v0, dtype=float)[..., None]
+        front, rear, corner = [self.p_max, v0], [self.p_min, v0], [self.ped_p_max, self.q_max]
+        slots = {
+            "lead_following": [v0, self.p_max],
+            "multi_vehicle": front * 3 + rear * 3,
+            "vehicle_pedestrian": corner * 2,
+            "combined": front * 3 + rear * 3 + corner * 2,
+        }[self.kind]
+        return np.concatenate(np.broadcast_arrays(v0, *slots), axis=-1)
 
     def box_volume(self) -> float:
         b = self.bounds()
@@ -349,15 +364,14 @@ def extract_multi_vehicle(d: Dataset, spec: OssSpec) -> StateTable:
     overlap) and its speed. A vehicle within half a lane width laterally is
     in the center band, else in the left or right band when its lateral
     offset lies in ``side_band`` on that side. Unoccupied subregions, and
-    those whose nearest vehicle is out of bounds, take maximal-clearance
-    fills: (p_max, v0) in front, (p_min, v0) behind. A frame is valid when
-    at least one subregion holds a real vehicle and v0 is in bounds; every
-    coordinate is then inside the box.
+    those whose nearest vehicle is out of bounds, keep the fills of
+    :meth:`OssSpec.clearance`: (p_max, v0) in front, (p_min, v0) behind.
+    A frame is valid when at least one subregion holds a real vehicle and
+    v0 is in bounds; every coordinate is then inside the box.
     """
     if spec.kind not in ("multi_vehicle", "combined"):
         raise SpecKindMismatch(f"expected multi_vehicle spec, got {spec.kind!r}")
     lo, hi = spec.side_band
-    dim = len(MULTI_NAMES)
     sv, at, row, dlong, dlat = _candidates(d, VEHICLE_TYPES)
     # bands index SUBREGIONS within front (fl, fc, fr) and rear (rl, rc, rr)
     band = np.select(
@@ -382,10 +396,7 @@ def extract_multi_vehicle(d: Dataset, spec: OssSpec) -> StateTable:
     idx, p_col = sv[near][ok], 1 + 2 * sub[near][ok]
 
     v0 = _speeds(d, d.sv_join.sv_rows)
-    values = np.empty((len(v0), dim))
-    values[:, 0] = v0
-    values[:, 1::2] = np.repeat([spec.p_max, spec.p_min], 3)
-    values[:, 2::2] = v0[:, None]
+    values = replace(spec, kind="multi_vehicle").clearance(v0)
     values[idx, p_col] = p[ok]
     values[idx, p_col + 1] = v1[ok]
     occupied = np.bincount(idx, minlength=len(v0)) > 0
@@ -401,12 +412,12 @@ def extract_vehicle_pedestrian(d: Dataset, spec: OssSpec) -> StateTable:
     its longitudinal advance p and absolute lateral offset q, both measured
     from the corner. Pedestrians strictly behind the bumper line are
     ignored; empty corners, and those whose nearest pedestrian is out of
-    bounds, take the maximal-clearance fill (ped_p_max, q_max). A frame is
-    valid when a corner holds a real pedestrian and v0 is in bounds.
+    bounds, keep the fill of :meth:`OssSpec.clearance`, (ped_p_max, q_max).
+    A frame is valid when a corner holds a real pedestrian and v0 is in
+    bounds.
     """
     if spec.kind not in ("vehicle_pedestrian", "combined"):
         raise SpecKindMismatch(f"expected vehicle_pedestrian spec, got {spec.kind!r}")
-    dim = len(PED_NAMES)
     sv, at, _, dlong, dlat = _candidates(d, ("pedestrian",))
     along = dlong - d.samples.columns["length"][at] / 2.0
     front = along >= 0
@@ -414,10 +425,7 @@ def extract_vehicle_pedestrian(d: Dataset, spec: OssSpec) -> StateTable:
     half_width = d.samples.columns["width"][at[front]] / 2.0
 
     v0 = _speeds(d, d.sv_join.sv_rows)
-    values = np.empty((len(v0), dim))
-    values[:, 0] = v0
-    values[:, 1::2] = spec.ped_p_max
-    values[:, 2::2] = spec.q_max
+    values = replace(spec, kind="vehicle_pedestrian").clearance(v0)
     occupied = np.zeros(len(v0), dtype=bool)
     for col, side_sign in ((1, 1.0), (3, -1.0)):
         lat = dlat - side_sign * half_width

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import geometry
 from .errors import DegenerateInput, ExclusionViolated, InvalidBeta, SafesetError
+from .geometry.montecarlo import MIN_SAMPLES
 from .ingest import LABEL_RULES, Dataset, label_collisions, parse_trajectory_csv
 from .metrics import (
     CoverageResult,
@@ -97,8 +98,8 @@ class AnalysisConfig:
             _is_int(self.cluster_max) and self.cluster_max >= 2
         ):
             raise SafesetError("cluster_max must be an integer of at least 2")
-        if not (_is_int(self.mc_samples) and self.mc_samples >= 1000):
-            raise SafesetError("mc_samples must be an integer of at least 1000")
+        if not (_is_int(self.mc_samples) and self.mc_samples >= MIN_SAMPLES):
+            raise SafesetError(f"mc_samples must be an integer of at least {MIN_SAMPLES}")
         if not (_is_int(self.slice_cells) and self.slice_cells >= 2):
             raise SafesetError("slice_cells must be an integer of at least 2")
         if not (_is_int(self.max_exact_dim) and self.max_exact_dim >= 0):

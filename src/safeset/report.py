@@ -6,11 +6,13 @@ byte. JSON is emitted with sorted keys and no timestamps; numbers are
 written by ``repr`` so values round-trip exactly, each distinct value of a
 CSV column or a ``shape.json`` array formatted once (:mod:`safeset.celltext`).
 
-Slice grids rasterize two chosen state dimensions over a band of ego
-speed, holding every remaining dimension at its neutral fill (absent
-neighbours pushed to the far range edge). Each cell records whether the
-cell-center probe lies inside the retained-state shape, how many
-retained states fall in the cell for that band, and the OR of the two.
+Slice grids rasterize a pair of state dimensions over a band of ego
+speed, holding every remaining dimension at the state-space's clearance
+state (:meth:`~safeset.oss.OssSpec.clearance`: every neighbour slot
+empty), so the report does not know the state-vector layout. Each cell
+records whether the cell-center probe lies inside the retained-state
+shape, how many retained states fall in the cell for that band, and the
+OR of the two.
 """
 
 from __future__ import annotations
@@ -23,10 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .celltext import number_cells, write_rows
-from .oss import SUBREGIONS, OssSpec
+from .oss import OssSpec
 from .pipeline import AnalysisReport
-
-FRONT_SUBREGIONS = ("fl", "fc", "fr")
 
 REPORT_SCHEMA: dict = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -210,57 +210,23 @@ class SlicePlan:
     fills: tuple[float, ...]
 
 
-def _central_band(lo: float, hi: float) -> tuple[float, float]:
-    mid = 0.5 * (lo + hi)
-    half = (hi - lo) / 8.0
-    return (mid - half, mid + half)
-
-
 def slice_plans(spec: OssSpec) -> list[SlicePlan]:
-    """Standard raster set for each state-space kind.
-
-    Lead-following: gap vs other-vehicle speed across four equal ego-speed
-    bands. Multi-vehicle: one (gap, speed) raster per surrounding slot at
-    the central ego-speed band. Pedestrian: one (ahead, lateral) raster
-    per road side at the central band. Combined: both groups.
-    """
-    b = spec.bounds()
-    v_lo, v_hi = float(b[0, 0]), float(b[0, 1])
-    plans: list[SlicePlan] = []
+    """One raster per pair of state dimensions (x, x + 1), x = 1, 3, ...,
+    per ego-speed band (four equal bands for lead following, else the
+    central quarter of the range), the other dimensions held at
+    :meth:`OssSpec.clearance` of the band's centre speed."""
+    v_lo, v_hi = spec.bounds()[0].tolist()
     if spec.kind == "lead_following":
-        edges = np.linspace(v_lo, v_hi, 5)
-        for k in range(4):
-            band = (float(edges[k]), float(edges[k + 1]))
-            center = 0.5 * (band[0] + band[1])
-            plans.append(SlicePlan(1, 2, band, (center, 0.0, 0.0)))
-        return plans
-
-    band = _central_band(v_lo, v_hi)
-    center = 0.5 * (band[0] + band[1])
-    fills = np.zeros(spec.dim)
-    fills[0] = center
-    has_vehicles = spec.kind in ("multi_vehicle", "combined")
-    has_peds = spec.kind in ("vehicle_pedestrian", "combined")
-    ped_offset = 13 if spec.kind == "combined" else 1
-    if has_vehicles:
-        for si, sub in enumerate(SUBREGIONS):
-            p_idx = 1 + 2 * si
-            fills[p_idx] = spec.p_max if sub in FRONT_SUBREGIONS else spec.p_min
-            fills[p_idx + 1] = center
-    if has_peds:
-        for side in range(2):
-            fills[ped_offset + 2 * side] = spec.ped_p_max
-            fills[ped_offset + 2 * side + 1] = spec.q_max
-    template = tuple(float(v) for v in fills)
-    if has_vehicles:
-        for si in range(len(SUBREGIONS)):
-            p_idx = 1 + 2 * si
-            plans.append(SlicePlan(p_idx, p_idx + 1, band, template))
-    if has_peds:
-        for side in range(2):
-            x = ped_offset + 2 * side
-            plans.append(SlicePlan(x, x + 1, band, template))
-    return plans
+        edges = np.linspace(v_lo, v_hi, 5).tolist()
+        bands = list(zip(edges[:-1], edges[1:]))
+    else:
+        mid, half = 0.5 * (v_lo + v_hi), (v_hi - v_lo) / 8.0
+        bands = [(mid - half, mid + half)]
+    return [
+        SlicePlan(x, x + 1, band, tuple(spec.clearance(0.5 * (band[0] + band[1])).tolist()))
+        for band in bands
+        for x in range(1, spec.dim, 2)
+    ]
 
 
 def _cell_centers(lo: float, hi: float, cells: int) -> tuple[np.ndarray, np.ndarray]:

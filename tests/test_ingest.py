@@ -109,6 +109,8 @@ def csv_lines(rows, fields=CANONICAL_FIELDS, extra=None):
     return buf.getvalue().splitlines(keepends=True)
 
 
+BIG = "12345678901234567890"  # 20 digits: above the int64 range
+
 # (patch to the row on line 4, the MalformedRow reason); when several fields
 # are bad, the row-wise checks run in a fixed order and the first one reports
 MALFORMED = [
@@ -132,6 +134,10 @@ MALFORMED = [
     ({"x": "abc", "agent_type": "bus"}, "agent_type 'bus' not one of ('car', 'truck', 'pedestrian', 'other')"),
     ({"time": "abc", "frame": "x"}, "cannot parse frame='x' as an integer"),
     ({"sv_flag": "2", "vy": "nan"}, "vy='nan' is not finite"),
+    ({"frame": BIG}, f"frame='{BIG}' is outside the int64 range"),
+    ({"lane_id": "-9223372036854775809"}, "lane_id='-9223372036854775809' is outside the int64 range"),
+    ({"frame": BIG, "lane_id": "a"}, "cannot parse lane_id='a' as an integer"),
+    ({"lane_id": BIG, "x": "abc"}, f"lane_id='{BIG}' is outside the int64 range"),
 ]
 
 def shorten(lines, i, cells):
@@ -186,6 +192,8 @@ ACCEPTED = [
     ({"trajectory_id": " t0 "}, "trajectory_id", "t0"),
     ({"agent_id": " ego "}, "agent_id", "ego"),
     ({"recording_id": " r "}, "recording_id", " r "),
+    ({"lane_id": "-9223372036854775808"}, "lane_id", -2**63),
+    ({"lane_id": "9223372036854775807"}, "lane_id", 2**63 - 1),
 ]
 
 
@@ -465,6 +473,19 @@ class TestLabels:
         write_collision_csv([("t0", 3), ("t1", 9)], path)
         assert read_collision_csv(path) == [("t0", 3), ("t1", 9)]
 
+    @pytest.mark.parametrize("cells, reason", [
+        (f"t0,{BIG}", f"frame='{BIG}' is outside the int64 range"),
+        ("t0,-9223372036854775809", "frame='-9223372036854775809' is outside the int64 range"),
+        ("t0,1.5", "cannot parse frame='1.5' as an integer"),
+        ("t0", "row is shorter than the header"),
+    ], ids=["above", "below", "fraction", "short"])
+    def test_bad_sidecar_row_names_its_line(self, tmp_path, cells, reason):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"trajectory_id,frame\nt0,-9223372036854775808\n{cells}\n")
+        with pytest.raises(MalformedRow) as exc:
+            read_collision_csv(path)
+        assert (exc.value.line, exc.value.reason) == (3, reason)
+
 
 class TestRoundTrip:
     def test_write_parse_identity(self, tmp_path):
@@ -621,9 +642,12 @@ def _ref_float(raw, name, line):
 
 def _ref_int(raw, name, line):
     try:
-        return int(raw.strip())
+        value = int(raw.strip())
     except ValueError:
         raise MalformedRow(line, f"cannot parse {name}={raw!r} as an integer") from None
+    if not -2**63 <= value < 2**63:
+        raise MalformedRow(line, f"{name}={raw!r} is outside the int64 range")
+    return value
 
 
 def _ref_bool(raw, line):
@@ -765,7 +789,7 @@ class TestColumnarParser:
         tokens = st.sampled_from([
             "", " ", "abc", " 1 ", "1_0", "inf", "-inf", "nan", "infinity", "1e400",
             "-1", "-0.0", "0.5", "1.5", "3", "True", "no", "maybe", "CAR", " truck ",
-            "bicycle", "\u0663", "0x10", "1e5", "+2", "0.2",
+            "bicycle", "\u0663", "0x10", "1e5", "+2", "0.2", BIG,
         ])
         for _ in range(data.draw(st.integers(1, 3))):
             r = data.draw(st.integers(1, len(records) - 1))

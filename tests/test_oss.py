@@ -83,6 +83,41 @@ class TestOssSpec:
     def test_box_volume(self):
         assert LEAD.box_volume() == pytest.approx(30.0 * 30.0 * 100.0)
 
+    def test_clearance_per_kind(self):
+        assert LEAD.clearance(12.0).tolist() == [12.0, 12.0, 100.0]
+        assert MULTI.clearance(25.0).tolist() == [25.0] + [50.0, 25.0] * 3 + [-50.0, 25.0] * 3
+        assert PED.clearance(10.0).tolist() == [10.0, 50.0, 10.0, 50.0, 10.0]
+        assert COMBINED.clearance(5.0).tolist() == (
+            [5.0] + [50.0, 5.0] * 3 + [-50.0, 5.0] * 3 + [50.0, 10.0] * 2
+        )
+        v0 = np.array([[1.0, 2.0, 3.0]])
+        for spec in (LEAD, MULTI, PED, COMBINED):
+            states = spec.clearance(v0)
+            assert states.shape == (1, 3, spec.dim)
+            want = [spec.clearance(v).tolist() for v in (1.0, 2.0, 3.0)]
+            assert states[0].tolist() == want
+
+    @pytest.mark.parametrize(
+        "spec, occupied",
+        [(MULTI, [1, 2]), (PED, [1, 2]), (COMBINED, [1, 2, 13, 14])],
+        ids=["highd-multi", "vehicle_pedestrian", "waymo-carla-17d"],
+    )
+    def test_extractors_write_the_clearance_into_empty_slots(self, spec, occupied):
+        # a vehicle in the front-left subregion and a walker that only the
+        # left bumper corner sees (the right corner's offset 10.5 > q_max)
+        agents = {
+            "ego": {"x0": 0.0, "vx": 22.0, "sv": True},
+            "fl": {"x0": 15.0, "y0": 3.75, "vx": 21.0},
+            "walker": {"x0": 10.0, "y0": 9.5, "agent_type": "pedestrian",
+                       "length": 0.5, "width": 0.5},
+        }
+        t = extract_states(scene_dataset(agents, 3), spec)
+        assert len(t) == 3
+        fill = spec.clearance(t.values[:, 0])
+        empty = np.setdiff1d(np.arange(1, spec.dim), occupied)
+        assert np.array_equal(t.values[:, empty], fill[:, empty])
+        assert (t.values[:, occupied] != fill[:, occupied]).all()
+
     def test_presets_wellformed(self):
         for name, spec in PRESETS.items():
             b = spec.bounds()

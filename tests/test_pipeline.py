@@ -358,6 +358,29 @@ class TestReportArtifacts:
             assert (p.x_index, p.y_index) == (1, 2)
             assert p.fills[0] == pytest.approx(0.5 * (p.band[0] + p.band[1]))
 
+    def test_slice_plans_pinned_per_kind(self):
+        def pinned(spec):
+            return [(p.x_index, p.y_index, p.band, p.fills) for p in slice_plans(spec)]
+
+        ped = OssSpec("vehicle_pedestrian", v_min=0.0, v_max=25.0,
+                      ped_p_max=50.0, q_max=10.0)
+        # the central quarter of the ego-speed range; the fills hold every
+        # neighbour slot empty at its centre speed
+        multi = (25.0,) + (50.0, 25.0) * 3 + (-50.0, 25.0) * 3
+        assert pinned(PRESETS["highd-multi"]) == [
+            (x, x + 1, (23.75, 26.25), multi) for x in (1, 3, 5, 7, 9, 11)
+        ]
+        assert pinned(ped) == [
+            (x, x + 1, (9.375, 15.625), (12.5, 50.0, 10.0, 50.0, 10.0)) for x in (1, 3)
+        ]
+        combined = (13.0,) + (50.0, 13.0) * 3 + (-50.0, 13.0) * 3 + (50.0, 10.0) * 2
+        assert pinned(PRESETS["waymo-carla-17d"]) == [
+            (x, x + 1, (10.0, 16.0), combined) for x in range(1, 17, 2)
+        ]
+        assert pinned(PRESETS["sumo-lead"]) == [
+            (1, 2, (lo, lo + 7.5), (lo + 3.75, lo + 3.75, 100.0)) for lo in (0.0, 7.5, 15.0, 22.5)
+        ]
+
     def test_render_slice_semantics(self, safe_report):
         plan = slice_plans(safe_report.spec)[1]
         cells = 20
@@ -659,6 +682,34 @@ class TestCli:
         assert code == EXIT_OK
         header = out.read_text().splitlines()[0]
         assert header == "trajectory_id,segment,frame,time,unsafe,v0,v1,p"
+
+    @pytest.mark.parametrize("field", ["frame", "lane_id"])
+    def test_out_of_range_integer_exits_2_naming_its_line(
+        self, tmp_path, battery_csv, capsys, field
+    ):
+        with open(battery_csv, newline="") as fh:
+            records = list(csv.reader(fh))
+        records[3][records[0].index(field)] = "12345678901234567890"
+        bad = tmp_path / "bad.csv"
+        with open(bad, "w", newline="") as fh:
+            csv.writer(fh).writerows(records)
+        code = run_cli("ingest", "--input", bad, "--out", tmp_path / "clean.csv")
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert f"line 4: {field}='12345678901234567890' is outside the int64 range" in err
+
+    def test_out_of_range_label_frame_exits_2_naming_its_line(
+        self, tmp_path, battery_csv, capsys
+    ):
+        labels = tmp_path / "labels.csv"
+        write_collision_csv([("run", 3), ("run", "12345678901234567890")], labels)
+        code = run_cli(
+            "extract", "--input", battery_csv, "--labels", labels,
+            "--preset", "sumo-lead", "--out", tmp_path / "states.csv",
+        )
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "line 3: frame='12345678901234567890' is outside the int64 range" in err
 
     def test_analyze_end_to_end(self, tmp_path, battery_csv, capsys):
         labels = battery_csv.with_name("runs_labels.csv")
