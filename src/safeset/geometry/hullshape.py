@@ -21,6 +21,12 @@ condition for acceptance, so the verdict is that of the exact test alone:
 A wrap whose affine rank is below its dimension has volume exactly 0,
 reported without sampling; a full-rank wrap's volume is a Monte-Carlo
 estimate.
+
+Only step 5 needs ``scipy.optimize``, so the module-level ``nnls`` and
+``linprog`` import it on their first call, and an analysis that never
+fits a combination never loads it (nor spends its import time and
+memory). They keep scipy's names because callers that count the fits,
+such as a tracer that wraps module attributes by name, look them up here.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import linprog, nnls
 from scipy.spatial import cKDTree
 
 from ..errors import DimensionMismatch
@@ -54,6 +59,20 @@ N_CUT_DIRECTIONS = 64
 # The prefilter is a sound necessary condition for any direction set, so a
 # hard-coded seed keeps direction choice reproducible everywhere.
 _CUT_SEED = 727564
+
+
+def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """scipy.optimize.nnls, imported on the first call."""
+    from scipy.optimize import nnls as solve
+
+    return solve(a, b)
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call."""
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
 
 
 class ConvexHullShape:

@@ -20,6 +20,14 @@ clamp enforces that bitwise). Two consequences used throughout:
 Membership has one path: a probe located in an excluded top is decided by
 its carrier, whose id is read off faces_of by dropping the top's
 unsupported vertex columns, so no face is searched for.
+
+The face lattice is built for its memory, which sets how large a cloud
+one process can take. The top level's facets are read off qhull's
+neighbours (Barber, Dobkin & Huhdanpaa, "The Quickhull algorithm for
+convex hulls", 1996): of the two tops sharing a facet only the lower
+index emits it, so about half the facets are sorted, each once. The
+edges are keyed straight from the triangle columns; only the levels in
+between, in dimension 4 and up, stack and sort every face.
 """
 
 from __future__ import annotations
@@ -77,7 +85,7 @@ def _unique_rows(rows: np.ndarray, radix: int) -> tuple[np.ndarray, np.ndarray]:
         keys = keys * radix + col
         bound *= radix
     inverse, first = _rank(keys)
-    return rows[first], inverse
+    return np.take(rows, first, axis=0), inverse
 
 
 def _rank(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,8 +98,74 @@ def _rank(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     new = np.empty(len(keys), dtype=bool)
     new[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    ranks[order] = np.cumsum(new) - 1
+    # the running count of new keys takes the sorted keys' place; an int64
+    # copy first, as a bool cumsum into it would cast through a temporary
+    ordered[...] = new
+    np.cumsum(ordered, out=ordered)
+    ordered -= 1
+    ranks[order] = ordered
+    del ordered
     return ranks, order[new]
+
+
+def _without(k: int) -> list[list[int]]:
+    """Column lists of a k-simplex's faces: entry c drops vertex column c."""
+    return [[col for col in range(k + 1) if col != c] for c in range(k + 1)]
+
+
+def _facets(
+    tops: np.ndarray, across: np.ndarray, n_pts: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct facets of the top simplices and each top's facet ids.
+
+    ``across[i, c]`` is the top on the other side of top i's facet without
+    vertex column c, -1 on the hull, as qhull's neighbours. The lower
+    index of two tops that share a facet emits it, and a hull facet is
+    emitted once, so the rows sorted are already distinct; the other top
+    copies the id across.
+    """
+    m, width = tops.shape
+    emits = (across < 0) | (across > np.arange(m)[:, None])
+    owners = [np.flatnonzero(emits[:, c]) for c in range(width)]
+    ends = np.cumsum([len(i) for i in owners])
+    rows = np.empty((ends[-1], width - 1), dtype=np.int64)
+    for c, (i, end) in enumerate(zip(owners, ends)):
+        rows[end - len(i) : end] = np.delete(np.take(tops, i, axis=0), c, axis=1)
+    facets, ids = _unique_rows(rows, n_pts)
+    del rows
+    faces = np.empty((m, width), dtype=np.int64)
+    for c, (i, end) in enumerate(zip(owners, ends)):
+        faces[i, c] = ids[end - len(i) : end]
+    del ids, owners
+    # entries (i, c) as flat indices i * width + c
+    at = np.flatnonzero(~emits)
+    j = across.ravel()[at]
+    # the top across points back through exactly one of its columns, the
+    # one hit in row r of the (len(at), width) mask
+    hit = np.take(across, j, axis=0) == (at // width)[:, None]
+    back = np.flatnonzero(hit) - width * np.arange(len(at))
+    faces.ravel()[at] = faces.ravel()[j * width + back]
+    return facets, faces
+
+
+def _edges(tris: np.ndarray, n_pts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct edges of the sorted triangles, in lexicographic order, and
+    each triangle's edge ids.
+
+    Each triangle's edge (u, v) is keyed u * n + v straight from its
+    columns, in faces_of order, so the 3F edge rows are never stacked.
+    """
+    keys = np.empty((len(tris), 3), dtype=np.int64)
+    for col, (u, v) in enumerate(_without(2)):
+        np.multiply(tris[:, u], n_pts, out=keys[:, col])
+        keys[:, col] += tris[:, v]
+    keys = keys.reshape(-1)
+    faces, first = _rank(keys)
+    keys = keys[first]
+    del first
+    edges = np.empty((len(keys), 2), dtype=np.int64)
+    np.divmod(keys, n_pts, out=(edges[:, 0], edges[:, 1]))
+    return edges, faces.reshape(len(tris), 3)
 
 
 def _face_ids(faces_of: dict[int, np.ndarray], k: int, fid, keep) -> tuple[np.ndarray, int]:
@@ -116,12 +190,16 @@ def _subset_ball(
     """Circumballs of vertex subset ``idx`` of the k-simplices ``rows``.
 
     The full vertex set, given as (k + 1, n, m) coordinate columns, is
-    solved here and stored in ``balls[k]`` for the level above. A proper
-    subset is a face already solved at a lower level.
+    solved here and, below the top level, stored in ``balls[k]`` for the
+    level above; no simplex has a top as a face. A proper subset is a face
+    already solved at a lower level.
     """
     if len(idx) == k + 1:
-        for table, solved in zip(balls[k], ball_table(cols)):
-            table[..., rows] = solved
+        solved = ball_table(cols)
+        if k not in balls:
+            return np.arange(cols.shape[2]), solved
+        for table, block in zip(balls[k], solved):
+            table[..., rows] = block
         return np.arange(rows.start, rows.start + cols.shape[2]), balls[k]
     fid, level = _face_ids(faces_of, k, rows, idx)
     return fid, balls[level]
@@ -158,7 +236,8 @@ def _filtration(
     balls: dict[int, Balls] = {}
     for k in range(1, dim + 1):
         m = simplices[k].shape[0]
-        balls[k] = (np.empty((dim, m)), np.empty(m))
+        if k < dim:
+            balls[k] = (np.empty((dim, m)), np.empty(m))
         filtration[k] = np.empty(m)
         for lo in range(0, m, MEB_BLOCK):
             rows = slice(lo, lo + MEB_BLOCK)
@@ -249,6 +328,12 @@ def delaunay(
     n <= max_exact_dim; duplicated rows are dropped first. Points the
     triangulator would skip as coplanar trigger a joggled retry so every
     input point ends up as a vertex.
+
+    qhull's neighbours give the top level's facets: ``tri.neighbors[i, c]``
+    is the top across the facet of top i without its vertex c, -1 on the
+    hull. The lower-index top of each shared facet emits it, a hull facet
+    is emitted once, and the other top copies the facet's id, so the
+    facets are sorted without their duplicates.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -288,18 +373,30 @@ def delaunay(
     if len(tri.coplanar):
         raise DegenerateInput("triangulation skipped input points even after joggling")
 
-    tops = np.sort(tri.simplices, axis=1).astype(np.int64)
+    # neighbours follow the vertex columns, so each row sorts (vertex,
+    # neighbour) pairs packed into one int64: vertex high, neighbour low
+    tops = tri.simplices.astype(np.int64)
+    tops <<= 32
+    tops |= tri.neighbors.view(np.uint32)
+    tops.sort(axis=1)
+    across = tops.astype(np.uint32).view(np.int32)
+    tops >>= 32
     edge_vecs = points[tops[:, 1:]] - points[tops[:, :1]]
     top_volumes = np.abs(np.linalg.det(edge_vecs)) / factorial(dim)
+    del edge_vecs
 
     simplices: dict[int, np.ndarray] = {dim: tops}
     faces_of: dict[int, np.ndarray] = {}
-    for k in range(dim, 0, -1):
+    simplices[dim - 1], faces_of[dim] = _facets(tops, across, n_pts)
+    del across
+    for k in range(dim - 1, 0, -1):
         cur = simplices[k]
+        if k == 2:
+            simplices[1], faces_of[2] = _edges(cur, n_pts)
+            continue
         m = cur.shape[0]
         # row i of each simplex's block: its face without vertex column i
-        keep = [[c for c in range(k + 1) if c != i] for i in range(k + 1)]
-        stacked = cur[:, keep].reshape(m * (k + 1), k)
+        stacked = cur[:, _without(k)].reshape(m * (k + 1), k)
         if k == 1:
             face_ids = stacked[:, 0]
             simplices[0] = np.arange(points.shape[0], dtype=np.int64)[:, None]

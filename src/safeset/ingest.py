@@ -193,12 +193,12 @@ class SampleTable:
             factor = _Factorizer()
             columns[f] = factor.codes(list(map(attrgetter(f), rows)))
             labels[f] = factor.labels
-        columns["frame"] = np.fromiter(map(attrgetter("frame"), rows), np.int64, n)
+        columns["frame"] = _int_column("frame", list(map(attrgetter("frame"), rows)))
         for f in FLOAT_FIELDS:
             columns[f] = np.fromiter(map(attrgetter(f), rows), float, n)
         lanes = list(map(attrgetter("lane_id"), rows))
         has_lane = np.fromiter((v is not None for v in lanes), bool, n)
-        columns["lane_id"] = np.fromiter((v or 0 for v in lanes), np.int64, n)
+        columns["lane_id"] = _int_column("lane_id", [v or 0 for v in lanes])
         columns["sv_flag"] = np.fromiter(map(attrgetter("sv_flag"), rows), bool, n)
         return cls(columns, labels, has_lane)
 
@@ -464,6 +464,19 @@ def _value(rule: _Cell, raw: str, line: int | None = None):
     except OverflowError:
         message = _RANGE
     raise MalformedRow(line, message.format(field=rule.field, raw=raw))
+
+
+def _int_column(field: str, values: list) -> np.ndarray:
+    """In-memory integers as their field's column; the first one outside
+    the range of the field's cell rule is refused as in a CSV cell."""
+    rule = _RULE[field]
+    try:
+        return np.fromiter(values, rule.dtype, len(values))
+    except OverflowError:
+        for value in values:
+            # already converted: only the rule's range check is left
+            _value(rule._replace(convert=()), value)
+        raise
 
 
 class _ColumnReader:

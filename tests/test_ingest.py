@@ -626,6 +626,24 @@ class TestDatasetValidation:
         with pytest.raises(MalformedRow):
             Dataset([sample()])
 
+    @pytest.mark.parametrize(
+        "field,value", [("frame", 10**20), ("frame", -(2**63) - 1), ("lane_id", 10**20)]
+    )
+    def test_in_memory_integers_outside_int64_are_refused(self, field, value):
+        # the CSV cell rule's range check, not a bare OverflowError
+        rows = [sample(**{field: value}), sample(frame=1, time=0.1)]
+        with pytest.raises(MalformedRow, match=rf"^input: {field}={value} is outside the int64 range$"):
+            Dataset(rows, dt=0.1)
+
+    def test_in_memory_int64_extremes_are_kept(self):
+        rows = [
+            sample(frame=2**63 - 2, time=0.0, lane_id=-(2**63)),
+            sample(frame=2**63 - 1, time=0.1, lane_id=2**63 - 1),
+        ]
+        d = Dataset(rows, dt=0.1)
+        assert d.samples.columns["frame"].tolist() == [2**63 - 2, 2**63 - 1]
+        assert d.samples.values("lane_id") == [-(2**63), 2**63 - 1]
+
 
 # --- columnar parser against a row-wise reference ---------------------------
 

@@ -4,6 +4,9 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import safeset
 from builders import LANES, scene_dataset
 from safeset import celltext
 from safeset.cli import (
@@ -682,6 +686,26 @@ class TestCli:
         assert code == EXIT_OK
         header = out.read_text().splitlines()[0]
         assert header == "trajectory_id,segment,frame,time,unsafe,v0,v1,p"
+
+    def test_lead_analysis_never_loads_scipy_optimize(self, battery_csv):
+        # only a full-rank convex wrap's fit needs scipy.optimize, so the
+        # CLI and a lead-following analysis run without importing it
+        code = (
+            "import sys\n"
+            "import safeset.cli\n"
+            "from safeset.pipeline import AnalysisConfig, run_analysis\n"
+            "cfg = AnalysisConfig(preset='sumo-lead', input_csv=sys.argv[1], seed=0)\n"
+            "assert run_analysis(cfg).data['shape']['kind'] == 'alpha_shape'\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
+        )
+        src = Path(safeset.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(battery_csv)],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("field", ["frame", "lane_id"])
     def test_out_of_range_integer_exits_2_naming_its_line(
