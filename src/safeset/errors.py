@@ -52,10 +52,6 @@ class SpecKindMismatch(SafesetError):
     """An extractor was handed a state-space spec of the wrong kind."""
 
 
-class FrameMisalignment(SafesetError):
-    """Component state sequences disagree on a shared frame during merge."""
-
-
 # ---------------------------------------------------------------------------
 # geometry
 # ---------------------------------------------------------------------------

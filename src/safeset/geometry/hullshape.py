@@ -7,8 +7,8 @@ exponential facet enumeration and works in any dimension.
 Membership runs the cheapest rejections first. Each is a necessary
 condition for acceptance, so the verdict is that of the exact test alone:
 
-1. the bounding box, widened by the normal margin (non-finite queries fail
-   here);
+1. the bounding box, widened by ``simplicial.hull_margin`` (non-finite
+   queries fail here);
 2. the normal residual: the query's largest offset from the affine hull
    of the points along its normal directions, which one SVD finds at
    construction;
@@ -38,17 +38,13 @@ from scipy.spatial import cKDTree
 
 from ..errors import DimensionMismatch
 from .montecarlo import McVolume, mc_volume
+from .simplicial import hull_margin
 
 RESIDUAL_TOL = 1e-8
 
 RANK_TOL = 1e-10
 """Singular values of the centred points at most RANK_TOL x the largest
 count as zero; their right singular vectors are the hull's normals."""
-
-NORMAL_MARGIN = 1e-5
-"""Cushion of the normal residual test, x (bounding-box diagonal, at least
-1), as ``simplicial.HULL_MARGIN``; it is added to the worst-case slack of
-the accepting tests (see ``_acceptance_slack``)."""
 
 LP_FEASIBILITY_TOL = 1e-7
 """HiGHS's default primal feasibility tolerance."""
@@ -126,7 +122,9 @@ class ConvexHullShape:
         flat = sigma <= tau
         self.affine_rank = int(d - flat.sum())
         self._normals = vt[flat].T
-        self._margin = NORMAL_MARGIN * max(float(np.linalg.norm(hi - lo)), 1.0)
+        # the normal residual test's cushion is the same band, added to the
+        # worst-case slack of the accepting tests
+        self._margin = hull_margin(lo, hi)
         self._normal_bound = tau + self._margin + self._acceptance_slack(tau)
 
     def _acceptance_slack(self, tau: float) -> float:

@@ -46,15 +46,21 @@ from .minball import Balls, ball_table, columns, meb_radii
 
 DEFAULT_MAX_EXACT_DIM = 6
 REL_TOL = 1e-9
-# Probes more than HULL_MARGIN x (bounding-box diagonal, at least 1)
-# outside the convex hull are refused before point location. They are
-# members on no path: find_simplex(tol=1e-12) accepts a point at most its
-# broad barycentric tolerance sqrt(1e-12) = 1e-6 outside a simplex, which
-# puts it within 1e-6 x diameter of the hull, and the vertex snap reaches
-# REL_TOL x scale.
+# Probes more than hull_margin outside the convex hull are refused before
+# point location. They are members on no path: find_simplex(tol=1e-12)
+# accepts a point at most its broad barycentric tolerance sqrt(1e-12) =
+# 1e-6 outside a simplex, which puts it within 1e-6 x diameter of the hull,
+# and the vertex snap reaches REL_TOL x scale.
 HULL_MARGIN = 1e-5
 HULL_BLOCK = 1 << 20  # probe x facet products per half-space block
 MEB_BLOCK = 32_768  # simplices per filtration block
+
+
+def hull_margin(lo: np.ndarray, hi: np.ndarray) -> float:
+    """How far outside a convex hull a probe may lie and still be tested,
+    for the alpha shape and the convex wrap alike: HULL_MARGIN x the
+    diagonal of the bounding box [lo, hi], taken as at least 1."""
+    return HULL_MARGIN * max(float(np.linalg.norm(hi - lo)), 1.0)
 
 
 def _dedupe_rows(points: np.ndarray) -> np.ndarray:
@@ -291,7 +297,8 @@ class SimplicialComplex:
     _hull_equations: np.ndarray | None = field(default=None, repr=False)
 
     def near_hull(self, qs: np.ndarray) -> np.ndarray:
-        """Mask of the probes within the HULL_MARGIN band of the convex hull.
+        """Mask of the probes within the :func:`hull_margin` band of the
+        convex hull.
 
         Probes outside it, and NaN or infinite probes, are members of no
         filtered shape. The hull is built once; if qhull refuses it, every
@@ -306,8 +313,7 @@ class SimplicialComplex:
         keep = np.isfinite(qs).all(axis=1)
         if not len(eq):
             return keep
-        extent = self.points.max(axis=0) - self.points.min(axis=0)
-        margin = HULL_MARGIN * max(float(np.linalg.norm(extent)), 1.0)
+        margin = hull_margin(self.points.min(axis=0), self.points.max(axis=0))
         normals, offsets = eq[:, :-1].T, eq[:, -1]
         step = max(1, HULL_BLOCK // len(eq))
         finite = np.flatnonzero(keep)

@@ -9,7 +9,8 @@ describing the subject vehicle (SV) and its immediate neighbourhood:
   center/right). Empty subregions take clearance fills.
 * vehicle_pedestrian (5-D): SV speed plus longitudinal/lateral offset of
   the nearest pedestrian ahead of each front bumper corner.
-* combined (17-D): the two previous vectors merged on their shared SV speed.
+* combined (17-D): the 13-D and 5-D vectors of one SV sample side by side,
+  v0 once, for the SV samples valid in both.
 
 Each extractor picks neighbours with array operations, over every
 trajectory at once, from the dataset's join to the subject vehicle
@@ -29,24 +30,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .celltext import label_cells, number_cells, write_rows
-from .errors import FrameMisalignment, SpecKindMismatch
+from .errors import SpecKindMismatch
 from .ingest import Dataset, VEHICLE_TYPES
 from .kinematics import frame_keys
 
 OSS_KINDS = ("lead_following", "multi_vehicle", "vehicle_pedestrian", "combined")
 
 SUBREGIONS = ("fl", "fc", "fr", "rl", "rc", "rr")
-
-MULTI_NAMES = ("v0",) + tuple(
-    name for sub in SUBREGIONS for name in (f"p_{sub}", f"v_{sub}")
-)
-PED_NAMES = ("v0", "p_left", "q_left", "p_right", "q_right")
-LEAD_NAMES = ("v0", "v1", "p")
 
 
 @dataclass(frozen=True)
@@ -75,15 +69,38 @@ class OssSpec:
         if not self.v_max > self.v_min:
             raise ValueError("v_max must exceed v_min")
 
+    def _layout(self) -> list[tuple[str, tuple[float, float], float | None]]:
+        """Per dimension: its name, its closed interval, and the value it
+        holds when its neighbour slot is empty (see :meth:`clearance`), None
+        standing for v0."""
+        v, p = (self.v_min, self.v_max), (self.p_min, self.p_max)
+        vehicles = [
+            slot
+            for sub in SUBREGIONS
+            for slot in (
+                (f"p_{sub}", p, self.p_max if sub[0] == "f" else self.p_min),
+                (f"v_{sub}", v, None),
+            )
+        ]
+        corners = [
+            slot
+            for side in ("left", "right")
+            for slot in (
+                (f"p_{side}", (0.0, self.ped_p_max), self.ped_p_max),
+                (f"q_{side}", (0.0, self.q_max), self.q_max),
+            )
+        ]
+        slots = {
+            "lead_following": [("v1", v, None), ("p", p, self.p_max)],
+            "multi_vehicle": vehicles,
+            "vehicle_pedestrian": corners,
+            "combined": vehicles + corners,
+        }[self.kind]
+        return [("v0", v, None), *slots]
+
     @property
     def names(self) -> tuple[str, ...]:
-        if self.kind == "lead_following":
-            return LEAD_NAMES
-        if self.kind == "multi_vehicle":
-            return MULTI_NAMES
-        if self.kind == "vehicle_pedestrian":
-            return PED_NAMES
-        return MULTI_NAMES + PED_NAMES[1:]
+        return tuple(name for name, _, _ in self._layout())
 
     @property
     def dim(self) -> int:
@@ -91,18 +108,7 @@ class OssSpec:
 
     def bounds(self) -> np.ndarray:
         """Closed per-dimension intervals, shape (dim, 2)."""
-        v = (self.v_min, self.v_max)
-        if self.kind == "lead_following":
-            rows = [v, v, (self.p_min, self.p_max)]
-        elif self.kind == "multi_vehicle":
-            rows = [v] + [(self.p_min, self.p_max), v] * len(SUBREGIONS)
-        elif self.kind == "vehicle_pedestrian":
-            ped = [(0.0, self.ped_p_max), (0.0, self.q_max)]
-            rows = [v] + ped + ped
-        else:
-            ped = [(0.0, self.ped_p_max), (0.0, self.q_max)]
-            rows = [v] + [(self.p_min, self.p_max), v] * len(SUBREGIONS) + ped + ped
-        out = np.array(rows, dtype=float)
+        out = np.array([interval for _, interval, _ in self._layout()], dtype=float)
         if not (out[:, 1] > out[:, 0]).all():
             raise ValueError("every state-space interval must have positive width")
         return out
@@ -113,14 +119,8 @@ class OssSpec:
         subregion, (p_min, v0) for a rear one, (ped_p_max, q_max) for a
         pedestrian corner, and a leader at gap p_max driving at v0."""
         v0 = np.asarray(v0, dtype=float)[..., None]
-        front, rear, corner = [self.p_max, v0], [self.p_min, v0], [self.ped_p_max, self.q_max]
-        slots = {
-            "lead_following": [v0, self.p_max],
-            "multi_vehicle": front * 3 + rear * 3,
-            "vehicle_pedestrian": corner * 2,
-            "combined": front * 3 + rear * 3 + corner * 2,
-        }[self.kind]
-        return np.concatenate(np.broadcast_arrays(v0, *slots), axis=-1)
+        slots = [v0 if fill is None else fill for _, _, fill in self._layout()]
+        return np.concatenate(np.broadcast_arrays(*slots), axis=-1)
 
     def box_volume(self) -> float:
         b = self.bounds()
@@ -245,40 +245,32 @@ def _nearest(group: np.ndarray, dist: np.ndarray) -> np.ndarray:
     return order[np.diff(group[order], prepend=-1) != 0]
 
 
-def _assemble_segments(
-    names: Sequence[str],
-    traj: np.ndarray,
-    frame: np.ndarray,
-    time: np.ndarray,
-    values: np.ndarray,
-    unsafe: np.ndarray | None,
-    events: Iterable[tuple[str, int]],
-) -> StateTable:
-    """Split states ordered by (trajectory code ``traj``, frame) into
-    segments, breaking wherever the trajectory changes or the frame step is
-    not 1, and attribute the collision events to segments.
+def _sv_states(d: Dataset, idx: np.ndarray, values: np.ndarray) -> StateTable:
+    """The states ``values`` of the SV samples at the ascending SV indices
+    ``idx`` (or a mask over the SV indices), split into segments that break
+    wherever the trajectory changes or the frame step is not 1, with the
+    dataset's collision events attributed to the segments.
 
-    ``names[c]`` names trajectory code c, and ``events`` are (name, frame)
-    pairs. When ``unsafe`` is None, a state is unsafe when an event falls
-    on its trajectory and frame. An event lands in the segment of its
-    trajectory whose frame span contains it; otherwise in the nearest
-    preceding one (the motion that led to the collision); otherwise in the
-    first. Spans are disjoint and ascending, so both cases are the last
-    segment starting at or before the event. Events of trajectories without
-    a segment are dropped.
+    A state is unsafe when an event falls on its trajectory and frame. An
+    event lands in the segment of its trajectory whose frame span contains
+    it; otherwise in the nearest preceding one (the motion that led to the
+    collision); otherwise in the first. Spans are disjoint and ascending,
+    so both cases are the last segment starting at or before the event.
+    Events of trajectories without a segment are dropped.
     """
+    rows = d.sv_join.sv_rows[idx]
+    cols = d.samples.columns
+    traj, frame = cols["trajectory_id"][rows], cols["frame"][rows]
     n = len(frame)
     breaks = np.flatnonzero((np.diff(frame) != 1) | (np.diff(traj) != 0)) + 1
     offsets = np.concatenate(([0], breaks, [n] if n else [])).astype(np.intp)
     first = offsets[:-1]
     seg_traj = traj[first]
 
-    code = {name: c for c, name in enumerate(names)}
-    pairs = sorted((code[t], f) for t, f in events if t in code)
+    code = {name: c for c, name in enumerate(d.trajectory_ids)}
+    pairs = sorted((code[t], f) for t, f in d.collision_events if t in code)
     ev_traj, ev_frame = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     keys = frame_keys(np.concatenate([traj, ev_traj]), np.concatenate([frame, ev_frame]))
-    if unsafe is None:
-        unsafe = np.isin(keys[:n], keys[n:])
     seg = np.maximum(
         np.searchsorted(keys[first], keys[n:], side="right") - 1,
         np.searchsorted(seg_traj, ev_traj),
@@ -291,28 +283,12 @@ def _assemble_segments(
     return StateTable(
         values=values,
         frame=frame,
-        time=time,
-        unsafe=unsafe,
+        time=cols["time"][rows],
+        unsafe=np.isin(keys[:n], keys[n:]),
         offsets=offsets,
-        trajectory_ids=tuple(names[c] for c in seg_traj.tolist()),
+        trajectory_ids=tuple(d.trajectory_ids[c] for c in seg_traj.tolist()),
         segment_index=np.arange(len(first)) - np.searchsorted(seg_traj, seg_traj),
         collision_frames=tuple(map(tuple, attached)),
-    )
-
-
-def _sv_states(d: Dataset, idx: np.ndarray, values: np.ndarray) -> StateTable:
-    """Segments of the states ``values`` found at the ascending SV indices
-    ``idx``."""
-    rows = d.sv_join.sv_rows[idx]
-    cols = d.samples.columns
-    return _assemble_segments(
-        d.trajectory_ids,
-        cols["trajectory_id"][rows],
-        cols["frame"][rows],
-        cols["time"][rows],
-        values,
-        None,
-        d.collision_events,
     )
 
 
@@ -369,6 +345,13 @@ def extract_multi_vehicle(d: Dataset, spec: OssSpec) -> StateTable:
     A frame is valid when at least one subregion holds a real vehicle and
     v0 is in bounds; every coordinate is then inside the box.
     """
+    values, valid = _multi_vehicle_values(d, spec)
+    return _sv_states(d, valid, values[valid])
+
+
+def _multi_vehicle_values(d: Dataset, spec: OssSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The 13-D state of every SV sample, and whether it is valid (see
+    :func:`extract_multi_vehicle`)."""
     if spec.kind not in ("multi_vehicle", "combined"):
         raise SpecKindMismatch(f"expected multi_vehicle spec, got {spec.kind!r}")
     lo, hi = spec.side_band
@@ -400,8 +383,7 @@ def extract_multi_vehicle(d: Dataset, spec: OssSpec) -> StateTable:
     values[idx, p_col] = p[ok]
     values[idx, p_col + 1] = v1[ok]
     occupied = np.bincount(idx, minlength=len(v0)) > 0
-    keep = np.flatnonzero(occupied & (spec.v_min <= v0) & (v0 <= spec.v_max))
-    return _sv_states(d, keep, values[keep])
+    return values, occupied & (spec.v_min <= v0) & (v0 <= spec.v_max)
 
 
 def extract_vehicle_pedestrian(d: Dataset, spec: OssSpec) -> StateTable:
@@ -416,6 +398,13 @@ def extract_vehicle_pedestrian(d: Dataset, spec: OssSpec) -> StateTable:
     A frame is valid when a corner holds a real pedestrian and v0 is in
     bounds.
     """
+    values, valid = _vehicle_pedestrian_values(d, spec)
+    return _sv_states(d, valid, values[valid])
+
+
+def _vehicle_pedestrian_values(d: Dataset, spec: OssSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The 5-D state of every SV sample, and whether it is valid (see
+    :func:`extract_vehicle_pedestrian`)."""
     if spec.kind not in ("vehicle_pedestrian", "combined"):
         raise SpecKindMismatch(f"expected vehicle_pedestrian spec, got {spec.kind!r}")
     sv, at, _, dlong, dlat = _candidates(d, ("pedestrian",))
@@ -436,72 +425,23 @@ def extract_vehicle_pedestrian(d: Dataset, spec: OssSpec) -> StateTable:
         values[idx, col] = p[ok]
         values[idx, col + 1] = q[ok]
         occupied[idx] = True
-    keep = np.flatnonzero(occupied & (spec.v_min <= v0) & (v0 <= spec.v_max))
-    return _sv_states(d, keep, values[keep])
-
-
-def combine_domains(multi: StateTable, ped: StateTable) -> StateTable:
-    """Merge 13-D and 5-D tables on their shared SV speed into 17-D.
-
-    States are joined on (trajectory, frame): only frames valid in both
-    component spaces survive, trajectories in the order of ``ped``, and
-    every trajectory is re-split into consecutive-frame segments carrying
-    the collision events of both components. The two components must
-    agree on v0 and time at every shared frame.
-    """
-    for table, n_values, which in (
-        (multi, len(MULTI_NAMES), "first argument must hold 13-D states"),
-        (ped, len(PED_NAMES), "second argument must hold 5-D states"),
-    ):
-        if table.dim != n_values:
-            raise SpecKindMismatch(which)
-    names = tuple(dict.fromkeys(ped.trajectory_ids))
-    code = {name: c for c, name in enumerate(names)}
-    # per state, the code of its trajectory; -1 for one that ped lacks
-    traj = [
-        np.repeat(
-            np.array([code.get(t, -1) for t in table.trajectory_ids], dtype=np.intp),
-            np.diff(table.offsets),
-        )
-        for table in (multi, ped)
-    ]
-    keys = frame_keys(np.concatenate(traj), np.concatenate([multi.frame, ped.frame]))
-    _, a, b = np.intersect1d(keys[: len(multi)], keys[len(multi) :], return_indices=True)
-    bad = (multi.values[a, 0] != ped.values[b, 0]) | (multi.time[a] != ped.time[b])
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise FrameMisalignment(
-            f"components disagree at trajectory {names[traj[1][b[k]]]!r}"
-            f" frame {multi.frame[a[k]]}"
-        )
-    events = {
-        (t, f)
-        for table in (multi, ped)
-        for t, frames in zip(table.trajectory_ids, table.collision_frames)
-        for f in frames
-    }
-    return _assemble_segments(
-        names,
-        traj[1][b],
-        multi.frame[a],
-        multi.time[a],
-        np.hstack([multi.values[a], ped.values[b, 1:]]),
-        multi.unsafe[a] | ped.unsafe[b],
-        events,
-    )
+    return values, occupied & (spec.v_min <= v0) & (v0 <= spec.v_max)
 
 
 def extract_states(d: Dataset, spec: OssSpec) -> StateTable:
-    """Dispatch to the extractor matching ``spec.kind``."""
+    """Dispatch to the extractor matching ``spec.kind``. A combined state
+    is the 13-D and the 5-D state of one SV sample side by side, v0 once,
+    kept where both are valid."""
     if spec.kind == "lead_following":
         return extract_lead_following(d, spec)
     if spec.kind == "multi_vehicle":
         return extract_multi_vehicle(d, spec)
     if spec.kind == "vehicle_pedestrian":
         return extract_vehicle_pedestrian(d, spec)
-    return combine_domains(
-        extract_multi_vehicle(d, spec), extract_vehicle_pedestrian(d, spec)
-    )
+    multi, multi_valid = _multi_vehicle_values(d, spec)
+    ped, ped_valid = _vehicle_pedestrian_values(d, spec)
+    valid = multi_valid & ped_valid
+    return _sv_states(d, valid, np.hstack([multi[valid], ped[valid, 1:]]))
 
 
 def export_states_csv(table: StateTable, spec: OssSpec, path: str | Path) -> None:

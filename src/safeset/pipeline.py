@@ -110,6 +110,13 @@ class AnalysisConfig:
             value = getattr(self, name)
             if not (value is None or isinstance(value, str)):
                 raise SafesetError(f"{name} must be a string or null, got {value!r}")
+        if not (
+            isinstance(self.columns, dict)
+            and all(isinstance(x, str) for pair in self.columns.items() for x in pair)
+        ):
+            raise SafesetError(
+                f"columns must map field names to column headers, got {self.columns!r}"
+            )
         self.resolve_spec()
 
     def resolve_spec(self) -> OssSpec:

@@ -32,9 +32,8 @@ from safeset.geometry import (
     search_optimal_alpha,
     shape_is_feasible,
 )
-from safeset.geometry.hullshape import NORMAL_MARGIN
 from safeset.geometry.montecarlo import McVolume
-from safeset.geometry.simplicial import _face_ids, _solve, _unique_rows
+from safeset.geometry.simplicial import HULL_MARGIN, _face_ids, _solve, _unique_rows
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
@@ -907,7 +906,7 @@ class TestConvexHullShape:
         mixes = weights @ pts
         lo, hi = hull.bbox()[:, 0], hull.bbox()[:, 1]
         box = lo + rng.random((60, d)) * (hi - lo)
-        margin = NORMAL_MARGIN * max(float(np.linalg.norm(hi - lo)), 1.0)
+        margin = HULL_MARGIN * max(float(np.linalg.norm(hi - lo)), 1.0)
         normals = rotation[:, k:]
         pushed = [
             mixes[:10] + t * margin * normals[:, rng.integers(d - k)]
@@ -923,7 +922,7 @@ class TestConvexHullShape:
         assert hull.affine_rank == 2
         normal = np.array([1.0, 1.0, -1.0]) / math.sqrt(3.0)
         mixes = np.random.default_rng(3).dirichlet(np.ones(len(pts)), 50) @ pts
-        margin = NORMAL_MARGIN * float(np.linalg.norm(np.ptp(pts, axis=0)))
+        margin = HULL_MARGIN * float(np.linalg.norm(np.ptp(pts, axis=0)))
         assert hull.contains_batch(mixes).all()
 
         def no_fit(self, q):

@@ -18,14 +18,14 @@ from builders import (
     segment_values,
     table,
 )
-from safeset.errors import DimensionMismatch, FrameMisalignment, SpecKindMismatch
+from safeset.errors import DimensionMismatch, SpecKindMismatch
 from safeset.ingest import AGENT_TYPES, VEHICLE_TYPES, Dataset, label_collisions
 from safeset.kinematics import SPEED_EPS, headings
 from safeset.oss import (
+    OSS_KINDS,
     PRESETS,
     SUBREGIONS,
     OssSpec,
-    combine_domains,
     export_states_csv,
     extract_lead_following,
     extract_multi_vehicle,
@@ -33,6 +33,87 @@ from safeset.oss import (
     extract_vehicle_pedestrian,
     transitions,
 )
+
+def reference_names(spec):
+    """The state names as a four-way branch over the kind."""
+    multi = ("v0",) + tuple(n for sub in SUBREGIONS for n in (f"p_{sub}", f"v_{sub}"))
+    ped = ("v0", "p_left", "q_left", "p_right", "q_right")
+    return {
+        "lead_following": ("v0", "v1", "p"),
+        "multi_vehicle": multi,
+        "vehicle_pedestrian": ped,
+        "combined": multi + ped[1:],
+    }[spec.kind]
+
+
+def reference_bounds(spec):
+    """The per-dimension intervals as a four-way branch over the kind."""
+    v = (spec.v_min, spec.v_max)
+    vehicles = [(spec.p_min, spec.p_max), v] * len(SUBREGIONS)
+    ped = [(0.0, spec.ped_p_max), (0.0, spec.q_max)] * 2
+    rows = [v] + {
+        "lead_following": [v, (spec.p_min, spec.p_max)],
+        "multi_vehicle": vehicles,
+        "vehicle_pedestrian": ped,
+        "combined": vehicles + ped,
+    }[spec.kind]
+    out = np.array(rows, dtype=float)
+    if not (out[:, 1] > out[:, 0]).all():
+        raise ValueError("every state-space interval must have positive width")
+    return out
+
+
+def reference_clearance(spec, v0):
+    """The empty-slot states as a four-way branch over the kind."""
+    v0 = np.asarray(v0, dtype=float)[..., None]
+    front, rear, corner = [spec.p_max, v0], [spec.p_min, v0], [spec.ped_p_max, spec.q_max]
+    slots = {
+        "lead_following": [v0, spec.p_max],
+        "multi_vehicle": front * 3 + rear * 3,
+        "vehicle_pedestrian": corner * 2,
+        "combined": front * 3 + rear * 3 + corner * 2,
+    }[spec.kind]
+    return np.concatenate(np.broadcast_arrays(v0, *slots), axis=-1)
+
+
+def same_array(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and (
+        got.tobytes() == want.tobytes()
+    )
+
+
+def assert_layout_matches_reference(spec):
+    """names, bounds() and clearance() (scalar and array v0) equal the
+    per-kind references bit for bit, a refused interval included."""
+    assert spec.names == reference_names(spec)
+    assert spec.dim == len(reference_names(spec))
+    try:
+        want = reference_bounds(spec)
+    except ValueError:
+        with pytest.raises(ValueError):
+            spec.bounds()
+    else:
+        assert same_array(spec.bounds(), want)
+    for v0 in (12.5, -0.0, np.array([[1.0, 2.5, -3.0], [0.0, 1e300, 7.0]])):
+        assert same_array(spec.clearance(v0), reference_clearance(spec, v0))
+
+
+@st.composite
+def layout_specs(draw):
+    """OssSpecs of every kind with float or integer fields, degenerate and
+    inverted intervals included."""
+    number = st.integers(-60, 60) | st.floats(-1e3, 1e3, allow_nan=False)
+    v_min = draw(number)
+    return OssSpec(
+        draw(st.sampled_from(OSS_KINDS)),
+        v_min=v_min,
+        v_max=v_min + draw(st.integers(1, 40) | st.floats(1e-3, 1e3)),
+        p_min=draw(number),
+        p_max=draw(number),
+        ped_p_max=draw(number),
+        q_max=draw(number),
+    )
+
 
 LEAD = PRESETS["sumo-lead"]
 MULTI = PRESETS["highd-multi"]
@@ -122,6 +203,15 @@ class TestOssSpec:
         for name, spec in PRESETS.items():
             b = spec.bounds()
             assert (b[:, 1] > b[:, 0]).all(), name
+
+    @pytest.mark.parametrize("spec", [*PRESETS.values(), PED], ids=[*PRESETS, "pedestrian"])
+    def test_layout_matches_per_kind_reference_on_presets(self, spec):
+        assert_layout_matches_reference(spec)
+
+    @settings(max_examples=400, deadline=None)
+    @given(spec=layout_specs())
+    def test_layout_matches_per_kind_reference(self, spec):
+        assert_layout_matches_reference(spec)
 
 
 def two_car(gap_center=20.0, sv_v=10.0, lead_v=8.0, n=5, **lead_kw):
@@ -830,20 +920,6 @@ class TestCombined:
     def test_matches_candidate_list_reference(self, d):
         got = emitted(extract_states(d, COMBINED))
         assert repr(got) == repr(reference_combined_states(d, COMBINED))
-
-    def test_disagreeing_components_raise(self):
-        m = segment([(21.0,) + (50.0, 21.0) * 6] * 2)
-        p = segment([(22.0, 50.0, 10.0, 50.0, 10.0)] * 2)
-        with pytest.raises(FrameMisalignment):
-            combine_domains(m, p)
-
-    def test_wrong_dimensions_raise(self):
-        bad = segment([(1.0, 2.0, 3.0)])
-        ped = segment([(1.0, 50.0, 10.0, 50.0, 10.0)])
-        with pytest.raises(SpecKindMismatch):
-            combine_domains(bad, ped)
-        with pytest.raises(SpecKindMismatch):
-            combine_domains(ped, ped)
 
 
 class TestClassification:

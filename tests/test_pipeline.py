@@ -816,6 +816,10 @@ class TestCli:
             ({"preset": None, "oss": {"kind": "lead_following"}}, "v_min"),
             ({"input_csv": 0}, "input_csv"),
             ({"labels_csv": 7}, "labels_csv"),
+            ({"columns": 5}, "columns"),
+            ({"columns": ["frame"]}, "columns"),
+            ({"columns": {"frame": ["a"]}}, "columns"),
+            ({"columns": {"bogus": "x"}}, "bogus"),
         ],
     )
     def test_unusable_config_value_exits_2(self, tmp_path, battery_csv, capsys, patch, named):
