@@ -38,7 +38,7 @@ from scipy.spatial import cKDTree
 
 from ..errors import DimensionMismatch
 from .montecarlo import McVolume, mc_volume
-from .simplicial import hull_margin
+from .simplicial import hull_margin, snap_tol
 
 RESIDUAL_TOL = 1e-8
 
@@ -88,6 +88,7 @@ class ConvexHullShape:
         hi = self.points.max(axis=0)
         self._bbox = np.stack([lo, hi], axis=1)
         self._scale = max(float((hi - lo).max()), 1.0)
+        self._snap = snap_tol(lo, hi)
         # The combination fits run on coordinates centred at the mean, so
         # their tolerances do not grow with the hull's distance from the
         # origin: [(P - mean)^T; scale] lambda = [q - mean; scale].
@@ -144,7 +145,7 @@ class ConvexHullShape:
         r = RESIDUAL_TOL * self._scale * math.hypot(q_norm, self._scale)
         lp_reach = (2 * n + 1) * tau + math.sqrt(d) * self._scale
         return max(
-            self._tol(),
+            self._snap,
             r * (1.0 + tau / self._scale),
             LP_FEASIBILITY_TOL * lp_reach,
         )
@@ -155,9 +156,6 @@ class ConvexHullShape:
 
     def bbox(self) -> np.ndarray:
         return self._bbox.copy()
-
-    def _tol(self) -> float:
-        return 1e-9 * self._scale
 
     def contains(self, q) -> bool:
         q = np.asarray(q, dtype=float).ravel()
@@ -183,7 +181,7 @@ class ConvexHullShape:
         if not len(idx):
             return out
         sub = qs[idx]
-        tol = self._tol()
+        tol = self._snap
         dist, _ = self._kdtree.query(sub)
         near = dist <= tol
         out[idx[near]] = True

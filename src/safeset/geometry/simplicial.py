@@ -21,13 +21,13 @@ Membership has one path: a probe located in an excluded top is decided by
 its carrier, whose id is read off faces_of by dropping the top's
 unsupported vertex columns, so no face is searched for.
 
-The face lattice is built for its memory, which sets how large a cloud
-one process can take. The top level's facets are read off qhull's
-neighbours (Barber, Dobkin & Huhdanpaa, "The Quickhull algorithm for
-convex hulls", 1996): of the two tops sharing a facet only the lower
-index emits it, so about half the facets are sorted, each once. The
-edges are keyed straight from the triangle columns; only the levels in
-between, in dimension 4 and up, stack and sort every face.
+The face lattice is built by one keyed routine for every level k >= 2
+(the filtration over it is Edelsbrunner & Muecke's, "Three-dimensional
+alpha shapes", 1994): each face's vertices pack into one int64 key
+straight from its simplex's columns, so no face row is stacked, and one
+argsort ranks the keys, the ranks written over them. The keys are
+re-ranked only where packing another column would overflow, which a 3-D
+level never reaches.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ REL_TOL = 1e-9
 # point location. They are members on no path: find_simplex(tol=1e-12)
 # accepts a point at most its broad barycentric tolerance sqrt(1e-12) =
 # 1e-6 outside a simplex, which puts it within 1e-6 x diameter of the hull,
-# and the vertex snap reaches REL_TOL x scale.
+# and the vertex snap reaches snap_tol.
 HULL_MARGIN = 1e-5
 HULL_BLOCK = 1 << 20  # probe x facet products per half-space block
 MEB_BLOCK = 32_768  # simplices per filtration block
@@ -63,42 +63,22 @@ def hull_margin(lo: np.ndarray, hi: np.ndarray) -> float:
     return HULL_MARGIN * max(float(np.linalg.norm(hi - lo)), 1.0)
 
 
+def snap_tol(lo: np.ndarray, hi: np.ndarray) -> float:
+    """How near an input point a probe is a member without further test,
+    for the alpha shape and the convex wrap alike: REL_TOL x the widest
+    extent of the bounding box [lo, hi], taken as at least 1."""
+    return REL_TOL * max(float((hi - lo).max()), 1.0)
+
+
 def _dedupe_rows(points: np.ndarray) -> np.ndarray:
     """Stable keep-first removal of exactly repeated rows."""
     _, first = np.unique(points, axis=0, return_index=True)
     return points[np.sort(first)]
 
 
-def _unique_rows(rows: np.ndarray, radix: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a non-negative int array with two or more columns,
-    as np.unique(axis=0).
-
-    Returns the lexicographically sorted distinct rows and the index of
-    each input row among them. Columns pack into one int64 key in radix
-    ``radix`` (above every entry) for as long as the key fits; only when
-    the next column would overflow is the key replaced by its dense rank,
-    which keeps the order and stays below len(rows). Equal keys are equal
-    rows, so one sort of the final key ranks the rows. Vertex ids come
-    from scipy's int32 triangulation, so radix < 2**31, and the keys fit
-    int64 for fewer than 2**32 rows: a 3-D level packs into one key.
-    """
-    keys = rows[:, 0].astype(np.int64)
-    bound = radix  # every key is below bound
-    for col in rows.T[1:]:
-        if bound * radix > 2**63:
-            keys, first = _rank(keys)
-            bound = len(first)
-        keys = keys * radix + col
-        bound *= radix
-    inverse, first = _rank(keys)
-    return np.take(rows, first, axis=0), inverse
-
-
-def _rank(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense rank of each int64 key, and one index per rank, in rank order."""
-    # the result is allocated ahead of the temporaries, so the heap can
-    # give their space back once they are freed
-    ranks = np.empty(len(keys), dtype=np.int64)
+def _rank(keys: np.ndarray) -> np.ndarray:
+    """Replace each int64 key by its dense rank, in place, and return one
+    index per rank, in rank order."""
     order = np.argsort(keys)
     ordered = keys[order]
     new = np.empty(len(keys), dtype=bool)
@@ -109,69 +89,44 @@ def _rank(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ordered[...] = new
     np.cumsum(ordered, out=ordered)
     ordered -= 1
-    ranks[order] = ordered
+    keys[order] = ordered
     del ordered
-    return ranks, order[new]
+    return order[new]
 
 
-def _without(k: int) -> list[list[int]]:
-    """Column lists of a k-simplex's faces: entry c drops vertex column c."""
-    return [[col for col in range(k + 1) if col != c] for c in range(k + 1)]
+def _faces(cur: np.ndarray, n_pts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct faces of the sorted k-simplices ``cur`` (k >= 2), in
+    lexicographic order, and each simplex's face ids: entry c is the face
+    without vertex column c.
 
-
-def _facets(
-    tops: np.ndarray, across: np.ndarray, n_pts: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct facets of the top simplices and each top's facet ids.
-
-    ``across[i, c]`` is the top on the other side of top i's facet without
-    vertex column c, -1 on the hull, as qhull's neighbours. The lower
-    index of two tops that share a facet emits it, and a hull facet is
-    emitted once, so the rows sorted are already distinct; the other top
-    copies the id across.
+    Each face's key packs its vertices in radix ``n_pts`` straight from
+    the simplex columns: at step t, column t goes to the faces that keep
+    it and column t + 1 to those that dropped a column at or before t.
+    Before a step would overflow int64, the keys are replaced by their
+    dense rank, which keeps their order and stays below their count.
+    Equal keys are equal faces, so one rank of the final keys numbers the
+    faces, and each distinct face is gathered from one simplex holding it.
+    Vertex ids come from scipy's int32 triangulation, so n_pts < 2**31: a
+    3-D level packs into one key.
     """
-    m, width = tops.shape
-    emits = (across < 0) | (across > np.arange(m)[:, None])
-    owners = [np.flatnonzero(emits[:, c]) for c in range(width)]
-    ends = np.cumsum([len(i) for i in owners])
-    rows = np.empty((ends[-1], width - 1), dtype=np.int64)
-    for c, (i, end) in enumerate(zip(owners, ends)):
-        rows[end - len(i) : end] = np.delete(np.take(tops, i, axis=0), c, axis=1)
-    facets, ids = _unique_rows(rows, n_pts)
-    del rows
-    faces = np.empty((m, width), dtype=np.int64)
-    for c, (i, end) in enumerate(zip(owners, ends)):
-        faces[i, c] = ids[end - len(i) : end]
-    del ids, owners
-    # entries (i, c) as flat indices i * width + c
-    at = np.flatnonzero(~emits)
-    j = across.ravel()[at]
-    # the top across points back through exactly one of its columns, the
-    # one hit in row r of the (len(at), width) mask
-    hit = np.take(across, j, axis=0) == (at // width)[:, None]
-    back = np.flatnonzero(hit) - width * np.arange(len(at))
-    faces.ravel()[at] = faces.ravel()[j * width + back]
-    return facets, faces
-
-
-def _edges(tris: np.ndarray, n_pts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct edges of the sorted triangles, in lexicographic order, and
-    each triangle's edge ids.
-
-    Each triangle's edge (u, v) is keyed u * n + v straight from its
-    columns, in faces_of order, so the 3F edge rows are never stacked.
-    """
-    keys = np.empty((len(tris), 3), dtype=np.int64)
-    for col, (u, v) in enumerate(_without(2)):
-        np.multiply(tris[:, u], n_pts, out=keys[:, col])
-        keys[:, col] += tris[:, v]
-    keys = keys.reshape(-1)
-    faces, first = _rank(keys)
-    keys = keys[first]
-    del first
-    edges = np.empty((len(keys), 2), dtype=np.int64)
-    np.divmod(keys, n_pts, out=(edges[:, 0], edges[:, 1]))
-    return edges, faces.reshape(len(tris), 3)
+    m, width = cur.shape
+    drops = np.arange(width)  # face c drops vertex column c
+    keys = np.zeros((m, width), dtype=np.int64)
+    bound = 1  # every key is below bound
+    for t in range(width - 1):
+        if bound * n_pts > 2**63:
+            bound = len(_rank(keys.ravel()))
+        keys *= n_pts
+        keys += cur[:, t + (drops <= t)]
+        bound *= n_pts
+    first = _rank(keys.ravel())  # the keys are now the face ids
+    # flat index i * width + c of face c of simplex i: gather its columns
+    dropped = first % width
+    first -= dropped
+    faces = np.empty((len(first), width - 1), dtype=np.int64)
+    for t in range(width - 1):
+        np.take(cur, first + t + (dropped <= t), out=faces[:, t])
+    return faces, keys
 
 
 def _face_ids(faces_of: dict[int, np.ndarray], k: int, fid, keep) -> tuple[np.ndarray, int]:
@@ -283,10 +238,6 @@ class SimplicialComplex:
     def n_points(self) -> int:
         return self.points.shape[0]
 
-    def scale(self) -> float:
-        extent = self.points.max(axis=0) - self.points.min(axis=0)
-        return float(extent.max())
-
     _kdtree: cKDTree | None = field(default=None, repr=False)
 
     def kdtree(self) -> cKDTree:
@@ -335,11 +286,10 @@ def delaunay(
     triangulator would skip as coplanar trigger a joggled retry so every
     input point ends up as a vertex.
 
-    qhull's neighbours give the top level's facets: ``tri.neighbors[i, c]``
-    is the top across the facet of top i without its vertex c, -1 on the
-    hull. The lower-index top of each shared facet emits it, a hull facet
-    is emitted once, and the other top copies the facet's id, so the
-    facets are sorted without their duplicates.
+    The lattice is read off the sorted tops alone, level by level: the
+    faces of every level k >= 2 come from :func:`_faces` over the level
+    above, the vertices are the input rows, and an edge's faces are its
+    two vertices, column c's face being the other column.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -379,36 +329,17 @@ def delaunay(
     if len(tri.coplanar):
         raise DegenerateInput("triangulation skipped input points even after joggling")
 
-    # neighbours follow the vertex columns, so each row sorts (vertex,
-    # neighbour) pairs packed into one int64: vertex high, neighbour low
-    tops = tri.simplices.astype(np.int64)
-    tops <<= 32
-    tops |= tri.neighbors.view(np.uint32)
-    tops.sort(axis=1)
-    across = tops.astype(np.uint32).view(np.int32)
-    tops >>= 32
+    tops = np.sort(tri.simplices, axis=1).astype(np.int64)
     edge_vecs = points[tops[:, 1:]] - points[tops[:, :1]]
     top_volumes = np.abs(np.linalg.det(edge_vecs)) / factorial(dim)
     del edge_vecs
 
     simplices: dict[int, np.ndarray] = {dim: tops}
     faces_of: dict[int, np.ndarray] = {}
-    simplices[dim - 1], faces_of[dim] = _facets(tops, across, n_pts)
-    del across
-    for k in range(dim - 1, 0, -1):
-        cur = simplices[k]
-        if k == 2:
-            simplices[1], faces_of[2] = _edges(cur, n_pts)
-            continue
-        m = cur.shape[0]
-        # row i of each simplex's block: its face without vertex column i
-        stacked = cur[:, _without(k)].reshape(m * (k + 1), k)
-        if k == 1:
-            face_ids = stacked[:, 0]
-            simplices[0] = np.arange(points.shape[0], dtype=np.int64)[:, None]
-        else:
-            simplices[k - 1], face_ids = _unique_rows(stacked, n_pts)
-        faces_of[k] = face_ids.reshape(m, k + 1)
+    for k in range(dim, 1, -1):
+        simplices[k - 1], faces_of[k] = _faces(simplices[k], n_pts)
+    simplices[0] = np.arange(n_pts, dtype=np.int64)[:, None]
+    faces_of[1] = simplices[1][:, ::-1]
 
     filtration = _filtration(points, simplices, faces_of)
     # clamp any floating-point leak so faces never outrank their cofacets
@@ -457,9 +388,6 @@ class AlphaShape:
         pts = self.complex.points
         return np.stack([pts.min(axis=0), pts.max(axis=0)], axis=1)
 
-    def _tol(self) -> float:
-        return REL_TOL * max(self.complex.scale(), 1.0)
-
     def contains(self, q) -> bool:
         """Closed-set membership of one point, with relative tolerance."""
         q = np.asarray(q, dtype=float).ravel()
@@ -484,7 +412,7 @@ class AlphaShape:
         qs = qs[near]
 
         dist, _ = c.kdtree().query(qs)
-        hit = dist <= self._tol()
+        hit = dist <= snap_tol(*self.bbox().T)
 
         located = c.tri.find_simplex(qs, tol=1e-12)
         pending = np.flatnonzero(~hit & (located >= 0))

@@ -269,11 +269,11 @@ def render_slice(report: AnalysisReport, plan: SlicePlan, cells: int) -> dict[st
 
 
 def _slice_filename(spec: OssSpec, plan: SlicePlan) -> str:
+    """One name per plan: band edges by the shortest round-trip ``repr``,
+    which tells every two floats apart, a whole number without its ".0"."""
     names = spec.names
-    return (
-        f"slice_{names[plan.x_index]}-{names[plan.y_index]}"
-        f"_{plan.band[0]:g}-{plan.band[1]:g}.csv"
-    )
+    lo, hi = (repr(float(x)).removesuffix(".0") for x in plan.band)
+    return f"slice_{names[plan.x_index]}-{names[plan.y_index]}_{lo}-{hi}.csv"
 
 
 def _write_slice_csv(path: Path, raster: dict[str, np.ndarray]) -> None:

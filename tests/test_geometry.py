@@ -33,7 +33,7 @@ from safeset.geometry import (
     shape_is_feasible,
 )
 from safeset.geometry.montecarlo import McVolume
-from safeset.geometry.simplicial import HULL_MARGIN, _face_ids, _solve, _unique_rows
+from safeset.geometry.simplicial import HULL_MARGIN, _face_ids, _faces, _solve
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
@@ -186,7 +186,8 @@ def reference_membership(shape, qs):
     """Exact membership with find_simplex and the carrier run per probe."""
     c = shape.complex
     dist, _ = cKDTree(c.points).query(qs)
-    exact = dist <= 1e-9 * max(c.scale(), 1.0)
+    extent = c.points.max(axis=0) - c.points.min(axis=0)
+    exact = dist <= 1e-9 * max(float(extent.max()), 1.0)
     located = c.tri.find_simplex(qs, tol=1e-12)
     for i in np.flatnonzero(~exact & (located >= 0)):
         top = int(located[i])
@@ -407,10 +408,10 @@ class TestDelaunay:
 
     def test_lattice_peak_memory(self):
         # the traced peak of delaunay() as a multiple of the lattice it
-        # returns: facets read off qhull's neighbours, edges keyed from the
-        # triangle columns and the top level's balls left unstored keep it
-        # near 2.35 on this battery-like cloud, where stacking and sorting
-        # every face of every simplex took 2.85
+        # returns: face keys packed straight from the simplex columns, the
+        # edges' faces a view of their columns and the top level's balls
+        # left unstored keep it near 2.27 on this battery-like cloud, where
+        # stacking and sorting every face of every simplex took 2.85
         pts = layered_cloud(0, lines=5, per_line=6)
         assert len(pts) == 20_400
         tracemalloc.start()
@@ -426,19 +427,24 @@ class TestDelaunay:
         assert peak < 2.6 * lattice
 
     @pytest.mark.parametrize(
-        "radix,k", [(7, 3), (31_847, 3), (2**21, 4), (2**31 - 1, 4)]
+        "radix,width",
+        [(7, 4), (31_847, 4), (2**21, 5), (2**21, 6), (2**31 - 1, 5), (2**31 - 1, 6)],
     )
-    def test_unique_rows_matches_numpy(self, radix, k):
-        # radix**k below 2**63 packs every column into one key, as a 3-D
-        # level does; beyond it the keys must be re-ranked, not overflow
-        rng = np.random.default_rng(k)
-        pool = rng.integers(0, radix, (60, k))
-        pool[:20, 0] = pool[20:40, 0]  # shared leading columns
-        rows = pool[rng.integers(0, 60, 3000)]
-        uniq, inverse = _unique_rows(rows, radix)
-        ref_uniq, ref_inverse = np.unique(rows, axis=0, return_inverse=True)
-        assert np.array_equal(uniq, ref_uniq)
-        assert np.array_equal(inverse, ref_inverse.ravel())
+    def test_faces_match_numpy(self, radix, width):
+        # radix**3 below 2**63 packs a 3-D level's faces into one key; wider
+        # faces over a large radix must be re-ranked, not overflow, a branch
+        # the lattice oracles' clouds of at most 60 points never reach
+        rng = np.random.default_rng(width)
+        pool = np.sort(rng.integers(0, radix, (60, width)), axis=1)
+        pool[:20, :-1] = pool[20:40, :-1]  # shared faces
+        rows = np.sort(pool[rng.integers(0, 60, 3000)], axis=1)
+        faces, ids = _faces(rows, radix)
+        stacked = np.stack([np.delete(rows, c, axis=1) for c in range(width)], axis=1)
+        ref_faces, ref_ids = np.unique(
+            stacked.reshape(-1, width - 1), axis=0, return_inverse=True
+        )
+        assert np.array_equal(faces, ref_faces)
+        assert np.array_equal(ids, ref_ids.reshape(len(rows), width))
 
     @pytest.mark.parametrize("dim,n", [(2, 30), (3, 60), (4, 40), (3, "layered")])
     def test_faces_of_walk_finds_every_face(self, dim, n):
@@ -889,32 +895,19 @@ class TestConvexHullShape:
         shift=st.floats(-5.0, 5.0),
     )
     def test_low_rank_clouds_match_plain_lp(self, d, data, seed, spread, shift):
-        # a rank-k cloud lifted into d-D by a random rotation and offset;
-        # probes: points, convex mixes, box samples and mixes pushed along
-        # a normal by 0, 0.5, 2 and 10 x the margin
         k = data.draw(st.integers(1, d), label="k")
-        rng = np.random.default_rng(seed)
-        flat = np.zeros((k + 3 + int(rng.integers(10)), d))
-        flat[:, :k] = rng.standard_normal((len(flat), k))
-        rotation, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        offset = shift * rng.standard_normal(d)
-        pts = spread * flat @ rotation.T + offset
+        pts, qs = low_rank_probes(d, k, seed, spread, shift)
         hull = ConvexHullShape(pts)
         assert hull.affine_rank == k
-
-        weights = rng.dirichlet(np.ones(len(pts)), size=30)
-        mixes = weights @ pts
-        lo, hi = hull.bbox()[:, 0], hull.bbox()[:, 1]
-        box = lo + rng.random((60, d)) * (hi - lo)
-        margin = HULL_MARGIN * max(float(np.linalg.norm(hi - lo)), 1.0)
-        normals = rotation[:, k:]
-        pushed = [
-            mixes[:10] + t * margin * normals[:, rng.integers(d - k)]
-            for t in (0.0, 0.5, 2.0, 10.0)
-            if k < d
-        ]
-        qs = np.vstack([pts, mixes, box, *pushed])
         assert np.array_equal(hull.contains_batch(qs), plain_lp_membership(pts, qs))
+
+    def test_half_margin_off_plane_is_not_a_member(self):
+        # a mix pushed half the margin off a flat cloud's plane, where HiGHS
+        # on the unscaled rows once reported weights that miss it by 9e-6
+        pts, qs = low_rank_probes(4, 3, 4, 0.25, -6.701900755015194e-10)
+        q = qs[len(pts) + 90 + 10]
+        assert not ConvexHullShape(pts).contains(q)
+        assert not plain_lp_membership(pts, q[None, :])[0]
 
     def test_far_off_plane_rejected_without_a_fit(self, monkeypatch):
         pts = tilted_plane()
@@ -1002,22 +995,49 @@ def tilted_plane(n=40, seed=1):
     return np.column_stack([xy, xy.sum(axis=1)])
 
 
+def low_rank_probes(d, k, seed, spread, shift):
+    """A rank-k cloud lifted into d-D by a random rotation and offset, and
+    its probes: the points, 30 convex mixes, 60 box samples, and the first
+    10 mixes pushed along a normal by 0, 0.5, 2 and 10 x the margin."""
+    rng = np.random.default_rng(seed)
+    flat = np.zeros((k + 3 + int(rng.integers(10)), d))
+    flat[:, :k] = rng.standard_normal((len(flat), k))
+    rotation, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    offset = shift * rng.standard_normal(d)
+    pts = spread * flat @ rotation.T + offset
+    weights = rng.dirichlet(np.ones(len(pts)), size=30)
+    mixes = weights @ pts
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    box = lo + rng.random((60, d)) * (hi - lo)
+    margin = HULL_MARGIN * max(float(np.linalg.norm(hi - lo)), 1.0)
+    normals = rotation[:, k:]
+    pushed = [
+        mixes[:10] + t * margin * normals[:, rng.integers(d - k)]
+        for t in (0.0, 0.5, 2.0, 10.0)
+        if k < d
+    ]
+    return pts, np.vstack([pts, mixes, box, *pushed])
+
+
 def plain_lp_membership(points, qs):
-    """Convex-combination feasibility by one unscaled LP per query."""
+    """Convex-combination feasibility by one unscaled LP per query.
+
+    A reported solution counts only if it meets the equality rows within
+    HiGHS's own feasibility tolerance, 1e-7 x max(1, |b|): HiGHS can
+    report success with weights that miss a query off a flat cloud's
+    plane by far more than that.
+    """
     from scipy.optimize import linprog
 
     n = len(points)
     a_eq = np.vstack([np.asarray(points).T, np.ones((1, n))])
     want = np.zeros(len(qs), dtype=bool)
     for i, q in enumerate(qs):
-        res = linprog(
-            np.zeros(n),
-            A_eq=a_eq,
-            b_eq=np.concatenate([q, [1.0]]),
-            bounds=(0.0, None),
-            method="highs",
+        b = np.concatenate([q, [1.0]])
+        res = linprog(np.zeros(n), A_eq=a_eq, b_eq=b, bounds=(0.0, None), method="highs")
+        want[i] = res.status == 0 and (
+            np.abs(a_eq @ res.x - b).max() <= 1e-7 * max(1.0, np.abs(b).max())
         )
-        want[i] = res.status == 0
     return want
 
 

@@ -50,6 +50,7 @@ from safeset.geometry import ConvexHullShape, ShapeUnion, alpha_complex, delauna
 from safeset.report import (
     REPORT_SCHEMA,
     _shape_document,
+    _slice_filename,
     _write_ds_csv,
     _write_slice_csv,
     dumps_json,
@@ -383,6 +384,40 @@ class TestReportArtifacts:
         ]
         assert pinned(PRESETS["sumo-lead"]) == [
             (1, 2, (lo, lo + 7.5), (lo + 3.75, lo + 3.75, 100.0)) for lo in (0.0, 7.5, 15.0, 22.5)
+        ]
+
+    def test_slice_filenames_pinned_per_preset(self):
+        def names(preset):
+            spec = PRESETS[preset]
+            return [_slice_filename(spec, p) for p in slice_plans(spec)]
+
+        assert names("ncap-lead") == [
+            f"slice_v1-p_{b}.csv" for b in ("0-6.25", "6.25-12.5", "12.5-18.75", "18.75-25")
+        ]
+        assert names("sumo-lead") == [
+            f"slice_v1-p_{b}.csv" for b in ("0-7.5", "7.5-15", "15-22.5", "22.5-30")
+        ]
+        assert names("highd-lead") == [
+            f"slice_v1-p_{b}.csv" for b in ("20-23.75", "23.75-27.5", "27.5-31.25", "31.25-35")
+        ]
+        neighbours = ("fl", "fc", "fr", "rl", "rc", "rr")
+        assert names("highd-multi") == [
+            f"slice_p_{n}-v_{n}_23.75-26.25.csv" for n in neighbours
+        ]
+        assert names("waymo-carla-17d") == [
+            f"slice_p_{n}-v_{n}_10-16.csv" for n in neighbours
+        ] + ["slice_p_left-q_left_10-16.csv", "slice_p_right-q_right_10-16.csv"]
+
+    def test_slice_filenames_tell_close_bands_apart(self):
+        # bands a fraction of a unit wide at a large speed share their
+        # leading six digits, so a "%g" name would let one slice overwrite
+        # another
+        spec = OssSpec("lead_following", v_min=1e6, v_max=1e6 + 1, p_max=40.0)
+        got = [_slice_filename(spec, p) for p in slice_plans(spec)]
+        assert got == [
+            f"slice_v1-p_{b}.csv"
+            for b in ("1000000-1000000.25", "1000000.25-1000000.5",
+                      "1000000.5-1000000.75", "1000000.75-1000001")
         ]
 
     def test_render_slice_semantics(self, safe_report):
