@@ -136,18 +136,21 @@ class ConvexHullShape:
         past it. An NNLS certificate with recomputed residual r has
         q - mean = (P - mean)^T x + e, ||e|| <= r, |sum(x) - 1| <= r / scale,
         so it reaches r (1 + tau / scale); r is largest at the box corner
-        farthest from the mean. An LP solution feasible within F per row
-        (x >= -F) reaches F ((2n + 1) tau + sqrt(d) scale).
+        farthest from the mean. An LP solution accepted within F b per row,
+        b >= 1 the largest |right-hand side| in the box (x >= -F), reaches
+        F b ((2n + 1) tau + sqrt(d) scale).
         """
         n, d = self.points.shape
         lo, hi = self._bbox[:, 0] - self._mean, self._bbox[:, 1] - self._mean
-        q_norm = float(np.linalg.norm(np.maximum(-lo, hi) + self._margin))
+        corner = np.maximum(-lo, hi) + self._margin
+        q_norm = float(np.linalg.norm(corner))
         r = RESIDUAL_TOL * self._scale * math.hypot(q_norm, self._scale)
+        b = max(1.0, float(corner.max()) / self._scale)
         lp_reach = (2 * n + 1) * tau + math.sqrt(d) * self._scale
         return max(
             self._snap,
             r * (1.0 + tau / self._scale),
-            LP_FEASIBILITY_TOL * lp_reach,
+            LP_FEASIBILITY_TOL * b * lp_reach,
         )
 
     @property
@@ -205,7 +208,9 @@ class ConvexHullShape:
         residual, so the residual is recomputed from the weights. A small
         recomputed residual is a genuine membership certificate; a large
         one proves nothing (the fit may simply have been sloppy), so those
-        queries get an exact LP feasibility verdict.
+        queries get an exact LP feasibility verdict. HiGHS can report
+        success with weights that miss the equality rows, so a solution
+        counts only if it meets them within LP_FEASIBILITY_TOL x max(1, |b|).
         """
         q = q - self._mean
         rhs = np.concatenate([q, [self._scale]])
@@ -213,14 +218,14 @@ class ConvexHullShape:
         resid = float(np.linalg.norm(self._system @ x - rhs))
         if resid <= RESIDUAL_TOL * self._scale * max(1.0, float(np.linalg.norm(rhs))):
             return True
+        b = np.concatenate([q / self._scale, [1.0]])
         res = linprog(
-            self._lp_cost,
-            A_eq=self._lp_system,
-            b_eq=np.concatenate([q / self._scale, [1.0]]),
-            bounds=(0.0, None),
-            method="highs",
+            self._lp_cost, A_eq=self._lp_system, b_eq=b, bounds=(0.0, None), method="highs"
         )
-        return res.status == 0
+        if res.status != 0:
+            return False
+        miss = float(np.abs(self._lp_system @ res.x - b).max())
+        return miss <= LP_FEASIBILITY_TOL * max(1.0, float(np.abs(b).max()))
 
     # kept only because the benchmark's tracer wraps this name and checks
     # that every wrapped name exists; nothing in safeset calls it

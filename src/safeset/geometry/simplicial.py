@@ -27,7 +27,11 @@ alpha shapes", 1994): each face's vertices pack into one int64 key
 straight from its simplex's columns, so no face row is stacked, and one
 argsort ranks the keys, the ranks written over them. The keys are
 re-ranked only where packing another column would overflow, which a 3-D
-level never reaches.
+level never reaches. Only the keys are int64: vertex ids keep scipy's
+int32, and face ids are int32 unless a level has 2**31 faces or more.
+The filtration runs in blocks of MEB_BLOCK simplices, which with the
+int32 lattice keeps the traced peak of ``delaunay`` near 1.5 x the
+lattice's entry count x 8 bytes.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ REL_TOL = 1e-9
 # and the vertex snap reaches snap_tol.
 HULL_MARGIN = 1e-5
 HULL_BLOCK = 1 << 20  # probe x facet products per half-space block
-MEB_BLOCK = 32_768  # simplices per filtration block
+MEB_BLOCK = 8_192  # simplices per filtration block
 
 
 def hull_margin(lo: np.ndarray, hi: np.ndarray) -> float:
@@ -94,6 +98,12 @@ def _rank(keys: np.ndarray) -> np.ndarray:
     return order[new]
 
 
+def _id_dtype(count: int) -> type:
+    """The type of the ids of a level of ``count`` faces: int32, or int64
+    for a level of 2**31 faces or more."""
+    return np.int32 if count < 2**31 else np.int64
+
+
 def _faces(cur: np.ndarray, n_pts: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct faces of the sorted k-simplices ``cur`` (k >= 2), in
     lexicographic order, and each simplex's face ids: entry c is the face
@@ -107,7 +117,8 @@ def _faces(cur: np.ndarray, n_pts: int) -> tuple[np.ndarray, np.ndarray]:
     Equal keys are equal faces, so one rank of the final keys numbers the
     faces, and each distinct face is gathered from one simplex holding it.
     Vertex ids come from scipy's int32 triangulation, so n_pts < 2**31: a
-    3-D level packs into one key.
+    3-D level packs into one key. The face rows keep ``cur``'s vertex type
+    and the face ids take :func:`_id_dtype`; only the keys are int64.
     """
     m, width = cur.shape
     drops = np.arange(width)  # face c drops vertex column c
@@ -120,13 +131,15 @@ def _faces(cur: np.ndarray, n_pts: int) -> tuple[np.ndarray, np.ndarray]:
         keys += cur[:, t + (drops <= t)]
         bound *= n_pts
     first = _rank(keys.ravel())  # the keys are now the face ids
+    ids = keys.astype(_id_dtype(len(first)))
+    del keys  # before the gather, whose temporaries would otherwise set the peak
     # flat index i * width + c of face c of simplex i: gather its columns
     dropped = first % width
     first -= dropped
-    faces = np.empty((len(first), width - 1), dtype=np.int64)
+    faces = np.empty((len(first), width - 1), dtype=cur.dtype)
     for t in range(width - 1):
         np.take(cur, first + t + (dropped <= t), out=faces[:, t])
-    return faces, keys
+    return faces, ids
 
 
 def _face_ids(faces_of: dict[int, np.ndarray], k: int, fid, keep) -> tuple[np.ndarray, int]:
@@ -215,9 +228,10 @@ def _filtration(
 class SimplicialComplex:
     """Full Delaunay complex with per-simplex filtration values.
 
-    simplices[k] is an (m_k, k+1) array of sorted vertex indices, its rows
-    in lexicographic order for every k < dim; filtration[k] the matching
-    radii; faces_of[k] maps each k-simplex to the ids of its (k-1)-faces.
+    simplices[k] is an (m_k, k+1) int32 array of sorted vertex indices, its
+    rows in lexicographic order for every k < dim; filtration[k] the
+    matching radii; faces_of[k] maps each k-simplex to the ids of its
+    (k-1)-faces, of type :func:`_id_dtype`.
     Top-simplex volumes are precomputed. Row i of simplices[dim] is row i
     of tri.simplices sorted, so a find_simplex result indexes the top
     level directly.
@@ -329,7 +343,7 @@ def delaunay(
     if len(tri.coplanar):
         raise DegenerateInput("triangulation skipped input points even after joggling")
 
-    tops = np.sort(tri.simplices, axis=1).astype(np.int64)
+    tops = np.sort(tri.simplices, axis=1)  # scipy's int32 vertex ids
     edge_vecs = points[tops[:, 1:]] - points[tops[:, :1]]
     top_volumes = np.abs(np.linalg.det(edge_vecs)) / factorial(dim)
     del edge_vecs
@@ -338,7 +352,7 @@ def delaunay(
     faces_of: dict[int, np.ndarray] = {}
     for k in range(dim, 1, -1):
         simplices[k - 1], faces_of[k] = _faces(simplices[k], n_pts)
-    simplices[0] = np.arange(n_pts, dtype=np.int64)[:, None]
+    simplices[0] = np.arange(n_pts, dtype=tops.dtype)[:, None]
     faces_of[1] = simplices[1][:, ::-1]
 
     filtration = _filtration(points, simplices, faces_of)

@@ -21,10 +21,11 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
-from .celltext import number_cells, write_rows
+from .celltext import CHUNK_ROWS, number_cells, write_rows
 from .oss import OssSpec
 from .pipeline import AnalysisReport
 
@@ -291,33 +292,43 @@ _ARRAY_MARK = "\x00ndarray:"
 _ARRAY_SLOT = re.compile(r'(?m)^( *)(.*)"\\u0000ndarray:(\d+)"')
 
 
-def _array_json(a: np.ndarray, indent: str) -> str:
-    """``a`` as ``json.dumps(a.tolist(), indent=2)`` writes it on a line
-    indented by ``indent``.
+def _write_array(fh: TextIO, a: np.ndarray, indent: str) -> None:
+    """Write ``a`` as ``json.dumps(a.tolist(), indent=2)`` writes it on a
+    line indented by ``indent``.
 
-    A 2-D array of integers or finite floats is filled into one
-    %-template from its :func:`~safeset.celltext.number_cells` (json writes
-    numbers by ``repr`` too); anything else goes through ``json``.
+    A 2-D array of integers or finite floats is written CHUNK_ROWS rows at
+    a time, each chunk one %-fill of its rows' cells from the array's
+    :func:`~safeset.celltext.number_cells` (json writes numbers by
+    ``repr`` too); anything else goes through ``json``.
     """
     rows, cols = a.shape if a.ndim == 2 else (0, 0)
     fast = rows and cols and (
         a.dtype.kind in "iu" or (a.dtype.kind == "f" and np.isfinite(a).all())
     )
     if not fast:
-        return json.dumps(a.tolist(), indent=2).replace("\n", "\n" + indent)
+        fh.write(json.dumps(a.tolist(), indent=2).replace("\n", "\n" + indent))
+        return
     outer, inner = "\n" + indent + "  ", "\n" + indent + "    "
     row = "[" + inner + ("," + inner).join(["%s"] * cols) + outer + "]"
-    template = "[" + outer + ("," + outer).join([row] * rows) + "\n" + indent + "]"
     texts, index = number_cells(a.ravel())
-    return template % tuple(texts[index])
+    index = index.reshape(rows, cols)
+    lead = "[" + outer
+    for lo in range(0, rows, CHUNK_ROWS):
+        chunk = index[lo : lo + CHUNK_ROWS]
+        template = lead + ("," + outer).join([row] * len(chunk))
+        fh.write(template % tuple(texts[chunk.ravel()].tolist()))
+        lead = "," + outer
+    fh.write("\n" + indent + "]")
 
 
-def dumps_json(doc) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, where ``doc`` may
-    hold numpy arrays, written as their ``tolist()``.
+def dump_json(doc, fh: TextIO) -> None:
+    """Write ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` to ``fh``,
+    where ``doc`` may hold numpy arrays, written as their ``tolist()``.
 
     The arrays are cut out before ``json`` serializes the rest (its indented
-    encoder runs in pure Python) and pasted back in by :func:`_array_json`.
+    encoder runs in pure Python); that text is written up to each array's
+    slot, and the array straight after it by :func:`_write_array`, so the
+    whole document is never held as one string.
     """
     arrays: list[np.ndarray] = []
 
@@ -332,12 +343,14 @@ def dumps_json(doc) -> str:
         return value
 
     text = json.dumps(cut(doc), sort_keys=True, indent=2)
-    text, pasted = _ARRAY_SLOT.subn(
-        lambda m: m[1] + m[2] + _array_json(arrays[int(m[3])], m[1]), text
-    )
+    pos = pasted = 0
+    for m in _ARRAY_SLOT.finditer(text):
+        fh.write(text[pos : m.start()] + m[1] + m[2])
+        _write_array(fh, arrays[int(m[3])], m[1])
+        pos, pasted = m.end(), pasted + 1
     if pasted != len(arrays):
         raise AssertionError(f"pasted {pasted} of {len(arrays)} arrays")
-    return text + "\n"
+    fh.write(text[pos:] + "\n")
 
 
 def _shape_document(report: AnalysisReport) -> dict:
@@ -361,7 +374,8 @@ def emit_report(report: AnalysisReport, out_dir: str | Path) -> dict:
     report_path.write_text(report.to_json())
 
     shape_path = out / "shape.json"
-    shape_path.write_text(dumps_json(_shape_document(report)))
+    with open(shape_path, "w") as fh:
+        dump_json(_shape_document(report), fh)
 
     ds_path = out / "ds.csv"
     _write_ds_csv(ds_path, report)

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from safeset.geometry import (
     shape_is_feasible,
 )
 from safeset.geometry.montecarlo import McVolume
-from safeset.geometry.simplicial import HULL_MARGIN, _face_ids, _faces, _solve
+from safeset.geometry.simplicial import HULL_MARGIN, _face_ids, _faces, _id_dtype, _solve
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
@@ -121,9 +122,9 @@ def layered_cloud(seed, lines=1, per_line=1):
     ])
 
 
-def reference_complex(c):
-    """Faces, face ids and filtration of c's triangulation, built level by
-    level with np.unique(axis=0) and reference_meb."""
+def reference_lattice(c):
+    """Faces and face ids of c's triangulation as int64, built level by
+    level with np.unique(axis=0)."""
     points, dim = c.points, c.dim
     simplices = {dim: np.sort(c.tri.simplices, axis=1).astype(np.int64)}
     faces_of = {}
@@ -137,6 +138,14 @@ def reference_complex(c):
         else:
             simplices[k - 1], ids = np.unique(stacked, axis=0, return_inverse=True)
         faces_of[k] = ids.reshape(len(cur), k + 1)
+    return simplices, faces_of
+
+
+def reference_complex(c):
+    """Faces, face ids and filtration of c's triangulation, built level by
+    level with np.unique(axis=0) and reference_meb."""
+    points, dim = c.points, c.dim
+    simplices, faces_of = reference_lattice(c)
     filtration = {0: np.zeros(len(points))}
     for k in range(1, dim + 1):
         filtration[k] = reference_meb(points[simplices[k]])
@@ -407,11 +416,13 @@ class TestDelaunay:
         assert_matches_reference(c)
 
     def test_lattice_peak_memory(self):
-        # the traced peak of delaunay() as a multiple of the lattice it
-        # returns: face keys packed straight from the simplex columns, the
-        # edges' faces a view of their columns and the top level's balls
-        # left unstored keep it near 2.27 on this battery-like cloud, where
-        # stacking and sorting every face of every simplex took 2.85
+        # the traced peak of delaunay() as a multiple of the lattice's entry
+        # count x 8 bytes: int32 vertex and face ids, face keys packed
+        # straight from the simplex columns, the edges' faces a view of
+        # their columns, the top level's balls left unstored and filtration
+        # blocks of 8,192 simplices keep it near 1.50 on this battery-like
+        # cloud, where int64 ids in blocks of 32,768 took 2.27 and stacking
+        # and sorting every face of every simplex 2.85
         pts = layered_cloud(0, lines=5, per_line=6)
         assert len(pts) == 20_400
         tracemalloc.start()
@@ -420,11 +431,26 @@ class TestDelaunay:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        lattice = sum(
-            a.nbytes for level in (c.simplices, c.faces_of, c.filtration) for a in level.values()
+        entries = sum(
+            a.size for level in (c.simplices, c.faces_of, c.filtration) for a in level.values()
         )
         assert (c.top_volumes == 0).mean() > 0.5
-        assert peak < 2.6 * lattice
+        assert peak < 1.75 * entries * 8
+
+    def test_lattice_is_int32(self):
+        # every vertex and face id of the battery-like cloud's lattice is
+        # int32 and equals the int64 lattice built by np.unique
+        c = delaunay(layered_cloud(0, lines=5, per_line=6))
+        simplices, faces_of = reference_lattice(c)
+        for got, want in ((c.simplices, simplices), (c.faces_of, faces_of)):
+            assert got.keys() == want.keys()
+            for k, ids in got.items():
+                assert ids.dtype == np.int32 and want[k].dtype == np.int64
+                assert np.array_equal(ids, want[k])
+
+    def test_face_id_type_widens_at_2_31_faces(self):
+        assert _id_dtype(0) == _id_dtype(2**31 - 1) == np.int32
+        assert _id_dtype(2**31) == _id_dtype(2**40) == np.int64
 
     @pytest.mark.parametrize(
         "radix,width",
@@ -439,6 +465,7 @@ class TestDelaunay:
         pool[:20, :-1] = pool[20:40, :-1]  # shared faces
         rows = np.sort(pool[rng.integers(0, 60, 3000)], axis=1)
         faces, ids = _faces(rows, radix)
+        assert faces.dtype == rows.dtype and ids.dtype == np.int32
         stacked = np.stack([np.delete(rows, c, axis=1) for c in range(width)], axis=1)
         ref_faces, ref_ids = np.unique(
             stacked.reshape(-1, width - 1), axis=0, return_inverse=True
@@ -900,6 +927,20 @@ class TestConvexHullShape:
         hull = ConvexHullShape(pts)
         assert hull.affine_rank == k
         assert np.array_equal(hull.contains_batch(qs), plain_lp_membership(pts, qs))
+
+    def test_lp_weights_off_the_rows_certify_nothing(self, monkeypatch):
+        # HiGHS can report success with weights that miss the equality
+        # rows; only weights that meet them make a probe a member
+        pts = np.random.default_rng(8).random((25, 4))
+        hull = ConvexHullShape(pts)
+        n = len(hull.points)
+        monkeypatch.setattr(hullshape, "nnls", lambda a, b: (np.zeros(n), 0.0))
+        for scale, member in ((1.0, True), (1.0 + 1e-4, False)):
+            weights = np.full(n, scale / n)
+            monkeypatch.setattr(
+                hullshape, "linprog", lambda *a, _x=weights, **k: SimpleNamespace(status=0, x=_x)
+            )
+            assert hull.contains(hull.points.mean(axis=0)) == member
 
     def test_half_margin_off_plane_is_not_a_member(self):
         # a mix pushed half the margin off a flat cloud's plane, where HiGHS

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -53,7 +54,7 @@ from safeset.report import (
     _slice_filename,
     _write_ds_csv,
     _write_slice_csv,
-    dumps_json,
+    dump_json,
     emit_report,
     render_slice,
     slice_plans,
@@ -449,6 +450,13 @@ def json_reference(doc):
     return json.dumps(doc, sort_keys=True, indent=2, default=lambda a: a.tolist()) + "\n"
 
 
+def dumped(doc):
+    """What dump_json writes for doc."""
+    buf = io.StringIO()
+    dump_json(doc, buf)
+    return buf.getvalue()
+
+
 def reference_trajectory_csv(d, path):
     """What write_trajectory_csv wrote before: ``csv.writer`` over per-value
     text, floats by ``repr``, flags as 1/0 and an empty cell for no lane."""
@@ -502,7 +510,7 @@ class TestShapeJson:
         shape = alpha_complex(delaunay(awkward_cloud(60, 3, 0)), 0.4)
         doc = {"normalization": {"names": ["a", "b", "c"]}, "shape": shape.to_dict()}
         assert doc["shape"]["included_top_simplices"].size > 0
-        assert dumps_json(doc) == json_reference(doc)
+        assert dumped(doc) == json_reference(doc)
 
     def test_convex_wrap_and_union(self):
         hull = ConvexHullShape(awkward_cloud(40, 4, 1))
@@ -513,7 +521,7 @@ class TestShapeJson:
         union.compute_measure(seed=0, n_samples=2000)
         for shape in (hull, union):
             doc = {"shape": shape.to_dict()}
-            assert dumps_json(doc) == json_reference(doc)
+            assert dumped(doc) == json_reference(doc)
 
     def test_empty_shape_and_edge_arrays(self):
         doc = {
@@ -525,7 +533,37 @@ class TestShapeJson:
             "flags": np.array([[True, False]]),
             "flat": np.array([0.25, -0.0]),
         }
-        assert dumps_json(doc) == json_reference(doc)
+        assert dumped(doc) == json_reference(doc)
+
+    @pytest.mark.parametrize("rows", [4095, 4096, 4097, 9000])
+    def test_arrays_straddling_a_chunk(self, rows):
+        # chunks of celltext.CHUNK_ROWS rows: one short of a chunk, one
+        # chunk, one row into the next, and two chunks and a part
+        rng = np.random.default_rng(rows)
+        doc = {
+            "ints": rng.integers(-(2**40), 2**40, (rows, 4)),
+            "tops": rng.integers(0, 2**31 - 1, (rows, 4), dtype=np.int32),
+            "floats": [{"points": rng.standard_normal((rows, 3))}],
+        }
+        assert dumped(doc) == json_reference(doc)
+
+    def test_arrays_through_json(self):
+        # a 1-D array, a bool array and an array with NaN take the json path
+        rng = np.random.default_rng(0)
+        nan = rng.random((5000, 3))
+        nan[4096, 1] = np.nan
+        doc = {
+            "flat": rng.random(5000),
+            "flags": rng.random((5000, 2)) < 0.5,
+            "nan": nan,
+        }
+        assert dumped(doc) == json_reference(doc)
+
+    def test_every_slot_pasted_once(self):
+        # a string that reads as an array slot would take an array's place
+        doc = {"a": np.zeros((1, 1)), "b": "\x00ndarray:0"}
+        with pytest.raises(AssertionError, match="pasted 2 of 1 arrays"):
+            dumped(doc)
 
     def test_emitted_shape_json(self, tmp_path, safe_report):
         paths = emit_report(safe_report, tmp_path / "out")
@@ -630,7 +668,7 @@ class TestCellText:
     def test_array_json(self, data, rows, cols, kind):
         a = data.draw(columns_of(kind, rows * cols)).reshape(rows, cols)
         doc = {"a": a, "nested": [{"b": a.T}], "flat": a.ravel()}
-        assert dumps_json(doc) == json_reference(doc)
+        assert dumped(doc) == json_reference(doc)
 
     def test_emitted_csv_files(self, tmp_path, safe_report):
         paths = emit_report(safe_report, tmp_path / "out")
