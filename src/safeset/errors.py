@@ -80,11 +80,12 @@ class DimensionMismatch(SafesetError):
 class InfeasibleAtHi(SafesetError):
     """No single connected shape covering all points exists at the upper alpha."""
 
-    def __init__(self, hi: float):
+    def __init__(self, hi: float, needed: float):
         self.hi = hi
+        self.needed = needed
         super().__init__(
             f"shape is not a single all-covering polytope even at alpha={hi!r};"
-            " widen the search interval"
+            f" the cloud needs alpha >= {needed!r}; widen the search interval"
         )
 
 

@@ -1,10 +1,12 @@
-"""Log-space bisection for the smallest workable alpha.
+"""Log-space bisection for the smallest workable alpha, decided in closed form.
 
 An alpha is feasible when the filtered shape is a single connected piece
 and every input point is a vertex of at least one included full-dimensional
-simplex. Feasibility is monotone in alpha, so bisection on the geometric
-mean brackets the threshold; the search stops when the bracket is narrower
-than the (linear) threshold and returns the smallest feasible alpha probed.
+simplex: when alpha reaches both the complex's largest spanning-tree
+bottleneck and its cover radius. Each bisection probe, at the geometric
+mean of the bracket, is that comparison; the search stops when the bracket
+is narrower than the (linear) threshold and builds one shape, at the
+smallest feasible alpha probed.
 """
 
 from __future__ import annotations
@@ -40,10 +42,9 @@ def search_optimal_alpha(
     """Find the smallest alpha (within ``threshold``) whose shape is feasible.
 
     The upper end is probed first; if even that fails, InfeasibleAtHi is
-    raised. Each bisection step probes the geometric mean of the bracket,
-    keeping hi on the feasible side, and the best (smallest) feasible probe
-    is returned together with its shape. Feasibility monotonicity is
-    asserted over the probe history.
+    raised, naming the alpha the cloud needs. Each bisection step probes
+    the geometric mean of the bracket, keeping hi on the feasible side, and
+    the smallest feasible probe is returned together with its shape.
     """
     if not all(math.isfinite(x) for x in (lo, hi, threshold)):
         raise ValueError("lo, hi and threshold must be finite")
@@ -57,34 +58,19 @@ def search_optimal_alpha(
         kwargs = {} if max_exact_dim is None else {"max_exact_dim": max_exact_dim}
         c = delaunay(np.asarray(points_or_complex, dtype=float), **kwargs)
 
-    probes: list[tuple[float, bool]] = []
-
-    def probe(a: float) -> tuple[AlphaShape, bool]:
-        shape = alpha_complex(c, a)
-        ok = shape_is_feasible(shape)
-        probes.append((a, ok))
-        return shape, ok
-
-    shape_hi, ok = probe(hi)
-    if not ok:
-        raise InfeasibleAtHi(hi)
-    best_alpha, best_shape = hi, shape_hi
-
+    needed = max(float(c.bottlenecks[-1]), c.cover_radius)
+    if hi < needed:
+        raise InfeasibleAtHi(hi, needed)
+    probes = [(hi, True)]
     cur_lo, cur_hi = lo, hi
     while cur_hi - cur_lo > threshold:
         mid = math.sqrt(cur_lo * cur_hi)
-        shape, ok = probe(mid)
+        ok = mid >= needed
+        probes.append((mid, ok))
         if ok:
             cur_hi = mid
-            best_alpha, best_shape = mid, shape
         else:
             cur_lo = mid
-
-    feas = [a for a, ok in probes if ok]
-    infeas = [a for a, ok in probes if not ok]
-    assert not infeas or not feas or max(infeas) < min(feas), (
-        "feasibility was not monotone in alpha"
-    )
     return AlphaSearchResult(
-        alpha=best_alpha, shape=best_shape, probes=tuple(probes)
+        alpha=cur_hi, shape=alpha_complex(c, cur_hi), probes=tuple(probes)
     )

@@ -12,7 +12,8 @@ clamp enforces that bitwise). Two consequences used throughout:
 
 * connectivity of the filtered complex equals connectivity of its edge
   skeleton, since every included simplex links its vertices via included
-  edges, so component counting runs on (all vertices, included edges);
+  edges, so the component count at every alpha is read off one minimum
+  spanning tree of the edges;
 * a point belongs to the filtered shape iff its carrier, the unique
   minimal simplex of the triangulation containing it, is included, since
   any larger included simplex would force the carrier in as a face.
@@ -42,7 +43,7 @@ from math import factorial
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
 
 from ..errors import DegenerateInput, DimensionMismatch, DimensionTooHigh
@@ -224,6 +225,19 @@ def _filtration(
     return filtration
 
 
+def _bottlenecks(n_pts: int, edges: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Sorted filtration values of a minimum spanning tree of the edges,
+    whose edges at most alpha join what all edges at most alpha join (Hu,
+    "The maximum capacity route problem", 1961). Each edge weighs its own
+    rank in filtration order, from 1, as scipy reads a zero weight as no edge."""
+    order = np.argsort(radii)
+    rank = np.empty(len(order))
+    rank[order] = np.arange(1, len(order) + 1)
+    graph = coo_matrix((rank, (edges[:, 0], edges[:, 1])), shape=(n_pts, n_pts))
+    tree = minimum_spanning_tree(graph).data.astype(np.intp)
+    return radii[order[np.sort(tree) - 1]]
+
+
 @dataclass(eq=False)
 class SimplicialComplex:
     """Full Delaunay complex with per-simplex filtration values.
@@ -232,9 +246,11 @@ class SimplicialComplex:
     rows in lexicographic order for every k < dim; filtration[k] the
     matching radii; faces_of[k] maps each k-simplex to the ids of its
     (k-1)-faces, of type :func:`_id_dtype`.
-    Top-simplex volumes are precomputed. Row i of simplices[dim] is row i
-    of tri.simplices sorted, so a find_simplex result indexes the top
-    level directly.
+    Top-simplex volumes are precomputed, and so are the thresholds of alpha
+    feasibility: bottlenecks, from :func:`_bottlenecks`, and cover_radius,
+    the largest over vertices of their smallest top filtration. Row i of
+    simplices[dim] is row i of tri.simplices sorted, so a find_simplex
+    result indexes the top level directly.
     """
 
     points: np.ndarray
@@ -242,6 +258,8 @@ class SimplicialComplex:
     filtration: dict[int, np.ndarray]
     faces_of: dict[int, np.ndarray]
     top_volumes: np.ndarray
+    bottlenecks: np.ndarray
+    cover_radius: float
     tri: Delaunay = field(repr=False)
 
     @property
@@ -363,6 +381,8 @@ def delaunay(
             faces_of[k].ravel(),
             np.repeat(filtration[k], k + 1),
         )
+    cover = np.full(n_pts, np.inf)
+    np.minimum.at(cover, tops, filtration[dim][:, None])
 
     return SimplicialComplex(
         points=points,
@@ -370,6 +390,8 @@ def delaunay(
         filtration=filtration,
         faces_of=faces_of,
         top_volumes=top_volumes,
+        bottlenecks=_bottlenecks(n_pts, simplices[1], filtration[1]),
+        cover_radius=float(cover.max()),
         tri=tri,
     )
 
@@ -412,7 +434,10 @@ class AlphaShape:
         return bool(self.contains_batch(q[None, :])[0])
 
     def contains_batch(self, qs: np.ndarray) -> np.ndarray:
-        """Vectorized membership with exact handling of boundary carriers."""
+        """Vectorized membership with exact handling of boundary carriers.
+        Verdicts can depend on batch order: find_simplex starts each walk
+        where the last one ended, and overlapping joggled tops can hand a
+        probe another top and carrier. Callers keep each batch and its order."""
         qs = np.asarray(qs, dtype=float)
         if qs.ndim != 2 or qs.shape[1] != self.dim:
             raise DimensionMismatch(
@@ -483,34 +508,20 @@ def alpha_complex(c: SimplicialComplex, alpha: float) -> AlphaShape:
     """Filter the complex at the given alpha and summarize it.
 
     Vertices are always included (filtration 0). The measure is the summed
-    volume of included top simplices; components are counted on the edge
-    skeleton over all vertices, so an all-vertices shape at alpha=0 has one
-    component per point.
+    volume of included top simplices. There are n_points components less
+    one per spanning-tree bottleneck at most alpha, so an all-vertices shape
+    at alpha=0 has one per point; every vertex is in an included top once
+    alpha reaches the cover radius.
     """
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError("alpha must be non-negative")
     included = {k: c.filtration[k] <= alpha for k in c.filtration}
     measure = float(c.top_volumes[included[c.dim]].sum())
-
-    edges = c.simplices[1][included[1]]
-    n = c.n_points
-    if edges.size:
-        graph = coo_matrix(
-            (np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n)
-        )
-        n_comp, _ = connected_components(graph, directed=False)
-    else:
-        n_comp = n
-
-    used = np.zeros(n, dtype=bool)
-    used[c.simplices[c.dim][included[c.dim]]] = True
-    covers = used.all()
-
     return AlphaShape(
         complex=c,
         alpha=float(alpha),
         included=included,
         measure=measure,
-        component_count=int(n_comp),
-        covers_vertices=bool(covers),
+        component_count=c.n_points - int(np.searchsorted(c.bottlenecks, alpha, "right")),
+        covers_vertices=bool(c.cover_radius <= alpha),
     )

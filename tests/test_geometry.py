@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull, Delaunay, cKDTree
 
 import safeset.geometry.hullshape as hullshape
+import safeset.geometry.search as search
 from safeset.errors import (
     DegenerateInput,
     DimensionMismatch,
@@ -204,6 +207,74 @@ def reference_membership(shape, qs):
             shape, qs[i], top
         )
     return exact
+
+
+def find(parent, a):
+    """Root of a in the union-find forest ``parent``, halving the path."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
+def union_find_components(c, included):
+    """Components of the included simplices, each joined vertex by vertex
+    with union-find."""
+    parent = list(range(c.n_points))
+    for k in range(1, c.dim + 1):
+        for row in c.simplices[k][included[k]]:
+            for u, v in zip(row, row[1:]):
+                parent[find(parent, int(u))] = find(parent, int(v))
+    return len({find(parent, i) for i in range(c.n_points)})
+
+
+def covered_vertices(c, alpha):
+    """Whether every vertex lies in a top simplex of filtration <= alpha."""
+    used = np.zeros(c.n_points, dtype=bool)
+    used[c.simplices[c.dim][c.filtration[c.dim] <= alpha]] = True
+    return bool(used.all())
+
+
+def kruskal_weights(c):
+    """Sorted edge filtration values of a minimum spanning tree, grown by
+    Kruskal's algorithm with union-find; every minimum spanning tree has
+    the same sorted weights."""
+    parent = list(range(c.n_points))
+    out = []
+    for i in np.argsort(c.filtration[1], kind="stable"):
+        u, v = (find(parent, int(x)) for x in c.simplices[1][i])
+        if u != v:
+            parent[u] = v
+            out.append(c.filtration[1][i])
+    return np.array(out)
+
+
+def reference_search(c, lo, hi, threshold):
+    """The per-probe bisection: every probe filters c, counts its
+    components with connected_components over the included edges and
+    masks the vertices of included tops. Returns the smallest feasible
+    alpha probed (None when hi is infeasible) and the probes."""
+    probes = []
+
+    def probe(a):
+        edges = c.simplices[1][c.filtration[1] <= a]
+        graph = coo_matrix(
+            (np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(c.n_points,) * 2
+        )
+        ok = connected_components(graph, directed=False)[0] == 1 and covered_vertices(c, a)
+        probes.append((a, ok))
+        return ok
+
+    if not probe(hi):
+        return None, probes
+    best, cur_lo, cur_hi = hi, lo, hi
+    while cur_hi - cur_lo > threshold:
+        mid = math.sqrt(cur_lo * cur_hi)
+        if probe(mid):
+            best = cur_hi = mid
+        else:
+            cur_lo = mid
+    return best, probes
 
 
 def planes_cloud(rng, dim, n):
@@ -678,20 +749,27 @@ class TestAlphaComplex:
         c = delaunay(rng.random((25, 2)))
         for alpha in [0.0, 0.1, 0.2, 0.35, 1.0]:
             shape = alpha_complex(c, alpha)
-            parent = list(range(c.n_points))
+            assert shape.component_count == union_find_components(c, shape.included)
 
-            def find(a):
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                return a
+    def test_feasibility_on_tied_filtrations_matches_union_find(self):
+        # on an integer grid many edges share a filtration value, so the
+        # spanning tree's ties, the values themselves and the float just
+        # below each decide the component count
+        grid = np.stack(np.meshgrid(*[np.arange(6.0)] * 3), -1).reshape(-1, 3)
+        c = delaunay(grid)
+        assert c.n_points == 216
+        values = np.unique(c.filtration[1])
+        assert len(values) < len(c.filtration[1]) // 10
+        assert np.array_equal(c.bottlenecks, kruskal_weights(c))
+        below = np.nextafter(values, -np.inf)
+        for alpha in [*values, *below, c.cover_radius, np.nextafter(c.cover_radius, 0.0)]:
+            shape = alpha_complex(c, alpha)
+            assert shape.component_count == union_find_components(c, shape.included), alpha
+            assert shape.covers_vertices == covered_vertices(c, alpha), alpha
 
-            for k in range(1, c.dim + 1):
-                for row in c.simplices[k][shape.included[k]]:
-                    for u, v in zip(row, row[1:]):
-                        parent[find(int(u))] = find(int(v))
-            n_comp = len({find(i) for i in range(c.n_points)})
-            assert shape.component_count == n_comp
+    def test_nan_alpha_rejected(self):
+        with pytest.raises(ValueError):
+            alpha_complex(delaunay(SQUARE), math.nan)
 
     def test_dimension_mismatch(self):
         shape = alpha_complex(delaunay(SQUARE), 1.0)
@@ -745,8 +823,72 @@ class TestAlphaSearch:
 
     def test_two_far_clusters_infeasible(self):
         far = np.vstack([SQUARE, SQUARE + [300.0, 0.0]])
-        with pytest.raises(InfeasibleAtHi):
+        with pytest.raises(InfeasibleAtHi, match="needs alpha >= 149.5;") as err:
             search_optimal_alpha(far, 0.01, 100.0, 0.1)
+        # the gap between the squares, 299 wide, is the spanning tree's
+        # bottleneck; every corner lies in a triangle of radius sqrt(2) / 2
+        c = delaunay(far)
+        cover = max(
+            c.filtration[2][(c.simplices[2] == v).any(axis=1)].min() for v in range(8)
+        )
+        assert cover == pytest.approx(math.sqrt(2) / 2)
+        assert err.value.needed == max(kruskal_weights(c)[-1], cover) == 149.5
+        assert err.value.hi == 100.0
+        with pytest.raises(InfeasibleAtHi):
+            search_optimal_alpha(c, 0.01, np.nextafter(149.5, 0.0), 0.1)
+        assert search_optimal_alpha(c, 0.01, 149.5, 0.1).probes[0] == (149.5, True)
+
+    def test_one_shape_per_search(self, monkeypatch):
+        built = []
+
+        def counted(c, alpha):
+            built.append(alpha)
+            return alpha_complex(c, alpha)
+
+        monkeypatch.setattr(search, "alpha_complex", counted)
+        res = search_optimal_alpha(SQUARE, 0.01, 100.0, 0.1)
+        assert len(res.probes) == 8 and built == [res.alpha]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        cloud=st.sampled_from(["random", "snapped", "layered"]),
+        dim=st.sampled_from([2, 3]),
+        triples=st.lists(
+            st.tuples(st.floats(-4.0, 0.0), st.floats(0.05, 4.0), st.floats(-6.0, 0.5)),
+            min_size=3,
+            max_size=3,
+        ),
+    )
+    def test_matches_per_probe_bisection(self, seed, cloud, dim, triples):
+        # (lo, hi, threshold) drawn in log10: lo from 1e-4 to 1, hi a factor
+        # of 1.12 to 1e4 above it, threshold from 1e-6 to 3
+        rng = np.random.default_rng(seed)
+        if cloud == "layered":
+            pts = layered_cloud(seed)
+        else:
+            pts = rng.random((rng.integers(dim + 2, 80), dim))
+            if cloud == "snapped":
+                pts = np.round(pts * 4.0) / 4.0
+        try:
+            c = delaunay(pts)
+        except DegenerateInput:
+            assume(False)
+        assert np.array_equal(c.bottlenecks, kruskal_weights(c))
+        for log_lo, log_span, log_threshold in triples:
+            lo = 10.0**log_lo
+            hi, threshold = lo * 10.0**log_span, 10.0**log_threshold
+            alpha, probes = reference_search(c, lo, hi, threshold)
+            if alpha is None:
+                with pytest.raises(InfeasibleAtHi):
+                    search_optimal_alpha(c, lo, hi, threshold)
+                continue
+            res = search_optimal_alpha(c, lo, hi, threshold)
+            assert res.alpha.hex() == alpha.hex()
+            assert res.probes == tuple(probes)
+            assert res.shape.component_count == 1 and res.shape.covers_vertices
+            for k, mask in res.shape.included.items():
+                assert np.array_equal(mask, c.filtration[k] <= alpha)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

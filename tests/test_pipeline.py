@@ -916,6 +916,20 @@ class TestCli:
         assert "JSON object" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_alpha_hi_below_the_needed_alpha_exits_2(self, tmp_path, battery_csv, capsys):
+        # the message names the alpha the retained states need, and the
+        # analysis fails before any artifact is written
+        code = run_cli(
+            "analyze", "--input", battery_csv, "--preset", "sumo-lead",
+            "--alpha-lo", "1e-5", "--alpha-hi", "1e-4", "--out-dir", tmp_path / "x",
+        )
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "even at alpha=0.0001;" in err
+        needed = float(err.split("needs alpha >= ")[1].split(";")[0])
+        assert needed > 1e-4
+        assert not (tmp_path / "x").exists()
+
     def test_every_config_field_has_an_analyze_flag(self):
         fields = {f.name: f for f in dataclasses.fields(AnalysisConfig)}
         assert set(ANALYZE_FLAGS) == set(fields) - {"oss", "columns"}
