@@ -57,7 +57,9 @@ REL_TOL = 1e-9
 # 1e-6 outside a simplex, which puts it within 1e-6 x diameter of the hull,
 # and the vertex snap reaches snap_tol.
 HULL_MARGIN = 1e-5
-HULL_BLOCK = 1 << 20  # probe x facet products per half-space block
+# probe x facet products per half-space block: 512 KiB of float64 heights,
+# held beside find_simplex's cached tri.transform while slices are probed
+HULL_BLOCK = 1 << 16
 MEB_BLOCK = 8_192  # simplices per filtration block
 
 
@@ -297,12 +299,16 @@ class SimplicialComplex:
         if not len(eq):
             return keep
         margin = hull_margin(self.points.min(axis=0), self.points.max(axis=0))
-        normals, offsets = eq[:, :-1].T, eq[:, -1]
+        normals, offsets = np.ascontiguousarray(eq[:, :-1].T), eq[:, -1]
         step = max(1, HULL_BLOCK // len(eq))
         finite = np.flatnonzero(keep)
+        buffer = np.empty((min(step, len(finite)), len(eq)))
         for lo in range(0, len(finite), step):
             rows = finite[lo : lo + step]
-            height = qs[rows] @ normals
+            # over contiguous normals, einsum adds each height's products in
+            # coordinate order, so a probe's height does not depend on its
+            # block; a BLAS product's rounding follows the block's shape
+            height = np.einsum("ij,jk->ik", qs[rows], normals, out=buffer[: len(rows)])
             height += offsets
             keep[rows] = height.max(axis=1) <= margin
         return keep

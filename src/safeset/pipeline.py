@@ -258,6 +258,11 @@ def run_analysis(cfg: AnalysisConfig, dataset: Dataset | None = None) -> Analysi
     If ``dataset`` is omitted it is parsed from ``cfg.input_csv`` (with the
     optional label sidecar) and labelled by ``cfg.collision_rule``; a
     dataset passed in is used as-is.
+
+    Everything the report reads of the dataset and the state table is
+    taken before the geometry layer, which runs with only the extraction's
+    distinct states, masks and transition tails alive: a parsed CSV is
+    freed before qhull runs. A dataset passed in stays its caller's.
     """
     cfg.validate()
     spec = cfg.resolve_spec()
@@ -284,6 +289,31 @@ def run_analysis(cfg: AnalysisConfig, dataset: Dataset | None = None) -> Analysi
     bounds = spec.bounds()
     ds_norm = spec.normalize(ds_phys) if len(ds_phys) else ds_phys
 
+    collision_count = len(dataset.collision_events)
+    distance_km = dataset.sv_distance_m() / 1000.0
+    ttc: TtcStats | None = None
+    if spec.kind == "lead_following":
+        ttc = ttc_stats(table.values)
+    warnings = [
+        "Certified levels assume transitions sample a memoryless process;"
+        " recorded traffic only approximates one.",
+        "Order-averaged levels assume exchangeable transition order;"
+        " strongly correlated replays weaken the interpretation.",
+    ]
+    if dataset.rejected_tracks:
+        warnings.append(
+            f"{len(dataset.rejected_tracks)} track(s) rejected for irregular sampling"
+        )
+    dataset_info = {
+        "n_samples": len(dataset.samples),
+        "n_trajectories": len(dataset.trajectory_ids),
+        "dt": dataset.dt,
+        "collision_event_count": collision_count,
+        "rejected_tracks": [list(t) for t in dataset.rejected_tracks],
+    }
+    n_segments, n_states = table.n_segments, len(table)
+    del dataset, table
+
     shape, shape_info = _wrap_points(ds_norm, cfg, spec.dim)
 
     exclusion_ok = True
@@ -301,44 +331,22 @@ def run_analysis(cfg: AnalysisConfig, dataset: Dataset | None = None) -> Analysi
     shape_measure = 0.0 if shape is None else float(shape_info.get("measure") or 0.0)
     cov: CoverageResult = coverage(len(ds_phys), shape_measure, 1.0)
 
-    collision_count = len(dataset.collision_events)
-    distance_km = dataset.sv_distance_m() / 1000.0
     fatality = None
     if collision_count == 0 and distance_km > 0.0:
         fatality = fatality_rate_bound(distance_km, cfg.beta, collision_count)
-    ttc: TtcStats | None = None
-    if spec.kind == "lead_following":
-        ttc = ttc_stats(table.values)
-
-    warnings = [
-        "Certified levels assume transitions sample a memoryless process;"
-        " recorded traffic only approximates one.",
-        "Order-averaged levels assume exchangeable transition order;"
-        " strongly correlated replays weaken the interpretation.",
-    ]
-    if dataset.rejected_tracks:
-        warnings.append(
-            f"{len(dataset.rejected_tracks)} track(s) rejected for irregular sampling"
-        )
 
     data = {
         "schema_version": SCHEMA_VERSION,
         "config": cfg.to_dict(),
-        "dataset": {
-            "n_samples": len(dataset.samples),
-            "n_trajectories": len(dataset.trajectory_ids),
-            "dt": dataset.dt,
-            "collision_event_count": collision_count,
-            "rejected_tracks": [list(t) for t in dataset.rejected_tracks],
-        },
+        "dataset": dataset_info,
         "projection": {
             "kind": spec.kind,
             "dim": spec.dim,
             "names": list(spec.names),
             "bounds": bounds.tolist(),
             "physical_box_volume": spec.box_volume(),
-            "n_state_trajectories": table.n_segments,
-            "n_states": len(table),
+            "n_state_trajectories": n_segments,
+            "n_states": n_states,
             "n_unique_states": len(extraction.vertices),
         },
         "transitions": {

@@ -15,6 +15,7 @@ from scipy.spatial import ConvexHull, Delaunay, cKDTree
 
 import safeset.geometry.hullshape as hullshape
 import safeset.geometry.search as search
+import safeset.geometry.simplicial as simplicial
 from safeset.errors import (
     DegenerateInput,
     DimensionMismatch,
@@ -37,7 +38,14 @@ from safeset.geometry import (
     shape_is_feasible,
 )
 from safeset.geometry.montecarlo import McVolume
-from safeset.geometry.simplicial import HULL_MARGIN, _face_ids, _faces, _id_dtype, _solve
+from safeset.geometry.simplicial import (
+    HULL_MARGIN,
+    _face_ids,
+    _faces,
+    _id_dtype,
+    _solve,
+    hull_margin,
+)
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
@@ -584,6 +592,58 @@ class TestDelaunay:
         assert c.n_points == 1200
         shape = alpha_complex(c, 1e9)
         assert shape.component_count == 1 and shape.covers_vertices
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_near_hull_mask_does_not_depend_on_the_block(self, monkeypatch):
+        # hull vertices, probes exactly hull_margin inside and outside each
+        # facet along its normal, probes in and around the bounding box, far
+        # outside and non-finite get the same verdict whether a block holds
+        # one probe, a prime number of products (7 probes), the default
+        # budget (2 blocks) or every probe; the probes on the band's edge
+        # round either way, but the same way in every block
+        c = delaunay(layered_cloud(0, lines=3))
+        hull = ConvexHull(c.points)
+        lo, hi = c.points.min(axis=0), c.points.max(axis=0)
+        margin = hull_margin(lo, hi)
+        corners, normals = c.points[hull.simplices[:, 0]], hull.equations[:, :-1]
+        rng = np.random.default_rng(2)
+        box = lo - 0.1 + rng.random((3_000, 3)) * (hi - lo + 0.2)
+        far = c.points.mean(axis=0) + 10.0 * rng.standard_normal((50, 3))
+        bad = np.array([[np.nan, 0.5, 0.5], [0.5, np.inf, 0.5], [-np.inf, 0.0, np.nan]])
+        qs = np.vstack([
+            c.points[hull.vertices], corners - margin * normals,
+            corners + margin * normals, box, far, bad,
+        ])
+        assert len(normals) == 28
+        masks = []
+        for budget in (1, 211, simplicial.HULL_BLOCK, len(qs) * len(normals)):
+            monkeypatch.setattr(simplicial, "HULL_BLOCK", budget)
+            c._hull_equations = None
+            masks.append(c.near_hull(qs))
+        assert all(np.array_equal(m, masks[0]) for m in masks[1:])
+        n_vertices, n_facets = len(hull.vertices), len(normals)
+        assert masks[0][: n_vertices + n_facets].all()
+        assert not masks[0][-len(far) - len(bad) :].any()
+
+    def test_near_hull_peak_memory(self):
+        # one probe x facet block of HULL_BLOCK heights, 512 KiB, is all
+        # near_hull holds beyond its masks: 10,000 probes against a hull
+        # of 436 facets trace under 1 MiB, where blocks of 2**20 products,
+        # each allocated while the last was still held, traced 16 MiB
+        rng = np.random.default_rng(0)
+        shell = rng.standard_normal((400, 3))
+        shell *= (0.95 + 0.05 * rng.random((400, 1))) / np.linalg.norm(shell, axis=1)[:, None]
+        c = delaunay(shell)
+        qs = rng.uniform(-1.2, 1.2, (10_000, 3))
+        tracemalloc.start()
+        try:
+            mask = c.near_hull(qs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(c._hull_equations) == 436
+        assert 0 < mask.sum() < len(qs)
+        assert peak < 1 << 20
 
 
 class TestStackedSolve:

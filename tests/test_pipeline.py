@@ -2,12 +2,14 @@
 
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import safeset
+import safeset.pipeline as pipeline
 from builders import LANES, scene_dataset
 from safeset import celltext
 from safeset.cli import (
@@ -36,6 +39,8 @@ from safeset.ingest import (
     STRING_FIELDS,
     Dataset,
     SampleTable,
+    label_collisions,
+    parse_trajectory_csv,
     write_collision_csv,
     write_trajectory_csv,
 )
@@ -252,6 +257,49 @@ class TestRunAnalysis:
         b = {k: v for k, v in direct.data.items() if k != "config"}
         assert a["dataset"].pop("dt") == pytest.approx(b["dataset"].pop("dt"))
         assert a == b
+
+    def test_csv_ingest_is_freed_before_the_geometry_layer(self, tmp_path, monkeypatch):
+        # on the CSV path nothing holds the labelled dataset or the state
+        # table once the shape is built, so neither sits beside qhull
+        dataset = small_battery(crash=True)
+        csv_path = tmp_path / "runs.csv"
+        labels_path = tmp_path / "runs_labels.csv"
+        write_trajectory_csv(dataset, csv_path)
+        write_collision_csv(dataset.collision_events, labels_path)
+        cfg = AnalysisConfig(
+            preset="sumo-lead", input_csv=str(csv_path), labels_csv=str(labels_path)
+        )
+        refs, alive = {}, []
+
+        def recording(name, fn):
+            def spy(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                refs[name] = weakref.ref(out)
+                return out
+            return spy
+
+        def wrap_spy(*args, **kwargs):
+            gc.collect()
+            alive.append({name: ref() is not None for name, ref in refs.items()})
+            return wrap_points(*args, **kwargs)
+
+        wrap_points = pipeline._wrap_points
+        monkeypatch.setattr(pipeline, "label_collisions",
+                            recording("dataset", pipeline.label_collisions))
+        monkeypatch.setattr(pipeline, "extract_states",
+                            recording("table", pipeline.extract_states))
+        monkeypatch.setattr(pipeline, "_wrap_points", wrap_spy)
+        report = run_analysis(cfg)
+        assert alive == [{"dataset": False, "table": False}]
+        monkeypatch.undo()
+
+        # the same analysis fed the parsed dataset in memory writes the
+        # same JSON, config included
+        parsed = label_collisions(
+            parse_trajectory_csv(csv_path, labels_path=labels_path), cfg.collision_rule
+        )
+        assert report.data["dataset"]["collision_event_count"] > 0
+        assert report.to_json() == run_analysis(cfg, dataset=parsed).to_json()
 
     def test_exclusion_violation_raises(self):
         dataset = exclusion_trap_dataset()
