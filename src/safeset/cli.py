@@ -44,6 +44,15 @@ def _labels_sidecar(out: Path) -> Path:
     return out.with_name(out.stem + "_labels" + out.suffix)
 
 
+def _write_dataset(dataset, out: Path) -> Path:
+    """Write the trajectory CSV to ``out`` and its collision labels to the
+    ``_labels`` sidecar next to it; returns the sidecar's path."""
+    labels = _labels_sidecar(out)
+    write_trajectory_csv(dataset, out)
+    write_collision_csv(dataset.collision_events, labels)
+    return labels
+
+
 def _add_ingest_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="trajectory CSV to read")
     p.add_argument(
@@ -86,9 +95,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         IDM_PRESETS[args.policy], ncap_battery(grid_seed=args.seed)
     )
     out = Path(args.out)
-    write_trajectory_csv(dataset, out)
-    labels = _labels_sidecar(out)
-    write_collision_csv(dataset.collision_events, labels)
+    labels = _write_dataset(dataset, out)
     print(
         f"wrote {len(dataset.samples)} samples, "
         f"{len(dataset.trajectory_ids)} runs, "
@@ -100,9 +107,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args)
     out = Path(args.out)
-    write_trajectory_csv(dataset, out)
-    labels = _labels_sidecar(out)
-    write_collision_csv(dataset.collision_events, labels)
+    _write_dataset(dataset, out)
     rejected = len(dataset.rejected_tracks)
     print(
         f"wrote {len(dataset.samples)} samples across "

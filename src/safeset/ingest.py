@@ -314,7 +314,8 @@ def _validate(table: SampleTable) -> None:
 
 
 class Dataset:
-    """Immutable parsed recording: samples, sample period, collision events.
+    """Immutable parsed recording: samples, sample period, collision events,
+    and the (trajectory, agent) keys of tracks the parser dropped.
 
     ``samples`` is the :class:`SampleTable`; a sequence of
     :class:`RawSample` rows passed in is converted to one. Equality covers
@@ -329,11 +330,12 @@ class Dataset:
         samples: SampleTable | Iterable[RawSample],
         dt: float | None = None,
         collision_events: Iterable[tuple[str, int]] = (),
+        rejected_tracks: Iterable[tuple[str, str]] = (),
     ):
         if not isinstance(samples, SampleTable):
             samples = SampleTable.from_rows(list(samples))
         self.samples: SampleTable = samples
-        self.rejected_tracks: tuple[tuple[str, str], ...] = ()
+        self.rejected_tracks: tuple[tuple[str, str], ...] = tuple(rejected_tracks)
         self.trajectory_ids: tuple[str, ...] = samples.labels["trajectory_id"]
 
         _validate(samples)
@@ -630,15 +632,12 @@ def parse_trajectory_csv(
         return prelim
     table = prelim.samples
     kept_trajs = {table.labels["trajectory_id"][t] for t in table.track_trajectory[~dropped]}
-    final = Dataset(
+    return Dataset(
         table.take(~dropped[table.track_id]),
         dt=prelim.dt,
         collision_events=[(t, f) for t, f in prelim.collision_events if t in kept_trajs],
+        rejected_tracks=sorted(table.track_key(k) for k in np.flatnonzero(dropped)),
     )
-    final.rejected_tracks = tuple(sorted(
-        table.track_key(k) for k in np.flatnonzero(dropped)
-    ))
-    return final
 
 
 def _filter_irregular_tracks(d: Dataset) -> np.ndarray:

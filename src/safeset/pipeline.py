@@ -374,13 +374,7 @@ def run_analysis(cfg: AnalysisConfig, dataset: Dataset | None = None) -> Analysi
             "epsilon_bar_exact": eps.epsilon_bar_exact,
             "epsilon_bar_paper": eps.epsilon_bar_paper,
         },
-        "coverage": {
-            "ds_count": cov.ds_count,
-            "shape_measure": cov.shape_measure,
-            "space_measure": cov.space_measure,
-            "density": cov.density,
-            "occupancy": cov.occupancy,
-        },
+        "coverage": asdict(cov),
         "baselines": {
             "collision_count": collision_count,
             "safe_distance_km": distance_km if collision_count == 0 else None,

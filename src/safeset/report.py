@@ -13,6 +13,9 @@ empty), so the report does not know the state-vector layout. Each cell
 records whether the cell-center probe lies inside the retained-state
 shape, how many retained states fall in the cell for that band, and the
 OR of the two.
+
+``report.json`` follows ``REPORT_SCHEMA``, defined in this module; each of
+its objects names its fields once, and every field it names is required.
 """
 
 from __future__ import annotations
@@ -26,178 +29,83 @@ from typing import TextIO
 import numpy as np
 
 from .celltext import CHUNK_ROWS, number_cells, write_rows
-from .oss import OssSpec
-from .pipeline import AnalysisReport
+from .oss import OSS_KINDS, OssSpec
+from .pipeline import SCHEMA_VERSION, AnalysisReport
+
+
+def _record(**properties) -> dict:
+    """A JSON-schema object that requires exactly ``properties``, in order."""
+    return {"type": "object", "required": list(properties), "properties": properties}
+
 
 REPORT_SCHEMA: dict = {
     "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "required": [
-        "schema_version",
-        "config",
-        "dataset",
-        "projection",
-        "transitions",
-        "safe_set",
-        "shape",
-        "epsilon",
-        "coverage",
-        "baselines",
-        "warnings",
-    ],
-    "properties": {
-        "schema_version": {"const": 1},
-        "config": {"type": "object"},
-        "dataset": {
-            "type": "object",
-            "required": [
-                "n_samples",
-                "n_trajectories",
-                "dt",
-                "collision_event_count",
-                "rejected_tracks",
-            ],
-            "properties": {
-                "n_samples": {"type": "integer", "minimum": 0},
-                "n_trajectories": {"type": "integer", "minimum": 0},
-                "dt": {"type": "number", "exclusiveMinimum": 0},
-                "collision_event_count": {"type": "integer", "minimum": 0},
-                "rejected_tracks": {"type": "array"},
-            },
-        },
-        "projection": {
-            "type": "object",
-            "required": [
-                "kind",
-                "dim",
-                "names",
-                "bounds",
-                "physical_box_volume",
-                "n_state_trajectories",
-                "n_states",
-                "n_unique_states",
-            ],
-            "properties": {
-                "kind": {
-                    "enum": [
-                        "lead_following",
-                        "multi_vehicle",
-                        "vehicle_pedestrian",
-                        "combined",
-                    ]
-                },
-                "dim": {"type": "integer", "minimum": 1},
-                "names": {"type": "array", "items": {"type": "string"}},
-                "bounds": {"type": "array"},
-                "physical_box_volume": {"type": "number"},
-                "n_state_trajectories": {"type": "integer", "minimum": 0},
-                "n_states": {"type": "integer", "minimum": 0},
-                "n_unique_states": {"type": "integer", "minimum": 0},
-            },
-        },
-        "transitions": {
-            "type": "object",
-            "required": ["total", "safe", "complement"],
-            "properties": {
-                "total": {"type": "integer", "minimum": 0},
-                "safe": {"type": "integer", "minimum": 0},
-                "complement": {"type": "integer", "minimum": 0},
-            },
-        },
-        "safe_set": {
-            "type": "object",
-            "required": [
-                "unique_count",
-                "removed_count",
-                "excluded_unique_count",
-                "safe_trajectories",
-                "unsafe_trajectories",
-                "unsafe_seeds_matched",
-                "exclusion_ok",
-            ],
-            "properties": {
-                "unique_count": {"type": "integer", "minimum": 0},
-                "removed_count": {"type": "integer", "minimum": 0},
-                "excluded_unique_count": {"type": "integer", "minimum": 0},
-                "safe_trajectories": {"type": "integer", "minimum": 0},
-                "unsafe_trajectories": {"type": "integer", "minimum": 0},
-                "unsafe_seeds_matched": {"type": "integer", "minimum": 0},
-                "exclusion_ok": {"type": "boolean"},
-            },
-        },
-        "shape": {
-            "type": "object",
-            "required": ["kind", "n_points"],
-            "properties": {
-                "kind": {
-                    "enum": ["empty", "alpha_shape", "convex_hull", "shape_union"]
-                },
-                "n_points": {"type": "integer", "minimum": 0},
-            },
-        },
-        "epsilon": {
-            "type": "object",
-            "required": [
-                "beta",
-                "confidence",
-                "s",
-                "c",
-                "n_trailing",
-                "epsilon_single",
-                "epsilon_bar_exact",
-                "epsilon_bar_paper",
-            ],
-            "properties": {
-                "beta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "confidence": {"type": "number"},
-                "s": {"type": "integer", "minimum": 0},
-                "c": {"type": "integer", "minimum": 0},
-                "n_trailing": {"type": "integer", "minimum": 0},
-                "epsilon_single": {"type": "number", "minimum": 0, "maximum": 1},
-                "epsilon_bar_exact": {"type": "number", "minimum": 0, "maximum": 1},
-                "epsilon_bar_paper": {"type": "number", "minimum": 0},
-            },
-        },
-        "coverage": {
-            "type": "object",
-            "required": [
-                "ds_count",
-                "shape_measure",
-                "space_measure",
-                "density",
-                "occupancy",
-            ],
-            "properties": {
-                "ds_count": {"type": "integer", "minimum": 0},
-                "shape_measure": {"type": "number", "minimum": 0},
-                "space_measure": {"type": "number", "exclusiveMinimum": 0},
-                "density": {"type": ["number", "null"]},
-                "occupancy": {"type": "number", "minimum": 0},
-            },
-        },
-        "baselines": {
-            "type": "object",
-            "required": [
-                "collision_count",
-                "safe_distance_km",
-                "fatality_rate_bound",
-                "ttc_mean",
-                "ttc_std",
-                "ttc_valid_rate",
-                "ttc_n_valid",
-            ],
-            "properties": {
-                "collision_count": {"type": "integer", "minimum": 0},
-                "safe_distance_km": {"type": ["number", "null"]},
-                "fatality_rate_bound": {"type": ["number", "null"]},
-                "ttc_mean": {"type": ["number", "null"]},
-                "ttc_std": {"type": ["number", "null"]},
-                "ttc_valid_rate": {"type": ["number", "null"]},
-                "ttc_n_valid": {"type": ["integer", "null"]},
-            },
-        },
-        "warnings": {"type": "array", "items": {"type": "string"}},
-    },
+    **_record(
+        schema_version={"const": SCHEMA_VERSION},
+        config={"type": "object"},
+        dataset=_record(
+            n_samples={"type": "integer", "minimum": 0},
+            n_trajectories={"type": "integer", "minimum": 0},
+            dt={"type": "number", "exclusiveMinimum": 0},
+            collision_event_count={"type": "integer", "minimum": 0},
+            rejected_tracks={"type": "array"},
+        ),
+        projection=_record(
+            kind={"enum": list(OSS_KINDS)},
+            dim={"type": "integer", "minimum": 1},
+            names={"type": "array", "items": {"type": "string"}},
+            bounds={"type": "array"},
+            physical_box_volume={"type": "number"},
+            n_state_trajectories={"type": "integer", "minimum": 0},
+            n_states={"type": "integer", "minimum": 0},
+            n_unique_states={"type": "integer", "minimum": 0},
+        ),
+        transitions=_record(
+            total={"type": "integer", "minimum": 0},
+            safe={"type": "integer", "minimum": 0},
+            complement={"type": "integer", "minimum": 0},
+        ),
+        safe_set=_record(
+            unique_count={"type": "integer", "minimum": 0},
+            removed_count={"type": "integer", "minimum": 0},
+            excluded_unique_count={"type": "integer", "minimum": 0},
+            safe_trajectories={"type": "integer", "minimum": 0},
+            unsafe_trajectories={"type": "integer", "minimum": 0},
+            unsafe_seeds_matched={"type": "integer", "minimum": 0},
+            exclusion_ok={"type": "boolean"},
+        ),
+        shape=_record(
+            kind={"enum": ["empty", "alpha_shape", "convex_hull", "shape_union"]},
+            n_points={"type": "integer", "minimum": 0},
+        ),
+        epsilon=_record(
+            beta={"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+            confidence={"type": "number"},
+            s={"type": "integer", "minimum": 0},
+            c={"type": "integer", "minimum": 0},
+            n_trailing={"type": "integer", "minimum": 0},
+            epsilon_single={"type": "number", "minimum": 0, "maximum": 1},
+            epsilon_bar_exact={"type": "number", "minimum": 0, "maximum": 1},
+            epsilon_bar_paper={"type": "number", "minimum": 0},
+        ),
+        coverage=_record(
+            ds_count={"type": "integer", "minimum": 0},
+            shape_measure={"type": "number", "minimum": 0},
+            space_measure={"type": "number", "exclusiveMinimum": 0},
+            density={"type": ["number", "null"]},
+            occupancy={"type": "number", "minimum": 0},
+        ),
+        baselines=_record(
+            collision_count={"type": "integer", "minimum": 0},
+            safe_distance_km={"type": ["number", "null"]},
+            fatality_rate_bound={"type": ["number", "null"]},
+            ttc_mean={"type": ["number", "null"]},
+            ttc_std={"type": ["number", "null"]},
+            ttc_valid_rate={"type": ["number", "null"]},
+            ttc_n_valid={"type": ["integer", "null"]},
+        ),
+        warnings={"type": "array", "items": {"type": "string"}},
+    ),
 }
 
 

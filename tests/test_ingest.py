@@ -389,6 +389,7 @@ class TestTrackRejection:
         d = parse_trajectory_csv(tmp_path / "a.csv")
         labelled = label_collisions(d, "either")
         assert labelled.rejected_tracks == d.rejected_tracks == (("t0", "other"),)
+        assert labelled.rejected_tracks is d.rejected_tracks
         assert labelled.samples is d.samples and labelled.sv_join is d.sv_join
 
 
@@ -600,6 +601,13 @@ class TestDatasetValidation:
         )
         assert d.collision_events == (("t0", 0), ("t0", 1))
 
+    def test_rejected_tracks_given_at_construction(self):
+        samples = [sample(frame=0, time=0.0), sample(frame=1, time=0.1, x=1.0)]
+        assert Dataset(samples, dt=0.1).rejected_tracks == ()
+        d = Dataset(samples, dt=0.1, rejected_tracks=[("t1", "ego"), ("t1", "b")])
+        assert d.rejected_tracks == (("t1", "ego"), ("t1", "b"))
+        assert d.with_events([("t0", 1)]).rejected_tracks is d.rejected_tracks
+
     def test_sv_distance(self):
         samples = [
             sample(frame=k, time=0.1 * k, x=2.0 * k, y=0.0) for k in range(4)
@@ -762,9 +770,7 @@ def reference_parse(path):
     dropped_trajs = {traj for traj, agent in rejected if sv[traj] == agent}
     dropped = {k for k in grouped if k in rejected or k[0] in dropped_trajs}
     kept = [s for s in samples if (s.trajectory_id, s.agent_id) not in dropped]
-    d = Dataset(kept, dt=dt)
-    d.rejected_tracks = tuple(sorted(dropped))
-    return d
+    return Dataset(kept, dt=dt, rejected_tracks=sorted(dropped))
 
 
 def outcome(parse, path):

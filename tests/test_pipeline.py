@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import gc
+import hashlib
 import io
 import json
 import math
@@ -44,7 +45,7 @@ from safeset.ingest import (
     write_collision_csv,
     write_trajectory_csv,
 )
-from safeset.oss import PRESETS, OssSpec, extract_states
+from safeset.oss import OSS_KINDS, PRESETS, OssSpec, extract_states
 from safeset.pipeline import (
     CLUSTER_MAX_HIGH_DIM,
     CLUSTER_MAX_LOW_DIM,
@@ -65,6 +66,21 @@ from safeset.report import (
     slice_plans,
 )
 from safeset.simgen import IDM_0, IDM_1, ScenarioSpec, simulate_battery
+
+
+def test_bench_tracer_finds_every_wrapped_name(monkeypatch):
+    """Every callable the benchmark's tracer wraps is still defined where its
+    caller looks it up; the tracer would read a missing one as a 0 metric."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import layers
+    from spans import Tracer
+
+    tracer = Tracer()
+    try:
+        layers.install(tracer)
+        assert tracer.missing == []
+    finally:
+        tracer.unwrap_all()
 
 
 class TestAnalysisConfig:
@@ -178,6 +194,14 @@ class TestRunAnalysis:
         jsonschema.validate(safe_report.data, REPORT_SCHEMA)
         jsonschema.validate(mixed_report.data, REPORT_SCHEMA)
         assert safe_report.data["schema_version"] == SCHEMA_VERSION
+
+    def test_schema_is_pinned(self):
+        # the digest covers every field, bound and key order of the contract
+        digest = hashlib.sha256(json.dumps(REPORT_SCHEMA).encode()).hexdigest()
+        assert digest == "8f62e37edfce598019ff19f55b786e0178d435b52f4abd3c344aa8ad6bddbff1"
+        props = REPORT_SCHEMA["properties"]
+        assert props["schema_version"] == {"const": SCHEMA_VERSION}
+        assert props["projection"]["properties"]["kind"] == {"enum": list(OSS_KINDS)}
 
     def test_safe_only_run(self, safe_report):
         d = safe_report.data
