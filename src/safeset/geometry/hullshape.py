@@ -36,9 +36,8 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ..errors import DimensionMismatch
 from .montecarlo import McVolume, mc_volume
-from .simplicial import hull_margin, snap_tol
+from .simplicial import Shape, hull_margin, snap_tol
 
 RESIDUAL_TOL = 1e-8
 
@@ -71,7 +70,7 @@ def linprog(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
-class ConvexHullShape:
+class ConvexHullShape(Shape):
     """Implicit convex hull with tolerance-based membership."""
 
     def __init__(self, points: np.ndarray):
@@ -79,8 +78,6 @@ class ConvexHullShape:
         if points.ndim != 2 or len(points) == 0:
             raise ValueError("points must be a non-empty 2-D array")
         self.points = np.unique(points, axis=0)
-        self.alpha = math.inf
-        self.component_count = 1
         self.measure: float | None = None
         self.measure_half_width: float | None = None
         self._kdtree = cKDTree(self.points)
@@ -160,20 +157,8 @@ class ConvexHullShape:
     def bbox(self) -> np.ndarray:
         return self._bbox.copy()
 
-    def contains(self, q) -> bool:
-        q = np.asarray(q, dtype=float).ravel()
-        if q.shape[0] != self.dim:
-            raise DimensionMismatch(
-                f"query has dimension {q.shape[0]}, hull lives in {self.dim}"
-            )
-        return bool(self.contains_batch(q[None, :])[0])
-
     def contains_batch(self, qs: np.ndarray) -> np.ndarray:
-        qs = np.asarray(qs, dtype=float)
-        if qs.ndim != 2 or qs.shape[1] != self.dim:
-            raise DimensionMismatch(
-                f"queries must have shape (m, {self.dim}), got {qs.shape}"
-            )
+        qs = self.queries(qs)
         out = np.zeros(len(qs), dtype=bool)
         lo, hi = self._bbox[:, 0], self._bbox[:, 1]
         m = self._margin

@@ -77,6 +77,22 @@ def snap_tol(lo: np.ndarray, hi: np.ndarray) -> float:
     return REL_TOL * max(float((hi - lo).max()), 1.0)
 
 
+class Shape:
+    """Closed-set membership, one contract for every shape kind: each
+    ``contains_batch`` begins with ``qs = self.queries(qs)``, and one point
+    is asked as a batch of one."""
+
+    def contains(self, q) -> bool:
+        return bool(self.contains_batch(np.reshape(np.asarray(q, float), (1, -1)))[0])
+
+    def queries(self, qs) -> np.ndarray:
+        """The batch ``qs`` as an (m, dim) float array."""
+        qs = np.asarray(qs, dtype=float)
+        if qs.ndim != 2 or qs.shape[1] != self.dim:
+            raise DimensionMismatch(f"queries must have shape (m, {self.dim}), got {qs.shape}")
+        return qs
+
+
 def _dedupe_rows(points: np.ndarray) -> np.ndarray:
     """Stable keep-first removal of exactly repeated rows."""
     _, first = np.unique(points, axis=0, return_index=True)
@@ -403,7 +419,7 @@ def delaunay(
 
 
 @dataclass(eq=False)
-class AlphaShape:
+class AlphaShape(Shape):
     """The subcomplex of simplices with filtration value at most alpha."""
 
     complex: SimplicialComplex
@@ -430,25 +446,12 @@ class AlphaShape:
         pts = self.complex.points
         return np.stack([pts.min(axis=0), pts.max(axis=0)], axis=1)
 
-    def contains(self, q) -> bool:
-        """Closed-set membership of one point, with relative tolerance."""
-        q = np.asarray(q, dtype=float).ravel()
-        if q.shape[0] != self.dim:
-            raise DimensionMismatch(
-                f"query has dimension {q.shape[0]}, shape lives in {self.dim}"
-            )
-        return bool(self.contains_batch(q[None, :])[0])
-
     def contains_batch(self, qs: np.ndarray) -> np.ndarray:
         """Vectorized membership with exact handling of boundary carriers.
         Verdicts can depend on batch order: find_simplex starts each walk
         where the last one ended, and overlapping joggled tops can hand a
         probe another top and carrier. Callers keep each batch and its order."""
-        qs = np.asarray(qs, dtype=float)
-        if qs.ndim != 2 or qs.shape[1] != self.dim:
-            raise DimensionMismatch(
-                f"queries must have shape (m, {self.dim}), got {qs.shape}"
-            )
+        qs = self.queries(qs)
         c = self.complex
         out = np.zeros(len(qs), dtype=bool)
         near = np.flatnonzero(c.near_hull(qs))

@@ -17,6 +17,7 @@ import numpy as np
 
 from ..errors import DimensionMismatch
 from .montecarlo import sample_sums
+from .simplicial import Shape
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,7 @@ class UnionMeasure:
     overlap_half_width_95: float
 
 
-class ShapeUnion:
+class ShapeUnion(Shape):
     """Disjunction of member shapes (alpha shapes and/or convex wraps)."""
 
     def __init__(self, shapes: Sequence, provenance: dict | None = None):
@@ -63,12 +64,8 @@ class ShapeUnion:
                     return False
         return True
 
-    def contains(self, q) -> bool:
-        q = np.asarray(q, dtype=float).ravel()
-        return bool(self.contains_batch(q[None, :])[0])
-
     def contains_batch(self, qs: np.ndarray) -> np.ndarray:
-        qs = np.asarray(qs, dtype=float)
+        qs = self.queries(qs)
         out = np.zeros(len(qs), dtype=bool)
         for s in self.shapes:
             todo = ~out

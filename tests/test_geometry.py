@@ -1,5 +1,6 @@
 """Filtered triangulations, wrap search, clustering, volumes, hull wraps."""
 
+import hashlib
 import math
 import tracemalloc
 from itertools import combinations
@@ -1002,6 +1003,31 @@ class TestClustering:
         leaves = hierarchical_cluster(SQUARE, 10, seed=0)
         assert len(leaves) == 1 and len(leaves[0]) == 4
 
+    @pytest.mark.parametrize(
+        "cloud,cap,seed,want",
+        [
+            ("rank9", 100, 3, "fe7950e54fab3d814d2342719d258c64ae92fada341e1b20c6f4aff50391bbe8"),
+            ("ties", 16, 5, "8da99567061cc7286dd7a08fef1f231c801b3c32bd1e197a779032f056fae3b5"),
+        ],
+    )
+    def test_partitions_are_pinned(self, cloud, cap, seed, want):
+        """The exact leaves, hashed as their lengths and then their indices:
+        the oracle a faster Lloyd step must reproduce. ``rank9`` is 2,000
+        13-D rows of affine rank 9, like the bench's 13-D scene; ``ties``
+        has repeated rows, coordinates rounded to 0.1 and a constant column."""
+        rng = np.random.default_rng(0)
+        if cloud == "rank9":
+            pts = 10.0 * rng.standard_normal((2000, 9)) @ rng.standard_normal((9, 13))
+            pts += rng.random(13)
+        else:
+            base = np.round(rng.random((300, 3)), 1)
+            pts = np.vstack([base, base[:150], np.repeat(base[:1], 20, axis=0)])
+            pts = np.column_stack([pts, np.full(len(pts), 7.0)])
+        leaves = hierarchical_cluster(pts, cap, seed=seed)
+        digest = hashlib.sha256(np.array([len(ix) for ix in leaves], dtype=np.int64))
+        digest.update(np.concatenate(leaves).astype(np.int64))
+        assert digest.hexdigest() == want
+
     def test_validation(self):
         with pytest.raises(ValueError):
             hierarchical_cluster(np.zeros((0, 2)), 10)
@@ -1405,3 +1431,42 @@ class TestExclusionCheck:
     def test_empty_exclusion_passes(self):
         ok, mask = check_exclusion(square_shape(), np.zeros((0, 2)))
         assert ok and mask.size == 0
+
+
+SHAPE_KINDS = {
+    "alpha_shape": lambda: alpha_complex(delaunay(SQUARE), 1.0),
+    "convex_hull": lambda: ConvexHullShape(SQUARE),
+    "shape_union": lambda: ShapeUnion([square_shape(0.0), square_shape(10.0)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SHAPE_KINDS))
+class TestMembershipContract:
+    """Every shape kind answers one point as a batch of one and refuses a
+    batch of the wrong shape with one message."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_one_point_is_a_batch_of_one(self, kind):
+        shape = SHAPE_KINDS[kind]()
+        inside = [*SQUARE, [0.5, 0.0], [1.0, 0.3], [0.5, 0.5], [0.2, 0.7]]
+        outside = [[-0.5, 0.5], [1.5, 2.0], [np.nan, 0.5], [0.5, np.inf], [-np.inf, 0.0]]
+        for q, want in [(q, True) for q in inside] + [(q, False) for q in outside]:
+            q = np.array(q, dtype=float)
+            assert shape.contains(q) == shape.contains_batch(q[None])[0] == want, q
+
+    def test_empty_batch_gives_empty_mask(self, kind):
+        mask = SHAPE_KINDS[kind]().contains_batch(np.zeros((0, 2)))
+        assert mask.dtype == bool and mask.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "call,arg",
+        [
+            ("contains", [0.5, 0.5, 0.5]),
+            ("contains_batch", np.array([0.5, 0.5])),
+            ("contains_batch", np.zeros((0, 3))),
+        ],
+    )
+    def test_wrong_shape_refused(self, kind, call, arg):
+        shape = SHAPE_KINDS[kind]()
+        with pytest.raises(DimensionMismatch, match=r"queries must have shape \(m, 2\), got"):
+            getattr(shape, call)(arg)
