@@ -2,9 +2,13 @@
 
 ``delaunay`` triangulates a full-dimensional point cloud, enumerates every
 face of every dimension, and stamps each simplex with its filtration value:
-the minimum-enclosing-ball radius of its vertex set. Keeping the simplices
-whose filtration is at most alpha yields the alpha-filtered shape: tiny
-alpha leaves isolated vertices, huge alpha the full convex hull.
+the minimum-enclosing-ball radius of its vertex set. That is the
+Delaunay-Cech radius (Bauer & Edelsbrunner, 2017): the complexes it filters
+match Edelsbrunner & Muecke's circumball alpha complexes (1994) only up to
+homotopy, so component counts agree, included tops and measures do not.
+Keeping the simplices whose filtration is at most alpha yields the
+alpha-filtered shape: tiny alpha leaves isolated vertices, huge alpha the
+full convex hull.
 
 Inclusion is face-closed because the enclosing-ball radius of a subset of
 vertices never exceeds that of the superset (a residual floating-point
@@ -22,13 +26,11 @@ Membership has one path: a probe located in an excluded top is decided by
 its carrier, whose id is read off faces_of by dropping the top's
 unsupported vertex columns, so no face is searched for.
 
-The face lattice is built by one keyed routine for every level k >= 2
-(the filtration over it is Edelsbrunner & Muecke's, "Three-dimensional
-alpha shapes", 1994): each face's vertices pack into one int64 key
-straight from its simplex's columns, so no face row is stacked, and one
-argsort ranks the keys, the ranks written over them. The keys are
-re-ranked only where packing another column would overflow, which a 3-D
-level never reaches. Only the keys are int64: vertex ids keep scipy's
+The face lattice is built by one keyed routine for every level k >= 2:
+each face's vertices pack into one int64 key straight from its simplex's
+columns, so no face row is stacked, and one argsort ranks the keys, the
+ranks written over them. The keys are re-ranked only where packing
+another column would overflow, which a 3-D level never reaches. Only the keys are int64: vertex ids keep scipy's
 int32, and face ids are int32 unless a level has 2**31 faces or more.
 The filtration runs in blocks of MEB_BLOCK simplices, which with the
 int32 lattice keeps the traced peak of ``delaunay`` near 1.5 x the
@@ -288,47 +290,6 @@ class SimplicialComplex:
     def n_points(self) -> int:
         return self.points.shape[0]
 
-    _kdtree: cKDTree | None = field(default=None, repr=False)
-
-    def kdtree(self) -> cKDTree:
-        if self._kdtree is None:
-            self._kdtree = cKDTree(self.points)
-        return self._kdtree
-
-    _hull_equations: np.ndarray | None = field(default=None, repr=False)
-
-    def near_hull(self, qs: np.ndarray) -> np.ndarray:
-        """Mask of the probes within the :func:`hull_margin` band of the
-        convex hull.
-
-        Probes outside it, and NaN or infinite probes, are members of no
-        filtered shape. The hull is built once; if qhull refuses it, every
-        finite probe is kept.
-        """
-        if self._hull_equations is None:
-            try:
-                self._hull_equations = ConvexHull(self.points).equations
-            except QhullError:
-                self._hull_equations = np.empty((0, self.dim + 1))
-        eq = self._hull_equations
-        keep = np.isfinite(qs).all(axis=1)
-        if not len(eq):
-            return keep
-        margin = hull_margin(self.points.min(axis=0), self.points.max(axis=0))
-        normals, offsets = np.ascontiguousarray(eq[:, :-1].T), eq[:, -1]
-        step = max(1, HULL_BLOCK // len(eq))
-        finite = np.flatnonzero(keep)
-        buffer = np.empty((min(step, len(finite)), len(eq)))
-        for lo in range(0, len(finite), step):
-            rows = finite[lo : lo + step]
-            # over contiguous normals, einsum adds each height's products in
-            # coordinate order, so a probe's height does not depend on its
-            # block; a BLAS product's rounding follows the block's shape
-            height = np.einsum("ij,jk->ik", qs[rows], normals, out=buffer[: len(rows)])
-            height += offsets
-            keep[rows] = height.max(axis=1) <= margin
-        return keep
-
 
 def delaunay(
     points: np.ndarray, max_exact_dim: int = DEFAULT_MAX_EXACT_DIM
@@ -356,8 +317,7 @@ def delaunay(
         raise DegenerateInput(
             f"need at least {dim + 1} distinct points in dimension {dim}, got {n_pts}"
         )
-    centered = points - points[0]
-    if np.linalg.matrix_rank(centered) < dim:
+    if np.linalg.matrix_rank(points - points[0]) < dim:
         raise DegenerateInput("points are affinely dependent (not full-dimensional)")
 
     # Exact degeneracies (many points on one hull facet, cospherical sets)
@@ -420,9 +380,14 @@ def delaunay(
 
 @dataclass(eq=False)
 class AlphaShape(Shape):
-    """The subcomplex of simplices with filtration value at most alpha."""
+    """The subcomplex of simplices with filtration value at most alpha. It
+    holds only what membership and ``to_dict`` read, its KD-tree and hull
+    its own, so a complex no caller keeps is freed once alpha is chosen."""
 
-    complex: SimplicialComplex
+    points: np.ndarray
+    tops: np.ndarray
+    faces_of: dict[int, np.ndarray]
+    tri: Delaunay = field(repr=False)
     alpha: float
     included: dict[int, np.ndarray]
     measure: float
@@ -431,20 +396,56 @@ class AlphaShape(Shape):
 
     @property
     def dim(self) -> int:
-        return self.complex.dim
-
-    @property
-    def points(self) -> np.ndarray:
-        return self.complex.points
+        return self.points.shape[1]
 
     @property
     def affine_rank(self) -> int:
         """Always the dimension: delaunay refuses affinely dependent points."""
-        return self.complex.dim
+        return self.dim
 
     def bbox(self) -> np.ndarray:
-        pts = self.complex.points
-        return np.stack([pts.min(axis=0), pts.max(axis=0)], axis=1)
+        return np.stack([self.points.min(axis=0), self.points.max(axis=0)], axis=1)
+
+    _kdtree: cKDTree | None = field(default=None, repr=False)
+
+    def kdtree(self) -> cKDTree:
+        if self._kdtree is None:
+            self._kdtree = cKDTree(self.points)
+        return self._kdtree
+
+    _hull_equations: np.ndarray | None = field(default=None, repr=False)
+
+    def near_hull(self, qs: np.ndarray) -> np.ndarray:
+        """Mask of the probes within the :func:`hull_margin` band of the
+        convex hull.
+
+        Probes outside it, and NaN or infinite probes, are members of no
+        filtered shape. The hull is built once; if qhull refuses it, every
+        finite probe is kept.
+        """
+        if self._hull_equations is None:
+            try:
+                self._hull_equations = ConvexHull(self.points).equations
+            except QhullError:
+                self._hull_equations = np.empty((0, self.dim + 1))
+        eq = self._hull_equations
+        keep = np.isfinite(qs).all(axis=1)
+        if not len(eq):
+            return keep
+        margin = hull_margin(self.points.min(axis=0), self.points.max(axis=0))
+        normals, offsets = np.ascontiguousarray(eq[:, :-1].T), eq[:, -1]
+        step = max(1, HULL_BLOCK // len(eq))
+        finite = np.flatnonzero(keep)
+        buffer = np.empty((min(step, len(finite)), len(eq)))
+        for lo in range(0, len(finite), step):
+            rows = finite[lo : lo + step]
+            # over contiguous normals, einsum adds each height's products in
+            # coordinate order, so a probe's height does not depend on its
+            # block; a BLAS product's rounding follows the block's shape
+            height = np.einsum("ij,jk->ik", qs[rows], normals, out=buffer[: len(rows)])
+            height += offsets
+            keep[rows] = height.max(axis=1) <= margin
+        return keep
 
     def contains_batch(self, qs: np.ndarray) -> np.ndarray:
         """Vectorized membership with exact handling of boundary carriers.
@@ -452,19 +453,18 @@ class AlphaShape(Shape):
         where the last one ended, and overlapping joggled tops can hand a
         probe another top and carrier. Callers keep each batch and its order."""
         qs = self.queries(qs)
-        c = self.complex
         out = np.zeros(len(qs), dtype=bool)
-        near = np.flatnonzero(c.near_hull(qs))
+        near = np.flatnonzero(self.near_hull(qs))
         if not near.size:
             return out
         qs = qs[near]
 
-        dist, _ = c.kdtree().query(qs)
+        dist, _ = self.kdtree().query(qs)
         hit = dist <= snap_tol(*self.bbox().T)
 
-        located = c.tri.find_simplex(qs, tol=1e-12)
+        located = self.tri.find_simplex(qs, tol=1e-12)
         pending = np.flatnonzero(~hit & (located >= 0))
-        strict = self.included[c.dim][located[pending]]
+        strict = self.included[self.dim][located[pending]]
         hit[pending] = strict
         # an excluded landing simplex can still touch the point on an
         # included face; resolve those through the carrier
@@ -477,9 +477,8 @@ class AlphaShape(Shape):
         """Whether each probe's carrier in its landing top is included: the
         face on the vertices whose barycentric coordinate exceeds 1e-9, none
         if one is below -1e-7. Probes with one support walk faces_of together."""
-        c = self.complex
-        verts = c.tri.simplices[tops]
-        coords = c.points[verts]
+        verts = self.tri.simplices[tops]
+        coords = self.points[verts]
         lam_rest = _solve(
             (coords[:, 1:] - coords[:, :1]).transpose(0, 2, 1), qs - coords[:, 0]
         )
@@ -490,7 +489,7 @@ class AlphaShape(Shape):
         out = np.zeros(len(tops), dtype=bool)
         for keep in np.unique(support[inside], axis=0):
             rows = inside & (support == keep).all(axis=1)
-            fid, level = _face_ids(c.faces_of, c.dim, tops[rows], np.flatnonzero(keep))
+            fid, level = _face_ids(self.faces_of, self.dim, tops[rows], np.flatnonzero(keep))
             out[rows] = self.included[level][fid]
         return out
 
@@ -498,18 +497,17 @@ class AlphaShape(Shape):
         return {k: int(mask.sum()) for k, mask in self.included.items()}
 
     def to_dict(self) -> dict:
-        c = self.complex
         return {
             "kind": "alpha_shape",
-            "dim": c.dim,
+            "dim": self.dim,
             "alpha": self.alpha,
             "measure": self.measure,
             "component_count": self.component_count,
             "covers_vertices": self.covers_vertices,
-            "n_points": c.n_points,
-            "points": c.points,
+            "n_points": len(self.points),
+            "points": self.points,
             "included_counts": {str(k): v for k, v in self.included_counts().items()},
-            "included_top_simplices": c.simplices[c.dim][self.included[c.dim]],
+            "included_top_simplices": self.tops[self.included[self.dim]],
         }
 
 
@@ -525,12 +523,14 @@ def alpha_complex(c: SimplicialComplex, alpha: float) -> AlphaShape:
     if not alpha >= 0:
         raise ValueError("alpha must be non-negative")
     included = {k: c.filtration[k] <= alpha for k in c.filtration}
-    measure = float(c.top_volumes[included[c.dim]].sum())
     return AlphaShape(
-        complex=c,
+        points=c.points,
+        tops=c.simplices[c.dim],
+        faces_of=c.faces_of,
+        tri=c.tri,
         alpha=float(alpha),
         included=included,
-        measure=measure,
+        measure=float(c.top_volumes[included[c.dim]].sum()),
         component_count=c.n_points - int(np.searchsorted(c.bottlenecks, alpha, "right")),
         covers_vertices=bool(c.cover_radius <= alpha),
     )

@@ -1,8 +1,10 @@
 """Filtered triangulations, wrap search, clustering, volumes, hull wraps."""
 
+import gc
 import hashlib
 import math
 import tracemalloc
+import weakref
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -17,6 +19,7 @@ from scipy.spatial import ConvexHull, Delaunay, cKDTree
 import safeset.geometry.hullshape as hullshape
 import safeset.geometry.search as search
 import safeset.geometry.simplicial as simplicial
+import safeset.pipeline as pipeline
 from safeset.errors import (
     DegenerateInput,
     DimensionMismatch,
@@ -179,10 +182,10 @@ def assert_matches_reference(c):
         assert np.array_equal(c.faces_of[k], faces_of[k])
 
 
-def reference_carrier_included(shape, q, top):
+def reference_carrier_included(c, shape, q, top):
     """Membership of one probe through the minimal containing simplex of
-    its landing top: its own solve, and the carrier looked up by value."""
-    c = shape.complex
+    its landing top in complex c: its own solve, and the carrier looked up
+    by value."""
     verts = c.tri.simplices[top]
     coords = c.points[verts]
     # barycentric coordinates of q in this simplex
@@ -203,9 +206,9 @@ def reference_carrier_included(shape, q, top):
     return bool(shape.included[k][fid])
 
 
-def reference_membership(shape, qs):
-    """Exact membership with find_simplex and the carrier run per probe."""
-    c = shape.complex
+def reference_membership(c, shape, qs):
+    """Exact membership in c's shape with find_simplex and the carrier run
+    per probe."""
     dist, _ = cKDTree(c.points).query(qs)
     extent = c.points.max(axis=0) - c.points.min(axis=0)
     exact = dist <= 1e-9 * max(float(extent.max()), 1.0)
@@ -213,7 +216,7 @@ def reference_membership(shape, qs):
     for i in np.flatnonzero(~exact & (located >= 0)):
         top = int(located[i])
         exact[i] = shape.included[c.dim][top] or reference_carrier_included(
-            shape, qs[i], top
+            c, shape, qs[i], top
         )
     return exact
 
@@ -619,8 +622,8 @@ class TestDelaunay:
         masks = []
         for budget in (1, 211, simplicial.HULL_BLOCK, len(qs) * len(normals)):
             monkeypatch.setattr(simplicial, "HULL_BLOCK", budget)
-            c._hull_equations = None
-            masks.append(c.near_hull(qs))
+            # each shape builds its own hull
+            masks.append(alpha_complex(c, 0.0).near_hull(qs))
         assert all(np.array_equal(m, masks[0]) for m in masks[1:])
         n_vertices, n_facets = len(hull.vertices), len(normals)
         assert masks[0][: n_vertices + n_facets].all()
@@ -634,15 +637,15 @@ class TestDelaunay:
         rng = np.random.default_rng(0)
         shell = rng.standard_normal((400, 3))
         shell *= (0.95 + 0.05 * rng.random((400, 1))) / np.linalg.norm(shell, axis=1)[:, None]
-        c = delaunay(shell)
+        shape = alpha_complex(delaunay(shell), 0.0)
         qs = rng.uniform(-1.2, 1.2, (10_000, 3))
         tracemalloc.start()
         try:
-            mask = c.near_hull(qs)
+            mask = shape.near_hull(qs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(c._hull_equations) == 436
+        assert len(shape._hull_equations) == 436
         assert 0 < mask.sum() < len(qs)
         assert peak < 1 << 20
 
@@ -773,7 +776,7 @@ class TestAlphaComplex:
         pushed = [centroids + t * margin * normals for t in (0.0, 0.5, 2.0, 10.0)]
         box = rng.random((3000, 3)) * 1.4 - 0.2
         qs = np.vstack([box, c.points[:50] + 1e-3, *pushed])
-        exact = reference_membership(shape, qs)
+        exact = reference_membership(c, shape, qs)
         assert exact.any() and not exact.all()
         assert np.array_equal(shape.contains_batch(qs), exact)
 
@@ -803,7 +806,7 @@ class TestAlphaComplex:
         ])
         for alpha in alphas:
             shape = alpha_complex(c, alpha)
-            assert np.array_equal(shape.contains_batch(qs), reference_membership(shape, qs))
+            assert np.array_equal(shape.contains_batch(qs), reference_membership(c, shape, qs))
 
     def test_component_count_matches_union_find_over_simplices(self):
         rng = np.random.default_rng(9)
@@ -950,6 +953,69 @@ class TestAlphaSearch:
             assert res.shape.component_count == 1 and res.shape.covers_vertices
             for k, mask in res.shape.included.items():
                 assert np.array_equal(mask, c.filtration[k] <= alpha)
+
+    @staticmethod
+    def _probes(points):
+        """Vertices, 400 edge midpoints, probes hull_margin inside and
+        outside each hull facet along its normal, far and non-finite points."""
+        c = delaunay(points)
+        hull = ConvexHull(c.points)
+        margin = hull_margin(c.points.min(axis=0), c.points.max(axis=0))
+        corners, normals = c.points[hull.simplices[:, 0]], hull.equations[:, :-1]
+        rng = np.random.default_rng(4)
+        mids = c.points[c.simplices[1]].mean(axis=1)
+        return np.vstack([
+            c.points, mids[rng.permutation(len(mids))[:400]],
+            corners - margin * normals, corners + margin * normals,
+            c.points.mean(axis=0) + 10.0 * rng.standard_normal((20, 3)),
+            [[np.nan, 0.5, 0.5], [0.5, np.inf, 0.5], [-np.inf, 0.0, np.nan]],
+        ])
+
+    @staticmethod
+    def _recorded_complexes(monkeypatch):
+        """Weak references to every complex a search triangulates."""
+        refs = []
+
+        def recording(*args, **kwargs):
+            c = triangulate(*args, **kwargs)
+            refs.append(weakref.ref(c))
+            return c
+
+        triangulate = search.delaunay
+        monkeypatch.setattr(search, "delaunay", recording)
+        return refs
+
+    def test_searched_complex_is_freed_and_shape_answers(self, monkeypatch):
+        # the shape keeps only what membership reads, so the complex a search
+        # triangulates is gone once alpha is chosen, and the held shape
+        # answers the same before and after a collection
+        refs = self._recorded_complexes(monkeypatch)
+        pts = layered_cloud(0)
+        shape = search_optimal_alpha(pts).shape
+        qs = self._probes(pts)
+        before = shape.contains_batch(qs)
+        gc.collect()
+        assert len(refs) == 1 and refs[0]() is None
+        assert before.any() and not before.all()
+        assert not before[-3:].any()
+        assert np.array_equal(shape.contains_batch(qs), before)
+
+    def test_union_members_free_their_complexes(self, monkeypatch):
+        # every alpha-shape member of a union built by the pipeline lets its
+        # complex go, and the union and each member answer as before
+        refs = self._recorded_complexes(monkeypatch)
+        pts = np.random.default_rng(5).random((800, 3))
+        union, info = pipeline._wrap_points(pts, pipeline.AnalysisConfig(cluster_max=200), 3)
+        assert info["kind"] == "shape_union" and len(union.shapes) >= 4
+        assert all(isinstance(s, AlphaShape) for s in union.shapes)
+        qs = self._probes(pts)
+        before = [s.contains_batch(qs) for s in [union, *union.shapes]]
+        gc.collect()
+        assert len(refs) == len(union.shapes)
+        assert all(ref() is None for ref in refs)
+        assert before[0].any() and not before[0].all()
+        for s, verdicts in zip([union, *union.shapes], before):
+            assert np.array_equal(s.contains_batch(qs), verdicts)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
