@@ -123,15 +123,6 @@ class InvalidCounts(SafesetError):
     """Transition counts are negative, empty, or inconsistent."""
 
 
-class TooLarge(SafesetError):
-    """Brute-force enumeration refused above its size cap."""
-
-    def __init__(self, size: int, cap: int):
-        self.size = size
-        self.cap = cap
-        super().__init__(f"{size} transitions exceed the enumeration cap of {cap}")
-
-
 class CollisionsPresent(SafesetError):
     """Mileage-based baseline requested on data that contains collisions."""
 

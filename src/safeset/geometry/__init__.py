@@ -8,7 +8,7 @@ from .cluster import hierarchical_cluster
 from .hullshape import ConvexHullShape
 from .minball import circumballs, meb_radii
 from .montecarlo import McVolume, mc_volume
-from .search import AlphaSearchResult, search_optimal_alpha, shape_is_feasible
+from .search import AlphaSearchResult, search_optimal_alpha
 from .simplicial import (
     DEFAULT_MAX_EXACT_DIM,
     AlphaShape,
@@ -48,5 +48,4 @@ __all__ = [
     "mc_volume",
     "meb_radii",
     "search_optimal_alpha",
-    "shape_is_feasible",
 ]

@@ -20,11 +20,6 @@ from ..errors import InfeasibleAtHi
 from .simplicial import AlphaShape, SimplicialComplex, alpha_complex, delaunay
 
 
-def shape_is_feasible(shape: AlphaShape) -> bool:
-    """Single component, with every point used by an included top simplex."""
-    return shape.component_count == 1 and shape.covers_vertices
-
-
 @dataclass(frozen=True)
 class AlphaSearchResult:
     alpha: float

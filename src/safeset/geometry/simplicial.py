@@ -385,7 +385,6 @@ class AlphaShape(Shape):
     its own, so a complex no caller keeps is freed once alpha is chosen."""
 
     points: np.ndarray
-    tops: np.ndarray
     faces_of: dict[int, np.ndarray]
     tri: Delaunay = field(repr=False)
     alpha: float
@@ -507,7 +506,9 @@ class AlphaShape(Shape):
             "n_points": len(self.points),
             "points": self.points,
             "included_counts": {str(k): v for k, v in self.included_counts().items()},
-            "included_top_simplices": self.tops[self.included[self.dim]],
+            "included_top_simplices": np.sort(
+                self.tri.simplices[self.included[self.dim]], axis=1
+            ),
         }
 
 
@@ -525,7 +526,6 @@ def alpha_complex(c: SimplicialComplex, alpha: float) -> AlphaShape:
     included = {k: c.filtration[k] <= alpha for k in c.filtration}
     return AlphaShape(
         points=c.points,
-        tops=c.simplices[c.dim],
         faces_of=c.faces_of,
         tri=c.tri,
         alpha=float(alpha),

@@ -249,13 +249,6 @@ class SampleTable:
             and all(np.array_equal(self.columns[f], other.columns[f]) for f in CANONICAL_FIELDS)
         )
 
-    def __hash__(self):
-        # + 0 turns -0.0 into 0.0, which compares equal to it
-        return hash(
-            (tuple(self.labels.values()), self.has_lane.tobytes())
-            + tuple((self.columns[f] + 0).tobytes() for f in CANONICAL_FIELDS)
-        )
-
 
 def _inner_pairs(table: SampleTable) -> np.ndarray:
     """In track order, True at i where rows i and i + 1 share a track."""
@@ -347,6 +340,8 @@ class Dataset:
                 )
             dt = float(np.median(gaps))
         self.dt: float = float(dt)
+        if not 0.0 < self.dt < np.inf:
+            raise MalformedRow(None, f"dt must be finite and positive, got {dt}")
         self._set_events(collision_events)
 
     def _set_events(self, collision_events: Iterable[tuple[str, int]]) -> None:
@@ -369,9 +364,6 @@ class Dataset:
             and self.collision_events == other.collision_events
             and self.samples == other.samples
         )
-
-    def __hash__(self):
-        return hash((self.samples, self.dt, self.collision_events))
 
     @cached_property
     def sv_join(self) -> SvJoin:

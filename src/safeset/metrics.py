@@ -30,8 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -42,12 +40,10 @@ from .errors import (
     EmptySpace,
     InvalidBeta,
     InvalidCounts,
-    TooLarge,
 )
 
 KM_PER_MILE = 1.609344
 TTC_CLIP_S = 9.0
-BRUTE_FORCE_CAP = 10
 
 
 def _check_beta(beta: float) -> None:
@@ -112,31 +108,6 @@ def epsilon_bar_exact(s: int, c: int, beta: float) -> float:
     _check_beta(beta)
     pmf = trailing_run_pmf(s, c)
     return float(np.dot(pmf, _epsilons(s, beta)))
-
-
-def epsilon_bar_bruteforce(
-    labels: Sequence[bool], beta: float, cap: int = BRUTE_FORCE_CAP
-) -> float:
-    """Oracle expectation by enumerating every permutation of the labels.
-
-    labels holds one boolean per transition (True = both endpoints
-    retained). Refuses more than ``cap`` transitions.
-    """
-    _check_beta(beta)
-    labels = list(labels)
-    if not labels:
-        raise InvalidCounts("need at least one transition")
-    if len(labels) > cap:
-        raise TooLarge(len(labels), cap)
-    total = 0.0
-    count = 0
-    for order in permutations(labels):
-        n = 0
-        for safe in order:
-            n = n + 1 if safe else 0
-        total += epsilon_from_count(n, beta)
-        count += 1
-    return total / count
 
 
 def algorithm3_epsilon_bar(s: int, td_total: int, beta: float) -> float:

@@ -28,7 +28,7 @@ masks of this table; no per-state object is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +66,10 @@ class OssSpec:
     def __post_init__(self):
         if self.kind not in OSS_KINDS:
             raise SpecKindMismatch(f"unknown state-space kind {self.kind!r}")
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if not np.isfinite(value).all():
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not self.v_max > self.v_min:
             raise ValueError("v_max must exceed v_min")
 

@@ -63,9 +63,6 @@ class SafeGraph:
     def __len__(self) -> int:
         return self.vertices.shape[0]
 
-    def edge_count(self) -> int:
-        return self.adjacency.nnz
-
 
 def build_safe_graph(table: StateTable) -> SafeGraph:
     """Vertices are the distinct state values; edges the transitions of

@@ -176,16 +176,6 @@ def _sample_table(
     return SampleTable(columns, labels, np.ones(n, dtype=bool))
 
 
-def simulate_follow(
-    params: IdmParams, scenario: ScenarioSpec, recording_id: str = "sim"
-) -> tuple[SampleTable, tuple[str, int] | None]:
-    """Run one episode; returns its samples and the collision event, if any."""
-    states: list[float] = []
-    frame = _follow(params, scenario, states)
-    table = _sample_table([scenario], [len(states) // 4], states, recording_id)
-    return table, None if frame is None else (scenario.name, frame)
-
-
 STATIONARY_SLACK_GAP = 2.0  # x initial speed, low-speed cells
 STATIONARY_TIGHT_GAP = 0.45  # x initial speed, high-speed cells
 SLOWER_SLACK_GAP = 50.0

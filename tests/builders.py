@@ -1,10 +1,14 @@
-"""Shared in-memory fixture builders for the test suite."""
+"""Shared in-memory fixture builders and oracles for the test suite."""
+
+from itertools import permutations
+from typing import Sequence
 
 import numpy as np
 from hypothesis import strategies as st
 
-from safeset.errors import DimensionMismatch
+from safeset.errors import DimensionMismatch, InvalidCounts
 from safeset.ingest import AGENT_TYPES, Dataset, RawSample
+from safeset.metrics import epsilon_from_count
 from safeset.oss import StateTable
 
 
@@ -62,6 +66,26 @@ def scene_dataset(agents, n_frames, dt=0.1, trajectory_id="t0", events=()):
             )
     samples.sort(key=lambda s: (s.agent_id, s.frame))
     return Dataset(samples, dt=dt, collision_events=events)
+
+
+def epsilon_bar_bruteforce(labels: Sequence[bool], beta: float) -> float:
+    """Oracle expectation by enumerating every permutation of the labels.
+
+    labels holds one boolean per transition (True = both endpoints
+    retained). epsilon_from_count checks beta.
+    """
+    labels = list(labels)
+    if not labels:
+        raise InvalidCounts("need at least one transition")
+    total = 0.0
+    count = 0
+    for order in permutations(labels):
+        n = 0
+        for safe in order:
+            n = n + 1 if safe else 0
+        total += epsilon_from_count(n, beta)
+        count += 1
+    return total / count
 
 
 def rigid_motion(d, theta, tx, ty):

@@ -13,12 +13,11 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from builders import segment, table
+from builders import epsilon_bar_bruteforce, segment, table
 from safeset.geometry import alpha_complex, delaunay, mc_volume, search_optimal_alpha
 from safeset.ingest import Dataset, RawSample
 from safeset.metrics import (
     algorithm3_epsilon_bar,
-    epsilon_bar_bruteforce,
     epsilon_bar_exact,
     fatality_rate_bound,
     trailing_run_pmf,

@@ -39,7 +39,6 @@ from safeset.geometry import (
     mc_volume,
     meb_radii,
     search_optimal_alpha,
-    shape_is_feasible,
 )
 from safeset.geometry.montecarlo import McVolume
 from safeset.geometry.simplicial import (
@@ -707,12 +706,10 @@ class TestAlphaComplex:
         assert at05.measure == 0.0
         assert at05.component_count == 1
         assert not at05.covers_vertices
-        assert not shape_is_feasible(at05)
 
         full = alpha_complex(c, 0.75)
         assert full.measure == pytest.approx(1.0, rel=1e-12)
         assert full.component_count == 1 and full.covers_vertices
-        assert shape_is_feasible(full)
 
     def test_huge_alpha_measure_matches_hull_volume(self):
         rng = np.random.default_rng(11)
@@ -850,13 +847,29 @@ class TestAlphaComplex:
         assert d["measure"] == pytest.approx(1.0)
         assert len(d["included_top_simplices"]) == 2
 
+    @pytest.mark.parametrize("cloud", ["layered", "random"])
+    def test_included_tops_sorted_from_triangulation(self, cloud):
+        # the shape keeps no sorted copy of the tops: to_dict sorts the
+        # included rows of tri.simplices, which line up with simplices[dim]
+        if cloud == "layered":
+            c = delaunay(layered_cloud(0))
+        else:
+            c = delaunay(np.random.default_rng(8).random((600, 3)))
+        for alpha in np.quantile(c.filtration[c.dim], [0.25, 0.75]):
+            shape = alpha_complex(c, alpha)
+            assert not hasattr(shape, "tops")
+            got = shape.to_dict()["included_top_simplices"]
+            want = c.simplices[c.dim][c.filtration[c.dim] <= alpha]
+            assert 0 < len(want) < len(c.simplices[c.dim])
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
 
 class TestAlphaSearch:
     def test_unit_square_trace(self):
         res = search_optimal_alpha(SQUARE, 0.01, 100.0, 0.1)
         assert res.alpha == pytest.approx(0.7498942093324559, abs=1e-12)
         assert res.shape.alpha == res.alpha
-        assert shape_is_feasible(res.shape)
+        assert res.shape.component_count == 1 and res.shape.covers_vertices
         flags = [ok for _, ok in res.probes]
         assert flags == [True, True, False, False, False, True, False, False]
         mids = [a for a, _ in res.probes]

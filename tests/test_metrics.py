@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from builders import epsilon_bar_bruteforce
 from safeset.errors import (
     CollisionsPresent,
     DimensionMismatch,
     EmptySpace,
     InvalidBeta,
     InvalidCounts,
-    TooLarge,
 )
 from safeset.metrics import (
     EpsilonResult,
@@ -23,7 +23,6 @@ from safeset.metrics import (
     certify,
     count_trailing_safe,
     coverage,
-    epsilon_bar_bruteforce,
     epsilon_bar_exact,
     epsilon_from_count,
     fatality_rate_bound,
@@ -126,12 +125,6 @@ class TestEpsilonBarExact:
         assert epsilon_bar_exact(5, 0, 0.01) == pytest.approx(
             epsilon_from_count(5, 0.01), rel=1e-12
         )
-
-    def test_bruteforce_guards(self):
-        with pytest.raises(TooLarge):
-            epsilon_bar_bruteforce([True] * 11, 0.5)
-        with pytest.raises(InvalidCounts):
-            epsilon_bar_bruteforce([], 0.5)
 
     def test_all_unsafe_gives_vacuous_bound(self):
         assert epsilon_bar_exact(0, 4, 0.001) == pytest.approx(1.0, abs=1e-12)

@@ -150,6 +150,17 @@ class TestOssSpec:
         with pytest.raises(ValueError):
             OssSpec("lead_following", v_min=5.0, v_max=5.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("v_min", -math.inf), ("v_max", math.inf), ("p_min", math.nan), ("p_max", math.inf),
+         ("ped_p_max", math.inf), ("q_max", math.nan), ("lane_width", math.nan),
+         ("side_band", (1.0, math.inf))],
+    )
+    def test_non_finite_number_rejected(self, field, value):
+        base = dict(v_min=0.0, v_max=25.0, p_max=40.0, ped_p_max=50.0, q_max=10.0)
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+            OssSpec("combined", **{**base, field: value})
+
     def test_degenerate_interval_rejected_at_bounds(self):
         spec = OssSpec("lead_following", v_min=0.0, v_max=1.0, p_min=2.0, p_max=2.0)
         with pytest.raises(ValueError):

@@ -83,6 +83,10 @@ def test_bench_tracer_finds_every_wrapped_name(monkeypatch):
         tracer.unwrap_all()
 
 
+SUMO_OSS = {"kind": "lead_following", "v_min": 0.0, "v_max": 30.0, "p_min": 0.0,
+            "p_max": 100.0}
+
+
 class TestAnalysisConfig:
     def test_defaults_validate_with_preset(self):
         cfg = AnalysisConfig(preset="sumo-lead")
@@ -127,6 +131,9 @@ class TestAnalysisConfig:
             ({"mc_samples": 20000.5}, SafesetError),
             ({"mc_samples": 20000.0}, SafesetError),
             ({"slice_cells": 50.5}, SafesetError),
+            ({"preset": None, "oss": dict(SUMO_OSS, p_max=math.inf)}, SafesetError),
+            ({"preset": None, "oss": dict(SUMO_OSS, v_max=math.inf)}, SafesetError),
+            ({"preset": None, "oss": dict(SUMO_OSS, lane_width=math.nan)}, SafesetError),
         ],
     )
     def test_validation_rejects(self, patch, exc):
@@ -765,9 +772,6 @@ class TestCellText:
         assert texts[index].tolist() == list(map(repr, col.tolist()))
 
 
-SUMO_OSS = {"kind": "lead_following", "v_min": 0.0, "v_max": 30.0, "p_min": 0.0,
-            "p_max": 100.0}
-
 # config field -> (analyze flag, a value other than the default)
 ANALYZE_FLAGS = {
     "preset": ("--preset", "highd-lead"),
@@ -965,6 +969,7 @@ class TestCli:
             ({"columns": ["frame"]}, "columns"),
             ({"columns": {"frame": ["a"]}}, "columns"),
             ({"columns": {"bogus": "x"}}, "bogus"),
+            ({"preset": None, "oss": dict(SUMO_OSS, p_max=math.inf)}, "p_max"),
         ],
     )
     def test_unusable_config_value_exits_2(self, tmp_path, battery_csv, capsys, patch, named):

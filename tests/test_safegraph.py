@@ -64,7 +64,7 @@ class TestGraphBuild:
         g = chain_graph()
         assert rows(g.vertices) == {S1, S2, S3} and g.safe.all()
         assert edge_set(g) == {(S1, S2), (S2, S3)}
-        assert g.edge_count() == 2
+        assert g.adjacency.nnz == 2
 
     def test_single_transition_registers_both_vertices(self):
         g = build_safe_graph(table(segment([S1, S2])))
@@ -73,13 +73,13 @@ class TestGraphBuild:
 
     def test_duplicate_states_collapse(self):
         g = build_safe_graph(table(segment([S1, S2]), segment([S1, S2], tid="t1")))
-        assert len(g) == 2 and g.edge_count() == 1
+        assert len(g) == 2 and g.adjacency.nnz == 1
         assert g.ids.tolist() == [0, 1, 0, 1]
 
     def test_frame_gaps_break_edges(self):
         g = build_safe_graph(table(segment([S1, S2], frames=[0, 5])))
         assert rows(g.vertices) == {S1, S2}
-        assert g.edge_count() == 0
+        assert g.adjacency.nnz == 0
 
     def test_unsafe_segments_add_vertices_but_no_edges(self):
         g = build_safe_graph(table(segment([S1, S2]), crash([S2, S3])))

@@ -24,7 +24,6 @@ from safeset.simgen import (
     idm_accel,
     ncap_battery,
     simulate_battery,
-    simulate_follow,
 )
 
 
@@ -182,7 +181,7 @@ class TestEpisode:
     def test_euler_stepping_first_frame(self):
         sc = ScenarioSpec("ep", sv_speed0=10.0, lead_speed0=5.0, initial_gap=30.0,
                           duration_s=1.0)
-        rows, _ = simulate_follow(IDM_0, sc)
+        rows = simulate_battery(IDM_0, [sc]).samples
         by_frame = frame_rows(rows)
         f0, f1 = by_frame[0], by_frame[1]
         assert f0["sv"].x == 0.0
@@ -195,7 +194,7 @@ class TestEpisode:
     def test_speed_floor_at_zero(self):
         sc = ScenarioSpec("ep", sv_speed0=3.0, lead_speed0=0.0, initial_gap=4.0,
                           duration_s=20.0)
-        rows, _ = simulate_follow(IDM_1, sc)
+        rows = simulate_battery(IDM_1, [sc]).samples
         assert all(r.vx >= 0.0 for r in rows)
 
     def test_kinematically_doomed_braking_case(self):
@@ -209,11 +208,10 @@ class TestEpisode:
         available = gap0 + v0 ** 2 / (2 * 6.0)
         needed = v0 ** 2 / (2 * IDM_1.b_max)
         assert needed > available
-        rows, collision = simulate_follow(IDM_1, sc)
-        assert collision is not None
-        traj, frame = collision
+        d = simulate_battery(IDM_1, [sc])
+        ((traj, frame),) = d.collision_events
         assert traj == "doomed" and frame > 0
-        by_frame = frame_rows(rows)
+        by_frame = frame_rows(d.samples)
         last = by_frame[frame]
         assert last["lead"].x - last["sv"].x == pytest.approx(VEHICLE_LENGTH)
         assert max(by_frame) == frame  # nothing emitted past the contact
@@ -221,16 +219,16 @@ class TestEpisode:
     def test_strong_brakes_stay_safe(self):
         sc = ScenarioSpec("safe", sv_speed0=10.0, lead_speed0=0.0,
                           initial_gap=20.0, duration_s=40.0)
-        rows, collision = simulate_follow(IDM_0, sc)
-        assert collision is None
-        for fr in frame_rows(rows).values():
+        d = simulate_battery(IDM_0, [sc])
+        assert d.collision_events == ()
+        for fr in frame_rows(d.samples).values():
             assert fr["lead"].x - fr["sv"].x > VEHICLE_LENGTH
 
     def test_collision_event_matches_last_frame(self):
         sc = ScenarioSpec("c", sv_speed0=25.0, lead_speed0=0.0, initial_gap=10.0,
                           duration_s=10.0)
-        rows, collision = simulate_follow(IDM_1, sc)
-        assert collision == ("c", max(r.frame for r in rows))
+        d = simulate_battery(IDM_1, [sc])
+        assert d.collision_events == (("c", max(r.frame for r in d.samples)),)
 
 
 class TestBattery:
@@ -419,17 +417,18 @@ class TestColumnarBattery:
         assert got_error == want_error
         if want is None:
             return
-        assert got == want and hash(got) == hash(want)
+        assert got == want
         assert got.collision_events == want.collision_events
         assert csv_bytes(got) == csv_bytes(want)
 
     def test_episode_table_matches_reference_rows(self):
         sc = ScenarioSpec("doomed", 20.0, 20.0, 20.0, lead_decel=6.0, duration_s=60.0)
-        table, collision = simulate_follow(IDM_1, sc, recording_id="r")
+        d = simulate_battery(IDM_1, [sc], recording_id="r")
+        table = d.samples
         rows, want = reference_follow(IDM_1, sc, recording_id="r")
         assert isinstance(table, SampleTable)
-        assert table == SampleTable.from_rows(rows) and hash(table) == hash(SampleTable.from_rows(rows))
-        assert collision == want and collision is not None
+        assert table == SampleTable.from_rows(rows)
+        assert want is not None and d.collision_events == (want,)
         assert list(table) == rows
 
     def test_battery_builds_no_row_objects(self, monkeypatch):
