@@ -184,7 +184,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     with open(args.report) as fh:
         data = json.load(fh)
-    for line in _summary_lines(data):
+    try:
+        lines = _summary_lines(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SafesetError(f"{args.report} is not a safeset report: {exc!r}") from None
+    for line in lines:
         print(line)
     return EXIT_OK
 

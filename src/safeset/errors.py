@@ -49,7 +49,7 @@ class NonMonotoneTime(SafesetError):
 # ---------------------------------------------------------------------------
 
 class SpecKindMismatch(SafesetError):
-    """An extractor was handed a state-space spec of the wrong kind."""
+    """A state-space spec names an unknown kind."""
 
 
 # ---------------------------------------------------------------------------

@@ -9,26 +9,24 @@ describing the subject vehicle (SV) and its immediate neighbourhood:
   center/right). Empty subregions take clearance fills.
 * vehicle_pedestrian (5-D): SV speed plus longitudinal/lateral offset of
   the nearest pedestrian ahead of each front bumper corner.
-* combined (17-D): the 13-D and 5-D vectors of one SV sample side by side,
-  v0 once, for the SV samples valid in both.
+* combined (17-D): the vehicle subregions and the pedestrian corners of
+  one SV sample, v0 once, for the SV samples valid in both.
 
-Each extractor picks neighbours with array operations, over every
-trajectory at once, from the dataset's join to the subject vehicle
-(:attr:`~safeset.ingest.Dataset.sv_join`): a row per (neighbour, frame
-shared with the SV). Frames that fail the validity rules of a space (no
-relevant neighbour, or any coordinate outside the configured box) are
-skipped. The surviving states land in one :class:`StateTable`: an (n, d)
-value array with frame, time and unsafe columns, cut into gap-free
-segments wherever the trajectory changes or frames stop being
-consecutive. Each segment records its trajectory, its index within it and
-the collision events attributed to it, so downstream pruning can tell
-safe from unsafe segments. Every later step works on row indices and
-masks of this table; no per-state object is built.
+Every space starts from :meth:`OssSpec.clearance`, each SV sample with
+every neighbour slot empty, and each neighbour block of the space fills
+its own columns with array operations over every trajectory at once (see
+:func:`extract_states`). The surviving states land in one
+:class:`StateTable`: an (n, d) value array with frame, time and unsafe
+columns, cut into gap-free segments wherever the trajectory changes or
+frames stop being consecutive. Each segment records its trajectory, its
+index within it and the collision events attributed to it, so downstream
+pruning can tell safe from unsafe segments. Every later step works on row
+indices and masks of this table; no per-state object is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +68,8 @@ class OssSpec:
             value = getattr(self, f.name)
             if not np.isfinite(value).all():
                 raise ValueError(f"{f.name} must be finite, got {value}")
+        if np.shape(self.side_band) != (2,) or not self.side_band[0] < self.side_band[1]:
+            raise ValueError(f"side_band must be two numbers lo < hi, got {self.side_band}")
         if not self.v_max > self.v_min:
             raise ValueError("v_max must exceed v_min")
 
@@ -249,11 +249,11 @@ def _nearest(group: np.ndarray, dist: np.ndarray) -> np.ndarray:
     return order[np.diff(group[order], prepend=-1) != 0]
 
 
-def _sv_states(d: Dataset, idx: np.ndarray, values: np.ndarray) -> StateTable:
-    """The states ``values`` of the SV samples at the ascending SV indices
-    ``idx`` (or a mask over the SV indices), split into segments that break
-    wherever the trajectory changes or the frame step is not 1, with the
-    dataset's collision events attributed to the segments.
+def _sv_states(d: Dataset, valid: np.ndarray, values: np.ndarray) -> StateTable:
+    """The states ``values`` of the SV samples where the mask ``valid`` over
+    the SV indices is set, split into segments that break wherever the
+    trajectory changes or the frame step is not 1, with the dataset's
+    collision events attributed to the segments.
 
     A state is unsafe when an event falls on its trajectory and frame. An
     event lands in the segment of its trajectory whose frame span contains
@@ -262,7 +262,7 @@ def _sv_states(d: Dataset, idx: np.ndarray, values: np.ndarray) -> StateTable:
     so both cases are the last segment starting at or before the event.
     Events of trajectories without a segment are dropped.
     """
-    rows = d.sv_join.sv_rows[idx]
+    rows = d.sv_join.sv_rows[valid]
     cols = d.samples.columns
     traj, frame = cols["trajectory_id"][rows], cols["frame"][rows]
     n = len(frame)
@@ -301,75 +301,40 @@ def _speeds(d: Dataset, rows: np.ndarray) -> np.ndarray:
     return np.hypot(cols["vx"][rows], cols["vy"][rows])
 
 
-# ---------------------------------------------------------------------------
-# extractors
-# ---------------------------------------------------------------------------
-
-
-def extract_lead_following(d: Dataset, spec: OssSpec) -> StateTable:
-    """Project onto (v0, v1, p): SV speed, leader speed, bumper gap.
-
-    The leader is the nearest vehicle ahead of the SV in its own lane: the
-    same lane id when both carry one, else a lateral offset within half a
-    lane width. Of equally near vehicles the first in track order leads. A
-    frame without a leader, or with any coordinate outside the box, emits
-    no state.
-    """
-    if spec.kind != "lead_following":
-        raise SpecKindMismatch(f"expected lead_following spec, got {spec.kind!r}")
-    bounds = spec.bounds()
+def _lead_block(d: Dataset, spec: OssSpec, values: np.ndarray, col: int) -> np.ndarray:
+    """The leader's speed v1 and bumper gap p, at ``col`` and ``col + 1``.
+    The leader is the nearest vehicle ahead in the SV's lane (the same lane
+    id when both carry one, else within half a lane width laterally), the
+    first in track order on equal gaps. Valid: a leader, every coordinate
+    in the box."""
     sv, at, row, dlong, dlat = _candidates(d, VEHICLE_TYPES)
     lane, has_lane = d.samples.columns["lane_id"], d.samples.has_lane
-    same_lane = np.where(
-        has_lane[at] & has_lane[row],
-        lane[at] == lane[row],
-        np.abs(dlat) <= spec.lane_width / 2.0,
-    )
+    both = has_lane[at] & has_lane[row]
+    same_lane = np.where(both, lane[at] == lane[row], np.abs(dlat) <= spec.lane_width / 2.0)
     ahead = np.flatnonzero((dlong > 0) & same_lane)
     lead = ahead[_nearest(sv[ahead], dlong[ahead])]
-    idx = sv[lead]
-    length = d.samples.columns["length"]
-    p = dlong[lead] - (length[at[lead]] + length[row[lead]]) / 2.0
-    vals = np.column_stack([_speeds(d, at[lead]), _speeds(d, row[lead]), p])
-    ok = ((vals >= bounds[:, 0]) & (vals <= bounds[:, 1])).all(axis=1)
-    return _sv_states(d, idx[ok], vals[ok])
+    idx, length = sv[lead], d.samples.columns["length"]
+    values[idx, col] = _speeds(d, row[lead])
+    values[idx, col + 1] = dlong[lead] - (length[at[lead]] + length[row[lead]]) / 2.0
+    b = spec.bounds()
+    ok = ((values[idx] >= b[:, 0]) & (values[idx] <= b[:, 1])).all(axis=1)
+    return np.bincount(idx[ok], minlength=len(values)) > 0
 
 
-def extract_multi_vehicle(d: Dataset, spec: OssSpec) -> StateTable:
-    """Project onto the 13-D neighbourhood vector.
-
-    Each of the six subregions keeps its nearest vehicle (center distance;
-    the first in track order on equal distances), described by the signed
-    bumper gap p (positive ahead, negative behind, zero on longitudinal
-    overlap) and its speed. A vehicle within half a lane width laterally is
-    in the center band, else in the left or right band when its lateral
-    offset lies in ``side_band`` on that side. Unoccupied subregions, and
-    those whose nearest vehicle is out of bounds, keep the fills of
-    :meth:`OssSpec.clearance`: (p_max, v0) in front, (p_min, v0) behind.
-    A frame is valid when at least one subregion holds a real vehicle and
-    v0 is in bounds; every coordinate is then inside the box.
-    """
-    values, valid = _multi_vehicle_values(d, spec)
-    return _sv_states(d, valid, values[valid])
-
-
-def _multi_vehicle_values(d: Dataset, spec: OssSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The 13-D state of every SV sample, and whether it is valid (see
-    :func:`extract_multi_vehicle`)."""
-    if spec.kind not in ("multi_vehicle", "combined"):
-        raise SpecKindMismatch(f"expected multi_vehicle spec, got {spec.kind!r}")
+def _vehicle_block(d: Dataset, spec: OssSpec, values: np.ndarray, col: int) -> np.ndarray:
+    """The six subregions' (p, v) pairs, from ``col`` on in SUBREGIONS order.
+    Each keeps its nearest vehicle by center distance (the first in track
+    order on ties): signed bumper gap p (negative behind, 0 on overlap) and
+    speed. Within half a lane width laterally is the center band, else the
+    left or right band when the offset lies in ``side_band`` on that side.
+    An out-of-bounds nearest vehicle leaves the clearance fill. Valid: a
+    subregion holds a real vehicle."""
     lo, hi = spec.side_band
     sv, at, row, dlong, dlat = _candidates(d, VEHICLE_TYPES)
+    center = np.abs(dlat) <= spec.lane_width / 2.0
+    left, right = (lo <= dlat) & (dlat <= hi), (-hi <= dlat) & (dlat <= -lo)
     # bands index SUBREGIONS within front (fl, fc, fr) and rear (rl, rc, rr)
-    band = np.select(
-        [
-            np.abs(dlat) <= spec.lane_width / 2.0,
-            (lo <= dlat) & (dlat <= hi),
-            (-hi <= dlat) & (dlat <= -lo),
-        ],
-        [1, 0, 2],
-        -1,
-    )
+    band = np.select([center, left, right], [1, 0, 2], -1)
     sub = 3 * (dlong < 0) + band
     seen = np.flatnonzero(band >= 0)
     dist = np.hypot(dlong[seen], dlat[seen])
@@ -380,72 +345,53 @@ def _multi_vehicle_values(d: Dataset, spec: OssSpec) -> tuple[np.ndarray, np.nda
     v1 = _speeds(d, row[near])
     ok = (spec.p_min <= p) & (p <= spec.p_max)
     ok &= (spec.v_min <= v1) & (v1 <= spec.v_max)
-    idx, p_col = sv[near][ok], 1 + 2 * sub[near][ok]
-
-    v0 = _speeds(d, d.sv_join.sv_rows)
-    values = replace(spec, kind="multi_vehicle").clearance(v0)
+    idx, p_col = sv[near][ok], col + 2 * sub[near][ok]
     values[idx, p_col] = p[ok]
     values[idx, p_col + 1] = v1[ok]
-    occupied = np.bincount(idx, minlength=len(v0)) > 0
-    return values, occupied & (spec.v_min <= v0) & (v0 <= spec.v_max)
+    return np.bincount(idx, minlength=len(values)) > 0
 
 
-def extract_vehicle_pedestrian(d: Dataset, spec: OssSpec) -> StateTable:
-    """Project onto (v0, p_left, q_left, p_right, q_right).
-
-    For each front bumper corner, the nearest pedestrian at or ahead of the
-    bumper line (the first in track order on equal distances) contributes
-    its longitudinal advance p and absolute lateral offset q, both measured
-    from the corner. Pedestrians strictly behind the bumper line are
-    ignored; empty corners, and those whose nearest pedestrian is out of
-    bounds, keep the fill of :meth:`OssSpec.clearance`, (ped_p_max, q_max).
-    A frame is valid when a corner holds a real pedestrian and v0 is in
-    bounds.
-    """
-    values, valid = _vehicle_pedestrian_values(d, spec)
-    return _sv_states(d, valid, values[valid])
-
-
-def _vehicle_pedestrian_values(d: Dataset, spec: OssSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The 5-D state of every SV sample, and whether it is valid (see
-    :func:`extract_vehicle_pedestrian`)."""
-    if spec.kind not in ("vehicle_pedestrian", "combined"):
-        raise SpecKindMismatch(f"expected vehicle_pedestrian spec, got {spec.kind!r}")
+def _pedestrian_block(d: Dataset, spec: OssSpec, values: np.ndarray, col: int) -> np.ndarray:
+    """The left and right front bumper corners' (p, q) pairs, from ``col`` on.
+    Each takes the nearest pedestrian at or ahead of the bumper line (the
+    first in track order on ties): advance p and absolute lateral offset q
+    from the corner. An out-of-bounds nearest pedestrian leaves the
+    clearance fill. Valid: a corner holds a real pedestrian."""
     sv, at, _, dlong, dlat = _candidates(d, ("pedestrian",))
     along = dlong - d.samples.columns["length"][at] / 2.0
     front = along >= 0
     sv, along, dlat = sv[front], along[front], dlat[front]
     half_width = d.samples.columns["width"][at[front]] / 2.0
-
-    v0 = _speeds(d, d.sv_join.sv_rows)
-    values = replace(spec, kind="vehicle_pedestrian").clearance(v0)
-    occupied = np.zeros(len(v0), dtype=bool)
-    for col, side_sign in ((1, 1.0), (3, -1.0)):
+    occupied = np.zeros(len(values), dtype=bool)
+    for c, side_sign in ((col, 1.0), (col + 2, -1.0)):
         lat = dlat - side_sign * half_width
         near = _nearest(sv, np.hypot(along, lat))
         p, q = along[near], np.abs(lat[near])
         ok = (p <= spec.ped_p_max) & (q <= spec.q_max)
         idx = sv[near][ok]
-        values[idx, col] = p[ok]
-        values[idx, col + 1] = q[ok]
+        values[idx, c] = p[ok]
+        values[idx, c + 1] = q[ok]
         occupied[idx] = True
-    return values, occupied & (spec.v_min <= v0) & (v0 <= spec.v_max)
+    return occupied
+
+
+# each block with the name of its first column
+_BLOCKS = (("v1", _lead_block), ("p_fl", _vehicle_block), ("p_left", _pedestrian_block))
 
 
 def extract_states(d: Dataset, spec: OssSpec) -> StateTable:
-    """Dispatch to the extractor matching ``spec.kind``. A combined state
-    is the 13-D and the 5-D state of one SV sample side by side, v0 once,
-    kept where both are valid."""
-    if spec.kind == "lead_following":
-        return extract_lead_following(d, spec)
-    if spec.kind == "multi_vehicle":
-        return extract_multi_vehicle(d, spec)
-    if spec.kind == "vehicle_pedestrian":
-        return extract_vehicle_pedestrian(d, spec)
-    multi, multi_valid = _multi_vehicle_values(d, spec)
-    ped, ped_valid = _vehicle_pedestrian_values(d, spec)
-    valid = multi_valid & ped_valid
-    return _sv_states(d, valid, np.hstack([multi[valid], ped[valid, 1:]]))
+    """Project every SV sample into the space of ``spec``: it starts as
+    :meth:`OssSpec.clearance` at its speed v0, and each neighbour block
+    whose columns the space names fills them from the dataset's join to the
+    SV (:attr:`~safeset.ingest.Dataset.sv_join`). A sample emits a state
+    when v0 is in bounds and every block finds it valid."""
+    v0 = _speeds(d, d.sv_join.sv_rows)
+    values = spec.clearance(v0)
+    valid = (spec.v_min <= v0) & (v0 <= spec.v_max)
+    for name, block in _BLOCKS:
+        if name in spec.names:
+            valid &= block(d, spec, values, spec.names.index(name))
+    return _sv_states(d, valid, values[valid])
 
 
 def export_states_csv(table: StateTable, spec: OssSpec, path: str | Path) -> None:

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,10 +28,7 @@ from safeset.oss import (
     SUBREGIONS,
     OssSpec,
     export_states_csv,
-    extract_lead_following,
-    extract_multi_vehicle,
     extract_states,
-    extract_vehicle_pedestrian,
     transitions,
 )
 
@@ -588,15 +586,11 @@ def neighbour_scenes(draw):
 class TestLeadFollowing:
     def test_hand_values(self):
         d = two_car()
-        t = extract_lead_following(d, LEAD)
+        t = extract_states(d, LEAD)
         assert t.n_segments == 1
         # p = center distance minus the two half-lengths
         assert segment_values(t, 0)[0] == (10.0, 8.0, 16.0)
         assert t.values[1, 2] == pytest.approx(16.0 - 0.2)
-
-    def test_kind_guard(self):
-        with pytest.raises(SpecKindMismatch):
-            extract_lead_following(two_car(), MULTI)
 
     def test_nearest_ahead_is_leader(self):
         agents = {
@@ -606,13 +600,13 @@ class TestLeadFollowing:
             "behind": {"x0": -10.0, "vx": 11.0},
         }
         d = scene_dataset(agents, 2)
-        t = extract_lead_following(d, LEAD)
+        t = extract_states(d, LEAD)
         assert t.values[0, 1] == 7.0
 
     def test_gap_beyond_pmax_emits_nothing(self):
         spec = PRESETS["highd-lead"]  # p_max = 50
         d = two_car(gap_center=64.0, sv_v=25.0, lead_v=25.0)  # p = 60
-        t = extract_lead_following(d, spec)
+        t = extract_states(d, spec)
         assert len(t) == 0 and t.n_segments == 0
 
     def test_lane_id_restricts_leader(self):
@@ -622,7 +616,7 @@ class TestLeadFollowing:
             "same_lane": {"x0": 20.0, "vx": 6.0, "lane_id": 1, "y0": 0.0},
         }
         d = scene_dataset(agents, 2)
-        t = extract_lead_following(d, LEAD)
+        t = extract_states(d, LEAD)
         assert t.values[0, 1] == 6.0
 
     def test_pedestrians_ignored(self):
@@ -632,7 +626,7 @@ class TestLeadFollowing:
             "lead": {"x0": 20.0, "vx": 6.0},
         }
         d = scene_dataset(agents, 2)
-        t = extract_lead_following(d, LEAD)
+        t = extract_states(d, LEAD)
         assert t.values[0, 1] == 6.0
 
     def test_segment_split_and_transition_pairs(self):
@@ -642,7 +636,7 @@ class TestLeadFollowing:
             "lead": {"x0": 20.0, "vx": 10.0, "frames": [0, 1, 2, 4, 5]},
         }
         d = scene_dataset(agents, 6)
-        t = extract_lead_following(d, LEAD)
+        t = extract_states(d, LEAD)
         assert t.segment_index.tolist() == [0, 1]
         assert t.frame[t.offsets[:-1]].tolist() == [0, 4]
         td = transitions(t)
@@ -658,15 +652,15 @@ class TestLeadFollowing:
     def test_rigid_motion_invariance(self, theta, tx, ty):
         d = two_car()
         moved = rigid_motion(d, theta, tx, ty)
-        a = extract_lead_following(d, LEAD)
-        b = extract_lead_following(moved, LEAD)
+        a = extract_states(d, LEAD)
+        b = extract_states(moved, LEAD)
         assert a.n_segments == b.n_segments == 1
         assert np.allclose(a.values, b.values, atol=1e-6)
 
     @settings(max_examples=150, deadline=None)
     @given(d=lead_scenes())
     def test_leader_matches_candidate_list_reference(self, d):
-        got = emitted(extract_lead_following(d, LEAD))
+        got = emitted(extract_states(d, LEAD))
         assert repr(got) == repr(reference_lead_states(d, LEAD))
 
     def test_equal_gaps_keep_the_first_track(self):
@@ -675,7 +669,7 @@ class TestLeadFollowing:
             "a": {"x0": 15.0, "vx": 7.0, "lane_id": 1},
             "b": {"x0": 15.0, "vx": 8.0},
         }
-        t = extract_lead_following(scene_dataset(agents, 2), LEAD)
+        t = extract_states(scene_dataset(agents, 2), LEAD)
         assert t.values[:, 1].tolist() == [7.0, 7.0]
 
     @settings(max_examples=30, deadline=None)
@@ -687,7 +681,7 @@ class TestLeadFollowing:
     def test_states_always_in_bounds(self, gap, sv_v, lead_v):
         d = two_car(gap_center=gap, sv_v=sv_v, lead_v=lead_v, n=3)
         b = LEAD.bounds()
-        for arr in extract_lead_following(d, LEAD).values:
+        for arr in extract_states(d, LEAD).values:
             assert (arr >= b[:, 0]).all() and (arr <= b[:, 1]).all()
 
 
@@ -705,7 +699,7 @@ def multi_scene(n=2, extra=None):
 
 class TestMultiVehicle:
     def test_hand_values_with_fills(self):
-        v = segment_values(extract_multi_vehicle(multi_scene(), MULTI), 0)[0]
+        v = segment_values(extract_states(multi_scene(), MULTI), 0)[0]
         assert v[0] == 25.0
         assert v[1:3] == (11.0, 26.0)     # fl: |15| - 4 bumper gap
         assert v[3:5] == (16.0, 24.0)     # fc
@@ -716,18 +710,18 @@ class TestMultiVehicle:
 
     def test_nearest_per_subregion(self):
         d = multi_scene(extra={"fc2": {"x0": 30.0, "y0": 0.0, "vx": 20.0}})
-        v = segment_values(extract_multi_vehicle(d, MULTI), 0)[0]
+        v = segment_values(extract_states(d, MULTI), 0)[0]
         assert v[3:5] == (16.0, 24.0)
 
     def test_longitudinal_overlap_gives_zero_gap(self):
         d = multi_scene(extra={"beside": {"x0": 2.0, "y0": 3.75, "vx": 25.0}})
-        v = segment_values(extract_multi_vehicle(d, MULTI), 0)[0]
+        v = segment_values(extract_states(d, MULTI), 0)[0]
         # |2| - 4 < 0: vehicles overlap longitudinally, gap clamps to 0
         assert v[1:3] == (0.0, 25.0)
 
     def test_outside_side_band_ignored(self):
         d = multi_scene(extra={"farside": {"x0": 10.0, "y0": 7.0, "vx": 21.0}})
-        v = segment_values(extract_multi_vehicle(d, MULTI), 0)[0]
+        v = segment_values(extract_states(d, MULTI), 0)[0]
         assert v[1:3] == (11.0, 26.0)  # fl neighbour unchanged
 
     def test_out_of_bounds_neighbour_becomes_fill(self):
@@ -737,13 +731,13 @@ class TestMultiVehicle:
             "fl": {"x0": 15.0, "y0": 3.75, "vx": 26.0},
         }
         d = scene_dataset(agents, 2)
-        v = segment_values(extract_multi_vehicle(d, MULTI), 0)[0]
+        v = segment_values(extract_states(d, MULTI), 0)[0]
         assert v[3:5] == (50.0, 25.0)
 
     def test_all_empty_frame_dropped(self):
         agents = {"ego": {"x0": 0.0, "vx": 25.0, "sv": True}}
         d = scene_dataset(agents, 3)
-        assert len(extract_multi_vehicle(d, MULTI)) == 0
+        assert len(extract_states(d, MULTI)) == 0
 
     def test_v0_out_of_bounds_dropped(self):
         agents = {
@@ -751,16 +745,12 @@ class TestMultiVehicle:
             "fc": {"x0": 20.0, "y0": 0.0, "vx": 24.0},
         }
         d = scene_dataset(agents, 2)
-        assert len(extract_multi_vehicle(d, MULTI)) == 0
-
-    def test_kind_guard(self):
-        with pytest.raises(SpecKindMismatch):
-            extract_multi_vehicle(multi_scene(), LEAD)
+        assert len(extract_states(d, MULTI)) == 0
 
     def test_equal_distances_keep_the_first_track(self):
         d = multi_scene(extra={"fc": {"x0": 20.0, "y0": 1.0, "vx": 23.0},
                                "fc2": {"x0": 20.0, "y0": -1.0, "vx": 27.0}})
-        v = segment_values(extract_multi_vehicle(d, MULTI), 0)[0]
+        v = segment_values(extract_states(d, MULTI), 0)[0]
         assert v[3:5] == (16.0, 23.0)
 
     def test_center_band_wins_on_the_half_lane_edge(self):
@@ -771,7 +761,7 @@ class TestMultiVehicle:
             "right_edge": {"x0": -20.0, "y0": -1.875, "vx": 26.0},
             "outer_edge": {"x0": 30.0, "y0": -5.625, "vx": 23.0},
         }
-        v = segment_values(extract_multi_vehicle(scene_dataset(agents, 2), MULTI), 0)[0]
+        v = segment_values(extract_states(scene_dataset(agents, 2), MULTI), 0)[0]
         assert v[1:3] == (50.0, 25.0) and v[7:9] == (-50.0, 25.0)
         assert v[3:5] == (16.0, 24.0) and v[9:11] == (-16.0, 26.0)
         assert v[5:7] == (26.0, 23.0)
@@ -780,13 +770,13 @@ class TestMultiVehicle:
         # the nearest center vehicle ahead is too fast; the next one is not
         d = multi_scene(extra={"fc": {"x0": 20.0, "y0": 0.0, "vx": 35.0},
                                "fc2": {"x0": 30.0, "y0": 0.0, "vx": 24.0}})
-        v = segment_values(extract_multi_vehicle(d, MULTI), 0)[0]
+        v = segment_values(extract_states(d, MULTI), 0)[0]
         assert v[3:5] == (50.0, 25.0)
 
     @settings(max_examples=200, deadline=None)
     @given(d=neighbour_scenes(), spec=st.sampled_from([MULTI, COMBINED]))
     def test_matches_candidate_list_reference(self, d, spec):
-        got = emitted(extract_multi_vehicle(d, spec))
+        got = emitted(extract_states(d, replace(spec, kind="multi_vehicle")))
         assert repr(got) == repr(reference_multi_states(d, spec))
 
     @settings(max_examples=25, deadline=None)
@@ -797,8 +787,8 @@ class TestMultiVehicle:
     )
     def test_rigid_motion_invariance(self, theta, tx, ty):
         d = multi_scene()
-        a = extract_multi_vehicle(d, MULTI)
-        b = extract_multi_vehicle(rigid_motion(d, theta, tx, ty), MULTI)
+        a = extract_states(d, MULTI)
+        b = extract_states(rigid_motion(d, theta, tx, ty), MULTI)
         assert a.values.shape == b.values.shape
         assert np.allclose(a.values, b.values, atol=1e-6)
 
@@ -816,14 +806,14 @@ def ped_scene(extra=None):
 
 class TestVehiclePedestrian:
     def test_hand_values(self):
-        v = segment_values(extract_vehicle_pedestrian(ped_scene(), PED), 0)[0]
+        v = segment_values(extract_states(ped_scene(), PED), 0)[0]
         # along = 10 - half_len 2 = 8; left corner lat = 3 - 1, right = 3 + 1
         assert v == (10.0, 8.0, 2.0, 8.0, 4.0)
 
     def test_behind_bumper_ignored(self):
         d = ped_scene({"walker": {"x0": 1.0, "y0": 1.0, "agent_type": "pedestrian",
                                   "length": 0.5, "width": 0.5}})
-        assert len(extract_vehicle_pedestrian(d, PED)) == 0
+        assert len(extract_states(d, PED)) == 0
 
     def test_far_lateral_becomes_fill(self):
         d = ped_scene(
@@ -832,22 +822,18 @@ class TestVehiclePedestrian:
                             "length": 0.5, "width": 0.5}
             }
         )
-        v = segment_values(extract_vehicle_pedestrian(d, PED), 0)[0]
+        v = segment_values(extract_states(d, PED), 0)[0]
         assert v == (10.0, 8.0, 2.0, 8.0, 4.0)  # far walker never wins a corner
 
     def test_vehicles_ignored(self):
         d = ped_scene(extra={"car2": {"x0": 12.0, "y0": 0.5, "vx": 5.0}})
-        v = segment_values(extract_vehicle_pedestrian(d, PED), 0)[0]
+        v = segment_values(extract_states(d, PED), 0)[0]
         assert v == (10.0, 8.0, 2.0, 8.0, 4.0)
-
-    def test_kind_guard(self):
-        with pytest.raises(SpecKindMismatch):
-            extract_vehicle_pedestrian(ped_scene(), LEAD)
 
     def test_bumper_line_counts_as_ahead(self):
         d = ped_scene({"walker": {"x0": 2.0, "y0": 3.0, "agent_type": "pedestrian",
                                   "length": 0.5, "width": 0.5}})
-        v = segment_values(extract_vehicle_pedestrian(d, PED), 0)[0]
+        v = segment_values(extract_states(d, PED), 0)[0]
         assert v == (10.0, 0.0, 2.0, 0.0, 4.0)
 
     def test_out_of_bounds_nearest_is_not_replaced_by_the_next(self):
@@ -857,7 +843,7 @@ class TestVehiclePedestrian:
                                   "length": 0.5, "width": 0.5},
                        "ahead": {"x0": 20.0, "y0": 0.5, "agent_type": "pedestrian",
                                  "length": 0.5, "width": 0.5}})
-        assert len(extract_vehicle_pedestrian(d, PED)) == 0
+        assert len(extract_states(d, PED)) == 0
 
     def test_equal_distances_keep_the_first_track(self):
         # (along, lat) from the left corner: a (3, 4), b (4, 3), both 5 away
@@ -867,13 +853,13 @@ class TestVehiclePedestrian:
             for name, x, y in (("a", 5.0, 5.0), ("b", 6.0, 4.0))
         }
         agents = {"ego": {"x0": 0.0, "vx": 10.0, "sv": True}, **walkers}
-        v = segment_values(extract_vehicle_pedestrian(scene_dataset(agents, 2), PED), 0)[0]
+        v = segment_values(extract_states(scene_dataset(agents, 2), PED), 0)[0]
         assert v == (10.0, 3.0, 4.0, 4.0, 5.0)
 
     @settings(max_examples=200, deadline=None)
     @given(d=neighbour_scenes(), spec=st.sampled_from([PED, COMBINED]))
     def test_matches_candidate_list_reference(self, d, spec):
-        got = emitted(extract_vehicle_pedestrian(d, spec))
+        got = emitted(extract_states(d, replace(spec, kind="vehicle_pedestrian")))
         assert repr(got) == repr(reference_ped_states(d, spec))
 
 
@@ -893,8 +879,8 @@ class TestCombined:
         assert t.n_segments == 1
         v = segment_values(t, 0)[0]
         assert len(v) == 17
-        m = segment_values(extract_multi_vehicle(d, COMBINED), 0)[0]
-        p = segment_values(extract_vehicle_pedestrian(d, COMBINED), 0)[0]
+        m = segment_values(extract_states(d, replace(COMBINED, kind="multi_vehicle")), 0)[0]
+        p = segment_values(extract_states(d, replace(COMBINED, kind="vehicle_pedestrian")), 0)[0]
         assert v == m + p[1:]
         assert v[0] == m[0] == p[0]
 
@@ -936,7 +922,7 @@ class TestCombined:
 class TestClassification:
     def test_collision_frames_make_unsafe(self):
         d = two_car(gap_center=20.0)
-        t = extract_lead_following(d, LEAD)
+        t = extract_states(d, LEAD)
         assert t.unsafe_segments().tolist() == [False]
 
         d2 = scene_dataset(
@@ -947,7 +933,7 @@ class TestClassification:
             5,
             events=[("t0", 2)],
         )
-        t2 = extract_lead_following(d2, LEAD)
+        t2 = extract_states(d2, LEAD)
         assert t2.unsafe_segments().tolist() == [True]
         assert t2.collision_frames == ((2,),)
         assert t2.unsafe.tolist() == [
@@ -960,7 +946,7 @@ class TestClassification:
             "lead": {"x0": 20.0, "vx": 10.0, "frames": [0, 1, 4, 5]},
         }
         d = scene_dataset(agents, 6, events=[("t0", 2)])
-        t = extract_lead_following(d, LEAD)
+        t = extract_states(d, LEAD)
         assert t.collision_frames == ((2,), ())
 
 
@@ -988,7 +974,7 @@ class TestExport:
     def test_export_matches_row_wise_reference(self, tmp_path):
         awkward = [(-0.0, 0.0, math.nan), (1e16, 1e-5, 5e-324), (-0.0, -math.inf, 0.1 + 0.2)]
         cases = [
-            extract_lead_following(two_car(), LEAD),
+            extract_states(two_car(), LEAD),
             table(
                 segment(awkward, tid='a,"b', unsafe=[1]),
                 segment(awkward[::-1], tid="x\ny", index=1, frames=[-(2**63), 0, 2**63 - 1]),
@@ -1003,7 +989,7 @@ class TestExport:
 
     def test_export_round_trip_floats(self, tmp_path):
         d = two_car()
-        t = extract_lead_following(d, LEAD)
+        t = extract_states(d, LEAD)
         out = tmp_path / "states.csv"
         export_states_csv(t, LEAD, out)
         lines = out.read_text().strip().splitlines()
@@ -1045,7 +1031,7 @@ class TestStateTable:
 
     def test_empty_extraction_keeps_dimension(self):
         alone = scene_dataset({"ego": {"x0": 0.0, "vx": 25.0, "sv": True}}, 2)
-        t = extract_multi_vehicle(alone, MULTI)
+        t = extract_states(alone, MULTI)
         assert t.values.shape == (0, 13) and t.n_segments == 0
         assert transitions(t).tolist() == []
 
@@ -1058,7 +1044,7 @@ class TestStateTable:
         }
         events = [("t0", 0), ("t0", 3), ("t0", 4), ("t0", 9)]
         d = scene_dataset(agents, 10, events=events)
-        t = extract_lead_following(d, LEAD)
+        t = extract_states(d, LEAD)
         assert t.collision_frames == ((0, 3, 4), (9,))
         assert t.unsafe.tolist() == [False, True, False, False]
 
@@ -1074,7 +1060,7 @@ class TestStateTable:
         rows += scene_dataset(agents, 10, trajectory_id="t1").samples
         rows += scene_dataset({"ego": agents["ego"]}, 3, trajectory_id="t2").samples
         events = [("t0", 9), ("t1", 0), ("t1", 5), ("t2", 1), ("t9", 1)]
-        t = extract_lead_following(Dataset(rows, dt=0.1, collision_events=events), LEAD)
+        t = extract_states(Dataset(rows, dt=0.1, collision_events=events), LEAD)
         assert t.trajectory_ids == ("t0", "t1", "t1")
         assert t.segment_index.tolist() == [0, 0, 1]
         assert t.collision_frames == ((9,), (0, 5), ())

@@ -134,6 +134,10 @@ class TestAnalysisConfig:
             ({"preset": None, "oss": dict(SUMO_OSS, p_max=math.inf)}, SafesetError),
             ({"preset": None, "oss": dict(SUMO_OSS, v_max=math.inf)}, SafesetError),
             ({"preset": None, "oss": dict(SUMO_OSS, lane_width=math.nan)}, SafesetError),
+            ({"preset": None, "oss": dict(SUMO_OSS, side_band=[1.0, 2.0, 3.0])}, SafesetError),
+            ({"preset": None, "oss": dict(SUMO_OSS, side_band=[2.0])}, SafesetError),
+            ({"preset": None, "oss": dict(SUMO_OSS, side_band=[5.0, 1.0])}, SafesetError),
+            ({"preset": None, "oss": dict(SUMO_OSS, side_band=[1.0, 1.0])}, SafesetError),
         ],
     )
     def test_validation_rejects(self, patch, exc):
@@ -970,6 +974,7 @@ class TestCli:
             ({"columns": {"frame": ["a"]}}, "columns"),
             ({"columns": {"bogus": "x"}}, "bogus"),
             ({"preset": None, "oss": dict(SUMO_OSS, p_max=math.inf)}, "p_max"),
+            ({"preset": None, "oss": dict(SUMO_OSS, side_band=[1.0, 2.0, 3.0])}, "side_band"),
         ],
     )
     def test_unusable_config_value_exits_2(self, tmp_path, battery_csv, capsys, patch, named):
@@ -1068,3 +1073,16 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "projection: lead_following" in printed
         assert "coverage:" in printed
+
+    def test_report_that_is_not_a_report_exits_2(self, tmp_path, safe_report, capsys):
+        real = Path(emit_report(safe_report, tmp_path / "out")["report"]).read_text()
+        no_epsilon, text_epsilon = json.loads(real), json.loads(real)
+        del no_epsilon["epsilon"]
+        text_epsilon["epsilon"]["epsilon_single"] = "x"
+        cases = {"empty": {}, "list": [1], "no-epsilon": no_epsilon, "text-epsilon": text_epsilon}
+        for name, doc in cases.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert run_cli("report", "--report", path) == EXIT_INVALID
+            assert str(path) in capsys.readouterr().err
