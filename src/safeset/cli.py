@@ -131,9 +131,12 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 def _build_config(args: argparse.Namespace) -> AnalysisConfig:
     """The config file's settings, overridden by every analyze flag given;
-    each flag's dest is the name of its config field."""
+    each flag's dest is the name of its config field, and ``--preset``
+    replaces the file's oss block."""
     cfg = AnalysisConfig.from_json(args.config) if args.config is not None else AnalysisConfig()
     flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(AnalysisConfig)}
+    if args.preset is not None:
+        cfg.oss = None
     return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 

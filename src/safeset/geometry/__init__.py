@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from .cluster import hierarchical_cluster
 from .hullshape import ConvexHullShape
 from .minball import circumballs, meb_radii
@@ -18,19 +16,6 @@ from .simplicial import (
 )
 from .union import ShapeUnion, UnionMeasure
 
-
-def check_exclusion(shape, excluded: np.ndarray) -> tuple[bool, np.ndarray]:
-    """Verify that none of the excluded points lies inside the shape.
-
-    Returns (ok, offender_mask). An empty exclusion set passes trivially.
-    """
-    excluded = np.asarray(excluded, dtype=float)
-    if excluded.size == 0:
-        return True, np.zeros(0, dtype=bool)
-    inside = shape.contains_batch(excluded)
-    return not bool(inside.any()), inside
-
-
 __all__ = [
     "AlphaSearchResult",
     "AlphaShape",
@@ -41,7 +26,6 @@ __all__ = [
     "SimplicialComplex",
     "UnionMeasure",
     "alpha_complex",
-    "check_exclusion",
     "circumballs",
     "delaunay",
     "hierarchical_cluster",

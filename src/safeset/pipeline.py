@@ -80,9 +80,13 @@ class AnalysisConfig:
         if not (0.0 < self.beta < 1.0):
             raise InvalidBeta(self.beta)
         if self.collision_rule not in LABEL_RULES:
-            raise SafesetError(f"unknown collision rule {self.collision_rule!r}")
+            raise SafesetError(
+                f"collision_rule must be one of {LABEL_RULES}, got {self.collision_rule!r}"
+            )
         if self.reach_mode not in REACH_MODES:
-            raise SafesetError(f"unknown reachability mode {self.reach_mode!r}")
+            raise SafesetError(
+                f"reach_mode must be one of {REACH_MODES}, got {self.reach_mode!r}"
+            )
         alpha = (self.alpha_lo, self.alpha_hi, self.alpha_threshold)
         if not all(math.isfinite(x) for x in alpha):
             raise SafesetError("alpha_lo, alpha_hi and alpha_threshold must be finite")
@@ -120,6 +124,8 @@ class AnalysisConfig:
         self.resolve_spec()
 
     def resolve_spec(self) -> OssSpec:
+        if self.preset is not None and self.oss is not None:
+            raise SafesetError("a config names either a preset or an oss block, not both")
         if self.preset is not None:
             if self.preset not in PRESETS:
                 raise SafesetError(
@@ -316,11 +322,10 @@ def run_analysis(cfg: AnalysisConfig, dataset: Dataset | None = None) -> Analysi
 
     shape, shape_info = _wrap_points(ds_norm, cfg, spec.dim)
 
-    exclusion_ok = True
     if shape is not None and len(excluded):
-        exclusion_ok, hit = geometry.check_exclusion(shape, spec.normalize(excluded))
-        if not exclusion_ok:
-            first = int(np.nonzero(hit)[0][0])
+        hit = shape.contains_batch(spec.normalize(excluded))
+        if hit.any():
+            first = int(np.flatnonzero(hit)[0])
             raise ExclusionViolated(int(hit.sum()), tuple(excluded[first].tolist()))
 
     # An excluded state inside the shape has raised above, and the shape is
@@ -361,7 +366,7 @@ def run_analysis(cfg: AnalysisConfig, dataset: Dataset | None = None) -> Analysi
             "safe_trajectories": extraction.n_safe_segments,
             "unsafe_trajectories": extraction.n_unsafe_segments,
             "unsafe_seeds_matched": extraction.seeds_matched,
-            "exclusion_ok": exclusion_ok,
+            "exclusion_ok": True,
         },
         "shape": shape_info,
         "epsilon": {

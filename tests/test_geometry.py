@@ -32,7 +32,6 @@ from safeset.geometry import (
     ConvexHullShape,
     ShapeUnion,
     alpha_complex,
-    check_exclusion,
     circumballs,
     delaunay,
     hierarchical_cluster,
@@ -1497,19 +1496,6 @@ class TestShapeUnion:
         assert d["kind"] == "shape_union"
         assert d["provenance"] == {"max_cluster_size": 9}
         assert d["n_members"] == 1
-
-
-class TestExclusionCheck:
-    def test_clean_and_violating(self):
-        shape = square_shape()
-        ok, mask = check_exclusion(shape, np.array([[5.0, 5.0], [-1.0, 0.0]]))
-        assert ok and not mask.any()
-        ok, mask = check_exclusion(shape, np.array([[0.5, 0.5], [5.0, 5.0]]))
-        assert not ok and mask.tolist() == [True, False]
-
-    def test_empty_exclusion_passes(self):
-        ok, mask = check_exclusion(square_shape(), np.zeros((0, 2)))
-        assert ok and mask.size == 0
 
 
 SHAPE_KINDS = {

@@ -138,6 +138,7 @@ class TestAnalysisConfig:
             ({"preset": None, "oss": dict(SUMO_OSS, side_band=[2.0])}, SafesetError),
             ({"preset": None, "oss": dict(SUMO_OSS, side_band=[5.0, 1.0])}, SafesetError),
             ({"preset": None, "oss": dict(SUMO_OSS, side_band=[1.0, 1.0])}, SafesetError),
+            ({"oss": SUMO_OSS}, SafesetError),  # a preset and an oss block
         ],
     )
     def test_validation_rejects(self, patch, exc):
@@ -975,6 +976,9 @@ class TestCli:
             ({"columns": {"bogus": "x"}}, "bogus"),
             ({"preset": None, "oss": dict(SUMO_OSS, p_max=math.inf)}, "p_max"),
             ({"preset": None, "oss": dict(SUMO_OSS, side_band=[1.0, 2.0, 3.0])}, "side_band"),
+            ({"oss": SUMO_OSS}, "oss"),
+            ({"reach_mode": "sideways"}, "reach_mode"),
+            ({"collision_rule": "x"}, "collision_rule"),
         ],
     )
     def test_unusable_config_value_exits_2(self, tmp_path, battery_csv, capsys, patch, named):
@@ -1025,6 +1029,14 @@ class TestCli:
             assert getattr(cfg, name) == value, name
         with pytest.raises(SystemExit):
             build_parser().parse_args(["analyze", "--out-dir", "x", "--reach-mode", "up"])
+
+    def test_preset_flag_replaces_the_config_oss_block(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"oss": SUMO_OSS}))
+        argv = ["analyze", "--config", str(cfg_path), "--preset", "sumo-lead", "--out-dir", "x"]
+        cfg = _build_config(build_parser().parse_args(argv))
+        assert cfg.oss is None and cfg.preset == "sumo-lead"
+        cfg.validate()
 
     def test_missing_input_exits_2(self, tmp_path):
         code = run_cli(

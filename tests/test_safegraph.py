@@ -12,13 +12,7 @@ from builders import segment, table
 from safeset.errors import DimensionMismatch
 from safeset.metrics import certify
 from safeset.oss import transitions
-from safeset.safegraph import (
-    REACH_MODES,
-    build_safe_graph,
-    extract_safe_states,
-    partition_transitions,
-    reachable,
-)
+from safeset.safegraph import REACH_MODES, extract_safe_states, partition_transitions
 
 S1, S2, S3 = (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)
 
@@ -33,22 +27,12 @@ def crash(values, tid="crash"):
     return segment(values, tid=tid, collisions=(0,))
 
 
-def chain_graph():
-    return build_safe_graph(table(segment([S1, S2, S3])))
-
-
-def edge_set(g):
-    vals = [tuple(v) for v in g.vertices.tolist()]
-    tail, head = g.adjacency.nonzero()
-    return {(vals[i], vals[j]) for i, j in zip(tail, head)}
+def chain():
+    return segment([S1, S2, S3])
 
 
 def vertex_mask(vertices, values):
     return np.array([tuple(v) in values for v in vertices.tolist()], dtype=bool)
-
-
-def reach(query, g, mode="undirected", match_radius=0.0):
-    return rows(g.vertices, reachable(query, g, mode, match_radius))
 
 
 def retained(ex):
@@ -59,68 +43,78 @@ def removed(ex):
     return rows(ex.vertices, ex.removed)
 
 
+def reach(query, safe, mode="undirected", match_radius=0.0):
+    """What one crash state at ``query`` prunes from the table ``safe``."""
+    return removed(extract_safe_states(table(safe, crash([query])), mode, match_radius))
+
+
 class TestGraphBuild:
+    # edges are observed through pruning: a crash state walks them
     def test_vertices_and_edges(self):
-        g = chain_graph()
-        assert rows(g.vertices) == {S1, S2, S3} and g.safe.all()
-        assert edge_set(g) == {(S1, S2), (S2, S3)}
-        assert g.adjacency.nnz == 2
+        ex = extract_safe_states(table(chain()))
+        assert rows(ex.vertices) == {S1, S2, S3} and ex.retained.all()
+        assert reach(S1, chain(), "descendants") == {S1, S2, S3}
+        assert reach(S3, chain(), "ancestors") == {S1, S2, S3}
+        assert reach(S1, chain(), "ancestors") == {S1}
+        assert reach(S3, chain(), "descendants") == {S3}
 
     def test_single_transition_registers_both_vertices(self):
-        g = build_safe_graph(table(segment([S1, S2])))
-        assert rows(g.vertices) == {S1, S2} and len(g) == 2
-        assert edge_set(g) == {(S1, S2)}
+        ex = extract_safe_states(table(segment([S1, S2])))
+        assert rows(ex.vertices) == {S1, S2} and len(ex.vertices) == 2
+        assert reach(S1, segment([S1, S2]), "descendants") == {S1, S2}
+        assert reach(S2, segment([S1, S2]), "descendants") == {S2}
 
     def test_duplicate_states_collapse(self):
-        g = build_safe_graph(table(segment([S1, S2]), segment([S1, S2], tid="t1")))
-        assert len(g) == 2 and g.adjacency.nnz == 1
-        assert g.ids.tolist() == [0, 1, 0, 1]
+        t = table(segment([S1, S2]), segment([S1, S2], tid="t1"))
+        ex = extract_safe_states(t)
+        assert len(ex.vertices) == 2
+        assert ex.ids.tolist() == [0, 1, 0, 1]
+        assert reach(S1, t, "descendants") == {S1, S2}
+        assert reach(S2, t, "descendants") == {S2}
 
     def test_frame_gaps_break_edges(self):
-        g = build_safe_graph(table(segment([S1, S2], frames=[0, 5])))
-        assert rows(g.vertices) == {S1, S2}
-        assert g.adjacency.nnz == 0
+        gapped = segment([S1, S2], frames=[0, 5])
+        assert rows(extract_safe_states(table(gapped)).vertices) == {S1, S2}
+        assert reach(S1, gapped, "descendants") == {S1}
+        assert reach(S1, gapped, "undirected") == {S1}
 
     def test_unsafe_segments_add_vertices_but_no_edges(self):
-        g = build_safe_graph(table(segment([S1, S2]), crash([S2, S3])))
-        assert rows(g.vertices) == {S1, S2, S3}
-        assert rows(g.vertices, g.safe) == {S1, S2}
-        assert edge_set(g) == {(S1, S2)}
+        t = table(segment([S1, S2]), crash([S2, S3]))
+        ex = extract_safe_states(t, mode="descendants")
+        assert rows(ex.vertices) == {S1, S2, S3}
+        # S3 is visited only by the crash, and its step S2 -> S3 is no edge
+        assert removed(ex) == {S2} and retained(ex) == {S1}
+        ex = extract_safe_states(t, mode="ancestors")
+        assert removed(ex) == {S1, S2} and retained(ex) == set()
 
 
 class TestReachable:
     def test_modes_on_chain(self):
-        g = chain_graph()
-        assert reach(S2, g, "ancestors") == {S1, S2}
-        assert reach(S2, g, "descendants") == {S2, S3}
-        assert reach(S2, g, "undirected") == {S1, S2, S3}
+        assert reach(S2, chain(), "ancestors") == {S1, S2}
+        assert reach(S2, chain(), "descendants") == {S2, S3}
+        assert reach(S2, chain(), "undirected") == {S1, S2, S3}
 
     def test_unmatched_query_is_empty(self):
-        g = chain_graph()
-        assert reach((9.0, 9.0), g) == set()
+        assert reach((9.0, 9.0), chain()) == set()
 
     def test_accepts_table_rows(self):
-        t = table(segment([S1, S2, S3]))
-        g = build_safe_graph(t)
-        assert reach(t.values[1], g, "ancestors") == {S1, S2}
+        t = chain()
+        assert reach(t.values[1], t, "ancestors") == {S1, S2}
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            reachable(S1, chain_graph(), "sideways")
+            reach(S1, chain(), "sideways")
 
     def test_match_radius_grabs_near_vertices(self):
-        g = chain_graph()
-        assert reach((2.05, 0.0), g, "descendants", match_radius=0.1) == {S2, S3}
-        assert reach((2.05, 0.0), g, "descendants", match_radius=0.01) == set()
+        assert reach((2.05, 0.0), chain(), "descendants", match_radius=0.1) == {S2, S3}
+        assert reach((2.05, 0.0), chain(), "descendants", match_radius=0.01) == set()
 
     def test_match_radius_is_chebyshev(self):
-        g = chain_graph()
         # Euclidean distance ~0.113 > 0.1, max-norm distance 0.08 <= 0.1
-        assert reach((2.08, 0.08), g, "descendants", match_radius=0.1) == {S2, S3}
+        assert reach((2.08, 0.08), chain(), "descendants", match_radius=0.1) == {S2, S3}
 
     def test_match_radius_can_seed_several(self):
-        g = chain_graph()
-        hit = reach((2.5, 0.0), g, "descendants", match_radius=0.6)
+        hit = reach((2.5, 0.0), chain(), "descendants", match_radius=0.6)
         assert hit == {S2, S3}  # seeds S2 and S3 both
 
 
@@ -166,9 +160,8 @@ class TestExtraction:
         t = table(segment([S1, S2, S3]), segment(far, tid="t1"), crash([S2]))
         ex = extract_safe_states(t, mode="undirected")
         assert retained(ex) == set(far)
-        # edges left among the retained vertices
-        tail, head = build_safe_graph(t).adjacency.nonzero()
-        assert int((ex.retained[tail] & ex.retained[head]).sum()) == 1
+        # transitions left among the retained vertices
+        assert partition_transitions(transitions(t), ex.ids, ex.retained).sum() == 1
 
     def test_match_radius_seeding(self):
         t = table(segment([S1, S2, S3]), crash([(2.05, 0.0)]))
@@ -234,19 +227,15 @@ class TestQueryValidation:
         t = table(segment([S1, S2, S3]), crash([S2]))
         with pytest.raises(ValueError):
             extract_safe_states(t, match_radius=radius)
-        with pytest.raises(ValueError):
-            reachable(S2, chain_graph(), match_radius=radius)
 
     @pytest.mark.parametrize("radius", [0.0, 0.5])
     def test_unsafe_state_of_other_dimension(self, radius):
-        # a table cannot mix dimensions, and a query must match the graph's
+        # a table cannot mix dimensions
         with pytest.raises(DimensionMismatch):
             extract_safe_states(
                 table(segment([S1, S2, S3]), crash([(2.0, 0.0, 0.0)])),
                 match_radius=radius,
             )
-        with pytest.raises(DimensionMismatch):
-            reachable((2.0, 0.0, 0.0), chain_graph(), match_radius=radius)
 
 
 # --------------------------------------------------------------------------
@@ -394,7 +383,7 @@ class TestAgainstReference:
         segs = _random_segments(safe_runs, [])
         crash_seg = _random_segments([], [[(query, 1)]])
         _, expected, _ = reference_extraction(segs + crash_seg, mode, radius)
-        assert reach(query, build_safe_graph(as_table(segs)), mode, radius) == expected
+        assert reach(query, as_table(segs), mode, radius) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -423,7 +412,7 @@ class TestAgainstReference:
                     )
                     for vals, frames, _, _ in safe_segs
                 ]
-                gone |= reach(q, build_safe_graph(as_table(left)), mode, radius)
+                gone |= reach(q, as_table(left), mode, radius)
         assert gone == removed(ex)
         remaining = {v for vals, _, _, _ in safe_segs for v in vals} - gone
         assert remaining == retained(ex)
