@@ -71,6 +71,16 @@ def _add_ingest_options(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer, or a usage error naming the flag."""
+    try:
+        if (value := int(text)) >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expects a non-negative integer, got {text!r}")
+
+
 def _parse_columns(pairs: list[str]) -> dict:
     mapping = {}
     for pair in pairs:
@@ -205,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a synthetic braking battery")
     p.add_argument("--policy", default="idm1", choices=sorted(IDM_PRESETS))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
@@ -241,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-exact-dim", dest="max_exact_dim", type=int, default=None)
     p.add_argument("--cluster-max", dest="cluster_max", type=int, default=None)
     p.add_argument("--mc-samples", dest="mc_samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--slice-cells", dest="slice_cells", type=int, default=None)
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.set_defaults(func=_cmd_analyze)

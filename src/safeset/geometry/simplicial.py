@@ -23,8 +23,11 @@ clamp enforces that bitwise). Two consequences used throughout:
   any larger included simplex would force the carrier in as a face.
 
 Membership has one path: a probe located in an excluded top is decided by
-its carrier, whose id is read off faces_of by dropping the top's
-unsupported vertex columns, so no face is searched for.
+its carrier, read as one bit of the top's row in the alpha shape's carrier
+table: bit p says whether the face on the top's sorted vertex columns
+{c : p >> c & 1} is included. ``alpha_complex`` fills the table from
+faces_of, one gather per pattern, so no face is searched for and the
+lattice is freed with the complex once alpha is chosen.
 
 The face lattice is built by one keyed routine for every level k >= 2:
 each face's vertices pack into one int64 key straight from its simplex's
@@ -103,19 +106,25 @@ def _dedupe_rows(points: np.ndarray) -> np.ndarray:
 
 def _rank(keys: np.ndarray) -> np.ndarray:
     """Replace each int64 key by its dense rank, in place, and return one
-    index per rank, in rank order."""
+    index per rank, in rank order.
+
+    The keys are read in sorted order 2**16 at a time, so no sorted copy
+    of them all is held beside ``keys`` and the order. A block's ranks go
+    over its own keys, none of which a later block reads."""
     order = np.argsort(keys)
-    ordered = keys[order]
     new = np.empty(len(keys), dtype=bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    # the running count of new keys takes the sorted keys' place; an int64
-    # copy first, as a bool cumsum into it would cast through a temporary
-    ordered[...] = new
-    np.cumsum(ordered, out=ordered)
-    ordered -= 1
-    keys[order] = ordered
-    del ordered
+    count, last = 0, None
+    for lo in range(0, len(keys), 1 << 16):
+        rows = order[lo : lo + (1 << 16)]
+        block = keys[rows]
+        fresh = new[lo : lo + len(rows)]
+        fresh[0] = last is None or block[0] != last
+        np.not_equal(block[1:], block[:-1], out=fresh[1:])
+        last = block[-1]
+        np.cumsum(fresh, out=block)
+        block += count - 1
+        count = block[-1] + 1
+        keys[rows] = block
     return order[new]
 
 
@@ -382,13 +391,15 @@ def delaunay(
 class AlphaShape(Shape):
     """The subcomplex of simplices with filtration value at most alpha. It
     holds only what membership and ``to_dict`` read, its KD-tree and hull
-    its own, so a complex no caller keeps is freed once alpha is chosen."""
+    its own, so a complex no caller keeps is freed once alpha is chosen:
+    ``carriers`` from :func:`_carrier_table` and the included simplex count
+    of every level."""
 
     points: np.ndarray
-    faces_of: dict[int, np.ndarray]
     tri: Delaunay = field(repr=False)
     alpha: float
-    included: dict[int, np.ndarray]
+    carriers: np.ndarray
+    included_counts: dict[int, int]
     measure: float
     component_count: int
     covers_vertices: bool
@@ -463,7 +474,7 @@ class AlphaShape(Shape):
 
         located = self.tri.find_simplex(qs, tol=1e-12)
         pending = np.flatnonzero(~hit & (located >= 0))
-        strict = self.included[self.dim][located[pending]]
+        strict = self._included(located[pending], 2 ** (self.dim + 1) - 1)
         hit[pending] = strict
         # an excluded landing simplex can still touch the point on an
         # included face; resolve those through the carrier
@@ -472,10 +483,15 @@ class AlphaShape(Shape):
         out[near] = hit
         return out
 
+    def _included(self, tops, patterns) -> np.ndarray:
+        """Whether the face of each top on the vertex columns of its pattern
+        is included: bit ``patterns`` of the tops' carrier rows."""
+        return (self.carriers[tops, patterns >> 3] >> (patterns & 7) & 1).astype(bool)
+
     def _carrier_members(self, qs: np.ndarray, tops: np.ndarray) -> np.ndarray:
         """Whether each probe's carrier in its landing top is included: the
         face on the vertices whose barycentric coordinate exceeds 1e-9, none
-        if one is below -1e-7. Probes with one support walk faces_of together."""
+        if one is below -1e-7."""
         verts = self.tri.simplices[tops]
         coords = self.points[verts]
         lam_rest = _solve(
@@ -485,15 +501,7 @@ class AlphaShape(Shape):
         inside = ~(lam < -1e-7).any(axis=1)
         # columns in sorted vertex order, as simplices[dim] holds the tops
         support = np.take_along_axis(lam > 1e-9, np.argsort(verts, axis=1), axis=1)
-        out = np.zeros(len(tops), dtype=bool)
-        for keep in np.unique(support[inside], axis=0):
-            rows = inside & (support == keep).all(axis=1)
-            fid, level = _face_ids(self.faces_of, self.dim, tops[rows], np.flatnonzero(keep))
-            out[rows] = self.included[level][fid]
-        return out
-
-    def included_counts(self) -> dict[int, int]:
-        return {k: int(mask.sum()) for k, mask in self.included.items()}
+        return inside & self._included(tops, support @ (1 << np.arange(self.dim + 1)))
 
     def to_dict(self) -> dict:
         return {
@@ -505,11 +513,41 @@ class AlphaShape(Shape):
             "covers_vertices": self.covers_vertices,
             "n_points": len(self.points),
             "points": self.points,
-            "included_counts": {str(k): v for k, v in self.included_counts().items()},
+            "included_counts": {str(k): v for k, v in self.included_counts.items()},
             "included_top_simplices": np.sort(
-                self.tri.simplices[self.included[self.dim]], axis=1
+                self.tri.simplices[self._included(slice(None), 2 ** (self.dim + 1) - 1)],
+                axis=1,
             ),
         }
+
+
+def _carrier_table(c: SimplicialComplex, included: dict[int, np.ndarray]) -> np.ndarray:
+    """One uint8 row per top, bit p of which says whether the face of the
+    top on sorted vertex columns {j : p >> j & 1} is ``included``; bit 0,
+    the empty face, is unset.
+
+    An included top has every face included, since inclusion is
+    face-closed, so only the excluded tops are walked. There a pattern's
+    face ids are one faces_of gather from those of its parent, the pattern
+    with its highest missing column added, so each pattern but the full one
+    costs one gather.
+    """
+    dim = c.dim
+    nonempty = np.packbits(np.arange(2 ** (dim + 1)) > 0, bitorder="little")
+    table = included[dim][:, None] * nonempty
+    tops = np.flatnonzero(~included[dim])
+    stack = [(2 ** (dim + 1) - 1, dim, tops)]
+    while stack:
+        pattern, level, fid = stack.pop()
+        table[tops, pattern >> 3] |= included[level][fid].view(np.uint8) << (pattern & 7)
+        if level == 0:
+            continue
+        # every column above the highest missing one is kept, so column
+        # col sits at position col less the dim - level missing ones
+        for col in range((~pattern & (2 ** (dim + 1) - 1)).bit_length(), dim + 1):
+            child = c.faces_of[level][fid, col - dim + level]
+            stack.append((pattern & ~(1 << col), level - 1, child))
+    return table
 
 
 def alpha_complex(c: SimplicialComplex, alpha: float) -> AlphaShape:
@@ -526,10 +564,10 @@ def alpha_complex(c: SimplicialComplex, alpha: float) -> AlphaShape:
     included = {k: c.filtration[k] <= alpha for k in c.filtration}
     return AlphaShape(
         points=c.points,
-        faces_of=c.faces_of,
         tri=c.tri,
         alpha=float(alpha),
-        included=included,
+        carriers=_carrier_table(c, included),
+        included_counts={k: int(mask.sum()) for k, mask in included.items()},
         measure=float(c.top_volumes[included[c.dim]].sum()),
         component_count=c.n_points - int(np.searchsorted(c.bottlenecks, alpha, "right")),
         covers_vertices=bool(c.cover_radius <= alpha),

@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .celltext import label_cells, number_cells, write_rows
-from .errors import MalformedRow, MissingColumn, NonMonotoneTime
+from .errors import MalformedRow, MissingColumn, NonMonotoneTime, SafesetError
 from .kinematics import SvJoin, boxes_overlap, sv_frame_offsets
 
 AGENT_TYPES = ("car", "truck", "pedestrian", "other")
@@ -552,6 +552,16 @@ class _ColumnReader:
         return SampleTable(columns, labels, has_lane)
 
 
+def check_field_names(fields: Iterable[str], where: str) -> None:
+    """Refuse a name in ``fields`` that is not a canonical field, naming
+    ``where`` the names came from."""
+    unknown = sorted(set(fields) - set(CANONICAL_FIELDS))
+    if unknown:
+        raise SafesetError(
+            f"{where}: unknown field {unknown[0]!r}; known fields: {', '.join(CANONICAL_FIELDS)}"
+        )
+
+
 def parse_trajectory_csv(
     path: str | Path,
     schema_options: Mapping[str, str] | None = None,
@@ -579,9 +589,7 @@ def parse_trajectory_csv(
     is preserved within each track.
     """
     remap = dict(schema_options or {})
-    unknown = set(remap) - set(CANONICAL_FIELDS)
-    if unknown:
-        raise MissingColumn(sorted(unknown)[0])
+    check_field_names(remap, "column map")
 
     with open(path, newline="") as fh:
         records = csv.reader(fh)

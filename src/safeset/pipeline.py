@@ -24,7 +24,13 @@ import numpy as np
 from . import geometry
 from .errors import DegenerateInput, ExclusionViolated, InvalidBeta, SafesetError
 from .geometry.montecarlo import MIN_SAMPLES
-from .ingest import LABEL_RULES, Dataset, label_collisions, parse_trajectory_csv
+from .ingest import (
+    LABEL_RULES,
+    Dataset,
+    check_field_names,
+    label_collisions,
+    parse_trajectory_csv,
+)
 from .metrics import (
     CoverageResult,
     EpsilonResult,
@@ -121,6 +127,7 @@ class AnalysisConfig:
             raise SafesetError(
                 f"columns must map field names to column headers, got {self.columns!r}"
             )
+        check_field_names(self.columns, "columns")
         self.resolve_spec()
 
     def resolve_spec(self) -> OssSpec:

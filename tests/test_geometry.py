@@ -5,6 +5,7 @@ import hashlib
 import math
 import tracemalloc
 import weakref
+from dataclasses import fields
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -197,11 +198,11 @@ def reference_carrier_included(c, shape, q, top):
         return False
     support = lam > 1e-9
     if support.all():
-        return bool(shape.included[c.dim][top])
+        return bool(c.filtration[c.dim][top] <= shape.alpha)
     carrier = np.sort(verts[support])
     k = len(carrier) - 1
     (fid,) = np.flatnonzero((c.simplices[k] == carrier).all(axis=1))
-    return bool(shape.included[k][fid])
+    return bool(c.filtration[k][fid] <= shape.alpha)
 
 
 def reference_membership(c, shape, qs):
@@ -213,7 +214,7 @@ def reference_membership(c, shape, qs):
     located = c.tri.find_simplex(qs, tol=1e-12)
     for i in np.flatnonzero(~exact & (located >= 0)):
         top = int(located[i])
-        exact[i] = shape.included[c.dim][top] or reference_carrier_included(
+        exact[i] = c.filtration[c.dim][top] <= shape.alpha or reference_carrier_included(
             c, shape, qs[i], top
         )
     return exact
@@ -227,12 +228,12 @@ def find(parent, a):
     return a
 
 
-def union_find_components(c, included):
-    """Components of the included simplices, each joined vertex by vertex
-    with union-find."""
+def union_find_components(c, alpha):
+    """Components of the simplices of filtration at most alpha, each joined
+    vertex by vertex with union-find."""
     parent = list(range(c.n_points))
     for k in range(1, c.dim + 1):
-        for row in c.simplices[k][included[k]]:
+        for row in c.simplices[k][c.filtration[k] <= alpha]:
             for u, v in zip(row, row[1:]):
                 parent[find(parent, int(u))] = find(parent, int(v))
     return len({find(parent, i) for i in range(c.n_points)})
@@ -728,8 +729,9 @@ class TestAlphaComplex:
         alphas = sorted(rng.random(4) * 1.2)
         shapes = [alpha_complex(c, a) for a in alphas]
         for lo, hi in zip(shapes, shapes[1:]):
-            for k in lo.included:
-                assert (hi.included[k] | ~lo.included[k]).all()  # nested
+            for k in c.filtration:  # nested
+                assert (c.filtration[k] <= hi.alpha)[c.filtration[k] <= lo.alpha].all()
+            assert not (lo.carriers & ~hi.carriers).any()
             assert hi.measure >= lo.measure - 1e-15
             assert hi.component_count <= lo.component_count
 
@@ -753,6 +755,57 @@ class TestAlphaComplex:
         assert shape.contains([1.0, 0.5])
         # and the corners always are
         assert shape.contains_batch(SQUARE).all()
+
+    @pytest.mark.parametrize(
+        "dim,n", [(2, 60), (3, 50), (4, 30), (5, 20), (6, 14), (3, "layered"), (3, "grid")]
+    )
+    def test_carrier_table_matches_face_walk(self, dim, n):
+        # bit p of a top's row is the inclusion of the face that _face_ids
+        # reaches on the top's sorted vertex columns {c : p >> c & 1}, for
+        # every top and every nonempty pattern, at alphas from no edge to
+        # every top; bit 0, the empty face, is unset
+        if n == "layered":
+            c = delaunay(layered_cloud(0))
+        elif n == "grid":
+            c = delaunay(np.indices((6, 6, 6)).reshape(3, -1).T.astype(float))
+        else:
+            c = delaunay(np.random.default_rng(dim * 100 + n).random((n, dim)))
+        tops = np.arange(len(c.simplices[dim]))
+        finite = c.filtration[dim][np.isfinite(c.filtration[dim])]
+        alphas = [0.0, float(np.median(c.filtration[1])), *np.quantile(finite, [0.1, 0.5, 1.0])]
+        for alpha in alphas:
+            shape = alpha_complex(c, alpha)
+            bits = np.unpackbits(shape.carriers, axis=1, bitorder="little").astype(bool)
+            assert bits.shape == (len(tops), 2 ** (dim + 1)) and not bits[:, 0].any()
+            for pattern in range(1, 2 ** (dim + 1)):
+                keep = [col for col in range(dim + 1) if pattern >> col & 1]
+                fid, level = _face_ids(c.faces_of, dim, tops, keep)
+                want = c.filtration[level][fid] <= alpha
+                assert np.array_equal(bits[:, pattern], want), (alpha, pattern)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_shape_holds_carrier_table_not_lattice(self, dim, monkeypatch):
+        # the shape keeps one row of carrier bits per top in place of the
+        # face lattice and its inclusion masks, and membership walks no face
+        rng = np.random.default_rng(dim)
+        c = delaunay(rng.random(({2: 60, 3: 50, 4: 30, 5: 20, 6: 14}[dim], dim)))
+        shape = alpha_complex(c, float(np.median(c.filtration[dim])))
+        assert not {"faces_of", "included"} & {f.name for f in fields(shape)}
+        assert not hasattr(shape, "faces_of") and not hasattr(shape, "included")
+        m = len(c.simplices[dim])
+        assert shape.carriers.dtype == np.uint8
+        assert shape.carriers.nbytes == m * max(1, 2 ** (dim + 1) // 8)
+
+        def walked(*args):
+            raise AssertionError("membership walked faces_of")
+
+        monkeypatch.setattr(simplicial, "_face_ids", walked)
+        qs = np.vstack([
+            c.points[c.simplices[1]].mean(axis=1),
+            c.points[c.simplices[2]].mean(axis=1),
+            rng.random((200, dim)),
+        ])
+        assert np.array_equal(shape.contains_batch(qs), reference_membership(c, shape, qs))
 
     @pytest.mark.parametrize("cloud", ["random", "lattice", "layered"])
     def test_membership_matches_find_simplex_reference(self, cloud):
@@ -809,7 +862,7 @@ class TestAlphaComplex:
         c = delaunay(rng.random((25, 2)))
         for alpha in [0.0, 0.1, 0.2, 0.35, 1.0]:
             shape = alpha_complex(c, alpha)
-            assert shape.component_count == union_find_components(c, shape.included)
+            assert shape.component_count == union_find_components(c, shape.alpha)
 
     def test_feasibility_on_tied_filtrations_matches_union_find(self):
         # on an integer grid many edges share a filtration value, so the
@@ -824,7 +877,7 @@ class TestAlphaComplex:
         below = np.nextafter(values, -np.inf)
         for alpha in [*values, *below, c.cover_radius, np.nextafter(c.cover_radius, 0.0)]:
             shape = alpha_complex(c, alpha)
-            assert shape.component_count == union_find_components(c, shape.included), alpha
+            assert shape.component_count == union_find_components(c, shape.alpha), alpha
             assert shape.covers_vertices == covered_vertices(c, alpha), alpha
 
     def test_nan_alpha_rejected(self):
@@ -963,8 +1016,11 @@ class TestAlphaSearch:
             assert res.alpha.hex() == alpha.hex()
             assert res.probes == tuple(probes)
             assert res.shape.component_count == 1 and res.shape.covers_vertices
-            for k, mask in res.shape.included.items():
-                assert np.array_equal(mask, c.filtration[k] <= alpha)
+            assert res.shape.included_counts == {
+                k: int((c.filtration[k] <= alpha).sum()) for k in c.filtration
+            }
+            tops = res.shape.to_dict()["included_top_simplices"]
+            assert np.array_equal(tops, c.simplices[c.dim][c.filtration[c.dim] <= alpha])
 
     @staticmethod
     def _probes(points):

@@ -139,6 +139,7 @@ class TestAnalysisConfig:
             ({"preset": None, "oss": dict(SUMO_OSS, side_band=[5.0, 1.0])}, SafesetError),
             ({"preset": None, "oss": dict(SUMO_OSS, side_band=[1.0, 1.0])}, SafesetError),
             ({"oss": SUMO_OSS}, SafesetError),  # a preset and an oss block
+            ({"columns": {"bogus": "x"}}, SafesetError),  # not a canonical field
         ],
     )
     def test_validation_rejects(self, patch, exc):
@@ -979,6 +980,7 @@ class TestCli:
             ({"oss": SUMO_OSS}, "oss"),
             ({"reach_mode": "sideways"}, "reach_mode"),
             ({"collision_rule": "x"}, "collision_rule"),
+            ({"columns": {"bogus": "x"}}, "columns"),
         ],
     )
     def test_unusable_config_value_exits_2(self, tmp_path, battery_csv, capsys, patch, named):
@@ -1060,6 +1062,23 @@ class TestCli:
             "--out", tmp_path / "o.csv",
         )
         assert code == EXIT_INVALID
+
+    def test_unknown_column_field_exits_2_naming_it(self, tmp_path, battery_csv, capsys):
+        code = run_cli(
+            "ingest", "--input", battery_csv, "--col", "foo=bar", "--out", tmp_path / "o.csv",
+        )
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "unknown field 'foo'" in err and "required column" not in err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "1.5"])
+    def test_negative_simulate_seed_exits_2_naming_the_flag(self, tmp_path, capsys, seed):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("simulate", "--policy", "idm0", "--seed", seed, "--out", tmp_path / "s.csv")
+        assert exc.value.code == EXIT_INVALID
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_exclusion_violation_exits_3(self, tmp_path):
         dataset = exclusion_trap_dataset()
