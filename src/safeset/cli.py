@@ -24,6 +24,7 @@ from pathlib import Path
 from .errors import ExclusionViolated, SafesetError
 from .ingest import (
     LABEL_RULES,
+    check_field_names,
     label_collisions,
     parse_trajectory_csv,
     write_collision_csv,
@@ -88,6 +89,7 @@ def _parse_columns(pairs: list[str]) -> dict:
             raise SafesetError(f"--col expects FIELD=HEADER, got {pair!r}")
         field, header = pair.split("=", 1)
         mapping[field.strip()] = header.strip()
+    check_field_names(mapping, "--col")
     return mapping
 
 

@@ -552,14 +552,17 @@ class _ColumnReader:
         return SampleTable(columns, labels, has_lane)
 
 
-def check_field_names(fields: Iterable[str], where: str) -> None:
-    """Refuse a name in ``fields`` that is not a canonical field, naming
-    ``where`` the names came from."""
-    unknown = sorted(set(fields) - set(CANONICAL_FIELDS))
+def check_field_names(columns: Mapping[str, str], where: str) -> None:
+    """Refuse a field of the column map ``columns`` that is not a canonical
+    field or that maps to an empty header, naming ``where`` the map came from."""
+    unknown = sorted(set(columns) - set(CANONICAL_FIELDS))
     if unknown:
         raise SafesetError(
             f"{where}: unknown field {unknown[0]!r}; known fields: {', '.join(CANONICAL_FIELDS)}"
         )
+    empty = sorted(f for f, header in columns.items() if not header)
+    if empty:
+        raise SafesetError(f"{where}: field {empty[0]!r} maps to an empty header")
 
 
 def parse_trajectory_csv(

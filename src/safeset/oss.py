@@ -113,8 +113,11 @@ class OssSpec:
     def bounds(self) -> np.ndarray:
         """Closed per-dimension intervals, shape (dim, 2)."""
         out = np.array([interval for _, interval, _ in self._layout()], dtype=float)
-        if not (out[:, 1] > out[:, 0]).all():
-            raise ValueError("every state-space interval must have positive width")
+        for name, (lo, hi) in zip(self.names, out):
+            if not hi > lo:
+                raise ValueError(
+                    f"every state-space interval must have positive width; {name} has [{lo}, {hi}]"
+                )
         return out
 
     def clearance(self, v0) -> np.ndarray:

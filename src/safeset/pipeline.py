@@ -45,7 +45,6 @@ from .safegraph import REACH_MODES, extract_safe_states, partition_transitions
 
 SCHEMA_VERSION = 1
 
-CLUSTER_MAX_LOW_DIM = 100_000
 CLUSTER_MAX_HIGH_DIM = 1_000
 
 
@@ -128,7 +127,9 @@ class AnalysisConfig:
                 f"columns must map field names to column headers, got {self.columns!r}"
             )
         check_field_names(self.columns, "columns")
-        self.resolve_spec()
+        spec = self.resolve_spec()
+        if self.cluster_max is not None and spec.dim <= 3:
+            raise SafesetError(f"cluster_max must be null: a {spec.dim}-D space is one shape")
 
     def resolve_spec(self) -> OssSpec:
         if self.preset is not None and self.oss is not None:
@@ -148,14 +149,11 @@ class AnalysisConfig:
             if key != "kind" and not all(map(_is_real, parts)):
                 raise SafesetError(f"oss key {key!r} has an unusable value {value!r}")
         try:
-            return OssSpec(**self.oss)
+            spec = OssSpec(**self.oss)
+            spec.bounds()
         except (TypeError, ValueError) as exc:
             raise SafesetError(f"invalid oss block: {exc}") from None
-
-    def effective_cluster_max(self, dim: int) -> int:
-        if self.cluster_max is not None:
-            return self.cluster_max
-        return CLUSTER_MAX_LOW_DIM if dim <= 3 else CLUSTER_MAX_HIGH_DIM
+        return spec
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -194,21 +192,6 @@ def _seed_ints(seed: int, n: int) -> list[int]:
     return [int(x) for x in np.random.SeedSequence(seed).generate_state(n)]
 
 
-def _build_low_dim_shape(points: np.ndarray, cfg: AnalysisConfig, info: dict):
-    """Single tuned alpha shape; DegenerateInput propagates for fallback."""
-    result = geometry.search_optimal_alpha(
-        points,
-        lo=cfg.alpha_lo,
-        hi=cfg.alpha_hi,
-        threshold=cfg.alpha_threshold,
-        max_exact_dim=cfg.max_exact_dim,
-    )
-    info["alpha"] = result.alpha
-    info["search_probes"] = [[a, bool(ok)] for a, ok in result.probes]
-    info["component_count"] = result.shape.component_count
-    return result.shape
-
-
 def _wrap_member(
     points: np.ndarray, cfg: AnalysisConfig, dim: int, seed: int, info: dict
 ):
@@ -216,10 +199,15 @@ def _wrap_member(
     the points are degenerate, a convex wrap measured with ``seed``."""
     if dim <= cfg.max_exact_dim:
         try:
-            shape = _build_low_dim_shape(points, cfg, info)
+            result = geometry.search_optimal_alpha(
+                points, cfg.alpha_lo, cfg.alpha_hi, cfg.alpha_threshold, cfg.max_exact_dim
+            )
             info["kind"] = "alpha_shape"
-            info["measure"] = shape.measure
-            return shape
+            info["alpha"] = result.alpha
+            info["search_probes"] = [[a, bool(ok)] for a, ok in result.probes]
+            info["component_count"] = result.shape.component_count
+            info["measure"] = result.shape.measure
+            return result.shape
         except DegenerateInput:
             info["degenerate_fallback"] = True
     hull = geometry.ConvexHullShape(points)
@@ -232,12 +220,14 @@ def _wrap_member(
 def _wrap_points(
     points: np.ndarray, cfg: AnalysisConfig, dim: int
 ) -> tuple[object | None, dict]:
-    """Build the working shape for the (normalized, unique) retained states."""
+    """Build the working shape for the (normalized, unique) retained states:
+    one shape up to 3 dimensions; above that, a union of per-leaf shapes for
+    a set over ``cluster_max`` or a dimension over ``max_exact_dim``."""
     info: dict = {"kind": "empty", "n_points": int(len(points))}
     if len(points) == 0:
         return None, info
-    cluster_max = cfg.effective_cluster_max(dim)
-    if dim <= cfg.max_exact_dim and len(points) <= cluster_max:
+    cluster_max = cfg.cluster_max or CLUSTER_MAX_HIGH_DIM
+    if dim <= 3 or (dim <= cfg.max_exact_dim and len(points) <= cluster_max):
         return _wrap_member(points, cfg, dim, _seed_ints(cfg.seed, 1)[0], info), info
 
     leaves = geometry.hierarchical_cluster(points, cluster_max, seed=cfg.seed)

@@ -1026,6 +1026,9 @@ class TestAlphaSearch:
     def _probes(points):
         """Vertices, 400 edge midpoints, probes hull_margin inside and
         outside each hull facet along its normal, far and non-finite points."""
+        d = points.shape[1]
+        non_finite = np.full((3, d), 0.5)
+        non_finite[0, 0], non_finite[1, 1], non_finite[2, :3] = np.nan, np.inf, [-np.inf, 0.0, np.nan]
         c = delaunay(points)
         hull = ConvexHull(c.points)
         margin = hull_margin(c.points.min(axis=0), c.points.max(axis=0))
@@ -1035,8 +1038,8 @@ class TestAlphaSearch:
         return np.vstack([
             c.points, mids[rng.permutation(len(mids))[:400]],
             corners - margin * normals, corners + margin * normals,
-            c.points.mean(axis=0) + 10.0 * rng.standard_normal((20, 3)),
-            [[np.nan, 0.5, 0.5], [0.5, np.inf, 0.5], [-np.inf, 0.0, np.nan]],
+            c.points.mean(axis=0) + 10.0 * rng.standard_normal((20, d)),
+            non_finite,
         ])
 
     @staticmethod
@@ -1072,8 +1075,8 @@ class TestAlphaSearch:
         # every alpha-shape member of a union built by the pipeline lets its
         # complex go, and the union and each member answer as before
         refs = self._recorded_complexes(monkeypatch)
-        pts = np.random.default_rng(5).random((800, 3))
-        union, info = pipeline._wrap_points(pts, pipeline.AnalysisConfig(cluster_max=200), 3)
+        pts = np.random.default_rng(5).random((800, 4))
+        union, info = pipeline._wrap_points(pts, pipeline.AnalysisConfig(cluster_max=200), 4)
         assert info["kind"] == "shape_union" and len(union.shapes) >= 4
         assert all(isinstance(s, AlphaShape) for s in union.shapes)
         qs = self._probes(pts)
@@ -1161,6 +1164,39 @@ class TestClustering:
         digest = hashlib.sha256(np.array([len(ix) for ix in leaves], dtype=np.int64))
         digest.update(np.concatenate(leaves).astype(np.int64))
         assert digest.hexdigest() == want
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 13])
+    @pytest.mark.parametrize("cloud", ["uniform", "walk"])
+    def test_leaves_are_pairwise_separated_by_a_hyperplane(self, cloud, dim):
+        """Each split assigns every point to the nearer of two centres, or
+        moves one extreme point to an emptied side, so the hulls of two
+        leaves meet at most on the hyperplane of their lowest common split:
+        an LP finds w, b with A.w <= b <= B.w and (mean B - mean A).w = 1."""
+        from scipy.optimize import linprog
+
+        rng = np.random.default_rng(dim)
+        if cloud == "uniform":
+            pts = rng.random((1500, dim))
+        else:
+            pts = np.cumsum(rng.standard_normal((1500, dim)), axis=0)
+        leaves = hierarchical_cluster(pts, 200, seed=dim)
+        assert len(leaves) >= 8
+        for ia, ib in combinations(leaves, 2):
+            a, b = pts[ia], pts[ib]
+            # variables (w, b): A.w - b <= 0 and b - B.w <= 0
+            a_ub = np.vstack([
+                np.column_stack([a, -np.ones(len(a))]),
+                np.column_stack([-b, np.ones(len(b))]),
+            ])
+            a_eq = np.append(b.mean(axis=0) - a.mean(axis=0), 0.0)[None]
+            res = linprog(
+                np.zeros(dim + 1), A_ub=a_ub, b_ub=np.zeros(len(a_ub)),
+                A_eq=a_eq, b_eq=[1.0], bounds=(None, None), method="highs",
+            )
+            assert res.status == 0
+            w, offset = res.x[:-1], res.x[-1]
+            tol = 1e-7 * max(1.0, np.abs(offset))
+            assert (a @ w <= offset + tol).all() and (b @ w >= offset - tol).all()
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -48,12 +48,11 @@ from safeset.ingest import (
 from safeset.oss import OSS_KINDS, PRESETS, OssSpec, extract_states
 from safeset.pipeline import (
     CLUSTER_MAX_HIGH_DIM,
-    CLUSTER_MAX_LOW_DIM,
     SCHEMA_VERSION,
     AnalysisConfig,
     run_analysis,
 )
-from safeset.geometry import ConvexHullShape, ShapeUnion, alpha_complex, delaunay
+from safeset.geometry import AlphaShape, ConvexHullShape, ShapeUnion, alpha_complex, delaunay
 from safeset.report import (
     REPORT_SCHEMA,
     _shape_document,
@@ -140,6 +139,10 @@ class TestAnalysisConfig:
             ({"preset": None, "oss": dict(SUMO_OSS, side_band=[1.0, 1.0])}, SafesetError),
             ({"oss": SUMO_OSS}, SafesetError),  # a preset and an oss block
             ({"columns": {"bogus": "x"}}, SafesetError),  # not a canonical field
+            ({"columns": {"frame": ""}}, SafesetError),  # an empty header
+            # a space of at most 3 dimensions is always wrapped in one shape
+            ({"preset": "ncap-lead", "cluster_max": 500}, SafesetError),
+            ({"preset": None, "oss": SUMO_OSS, "cluster_max": 500}, SafesetError),
         ],
     )
     def test_validation_rejects(self, patch, exc):
@@ -149,12 +152,31 @@ class TestAnalysisConfig:
         with pytest.raises(exc):
             cfg.validate()
 
-    def test_effective_cluster_max(self):
-        cfg = AnalysisConfig(preset="sumo-lead")
-        assert cfg.effective_cluster_max(3) == CLUSTER_MAX_LOW_DIM
-        assert cfg.effective_cluster_max(13) == CLUSTER_MAX_HIGH_DIM
-        cfg.cluster_max = 500
-        assert cfg.effective_cluster_max(3) == 500
+    @pytest.mark.parametrize(
+        "settings", [{"preset": "highd-multi"}, {"oss": dict(SUMO_OSS, kind="multi_vehicle")}]
+    )
+    def test_cluster_max_accepted_above_three_dimensions(self, settings):
+        AnalysisConfig(**settings, cluster_max=500).validate()
+
+    @pytest.mark.parametrize(
+        "oss, named",
+        [
+            (dict(SUMO_OSS, p_min=40.0, p_max=0.0), "p"),
+            ({"kind": "vehicle_pedestrian", "v_min": 0.0, "v_max": 25.0}, "p_left"),
+            (dict(SUMO_OSS, kind="combined", q_max=2.0, ped_p_max=30.0, p_max=0.0), "p_fl"),
+        ],
+    )
+    def test_empty_interval_refused_before_the_csv_is_read(self, monkeypatch, oss, named):
+        # validate names the first dimension whose interval has no width,
+        # and run_analysis stops there without parsing its input
+        parsed = []
+        monkeypatch.setattr(pipeline, "parse_trajectory_csv", lambda *a, **k: parsed.append(a))
+        cfg = AnalysisConfig(oss=oss, input_csv="never-read.csv")
+        with pytest.raises(SafesetError, match=f"; {named} has "):
+            cfg.validate()
+        with pytest.raises(SafesetError, match=f"; {named} has "):
+            run_analysis(cfg)
+        assert parsed == []
 
     def test_dict_round_trip(self):
         cfg = AnalysisConfig(preset="sumo-lead", beta=0.01, seed=3)
@@ -170,6 +192,30 @@ class TestAnalysisConfig:
         path.write_text(json.dumps({"preset": "ncap-lead", "seed": 9}))
         cfg = AnalysisConfig.from_json(path)
         assert cfg.preset == "ncap-lead" and cfg.seed == 9
+
+
+class _Clustered(Exception):
+    pass
+
+
+def test_wrap_points_never_clusters_up_to_three_dimensions(monkeypatch):
+    # above 3 dimensions a set over cluster_max is clustered, with
+    # CLUSTER_MAX_HIGH_DIM when none is set; at most 3 it is one alpha shape
+    caps = []
+
+    def clustering(points, cap, seed):
+        caps.append(cap)
+        raise _Clustered
+
+    monkeypatch.setattr(pipeline.geometry, "hierarchical_cluster", clustering)
+    rng = np.random.default_rng(0)
+    shape, info = pipeline._wrap_points(rng.random((1200, 3)), AnalysisConfig(cluster_max=200), 3)
+    assert isinstance(shape, AlphaShape) and info["kind"] == "alpha_shape"
+    assert caps == []
+    for cfg, cap in ((AnalysisConfig(), CLUSTER_MAX_HIGH_DIM), (AnalysisConfig(cluster_max=200), 200)):
+        with pytest.raises(_Clustered):
+            pipeline._wrap_points(rng.random((1200, 4)), cfg, 4)
+        assert caps.pop() == cap
 
 
 def small_battery(crash=False):
@@ -981,6 +1027,10 @@ class TestCli:
             ({"reach_mode": "sideways"}, "reach_mode"),
             ({"collision_rule": "x"}, "collision_rule"),
             ({"columns": {"bogus": "x"}}, "columns"),
+            ({"columns": {"frame": ""}}, "frame"),
+            ({"cluster_max": 500}, "cluster_max"),
+            ({"preset": None, "oss": {"kind": "vehicle_pedestrian", "v_min": 0, "v_max": 25}},
+             "p_left"),
         ],
     )
     def test_unusable_config_value_exits_2(self, tmp_path, battery_csv, capsys, patch, named):
@@ -1071,6 +1121,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert "unknown field 'foo'" in err and "required column" not in err
         assert not (tmp_path / "o.csv").exists()
+
+    def test_empty_column_header_exits_2_naming_the_field(self, tmp_path, battery_csv, capsys):
+        code = run_cli(
+            "ingest", "--input", battery_csv, "--col", "frame=", "--out", tmp_path / "o.csv",
+        )
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "--col: field 'frame' maps to an empty header" in err
+        assert "required column" not in err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_cluster_max_for_a_3d_space_exits_2(self, tmp_path, battery_csv, capsys):
+        code = run_cli(
+            "analyze", "--input", battery_csv, "--preset", "ncap-lead",
+            "--cluster-max", "500", "--out-dir", tmp_path / "x",
+        )
+        assert code == EXIT_INVALID
+        assert "cluster_max" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("seed", ["-1", "1.5"])
     def test_negative_simulate_seed_exits_2_naming_the_flag(self, tmp_path, capsys, seed):
