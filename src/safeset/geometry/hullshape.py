@@ -7,13 +7,13 @@ exponential facet enumeration and works in any dimension.
 Membership runs the cheapest rejections first. Each is a necessary
 condition for acceptance, so the verdict is that of the exact test alone:
 
-1. the bounding box, widened by ``simplicial.hull_margin`` (non-finite
-   queries fail here);
+1. the bounding box, widened by the snap tolerance ``simplicial.snap_tol``
+   (non-finite queries fail here);
 2. the normal residual: the query's largest offset from the affine hull
    of the points along its normal directions, which one SVD finds at
    construction;
-3. acceptance within a tiny distance of a hull point (KD-tree);
-4. the exact bounding box and random support-direction cuts;
+3. acceptance within the snap tolerance of a hull point (KD-tree);
+4. random support-direction cuts;
 5. a non-negative least-squares fit, which answers the common case fast,
    and an exact LP feasibility check for everything the fit cannot
    certify.
@@ -111,10 +111,11 @@ class ConvexHullShape(Shape):
         self._lp_cost = np.zeros(len(self.points))
 
         # Affine hull: every point lies within tau = RANK_TOL x sigma_max of
-        # the mean along each normal. The full right basis needs the square
-        # U only when there are fewer points than dimensions.
+        # the mean along each normal. A constant column is flat, not the
+        # mean's rounding error. The full right basis needs the square U
+        # only when there are fewer points than dimensions.
         n, d = self.points.shape
-        _, sigma, vt = np.linalg.svd(centred, full_matrices=n < d)
+        _, sigma, vt = np.linalg.svd(np.where(hi > lo, centred, 0.0), full_matrices=n < d)
         sigma = np.concatenate([sigma, np.zeros(d - len(sigma))])
         tau = RANK_TOL * float(sigma.max(initial=0.0))
         flat = sigma <= tau
@@ -161,21 +162,18 @@ class ConvexHullShape(Shape):
         qs = self.queries(qs)
         out = np.zeros(len(qs), dtype=bool)
         lo, hi = self._bbox[:, 0], self._bbox[:, 1]
-        m = self._margin
-        idx = np.flatnonzero(((qs >= lo - m) & (qs <= hi + m)).all(axis=1))
+        tol = self._snap
+        idx = np.flatnonzero(((qs >= lo - tol) & (qs <= hi + tol)).all(axis=1))
         if self._normals.shape[1] and len(idx):
             offset = np.abs((qs[idx] - self._mean) @ self._normals).max(axis=1)
             idx = idx[offset <= self._normal_bound]
         if not len(idx):
             return out
         sub = qs[idx]
-        tol = self._snap
         dist, _ = self._kdtree.query(sub)
         near = dist <= tol
         out[idx[near]] = True
-        rest = np.flatnonzero(
-            ~near & ((sub >= lo - tol) & (sub <= hi + tol)).all(axis=1)
-        )
+        rest = np.flatnonzero(~near)
         if len(rest):
             proj = sub[rest] @ self._cut_dirs.T
             in_cuts = (

@@ -22,12 +22,17 @@ clamp enforces that bitwise). Two consequences used throughout:
   minimal simplex of the triangulation containing it, is included, since
   any larger included simplex would force the carrier in as a face.
 
+A pattern p names the face of a k-simplex on its sorted vertex columns
+{c : p >> c & 1}, for 0 < p < 2**(k + 1). One walk, ``_subset_faces``,
+reads every pattern's face ids from faces_of, one gather per pattern; the
+filtration reads the balls of a simplex's faces through it, and the
+carrier table its faces' inclusion.
+
 Membership has one path: a probe located in an excluded top is decided by
-its carrier, read as one bit of the top's row in the alpha shape's carrier
-table: bit p says whether the face on the top's sorted vertex columns
-{c : p >> c & 1} is included. ``alpha_complex`` fills the table from
-faces_of, one gather per pattern, so no face is searched for and the
-lattice is freed with the complex once alpha is chosen.
+its carrier, read as bit p of the top's row in the alpha shape's carrier
+table, p the carrier's pattern. ``alpha_complex`` fills the table, so no
+face is searched for and the lattice is freed with the complex once alpha
+is chosen.
 
 The face lattice is built by one keyed routine for every level k >= 2:
 each face's vertices pack into one int64 key straight from its simplex's
@@ -43,7 +48,6 @@ lattice's entry count x 8 bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from math import factorial
 
 import numpy as np
@@ -172,41 +176,24 @@ def _faces(cur: np.ndarray, n_pts: int) -> tuple[np.ndarray, np.ndarray]:
     return faces, ids
 
 
-def _face_ids(faces_of: dict[int, np.ndarray], k: int, fid, keep) -> tuple[np.ndarray, int]:
-    """Ids and level of the faces on sorted vertex columns ``keep`` of the
-    k-simplices ``fid``. Dropping the other columns highest first, one
-    face level at a time, keeps the remaining ones in place."""
-    for col in range(k, -1, -1):
-        if col not in keep:
-            fid = faces_of[k][fid, col]
-            k -= 1
-    return fid, k
+def _subset_faces(
+    faces_of: dict[int, np.ndarray], k: int, fid
+) -> dict[int, tuple[int, np.ndarray]]:
+    """The face of each of the k-simplices ``fid`` on every nonempty
+    pattern of vertex columns, as {pattern: (level, ids)}.
 
-
-def _subset_ball(
-    balls: dict[int, Balls],
-    faces_of: dict[int, np.ndarray],
-    k: int,
-    rows: slice,
-    cols: np.ndarray,
-    idx: tuple[int, ...],
-) -> tuple[np.ndarray, Balls]:
-    """Circumballs of vertex subset ``idx`` of the k-simplices ``rows``.
-
-    The full vertex set, given as (k + 1, n, m) coordinate columns, is
-    solved here and, below the top level, stored in ``balls[k]`` for the
-    level above; no simplex has a top as a face. A proper subset is a face
-    already solved at a lower level.
+    A pattern's face ids are one faces_of gather from those of its parent,
+    the pattern with its highest missing column added. The parent misses
+    only columns below that one, so the column sits at its own position
+    less the k - level columns the parent misses.
     """
-    if len(idx) == k + 1:
-        solved = ball_table(cols)
-        if k not in balls:
-            return np.arange(cols.shape[2]), solved
-        for table, block in zip(balls[k], solved):
-            table[..., rows] = block
-        return np.arange(rows.start, rows.start + cols.shape[2]), balls[k]
-    fid, level = _face_ids(faces_of, k, rows, idx)
-    return fid, balls[level]
+    full = 2 ** (k + 1) - 1
+    faces = {full: (k, fid)}
+    for pattern in range(full - 1, 0, -1):
+        col = (~pattern & full).bit_length() - 1
+        level, ids = faces[pattern | 1 << col]
+        faces[pattern] = level - 1, faces_of[level][ids, col - k + level]
+    return faces
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -230,10 +217,11 @@ def _filtration(
     """Minimum-enclosing-ball radius of every simplex, level by level.
 
     Each simplex's circumball is solved and tested against its own
-    vertices once, so meb_radii reads the balls of a simplex's proper
-    faces by face id instead of solving them again for every cofacet.
-    Levels run in blocks of MEB_BLOCK simplices, which bounds the
-    temporaries.
+    vertices once, where meb_radii asks for its full vertex set, and below
+    the top level stored for the level above; the ball of a proper subset
+    is read by face id from the level already solved, instead of solving
+    it again for every cofacet. Levels run in blocks of MEB_BLOCK
+    simplices, which bounds the temporaries.
     """
     dim = points.shape[1]
     filtration = {0: np.zeros(points.shape[0])}
@@ -246,11 +234,21 @@ def _filtration(
         for lo in range(0, m, MEB_BLOCK):
             rows = slice(lo, lo + MEB_BLOCK)
             cols = columns(points[simplices[k][rows]])
+            faces = _subset_faces(faces_of, k, rows)
+
+            def subset_ball(idx: tuple[int, ...]) -> tuple[np.ndarray, Balls]:
+                level, ids = faces[sum(1 << c for c in idx)]
+                if level < k:
+                    return ids, balls[level]
+                solved = ball_table(cols)
+                if k == dim:
+                    return np.arange(cols.shape[2]), solved
+                for table, block in zip(balls[k], solved):
+                    table[..., rows] = block
+                return np.arange(lo, lo + cols.shape[2]), balls[k]
+
             # an (m, j, n) view whose columns meb_radii takes without a copy
-            filtration[k][rows] = meb_radii(
-                cols.transpose(2, 0, 1),
-                partial(_subset_ball, balls, faces_of, k, rows, cols),
-            )
+            filtration[k][rows] = meb_radii(cols.transpose(2, 0, 1), subset_ball)
     return filtration
 
 
@@ -522,31 +520,19 @@ class AlphaShape(Shape):
 
 
 def _carrier_table(c: SimplicialComplex, included: dict[int, np.ndarray]) -> np.ndarray:
-    """One uint8 row per top, bit p of which says whether the face of the
-    top on sorted vertex columns {j : p >> j & 1} is ``included``; bit 0,
-    the empty face, is unset.
+    """One uint8 row per top, bit p of which says whether the top's face
+    on pattern p is ``included``; bit 0, the empty face, is unset.
 
     An included top has every face included, since inclusion is
-    face-closed, so only the excluded tops are walked. There a pattern's
-    face ids are one faces_of gather from those of its parent, the pattern
-    with its highest missing column added, so each pattern but the full one
-    costs one gather.
+    face-closed, so only the excluded tops' faces are read, from
+    :func:`_subset_faces`.
     """
     dim = c.dim
     nonempty = np.packbits(np.arange(2 ** (dim + 1)) > 0, bitorder="little")
     table = included[dim][:, None] * nonempty
     tops = np.flatnonzero(~included[dim])
-    stack = [(2 ** (dim + 1) - 1, dim, tops)]
-    while stack:
-        pattern, level, fid = stack.pop()
+    for pattern, (level, fid) in _subset_faces(c.faces_of, dim, tops).items():
         table[tops, pattern >> 3] |= included[level][fid].view(np.uint8) << (pattern & 7)
-        if level == 0:
-            continue
-        # every column above the highest missing one is kept, so column
-        # col sits at position col less the dim - level missing ones
-        for col in range((~pattern & (2 ** (dim + 1) - 1)).bit_length(), dim + 1):
-            child = c.faces_of[level][fid, col - dim + level]
-            stack.append((pattern & ~(1 << col), level - 1, child))
     return table
 
 

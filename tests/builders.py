@@ -88,6 +88,18 @@ def epsilon_bar_bruteforce(labels: Sequence[bool], beta: float) -> float:
     return total / count
 
 
+def face_ids(faces_of, k, fid, keep):
+    """Oracle ids and level of the faces on sorted vertex columns ``keep``
+    of the k-simplices ``fid``, walked top down: dropping the other columns
+    highest first, one face level at a time, keeps the remaining ones in
+    place."""
+    for col in range(k, -1, -1):
+        if col not in keep:
+            fid = faces_of[k][fid, col]
+            k -= 1
+    return fid, k
+
+
 def rigid_motion(d, theta, tx, ty):
     """Rotate positions and velocities by theta and translate positions."""
     c, s = np.cos(theta), np.sin(theta)

@@ -21,6 +21,7 @@ import safeset.geometry.hullshape as hullshape
 import safeset.geometry.search as search
 import safeset.geometry.simplicial as simplicial
 import safeset.pipeline as pipeline
+from builders import face_ids
 from safeset.errors import (
     DegenerateInput,
     DimensionMismatch,
@@ -43,10 +44,10 @@ from safeset.geometry import (
 from safeset.geometry.montecarlo import McVolume
 from safeset.geometry.simplicial import (
     HULL_MARGIN,
-    _face_ids,
     _faces,
     _id_dtype,
     _solve,
+    _subset_faces,
     hull_margin,
 )
 
@@ -565,11 +566,47 @@ class TestDelaunay:
         reached = {k: np.zeros(len(c.simplices[k]), dtype=bool) for k in range(dim + 1)}
         for size in range(1, dim + 2):
             for keep in combinations(range(dim + 1), size):
-                fid, level = _face_ids(c.faces_of, dim, np.arange(len(tops)), keep)
+                fid, level = face_ids(c.faces_of, dim, np.arange(len(tops)), keep)
                 assert level == size - 1
                 assert np.array_equal(c.simplices[level][fid], tops[:, list(keep)])
                 reached[level][fid] = True
         assert all(r.all() for r in reached.values())
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_subset_faces_match_the_top_down_walk(self, k):
+        # one entry for each nonempty pattern of the k + 1 vertex columns,
+        # holding the face the top-down oracle reaches on those columns, for
+        # a slice of the k-simplices and an index array with repeats
+        rng = np.random.default_rng(k)
+        dim = max(k, 2)
+        c = delaunay(rng.random(({2: 30, 3: 40, 4: 30, 5: 20, 6: 14}[dim], dim)))
+        m = len(c.simplices[k])
+        for fid in (slice(1, None, 2), rng.integers(0, m, 2 * m)):
+            faces = _subset_faces(c.faces_of, k, fid)
+            assert sorted(faces) == list(range(1, 2 ** (k + 1)))
+            for pattern, (level, ids) in faces.items():
+                keep = [col for col in range(k + 1) if pattern >> col & 1]
+                want, want_level = face_ids(c.faces_of, k, fid, keep)
+                assert level == want_level == len(keep) - 1
+                rows = np.arange(len(c.simplices[level]))
+                assert np.array_equal(rows[ids], rows[want])
+                assert np.array_equal(c.simplices[level][ids], c.simplices[k][fid][:, keep])
+
+    def test_delaunay_leaves_no_reference_cycle(self):
+        # the filtration's face tables, balls and callbacks are freed by
+        # reference counting when delaunay returns, and so is the lattice
+        # when the complex goes, with no collection
+        pts = np.random.default_rng(7).random((400, 3))
+        gc.collect()
+        gc.disable()
+        try:
+            c = delaunay(pts)
+            refs = [weakref.ref(ids) for ids in c.faces_of.values()]
+            del c
+            assert all(ref() is None for ref in refs)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_duplicates_dropped(self):
         pts = np.vstack([SQUARE, SQUARE[:2]])
@@ -760,7 +797,7 @@ class TestAlphaComplex:
         "dim,n", [(2, 60), (3, 50), (4, 30), (5, 20), (6, 14), (3, "layered"), (3, "grid")]
     )
     def test_carrier_table_matches_face_walk(self, dim, n):
-        # bit p of a top's row is the inclusion of the face that _face_ids
+        # bit p of a top's row is the inclusion of the face that face_ids
         # reaches on the top's sorted vertex columns {c : p >> c & 1}, for
         # every top and every nonempty pattern, at alphas from no edge to
         # every top; bit 0, the empty face, is unset
@@ -779,7 +816,7 @@ class TestAlphaComplex:
             assert bits.shape == (len(tops), 2 ** (dim + 1)) and not bits[:, 0].any()
             for pattern in range(1, 2 ** (dim + 1)):
                 keep = [col for col in range(dim + 1) if pattern >> col & 1]
-                fid, level = _face_ids(c.faces_of, dim, tops, keep)
+                fid, level = face_ids(c.faces_of, dim, tops, keep)
                 want = c.filtration[level][fid] <= alpha
                 assert np.array_equal(bits[:, pattern], want), (alpha, pattern)
 
@@ -799,7 +836,7 @@ class TestAlphaComplex:
         def walked(*args):
             raise AssertionError("membership walked faces_of")
 
-        monkeypatch.setattr(simplicial, "_face_ids", walked)
+        monkeypatch.setattr(simplicial, "_subset_faces", walked)
         qs = np.vstack([
             c.points[c.simplices[1]].mean(axis=1),
             c.points[c.simplices[2]].mean(axis=1),
@@ -1259,6 +1296,22 @@ class TestConvexHullShape:
         pts = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
         hull = ConvexHullShape(pts)
         res = hull.estimate_measure(seed=0, n_samples=5000)
+        assert res.estimate == 0.0 and res.n_samples == 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_constant_column_is_flat_beside_narrow_columns(self, seed):
+        # an exactly constant column centres to the mean's rounding error,
+        # which beats RANK_TOL x sigma_max beside columns 1e-5 wide; read as
+        # a spread, it would make the flat wrap full rank with a box of zero
+        # width, which estimate_measure cannot sample
+        rng = np.random.default_rng(seed)
+        pts = np.column_stack(
+            [0.3 + 1e-5 * rng.random(94), np.full(94, 0.304), 0.7 + 1e-5 * rng.random(94)]
+        )
+        hull = ConvexHullShape(pts)
+        assert hull.affine_rank == 2
+        assert hull.contains_batch(pts).all()
+        res = hull.estimate_measure(seed=0, n_samples=2000)
         assert res.estimate == 0.0 and res.n_samples == 0
 
     def test_tilted_plane_measures_zero_without_sampling(self):
