@@ -10,7 +10,7 @@ Subcommands::
 
 Exit codes: 0 success, 2 invalid input or configuration (including I/O
 failures), 3 analysis completed but an excluded state fell inside the
-fitted shape.
+fitted shape. Only ``analyze`` imports the pipeline, and with it scipy.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from .ingest import (
     write_trajectory_csv,
 )
 from .oss import PRESETS, export_states_csv, extract_states
-from .pipeline import AnalysisConfig, run_analysis
-from .report import emit_report
 from .safegraph import REACH_MODES
 from .simgen import IDM_PRESETS, ncap_battery, simulate_battery
 
@@ -141,10 +139,12 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_config(args: argparse.Namespace) -> AnalysisConfig:
+def _build_config(args: argparse.Namespace):
     """The config file's settings, overridden by every analyze flag given;
     each flag's dest is the name of its config field, and ``--preset``
     replaces the file's oss block."""
+    from .pipeline import AnalysisConfig
+
     cfg = AnalysisConfig.from_json(args.config) if args.config is not None else AnalysisConfig()
     flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(AnalysisConfig)}
     if args.preset is not None:
@@ -187,6 +187,9 @@ def _summary_lines(data: dict) -> list[str]:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .pipeline import run_analysis
+    from .report import emit_report
+
     cfg = _build_config(args)
     report = run_analysis(cfg)
     paths = emit_report(report, args.out_dir)

@@ -3,9 +3,9 @@
 Point sets too large for one triangulation are split by seeded 2-means,
 recursively, until every leaf is at or below the size cap. All randomness
 flows from one seed through spawned generator streams, so the partition is
-reproducible regardless of platform threading. A zero-variance (or
-otherwise unsplittable) node falls back to an equal index bipartition so
-the recursion always terminates.
+reproducible regardless of platform threading. Each Lloyd step refills
+an emptied side with one point, so every split has both sides non-empty,
+even on identical or non-finite points, and the recursion terminates.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ MAX_LLOYD_ITERS = 100
 
 
 def _two_means(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Seeded Lloyd iteration with two centers; returns 0/1 labels."""
+    """Seeded Lloyd iteration with two centers; 0/1 labels, both present."""
     n = len(points)
     first = int(rng.integers(n))
     c0 = points[first]
@@ -64,10 +64,6 @@ def hierarchical_cluster(
             continue
         rng_seed, left_seed, right_seed = ss.spawn(3)
         labels = _two_means(points[idx], np.random.default_rng(rng_seed))
-        left, right = idx[labels == 0], idx[labels == 1]
-        if len(left) == 0 or len(right) == 0:
-            half = len(idx) // 2
-            left, right = idx[:half], idx[half:]
-        queue.append((left, left_seed))
-        queue.append((right, right_seed))
+        queue.append((idx[labels == 0], left_seed))
+        queue.append((idx[labels == 1], right_seed))
     return leaves

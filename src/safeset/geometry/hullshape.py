@@ -7,7 +7,7 @@ exponential facet enumeration and works in any dimension.
 Membership runs the cheapest rejections first. Each is a necessary
 condition for acceptance, so the verdict is that of the exact test alone:
 
-1. the bounding box, widened by the snap tolerance ``simplicial.snap_tol``
+1. the bounding box, widened by the snap tolerance ``Shape.snap_tol``
    (non-finite queries fail here);
 2. the normal residual: the query's largest offset from the affine hull
    of the points along its normal directions, which one SVD finds at
@@ -34,10 +34,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .montecarlo import McVolume, mc_volume
-from .simplicial import Shape, hull_margin, snap_tol
+from .simplicial import Shape
 
 RESIDUAL_TOL = 1e-8
 
@@ -80,12 +79,8 @@ class ConvexHullShape(Shape):
         self.points = np.unique(points, axis=0)
         self.measure: float | None = None
         self.measure_half_width: float | None = None
-        self._kdtree = cKDTree(self.points)
-        lo = self.points.min(axis=0)
-        hi = self.points.max(axis=0)
-        self._bbox = np.stack([lo, hi], axis=1)
+        lo, hi = self.bbox().T
         self._scale = max(float((hi - lo).max()), 1.0)
-        self._snap = snap_tol(lo, hi)
         # The combination fits run on coordinates centred at the mean, so
         # their tolerances do not grow with the hull's distance from the
         # origin: [(P - mean)^T; scale] lambda = [q - mean; scale].
@@ -105,10 +100,6 @@ class ConvexHullShape(Shape):
         proj = self.points @ dirs.T
         self._cut_lo = proj.min(axis=0)
         self._cut_hi = proj.max(axis=0)
-        self._lp_system = np.vstack(
-            [centred.T / self._scale, np.ones((1, len(self.points)))]
-        )
-        self._lp_cost = np.zeros(len(self.points))
 
         # Affine hull: every point lies within tau = RANK_TOL x sigma_max of
         # the mean along each normal. A constant column is flat, not the
@@ -121,10 +112,9 @@ class ConvexHullShape(Shape):
         flat = sigma <= tau
         self.affine_rank = int(d - flat.sum())
         self._normals = vt[flat].T
-        # the normal residual test's cushion is the same band, added to the
-        # worst-case slack of the accepting tests
-        self._margin = hull_margin(lo, hi)
-        self._normal_bound = tau + self._margin + self._acceptance_slack(tau)
+        # the normal residual test's cushion is the hull margin band, added
+        # to the worst-case slack of the accepting tests
+        self._normal_bound = tau + self.hull_margin + self._acceptance_slack(tau)
 
     def _acceptance_slack(self, tau: float) -> float:
         """Bound on how far past tau along a normal the accepting tests
@@ -139,30 +129,23 @@ class ConvexHullShape(Shape):
         F b ((2n + 1) tau + sqrt(d) scale).
         """
         n, d = self.points.shape
-        lo, hi = self._bbox[:, 0] - self._mean, self._bbox[:, 1] - self._mean
-        corner = np.maximum(-lo, hi) + self._margin
+        lo, hi = self.bbox().T - self._mean
+        corner = np.maximum(-lo, hi) + self.hull_margin
         q_norm = float(np.linalg.norm(corner))
         r = RESIDUAL_TOL * self._scale * math.hypot(q_norm, self._scale)
         b = max(1.0, float(corner.max()) / self._scale)
         lp_reach = (2 * n + 1) * tau + math.sqrt(d) * self._scale
         return max(
-            self._snap,
+            self.snap_tol,
             r * (1.0 + tau / self._scale),
             LP_FEASIBILITY_TOL * b * lp_reach,
         )
 
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    def bbox(self) -> np.ndarray:
-        return self._bbox.copy()
-
     def contains_batch(self, qs: np.ndarray) -> np.ndarray:
         qs = self.queries(qs)
         out = np.zeros(len(qs), dtype=bool)
-        lo, hi = self._bbox[:, 0], self._bbox[:, 1]
-        tol = self._snap
+        lo, hi = self.bbox().T
+        tol = self.snap_tol
         idx = np.flatnonzero(((qs >= lo - tol) & (qs <= hi + tol)).all(axis=1))
         if self._normals.shape[1] and len(idx):
             offset = np.abs((qs[idx] - self._mean) @ self._normals).max(axis=1)
@@ -170,8 +153,7 @@ class ConvexHullShape(Shape):
         if not len(idx):
             return out
         sub = qs[idx]
-        dist, _ = self._kdtree.query(sub)
-        near = dist <= tol
+        near = self.snapped(sub)
         out[idx[near]] = True
         rest = np.flatnonzero(~near)
         if len(rest):
@@ -201,13 +183,15 @@ class ConvexHullShape(Shape):
         resid = float(np.linalg.norm(self._system @ x - rhs))
         if resid <= RESIDUAL_TOL * self._scale * max(1.0, float(np.linalg.norm(rhs))):
             return True
+        # the LP runs on the fit system scaled to a unit last row
+        a = self._system / self._scale
         b = np.concatenate([q / self._scale, [1.0]])
         res = linprog(
-            self._lp_cost, A_eq=self._lp_system, b_eq=b, bounds=(0.0, None), method="highs"
+            np.zeros(len(self.points)), A_eq=a, b_eq=b, bounds=(0.0, None), method="highs"
         )
         if res.status != 0:
             return False
-        miss = float(np.abs(self._lp_system @ res.x - b).max())
+        miss = float(np.abs(a @ res.x - b).max())
         return miss <= LP_FEASIBILITY_TOL * max(1.0, float(np.abs(b).max()))
 
     # kept only because the benchmark's tracer wraps this name and checks
@@ -224,7 +208,7 @@ class ConvexHullShape(Shape):
             result = McVolume(0.0, 0.0, 0, 0, 0.0)
         else:
             result = mc_volume(
-                self.contains_batch, self._bbox, n_samples=n_samples, seed=seed
+                self.contains_batch, self.bbox(), n_samples=n_samples, seed=seed
             )
         self.measure = result.estimate
         self.measure_half_width = result.half_width_95

@@ -48,6 +48,7 @@ lattice's entry count x 8 bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import factorial
 
 import numpy as np
@@ -72,24 +73,18 @@ HULL_BLOCK = 1 << 16
 MEB_BLOCK = 8_192  # simplices per filtration block
 
 
-def hull_margin(lo: np.ndarray, hi: np.ndarray) -> float:
-    """How far outside a convex hull a probe may lie and still be tested,
-    for the alpha shape and the convex wrap alike: HULL_MARGIN x the
-    diagonal of the bounding box [lo, hi], taken as at least 1."""
-    return HULL_MARGIN * max(float(np.linalg.norm(hi - lo)), 1.0)
-
-
-def snap_tol(lo: np.ndarray, hi: np.ndarray) -> float:
-    """How near an input point a probe is a member without further test,
-    for the alpha shape and the convex wrap alike: REL_TOL x the widest
-    extent of the bounding box [lo, hi], taken as at least 1."""
-    return REL_TOL * max(float((hi - lo).max()), 1.0)
-
-
 class Shape:
     """Closed-set membership, one contract for every shape kind: each
     ``contains_batch`` begins with ``qs = self.queries(qs)``, and one point
-    is asked as a batch of one."""
+    is asked as a batch of one.
+
+    A kind backed by ``points`` derives here, once, what they determine:
+    the dimension, the box, the tolerances read off it and a KD-tree.
+    """
+
+    @property
+    def dim(self) -> int:
+        return self.points.shape[1]
 
     def contains(self, q) -> bool:
         return bool(self.contains_batch(np.reshape(np.asarray(q, float), (1, -1)))[0])
@@ -100,6 +95,38 @@ class Shape:
         if qs.ndim != 2 or qs.shape[1] != self.dim:
             raise DimensionMismatch(f"queries must have shape (m, {self.dim}), got {qs.shape}")
         return qs
+
+    @cached_property
+    def _box(self) -> np.ndarray:
+        box = np.stack([self.points.min(axis=0), self.points.max(axis=0)], axis=1)
+        box.flags.writeable = False
+        return box
+
+    def bbox(self) -> np.ndarray:
+        """The (dim, 2) box [lo, hi] of the points, read-only."""
+        return self._box
+
+    @cached_property
+    def hull_margin(self) -> float:
+        """How far outside the convex hull a probe may lie and still be
+        tested: HULL_MARGIN x the box's diagonal, taken as at least 1."""
+        lo, hi = self.bbox().T
+        return HULL_MARGIN * max(float(np.linalg.norm(hi - lo)), 1.0)
+
+    @cached_property
+    def snap_tol(self) -> float:
+        """How near an input point a probe is a member without further
+        test: REL_TOL x the box's widest extent, taken as at least 1."""
+        lo, hi = self.bbox().T
+        return REL_TOL * max(float((hi - lo).max()), 1.0)
+
+    @cached_property
+    def _kdtree(self) -> cKDTree:
+        return cKDTree(self.points)
+
+    def snapped(self, qs: np.ndarray) -> np.ndarray:
+        """Mask of the probes within ``snap_tol`` of an input point."""
+        return self._kdtree.query(qs)[0] <= self.snap_tol
 
 
 def _dedupe_rows(points: np.ndarray) -> np.ndarray:
@@ -388,10 +415,10 @@ def delaunay(
 @dataclass(eq=False)
 class AlphaShape(Shape):
     """The subcomplex of simplices with filtration value at most alpha. It
-    holds only what membership and ``to_dict`` read, its KD-tree and hull
-    its own, so a complex no caller keeps is freed once alpha is chosen:
-    ``carriers`` from :func:`_carrier_table` and the included simplex count
-    of every level."""
+    holds only what membership and ``to_dict`` read, its hull its own, so a
+    complex no caller keeps is freed once alpha is chosen: ``carriers``
+    from :func:`_carrier_table` and the included simplex count of every
+    level."""
 
     points: np.ndarray
     tri: Delaunay = field(repr=False)
@@ -403,44 +430,30 @@ class AlphaShape(Shape):
     covers_vertices: bool
 
     @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    @property
     def affine_rank(self) -> int:
         """Always the dimension: delaunay refuses affinely dependent points."""
         return self.dim
 
-    def bbox(self) -> np.ndarray:
-        return np.stack([self.points.min(axis=0), self.points.max(axis=0)], axis=1)
-
-    _kdtree: cKDTree | None = field(default=None, repr=False)
-
-    def kdtree(self) -> cKDTree:
-        if self._kdtree is None:
-            self._kdtree = cKDTree(self.points)
-        return self._kdtree
-
-    _hull_equations: np.ndarray | None = field(default=None, repr=False)
+    @cached_property
+    def _hull_equations(self) -> np.ndarray:
+        """The convex hull's facets, none if qhull refuses the hull."""
+        try:
+            return ConvexHull(self.points).equations
+        except QhullError:
+            return np.empty((0, self.dim + 1))
 
     def near_hull(self, qs: np.ndarray) -> np.ndarray:
-        """Mask of the probes within the :func:`hull_margin` band of the
-        convex hull.
+        """Mask of the probes within the ``hull_margin`` band of the convex
+        hull.
 
         Probes outside it, and NaN or infinite probes, are members of no
         filtered shape. The hull is built once; if qhull refuses it, every
         finite probe is kept.
         """
-        if self._hull_equations is None:
-            try:
-                self._hull_equations = ConvexHull(self.points).equations
-            except QhullError:
-                self._hull_equations = np.empty((0, self.dim + 1))
         eq = self._hull_equations
         keep = np.isfinite(qs).all(axis=1)
         if not len(eq):
             return keep
-        margin = hull_margin(self.points.min(axis=0), self.points.max(axis=0))
         normals, offsets = np.ascontiguousarray(eq[:, :-1].T), eq[:, -1]
         step = max(1, HULL_BLOCK // len(eq))
         finite = np.flatnonzero(keep)
@@ -452,7 +465,7 @@ class AlphaShape(Shape):
             # block; a BLAS product's rounding follows the block's shape
             height = np.einsum("ij,jk->ik", qs[rows], normals, out=buffer[: len(rows)])
             height += offsets
-            keep[rows] = height.max(axis=1) <= margin
+            keep[rows] = height.max(axis=1) <= self.hull_margin
         return keep
 
     def contains_batch(self, qs: np.ndarray) -> np.ndarray:
@@ -467,9 +480,7 @@ class AlphaShape(Shape):
             return out
         qs = qs[near]
 
-        dist, _ = self.kdtree().query(qs)
-        hit = dist <= snap_tol(*self.bbox().T)
-
+        hit = self.snapped(qs)
         located = self.tri.find_simplex(qs, tol=1e-12)
         pending = np.flatnonzero(~hit & (located >= 0))
         strict = self._included(located[pending], 2 ** (self.dim + 1) - 1)

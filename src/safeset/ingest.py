@@ -38,7 +38,7 @@ from functools import cached_property, partial
 from itertools import islice, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -161,8 +161,7 @@ class SampleTable:
 
     Rows are grouped into (trajectory, agent) tracks numbered by first
     appearance: track k is rows ``order[offsets[k]:offsets[k + 1]]``, in
-    file order. As a sequence the table yields :class:`RawSample` rows,
-    built on demand.
+    file order.
     """
 
     def __init__(
@@ -221,24 +220,8 @@ class SampleTable:
             self.labels["agent_id"][self.track_agent[k]],
         )
 
-    def values(self, field: str, rows=slice(None)) -> list:
-        """Field ``field`` at ``rows`` as the Python values a RawSample holds."""
-        col = self.columns[field][rows]
-        if field in self.labels:
-            return np.array(self.labels[field], dtype=object)[col].tolist()
-        if field == "lane_id":
-            return [v if h else None for v, h in zip(col.tolist(), self.has_lane[rows].tolist())]
-        return col.tolist()
-
     def __len__(self) -> int:
         return len(self.has_lane)
-
-    def __getitem__(self, i: int) -> RawSample:
-        i = range(len(self))[i]
-        return RawSample(*(self.values(f, [i])[0] for f in CANONICAL_FIELDS))
-
-    def __iter__(self) -> Iterator[RawSample]:
-        return map(RawSample, *(self.values(f) for f in CANONICAL_FIELDS))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SampleTable):

@@ -27,7 +27,8 @@ Removal is computed as one union of closures over the frozen graph rather
 than sequentially. The two are equivalent: ancestor sets, descendant sets,
 and undirected components are all transitively closed, so any vertex a
 later query could reach through an earlier-removed vertex was already in
-the earlier closure.
+the earlier closure. scipy is imported inside the functions, so reading
+``REACH_MODES`` loads none of it.
 """
 
 from __future__ import annotations
@@ -36,9 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
-from scipy.spatial import cKDTree
 
 from .oss import StateTable, transitions
 
@@ -70,11 +68,13 @@ def _closure(
 ) -> np.ndarray:
     """Mask of the n vertices reachable from any seed id, seeds included,
     along the edges ``tail[i] -> head[i]``."""
+    from scipy.sparse import csgraph, csr_array
+
     if mode == "ancestors":
         tail, head = head, tail
     k = len(seeds)
     # vertex n is a virtual source with an edge to every seed
-    walk = sparse.csr_array(
+    walk = csr_array(
         (np.ones(len(tail) + k), (np.r_[tail, np.full(k, n)], np.r_[head, seeds])),
         shape=(n + 1, n + 1),
     )
@@ -101,6 +101,8 @@ def extract_safe_states(
     states, with multiplicity, that matched at least one safe vertex. An
     unknown mode or a negative or non-finite radius raises ValueError.
     """
+    from scipy.spatial import cKDTree
+
     if mode not in REACH_MODES:
         raise ValueError(f"unknown reachability mode {mode!r}; choose from {REACH_MODES}")
     if not (math.isfinite(match_radius) and match_radius >= 0.0):

@@ -7,9 +7,31 @@ import numpy as np
 from hypothesis import strategies as st
 
 from safeset.errors import DimensionMismatch, InvalidCounts
-from safeset.ingest import AGENT_TYPES, Dataset, RawSample
+from safeset.ingest import AGENT_TYPES, CANONICAL_FIELDS, Dataset, RawSample
 from safeset.metrics import epsilon_from_count
 from safeset.oss import StateTable
+
+
+def sample_values(table, field, rows=slice(None)) -> list:
+    """Field ``field`` of a SampleTable at ``rows`` as the Python values a
+    RawSample holds."""
+    col = table.columns[field][rows]
+    if field in table.labels:
+        return np.array(table.labels[field], dtype=object)[col].tolist()
+    if field == "lane_id":
+        return [v if h else None for v, h in zip(col.tolist(), table.has_lane[rows].tolist())]
+    return col.tolist()
+
+
+def sample_row(table, i: int) -> RawSample:
+    """Row ``i`` of a SampleTable as a RawSample, built on demand."""
+    i = range(len(table))[i]
+    return RawSample(*(sample_values(table, f, [i])[0] for f in CANONICAL_FIELDS))
+
+
+def sample_rows(table) -> list:
+    """Every row of a SampleTable as a RawSample, in file order."""
+    return list(map(RawSample, *(sample_values(table, f) for f in CANONICAL_FIELDS)))
 
 
 def sample(**kw):
@@ -104,7 +126,7 @@ def rigid_motion(d, theta, tx, ty):
     """Rotate positions and velocities by theta and translate positions."""
     c, s = np.cos(theta), np.sin(theta)
     moved = []
-    for smp in d.samples:
+    for smp in sample_rows(d.samples):
         x = c * smp.x - s * smp.y + tx
         y = s * smp.x + c * smp.y + ty
         vx = c * smp.vx - s * smp.vy

@@ -17,6 +17,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull, Delaunay, cKDTree
 
+import safeset.geometry.cluster as cluster
 import safeset.geometry.hullshape as hullshape
 import safeset.geometry.search as search
 import safeset.geometry.simplicial as simplicial
@@ -48,7 +49,6 @@ from safeset.geometry.simplicial import (
     _id_dtype,
     _solve,
     _subset_faces,
-    hull_margin,
 )
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -644,7 +644,7 @@ class TestDelaunay:
         c = delaunay(layered_cloud(0, lines=3))
         hull = ConvexHull(c.points)
         lo, hi = c.points.min(axis=0), c.points.max(axis=0)
-        margin = hull_margin(lo, hi)
+        margin = alpha_complex(c, 0.0).hull_margin
         corners, normals = c.points[hull.simplices[:, 0]], hull.equations[:, :-1]
         rng = np.random.default_rng(2)
         box = lo - 0.1 + rng.random((3_000, 3)) * (hi - lo + 0.2)
@@ -1068,7 +1068,7 @@ class TestAlphaSearch:
         non_finite[0, 0], non_finite[1, 1], non_finite[2, :3] = np.nan, np.inf, [-np.inf, 0.0, np.nan]
         c = delaunay(points)
         hull = ConvexHull(c.points)
-        margin = hull_margin(c.points.min(axis=0), c.points.max(axis=0))
+        margin = alpha_complex(c, 0.0).hull_margin
         corners, normals = c.points[hull.simplices[:, 0]], hull.equations[:, :-1]
         rng = np.random.default_rng(4)
         mids = c.points[c.simplices[1]].mean(axis=1)
@@ -1172,6 +1172,37 @@ class TestClustering:
         leaves = hierarchical_cluster(pts, 4, seed=0)
         assert sum(len(ix) for ix in leaves) == 10
         assert all(len(ix) <= 4 for ix in leaves)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("cloud", ["identical", "nan_row", "duplicated_lattice", "inf_column"])
+    def test_every_split_has_both_sides(self, cloud, monkeypatch):
+        """_two_means refills an emptied side, so every split holds both
+        labels and every leaf a point, even where no two centres separate
+        the points: identical rows, a NaN row, a lattice repeated row for
+        row and a column of infinities."""
+        rng = np.random.default_rng(0)
+        if cloud == "identical":
+            pts = np.ones((40, 3))
+        elif cloud == "duplicated_lattice":
+            grid = np.stack(np.meshgrid(np.arange(3.0), np.arange(3.0)), axis=-1).reshape(-1, 2)
+            pts = np.vstack([grid] * 5)
+        else:
+            pts = rng.random((40, 3))
+            if cloud == "nan_row":
+                pts[7] = np.nan
+            else:
+                pts[:, 1] = np.inf
+        splits, two_means = [], cluster._two_means
+
+        def recording(points, gen):
+            splits.append(two_means(points, gen))
+            return splits[-1]
+
+        monkeypatch.setattr(cluster, "_two_means", recording)
+        leaves = hierarchical_cluster(pts, 4, seed=0)
+        assert splits and all(set(labels.tolist()) == {0, 1} for labels in splits)
+        assert all(len(ix) for ix in leaves)
+        assert np.sort(np.concatenate(leaves)).tolist() == list(range(len(pts)))
 
     def test_small_input_single_leaf(self):
         leaves = hierarchical_cluster(SQUARE, 10, seed=0)
@@ -1360,6 +1391,7 @@ class TestConvexHullShape:
         rng = np.random.default_rng(8)
         pts = rng.random((25, 4))
         hull = ConvexHullShape(pts)
+        assert hull.affine_rank == 4
         qs = rng.random((300, 4)) * 1.4 - 0.2
         assert (hull.contains_batch(qs) == plain_lp_membership(hull.points, qs)).all()
         assert calls["nnls"] > calls["linprog"] > 0
@@ -1680,3 +1712,15 @@ class TestMembershipContract:
         shape = SHAPE_KINDS[kind]()
         with pytest.raises(DimensionMismatch, match=r"queries must have shape \(m, 2\), got"):
             getattr(shape, call)(arg)
+
+
+@pytest.mark.parametrize("kind", ["alpha_shape", "convex_hull"])
+def test_point_backed_shape_derives_its_box_once(kind):
+    # Shape derives the box and the tolerances read off it once, so every
+    # caller shares one box, which none may write
+    shape = SHAPE_KINDS[kind]()
+    box = shape.bbox()
+    assert box is shape.bbox() and not box.flags.writeable
+    assert box.tolist() == [[0.0, 1.0], [0.0, 1.0]]
+    assert shape.snap_tol == 1e-9
+    assert shape.hull_margin == pytest.approx(HULL_MARGIN * math.sqrt(2.0))

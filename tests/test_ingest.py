@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import safeset.ingest as ingest
-from builders import recordings
+from builders import recordings, sample_row, sample_rows, sample_values
 from safeset.errors import MalformedRow, MissingColumn, NonMonotoneTime, SafesetError
 from safeset.ingest import (
     AGENT_TYPES,
@@ -220,8 +220,8 @@ class TestParsing:
         fields = [f for f in CANONICAL_FIELDS if f not in ("recording_id", "lane_id")]
         write_csv(path, two_car_rows(), fields=fields)
         d = parse_trajectory_csv(path)
-        assert d.samples[0].recording_id == ""
-        assert d.samples[0].lane_id is None
+        assert sample_row(d.samples, 0).recording_id == ""
+        assert sample_row(d.samples, 0).lane_id is None
 
     def test_remapped_headers(self, tmp_path):
         path = tmp_path / "a.csv"
@@ -289,7 +289,7 @@ class TestParsing:
         for row in rows[::2] if field == "agent_type" else rows[2:3]:
             row.update(patch)
         write_csv(path, rows)
-        got = getattr(parse_trajectory_csv(path).samples[2], field)
+        got = getattr(sample_row(parse_trajectory_csv(path).samples, 2), field)
         assert got == value and type(got) is type(value)
 
     def test_duplicate_header_last_column_wins(self, tmp_path):
@@ -299,7 +299,7 @@ class TestParsing:
         path = tmp_path / "a.csv"
         path.write_text("".join(lines))
         d = parse_trajectory_csv(path)
-        assert {s.x for s in d.samples} == {7.5}
+        assert {s.x for s in sample_rows(d.samples)} == {7.5}
 
     def test_short_row_defaults_trailing_optional_column(self, tmp_path):
         fields = [f for f in CANONICAL_FIELDS if f != "lane_id"] + ["lane_id"]
@@ -307,7 +307,7 @@ class TestParsing:
         path = tmp_path / "a.csv"
         path.write_text("".join(lines))
         d = parse_trajectory_csv(path)
-        assert [s.lane_id for s in d.samples][1:4] == [1, None, 1]
+        assert [s.lane_id for s in sample_rows(d.samples)][1:4] == [1, None, 1]
 
     def test_non_monotone_time(self, tmp_path):
         path = tmp_path / "a.csv"
@@ -363,7 +363,7 @@ class TestTrackRejection:
         write_csv(path, rows)
         d = parse_trajectory_csv(path)
         assert ("t0", "other") in d.rejected_tracks
-        assert {s.agent_id for s in d.samples} == {"ego"}
+        assert {s.agent_id for s in sample_rows(d.samples)} == {"ego"}
 
     def test_irregular_subject_vehicle_drops_trajectory(self, tmp_path):
         rows = []
@@ -657,7 +657,7 @@ class TestDatasetValidation:
         ]
         d = Dataset(rows, dt=0.1)
         assert d.samples.columns["frame"].tolist() == [2**63 - 2, 2**63 - 1]
-        assert d.samples.values("lane_id") == [-(2**63), 2**63 - 1]
+        assert sample_values(d.samples, "lane_id") == [-(2**63), 2**63 - 1]
 
 
 # --- columnar parser against a row-wise reference ---------------------------
@@ -795,8 +795,8 @@ class TestColumnarParser:
     def test_write_parse_round_trip(self, tmp_path_factory, rec, chunk):
         samples, events = rec
         d = Dataset(samples, collision_events=events)
-        assert list(d.samples) == samples
-        assert d.samples[-1] == samples[-1] and len(d.samples) == len(samples)
+        assert sample_rows(d.samples) == samples
+        assert sample_row(d.samples, -1) == samples[-1] and len(d.samples) == len(samples)
         root = tmp_path_factory.mktemp("rt")
         write_trajectory_csv(d, root / "a.csv")
         write_collision_csv(d.collision_events, root / "a_labels.csv")
@@ -804,7 +804,7 @@ class TestColumnarParser:
             back = parse_trajectory_csv(root / "a.csv", labels_path=root / "a_labels.csv")
         assert back == d
         assert back.rejected_tracks == ()
-        assert list(back.samples) == samples
+        assert sample_rows(back.samples) == samples
         write_trajectory_csv(back, root / "b.csv")
         assert (root / "b.csv").read_bytes() == (root / "a.csv").read_bytes()
 
@@ -876,4 +876,4 @@ def test_parse_and_label_build_no_row_objects(tmp_path, monkeypatch):
     assert d.trajectory_ids == ("t0", "t1", "t2")
     assert d.rejected_tracks == (("t1", "other"),)
     assert len(built) == 0
-    assert d.samples[0].agent_id == "ego" and len(built) == 1
+    assert sample_row(d.samples, 0).agent_id == "ego" and len(built) == 1

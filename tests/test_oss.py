@@ -13,6 +13,7 @@ from builders import (
     recordings,
     rigid_motion,
     sample,
+    sample_rows,
     scene_dataset,
     segment,
     segment_frames,
@@ -256,7 +257,7 @@ def reference_candidates(d, traj, agent_types):
     speed, length, lane, width) candidates in track order, lane None where
     a sample has none."""
     tracks = {}
-    for s in d.samples:
+    for s in sample_rows(d.samples):
         tracks.setdefault((s.trajectory_id, s.agent_id), []).append(s)
     (sv,) = [rows for (t, _), rows in tracks.items() if t == traj and rows[0].sv_flag]
     theta = reference_headings([s.vx for s in sv], [s.vy for s in sv])
@@ -481,7 +482,7 @@ def assert_matches_row_reference(d, spec):
     want = REFERENCE_STATES[spec.kind](d, spec)
     assert repr(emitted(t)) == repr(want)
     assert described(t) == reference_segments(d, want)
-    sv_time = {(s.trajectory_id, s.frame): s.time for s in d.samples if s.sv_flag}
+    sv_time = {(s.trajectory_id, s.frame): s.time for s in sample_rows(d.samples) if s.sv_flag}
     assert t.time.tolist() == [sv_time[traj, f] for traj, f, _ in want]
 
 
@@ -1056,9 +1057,9 @@ class TestStateTable:
             "ego": {"x0": 0.0, "vx": 10.0, "sv": True},
             "lead": {"x0": 20.0, "vx": 10.0, "frames": [2, 3, 6, 7]},
         }
-        rows = list(scene_dataset(agents, 4).samples)
-        rows += scene_dataset(agents, 10, trajectory_id="t1").samples
-        rows += scene_dataset({"ego": agents["ego"]}, 3, trajectory_id="t2").samples
+        rows = sample_rows(scene_dataset(agents, 4).samples)
+        rows += sample_rows(scene_dataset(agents, 10, trajectory_id="t1").samples)
+        rows += sample_rows(scene_dataset({"ego": agents["ego"]}, 3, trajectory_id="t2").samples)
         events = [("t0", 9), ("t1", 0), ("t1", 5), ("t2", 1), ("t9", 1)]
         t = extract_states(Dataset(rows, dt=0.1, collision_events=events), LEAD)
         assert t.trajectory_ids == ("t0", "t1", "t1")

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import safeset
 import safeset.pipeline as pipeline
-from builders import LANES, scene_dataset
+from builders import LANES, sample_rows, sample_values, scene_dataset
 from safeset import celltext
 from safeset.cli import (
     EXIT_EXCLUSION,
@@ -425,7 +425,7 @@ def exclusion_trap_dataset():
         events=[("trap", 1)],
     )
     datasets.append(trap)
-    samples = [s for d in datasets for s in d.samples]
+    samples = [s for d in datasets for s in sample_rows(d.samples)]
     events = [e for d in datasets for e in d.collision_events]
     return Dataset(samples, dt=0.1, collision_events=events)
 
@@ -593,7 +593,7 @@ def reference_trajectory_csv(d, path):
     text, floats by ``repr``, flags as 1/0 and an empty cell for no lane."""
 
     def text(field):
-        values = d.samples.values(field)
+        values = sample_values(d.samples, field)
         if field in FLOAT_FIELDS:
             return map(repr, values)
         if field == "sv_flag":
@@ -907,6 +907,33 @@ class TestCli:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("command", ["simulate", "ingest", "extract", "report"])
+    def test_only_analyze_loads_scipy(self, tmp_path, battery_csv, safe_report, command):
+        # the CLI imports the pipeline and the report writer, and with them
+        # scipy, only to analyze; every other subcommand runs without it
+        labels = battery_csv.with_name("runs_labels.csv")
+        if command == "simulate":
+            argv = ["simulate", "--policy", "idm0", "--out", tmp_path / "sim.csv"]
+        elif command == "report":
+            argv = ["report", "--report", emit_report(safe_report, tmp_path / "out")["report"]]
+        else:
+            argv = [command, "--input", battery_csv, "--labels", labels, "--out", tmp_path / "o.csv"]
+            argv += ["--preset", "sumo-lead"] if command == "extract" else []
+        code = (
+            "import sys\n"
+            "from safeset.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = Path(safeset.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", code, *map(str, argv)],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
 
     @pytest.mark.parametrize("field", ["frame", "lane_id"])
     def test_out_of_range_integer_exits_2_naming_its_line(

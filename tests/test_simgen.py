@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from builders import sample_rows
 from safeset.errors import NonPositiveGap
 from safeset.ingest import Dataset, RawSample, SampleTable, write_trajectory_csv
 from safeset.simgen import (
@@ -181,7 +182,7 @@ class TestEpisode:
     def test_euler_stepping_first_frame(self):
         sc = ScenarioSpec("ep", sv_speed0=10.0, lead_speed0=5.0, initial_gap=30.0,
                           duration_s=1.0)
-        rows = simulate_battery(IDM_0, [sc]).samples
+        rows = sample_rows(simulate_battery(IDM_0, [sc]).samples)
         by_frame = frame_rows(rows)
         f0, f1 = by_frame[0], by_frame[1]
         assert f0["sv"].x == 0.0
@@ -194,7 +195,7 @@ class TestEpisode:
     def test_speed_floor_at_zero(self):
         sc = ScenarioSpec("ep", sv_speed0=3.0, lead_speed0=0.0, initial_gap=4.0,
                           duration_s=20.0)
-        rows = simulate_battery(IDM_1, [sc]).samples
+        rows = sample_rows(simulate_battery(IDM_1, [sc]).samples)
         assert all(r.vx >= 0.0 for r in rows)
 
     def test_kinematically_doomed_braking_case(self):
@@ -211,7 +212,7 @@ class TestEpisode:
         d = simulate_battery(IDM_1, [sc])
         ((traj, frame),) = d.collision_events
         assert traj == "doomed" and frame > 0
-        by_frame = frame_rows(d.samples)
+        by_frame = frame_rows(sample_rows(d.samples))
         last = by_frame[frame]
         assert last["lead"].x - last["sv"].x == pytest.approx(VEHICLE_LENGTH)
         assert max(by_frame) == frame  # nothing emitted past the contact
@@ -221,14 +222,14 @@ class TestEpisode:
                           initial_gap=20.0, duration_s=40.0)
         d = simulate_battery(IDM_0, [sc])
         assert d.collision_events == ()
-        for fr in frame_rows(d.samples).values():
+        for fr in frame_rows(sample_rows(d.samples)).values():
             assert fr["lead"].x - fr["sv"].x > VEHICLE_LENGTH
 
     def test_collision_event_matches_last_frame(self):
         sc = ScenarioSpec("c", sv_speed0=25.0, lead_speed0=0.0, initial_gap=10.0,
                           duration_s=10.0)
         d = simulate_battery(IDM_1, [sc])
-        assert d.collision_events == (("c", max(r.frame for r in d.samples)),)
+        assert d.collision_events == (("c", max(r.frame for r in sample_rows(d.samples))),)
 
 
 class TestBattery:
@@ -429,7 +430,7 @@ class TestColumnarBattery:
         assert isinstance(table, SampleTable)
         assert table == SampleTable.from_rows(rows)
         assert want is not None and d.collision_events == (want,)
-        assert list(table) == rows
+        assert sample_rows(table) == rows
 
     def test_battery_builds_no_row_objects(self, monkeypatch):
         built = []
