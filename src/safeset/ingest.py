@@ -13,13 +13,16 @@ permutation and offsets. The parser reads ``csv.reader`` records in
 batches of ``_CHUNK_ROWS`` and converts each batch column by column with
 Python's own ``float`` and ``int``, so one batch's strings are alive at a
 time and no per-row object is built. The cell rules are written once, in
-``_CELLS``; when they refuse a row of a batch, the same rules name the
-first bad line and its first failing rule. Validation of tracks (monotone
-frames and times, one ``sv_flag`` and one ``agent_type`` per track, one
-subject per trajectory, dt, irregular gaps) runs as array operations over
-the track offsets. The
-table is the only copy of the samples; labelling and projection read it
-through one join to the subject vehicle (:attr:`Dataset.sv_join`).
+``_CELLS``. A batch that holds a short row, or whose bulk conversion or
+checks refuse a cell, is walked row by row through the same rules, which
+name the first bad line and its first failing rule. In-memory rows meet
+the same rules: their labels are normalized as cells are, and their
+numbers are checked, refused without a line. Validation of tracks
+(monotone frames and times, one ``sv_flag`` and one ``agent_type`` per
+track, one subject per trajectory, dt, irregular gaps) runs as array
+operations over the track offsets. The table is the only copy of the
+samples; labelling and projection read it through one join to the
+subject vehicle (:attr:`Dataset.sv_join`).
 :func:`write_trajectory_csv` writes the table column by column through
 :mod:`safeset.celltext`, each distinct number and label formatted once.
 
@@ -38,7 +41,7 @@ from functools import cached_property, partial
 from itertools import islice, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -113,9 +116,8 @@ class _Factorizer:
     """Integer codes for one field's values, numbered by first appearance of
     the normalized value over every batch passed to :meth:`codes`.
 
-    ``normalize`` maps a raw value to the stored one and raises
-    :class:`MalformedRow` for a value it refuses, which gets code -1; it
-    runs once per distinct raw value.
+    ``normalize`` maps a raw value to the stored one, or raises for a value
+    it refuses; it runs once per distinct raw value.
     """
 
     def __init__(self, normalize: Callable | None = None):
@@ -128,11 +130,7 @@ class _Factorizer:
         raw_code = self._raw_code
         for raw in dict.fromkeys(values):
             if raw not in raw_code:
-                try:
-                    value = raw if self.normalize is None else self.normalize(raw)
-                except MalformedRow:
-                    raw_code[raw] = -1
-                    continue
+                value = raw if self.normalize is None else self.normalize(raw)
                 code = self._code.setdefault(value, len(self.labels))
                 if code == len(self.labels):
                     self.labels.append(value)
@@ -185,11 +183,14 @@ class SampleTable:
 
     @classmethod
     def from_rows(cls, rows: Sequence[RawSample]) -> SampleTable:
+        """The table of in-memory rows, held to the CSV's cell rules: string
+        fields are normalized as cells are, and the first rule a number
+        column fails is refused without a line."""
         n = len(rows)
         columns: dict[str, np.ndarray] = {}
         labels: dict[str, list] = {}
         for f in STRING_FIELDS:
-            factor = _Factorizer()
+            factor = _Factorizer(_NORMALIZE[f])
             columns[f] = factor.codes(list(map(attrgetter(f), rows)))
             labels[f] = factor.labels
         columns["frame"] = _int_column("frame", list(map(attrgetter("frame"), rows)))
@@ -199,6 +200,12 @@ class SampleTable:
         has_lane = np.fromiter((v is not None for v in lanes), bool, n)
         columns["lane_id"] = _int_column("lane_id", [v or 0 for v in lanes])
         columns["sv_flag"] = np.fromiter(map(attrgetter("sv_flag"), rows), bool, n)
+        for rule in _CELLS:
+            for check, message in rule.checks:
+                bad = check(columns, rule.field)
+                if bad.any():
+                    raw = columns[rule.field][np.argmax(bad)].item()
+                    raise MalformedRow(None, message.format(field=rule.field, raw=raw))
         return cls(columns, labels, has_lane)
 
     def take(self, mask: np.ndarray) -> SampleTable:
@@ -294,7 +301,9 @@ class Dataset:
     and the (trajectory, agent) keys of tracks the parser dropped.
 
     ``samples`` is the :class:`SampleTable`; a sequence of
-    :class:`RawSample` rows passed in is converted to one. Equality covers
+    :class:`RawSample` rows passed in is converted to one under the CSV's
+    cell rules, and event trajectory ids are stripped as the label sidecar
+    strips them. Equality covers
     the samples (column by column), dt, and events, so a serialize/parse
     round trip can be checked for identity. The subject-vehicle join of the
     samples (:attr:`sv_join`) is built on first use and shared with every
@@ -329,7 +338,7 @@ class Dataset:
 
     def _set_events(self, collision_events: Iterable[tuple[str, int]]) -> None:
         self.collision_events: tuple[tuple[str, int], ...] = tuple(
-            sorted({(str(t), int(f)) for t, f in collision_events})
+            sorted({(str(t).strip(), int(f)) for t, f in collision_events})
         )
 
     def with_events(self, collision_events: Iterable[tuple[str, int]]) -> Dataset:
@@ -383,8 +392,9 @@ def _lane(raw: str) -> int | None:
 class _Cell(NamedTuple):
     """One field's cell rule: ``convert`` (left to right) raises ValueError
     for a cell it refuses (``refusal``), ``dtype`` refuses a value it cannot
-    hold (``_RANGE``), and each check maps the converted columns to the rows
-    it refuses. Messages are formatted with the field and the raw cell."""
+    hold (``_RANGE``), and each check maps converted columns, or one row's
+    values, to the rows it refuses. Messages are formatted with the field
+    and the raw cell."""
 
     field: str
     convert: tuple[Callable, ...]
@@ -443,6 +453,16 @@ def _value(rule: _Cell, raw: str, line: int | None = None):
     raise MalformedRow(line, message.format(field=rule.field, raw=raw))
 
 
+# how each factorized field stores a raw cell; the string fields' entries
+# normalize in-memory rows too
+_NORMALIZE = {
+    "recording_id": None,
+    "trajectory_id": str.strip,
+    "agent_id": str.strip,
+    **{f: partial(_value, _RULE[f]) for f in ("agent_type", "lane_id", "sv_flag")},
+}
+
+
 def _int_column(field: str, values: list) -> np.ndarray:
     """In-memory integers as their field's column; the first one outside
     the range of the field's cell rule is refused as in a CSV cell."""
@@ -464,62 +484,52 @@ class _ColumnReader:
         self.index = index
         self.required_width = 1 + max(index[f] for f in REQUIRED_FIELDS)
         self.width = 1 + max(index.values())
-        self.factors = {
-            "recording_id": _Factorizer(),
-            "trajectory_id": _Factorizer(str.strip),
-            "agent_id": _Factorizer(str.strip),
-            **{f: _Factorizer(partial(_value, _RULE[f]))
-               for f in ("agent_type", "lane_id", "sv_flag")},
-        }
+        self.factors = {f: _Factorizer(normalize) for f, normalize in _NORMALIZE.items()}
         self.parts: dict[str, list[np.ndarray]] = {f: [] for f in CANONICAL_FIELDS}
 
     def add(self, rows: list[list[str]], line: int) -> None:
         """Convert one batch whose first record is on ``line``, column by
-        column in bulk; only a column whose bulk conversion raises is
-        converted again cell by cell. When a rule refuses a row, the first
-        such row raises its first refusal."""
-        n = len(rows)
-        lengths = np.fromiter(map(len, rows), np.intp, n)
-        if lengths.min() < self.width:
-            # missing cells read as empty; a row that lacks a required one is refused
+        column in bulk. When a row is short, a conversion raises or a rule's
+        check fires, :meth:`refuse` walks the batch to name the refusal."""
+        n, shortest = len(rows), min(map(len, rows))
+        if shortest < self.required_width:
+            self.refuse(rows, line)
+        if shortest < self.width:
+            # missing optional cells read as empty
             rows = [r + [""] * (self.width - len(r)) for r in rows]
 
         def cells(f):
             return map(itemgetter(self.index[f]), rows) if f in self.index else repeat("", n)
 
-        # number columns before label columns: that order measured faster
-        out, refused = {}, {f: np.zeros(n, dtype=bool) for f in _RULE}
-        for rule in _CELLS:
-            f = rule.field
-            if f in self.factors:
-                continue
-            try:
-                out[f] = np.fromiter(_chain(rule.convert, cells(f)), rule.dtype, n)
-            except (ValueError, OverflowError):
-                out[f] = np.zeros(n, rule.dtype)
-                for i, raw in enumerate(cells(f)):
-                    try:
-                        out[f][i] = _value(rule, raw)
-                    except MalformedRow:
-                        refused[f][i] = True
-        for f, factor in self.factors.items():
-            out[f] = factor.codes(list(cells(f)))
-            refused[f] = out[f] < 0
-        found = [(lengths < self.required_width, None, _SHORT)]
-        for rule in _CELLS:
-            f = rule.field
-            found.append((refused[f], f, None))
-            found += [(check(out, f), f, message) for check, message in rule.checks]
-        bad = np.array([mask for mask, _, _ in found])
-        if bad.any():
-            r, k = divmod(int(np.argmax(bad.T)), len(found))
-            _, f, message = found[k]
-            raw = next(islice(cells(f), r, None))
-            if message is None:
-                _value(_RULE[f], raw, line + r)  # the cell is refused: raises
-            raise MalformedRow(line + r, message.format(field=f, raw=raw))
+        try:
+            # number columns before label columns: that order measured faster
+            out = {r.field: np.fromiter(_chain(r.convert, cells(r.field)), r.dtype, n)
+                   for r in _CELLS if r.field not in self.factors}
+            out |= {f: factor.codes(list(cells(f))) for f, factor in self.factors.items()}
+        except (ValueError, OverflowError, MalformedRow):
+            self.refuse(rows, line)
+        if any(check(out, r.field).any() for r in _CELLS for check, _ in r.checks):
+            self.refuse(rows, line)
         for f, col in out.items():
             self.parts[f].append(col)
+
+    def refuse(self, rows: list[list[str]], line: int) -> NoReturn:
+        """Raise the first refusal of a batch whose first record is on
+        ``line``, read row by row: a row's length first, then each rule of
+        ``_CELLS`` in order, its conversion before its checks."""
+        for i, row in enumerate(rows):
+            if len(row) < self.required_width:
+                raise MalformedRow(line + i, _SHORT)
+            row = row + [""] * (self.width - len(row))
+            values = {}
+            for rule in _CELLS:
+                f = rule.field
+                raw = row[self.index[f]] if f in self.index else ""
+                values[f] = _value(rule, raw, line + i)
+                for check, message in rule.checks:
+                    if check(values, f):
+                        raise MalformedRow(line + i, message.format(field=f, raw=raw))
+        raise AssertionError("the batch holds no refused row")
 
     def table(self) -> SampleTable:
         # each column's batches are released as soon as they are joined

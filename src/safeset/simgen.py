@@ -140,15 +140,15 @@ def _sample_table(
 
     Episode i contributed ``n_frames[i]`` frames; each frame gives a row for
     the follower ("sv") then one for the lead. Trajectory codes number the
-    scenario names by first appearance, so episodes sharing a name share a
-    trajectory.
+    scenario names, stripped as the CSV reader strips ids, by first
+    appearance, so episodes sharing a name share a trajectory.
     """
     state = np.array(states).reshape(-1, 4)
     counts = np.asarray(n_frames)
     frame = np.arange(len(state)) - np.repeat(np.cumsum(counts) - counts, counts)
     time = frame * np.repeat([sc.dt for sc in scenarios], counts)
     names: dict[str, int] = {}
-    codes = [names.setdefault(sc.name, len(names)) for sc in scenarios]
+    codes = [names.setdefault(sc.name.strip(), len(names)) for sc in scenarios]
     n = 2 * len(state)
     agent = np.tile(np.array([0, 1], dtype=np.intp), len(state))
     columns = {

@@ -272,6 +272,35 @@ class TestParsing:
             4, "cannot parse vy='oops' as a number"
         )
 
+    @pytest.mark.parametrize("chunk", [1, 4096])
+    @pytest.mark.parametrize("first, second", [("agent_type", "x"), ("x", "agent_type")])
+    def test_refused_label_and_refused_number_earlier_line_wins(
+        self, tmp_path, chunk, first, second
+    ):
+        # a label cell the rules refuse and a number whose check fails, in
+        # one batch or in two: the earlier row is named either way
+        cells = {"agent_type": "bus", "x": "inf"}
+        reasons = {
+            "agent_type": f"agent_type 'bus' not one of {AGENT_TYPES}",
+            "x": "x='inf' is not finite",
+        }
+        path = tmp_path / "a.csv"
+        rows = two_car_rows()
+        rows[2][first] = cells[first]
+        rows[5][second] = cells[second]
+        write_csv(path, rows)
+        with mock.patch.object(ingest, "_CHUNK_ROWS", chunk), pytest.raises(MalformedRow) as exc:
+            parse_trajectory_csv(path)
+        assert (exc.value.line, exc.value.reason) == (4, reasons[first])
+
+    def test_row_walk_of_a_clean_batch_raises(self):
+        # the walk is entered only for a refused batch; finding no refusal
+        # is a fault of the reader, never a silent pass
+        records = [line.rstrip("\n").split(",") for line in _LINES]
+        reader = ingest._ColumnReader({f: i for i, f in enumerate(records[0])})
+        with pytest.raises(AssertionError):
+            reader.refuse(records[1:], 2)
+
     @pytest.mark.parametrize("case", sorted(LAYOUTS))
     def test_malformed_layouts(self, tmp_path, case):
         lines, line, reason = LAYOUTS[case]
@@ -649,6 +678,37 @@ class TestDatasetValidation:
         rows = [sample(**{field: value}), sample(frame=1, time=0.1)]
         with pytest.raises(MalformedRow, match=rf"^input: {field}={value} is outside the int64 range$"):
             Dataset(rows, dt=0.1)
+
+    @pytest.mark.parametrize(
+        "patch, reason",
+        [
+            ({"agent_type": "bus"}, f"agent_type 'bus' not one of {AGENT_TYPES}"),
+            ({"agent_type": "van", "x": float("nan")}, f"agent_type 'van' not one of {AGENT_TYPES}"),
+            ({"x": float("nan")}, "x=nan is not finite"),
+            ({"vy": -float("inf")}, "vy=-inf is not finite"),
+            ({"length": -1.0}, "length/width must be non-negative"),
+            ({"width": -2.0, "time": float("inf")}, "length/width must be non-negative"),
+        ],
+    )
+    def test_in_memory_rows_meet_the_cell_rules(self, patch, reason):
+        # the CSV's cell rules, refused without a line
+        rows = [sample(frame=1, time=0.1), sample(**patch)]
+        with pytest.raises(MalformedRow) as exc:
+            Dataset(rows, dt=0.1)
+        assert str(exc.value) == f"input: {reason}"
+
+    def test_in_memory_labels_are_normalized_as_cells(self):
+        rows = [
+            sample(recording_id=" r ", trajectory_id=" t0 ", agent_id="ego\n", agent_type=" Car "),
+            sample(frame=1, time=0.1, agent_type="car"),
+        ]
+        labels = Dataset(rows, dt=0.1).samples.labels
+        assert labels == {
+            "recording_id": (" r ", "rec0"),
+            "trajectory_id": ("t0",),
+            "agent_id": ("ego",),
+            "agent_type": ("car",),
+        }
 
     def test_in_memory_int64_extremes_are_kept(self):
         rows = [

@@ -604,6 +604,16 @@ class TestLeadFollowing:
         t = extract_states(d, LEAD)
         assert t.values[0, 1] == 7.0
 
+    @pytest.mark.parametrize("kind", ["car", "Car", " CAR "])
+    def test_in_memory_leader_type_read_as_its_cell(self, kind):
+        # the CSV's agent_type rule normalizes an in-memory type too, so a
+        # "Car" leader leads rather than being a type no projection knows
+        agents = {
+            "ego": {"x0": 0.0, "vx": 10.0, "sv": True},
+            "lead": {"x0": 20.0, "vx": 8.0, "agent_type": kind},
+        }
+        assert len(extract_states(scene_dataset(agents, 5), PRESETS["ncap-lead"])) == 5
+
     def test_gap_beyond_pmax_emits_nothing(self):
         spec = PRESETS["highd-lead"]  # p_max = 50
         d = two_car(gap_center=64.0, sv_v=25.0, lead_v=25.0)  # p = 60

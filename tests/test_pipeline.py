@@ -341,6 +341,29 @@ class TestRunAnalysis:
         assert a["dataset"].pop("dt") == pytest.approx(b["dataset"].pop("dt"))
         assert a == b
 
+    @pytest.mark.parametrize("source", ["battery", "rows"])
+    def test_csv_round_trip_moves_no_reported_number(self, tmp_path, source):
+        # the CSV holds no dt, so the in-memory dataset infers its dt from
+        # the gaps as the parser does; in the rows case the leader of one
+        # trajectory is typed "Car", which the CSV reads as "car"
+        sim = small_battery(crash=True)
+        if source == "battery":
+            d = Dataset(sim.samples, collision_events=sim.collision_events)
+        else:
+            rows = sample_rows(sim.samples)
+            first = rows[0].trajectory_id
+            rows = [
+                dataclasses.replace(r, agent_type="Car")
+                if r.trajectory_id == first and not r.sv_flag else r
+                for r in rows
+            ]
+            d = Dataset(rows, collision_events=sim.collision_events)
+        write_trajectory_csv(d, tmp_path / "a.csv")
+        write_collision_csv(d.collision_events, tmp_path / "a_labels.csv")
+        back = parse_trajectory_csv(tmp_path / "a.csv", labels_path=tmp_path / "a_labels.csv")
+        cfg = AnalysisConfig(preset="sumo-lead", seed=0)
+        assert run_analysis(cfg, dataset=back).data == run_analysis(cfg, dataset=d).data
+
     def test_csv_ingest_is_freed_before_the_geometry_layer(self, tmp_path, monkeypatch):
         # on the CSV path nothing holds the labelled dataset or the state
         # table once the shape is built, so neither sits beside qhull

@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 from builders import sample_rows
 from safeset.errors import NonPositiveGap
-from safeset.ingest import Dataset, RawSample, SampleTable, write_trajectory_csv
+from safeset.ingest import (
+    Dataset,
+    RawSample,
+    SampleTable,
+    parse_trajectory_csv,
+    write_collision_csv,
+    write_trajectory_csv,
+)
 from safeset.simgen import (
     DEFAULT_DT,
     IDM_0,
@@ -431,6 +438,18 @@ class TestColumnarBattery:
         assert table == SampleTable.from_rows(rows)
         assert want is not None and d.collision_events == (want,)
         assert sample_rows(table) == rows
+
+    def test_scenario_names_are_read_as_the_csv_reads_ids(self, tmp_path):
+        # names are stripped in the table and in the events alike, so the
+        # battery's file reads back as the battery
+        sc = ScenarioSpec(" doomed ", 20.0, 20.0, 20.0, lead_decel=6.0, duration_s=10.0)
+        d = simulate_battery(IDM_1, [sc])
+        assert d.trajectory_ids == ("doomed",)
+        assert [t for t, _ in d.collision_events] == ["doomed"]
+        write_trajectory_csv(d, tmp_path / "a.csv")
+        write_collision_csv(d.collision_events, tmp_path / "a_labels.csv")
+        back = parse_trajectory_csv(tmp_path / "a.csv", labels_path=tmp_path / "a_labels.csv")
+        assert back == Dataset(d.samples, collision_events=d.collision_events)
 
     def test_battery_builds_no_row_objects(self, monkeypatch):
         built = []
